@@ -109,68 +109,67 @@ def open_set_identity_sweep(max_domain: int = 5, max_value: int = 6) -> Verdict:
     """Exhaustive identity check for every f and every admissible fprime
     over the bounded universe.
 
-    Both sides are reduced to evaluation keys: h lies in the preimage of f
-    under right translation by g exactly when the tuple (h(g(n)))_{n in
-    dom g} matches (f(n))_{n in dom g}, and lies in the basic set exactly
-    when its restriction to F matches f and its restriction to F' is zero.
-    The keys are built by evaluating h pointwise (the composition values
-    themselves), and one representative per domain shape is additionally
-    cross-checked against literal PartialMap composition.
+    Each spec (f, F') gives three sets of maps h, and all three must agree:
+    the basic set; the keyed preimage {h : h(g(m)) = f(m) on dom g} for
+    g = build_g(f, F'); and the literal preimage {h : h o g = f}, from
+    composing h o g for every h once per distinct translator g.  The
+    witness counts the specs, the translators and the compositions.
     """
     universe = enumerate_partial_maps(max_domain, max_value)
-    by_class: dict = {}
-    for idx, f in enumerate(universe):
-        key = (f.domain, frozenset(f.image))
-        by_class.setdefault(key, []).append(idx)
-    base = tuple(range(1, max_domain + 1))
-    specs_checked = 0
-    cross_checked = 0
-    domains = sorted({dom for dom, _ in by_class}, key=lambda d: (len(d), d))
-    for dom in domains:
-        complement = [n for n in base if n not in dom]
-        images = sorted({img for d, img in by_class if d == dom}, key=sorted)
-        for r in range(len(complement) + 1):
-            for fprime in combinations(complement, r):
-                sfp = tuple(fprime)
-                zeros = (0,) * len(sfp)
-                bucket_basic: dict = {}
-                for idx, h in enumerate(universe):
-                    key2 = (tuple(h(n) for n in dom), tuple(h(n) for n in sfp))
-                    bucket_basic.setdefault(key2, set()).add(idx)
-                for img in images:
-                    cls = by_class[(dom, img)]
-                    g = build_g(universe[cls[0]], sfp)
-                    dom_g = g.domain
-                    bucket_pre: dict = {}
-                    for idx, h in enumerate(universe):
-                        key1 = tuple(h(g(n)) for n in dom_g)
-                        bucket_pre.setdefault(key1, set()).add(idx)
-                    for fi in cls:
-                        f = universe[fi]
-                        target = tuple(f(n) for n in dom_g)
-                        left = bucket_pre.get(target, set())
-                        right = bucket_basic.get(
-                            (tuple(f(n) for n in dom), zeros), set())
-                        specs_checked += 1
-                        if left != right:
-                            bad = sorted(left ^ right)[0]
-                            return failed(witness={
-                                "f": f.pairs, "fprime": list(sfp),
-                                "g": g.pairs,
-                                "mismatch_h": universe[bad].pairs,
-                                "in_preimage": bad in left})
-                    # literal-composition cross-check for one f per class
-                    f = universe[cls[0]]
-                    direct = open_set_identity(f, sfp, universe, g=g)
-                    cross_checked += 1
-                    if direct.is_fail:
-                        return failed(witness={"f": f.pairs, "fprime": list(sfp),
-                                               "direct": direct.witness},
-                                      detail="key reduction disagrees with "
-                                             "literal composition")
+    translators = specs_checked = 0
+    for g, rows in _sweep_sets(universe, max_domain):
+        translators += 1
+        for f, fprime, direct, keyed, basic in rows:
+            specs_checked += 1
+            if not direct == keyed == basic:
+                pre, other = (direct, keyed) if direct != keyed else (keyed, basic)
+                bad = ((pre ^ other) & -(pre ^ other)).bit_length() - 1
+                return failed(witness={
+                    "f": f.pairs, "fprime": list(fprime), "g": g.pairs,
+                    "mismatch_h": universe[bad].pairs,
+                    "in_preimage": bool(pre >> bad & 1)},
+                    detail="key reduction disagrees with literal composition"
+                    if direct != keyed else "")
     return passed(witness={"universe": len(universe),
                            "specs_checked": specs_checked,
-                           "cross_checked": cross_checked})
+                           "cross_checked": specs_checked,
+                           "translators": translators,
+                           "compositions": translators * len(universe)})
+
+
+def _sweep_sets(universe: Sequence, max_domain: int):
+    """Yield each distinct translator g with rows (f, F', literal preimage,
+    keyed preimage, basic set) for the specs it serves; each set is a
+    bitset of universe indices, the last two ANDs of columns B[n][v]."""
+    full = (1 << len(universe)) - 1
+    columns: dict = {}                # (n, v) -> bitset of h with h(n) = v
+    base = range(1, max_domain + 1)
+    for i, h in enumerate(universe):
+        for n in base:
+            columns[(n, h(n))] = columns.get((n, h(n)), 0) | 1 << i
+
+    def meet(keys) -> int:
+        bits = full
+        for n, v in keys:             # h(n) = 0 for every h when n > max_domain
+            bits &= columns.get((n, v), full if v == 0 else 0)
+        return bits
+
+    by_translator: dict = {}
+    for f in universe:
+        complement = [n for n in base if n not in f.domain]
+        for r in range(len(complement) + 1):
+            for fprime in combinations(complement, r):
+                by_translator.setdefault(build_g(f, fprime), []).append(
+                    (f, fprime))
+    for g, specs in by_translator.items():
+        literal: dict = {}            # pairs of h o g -> bitset of those h
+        for i, h in enumerate(universe):
+            hg = h.compose(g).pairs
+            literal[hg] = literal.get(hg, 0) | 1 << i
+        yield g, [(f, fprime, literal.get(f.pairs, 0),
+                   meet((n, f(m)) for m, n in g.pairs),
+                   meet(f.pairs + tuple((n, 0) for n in fprime)))
+                  for f, fprime in specs]
 
 
 # ---------------------------------------------------------------------------

@@ -191,6 +191,14 @@ class PartialMap:
         self._pairs = tuple(pairs)
         self._map = m
 
+    @classmethod
+    def _trusted(cls, pairs: tuple) -> "PartialMap":
+        """Skip validation; pairs must be sorted, positive and injective."""
+        obj = object.__new__(cls)
+        obj._pairs = pairs
+        obj._map = dict(pairs)
+        return obj
+
     def __call__(self, n: int) -> int:
         return self._map.get(n, 0)
 
@@ -211,13 +219,11 @@ class PartialMap:
         return not self._pairs
 
     def compose(self, other: "PartialMap") -> "PartialMap":
-        """self after other: n maps to self(other(n))."""
-        out = {}
-        for n, v in other._pairs:
-            w = self._map.get(v, 0)
-            if w:
-                out[n] = w
-        return PartialMap(out)
+        """self after other: n maps to self(other(n)).  Both are injective
+        and other's pairs are sorted, so the composite needs no checks."""
+        get = self._map.get
+        return PartialMap._trusted(
+            tuple([(n, w) for n, v in other._pairs if (w := get(v))]))
 
     def inverse(self) -> "PartialMap":
         return PartialMap({v: n for n, v in self._pairs})
@@ -233,14 +239,6 @@ class PartialMap:
             return "PartialMap(0)"
         body = ", ".join(f"{n}->{v}" for n, v in self._pairs)
         return f"PartialMap({body})"
-
-
-def inverse_with_axioms(f: PartialMap) -> tuple[PartialMap, bool]:
-    """The relational inverse, together with both regularity identities."""
-    finv = f.inverse()
-    ok = (f.compose(finv).compose(f) == f
-          and finv.compose(f).compose(finv) == finv)
-    return finv, ok
 
 
 # ---------------------------------------------------------------------------

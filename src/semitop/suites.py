@@ -38,7 +38,10 @@ class SuiteError(ValueError):
 def _param(params: dict, key: str, default: int, lo: int, hi: int) -> int:
     v = params.get(key, default)
     if isinstance(v, str):
-        v = int(v)
+        try:
+            v = int(v)
+        except ValueError:
+            raise SuiteError(f"parameter {key!r} must be an integer") from None
     if not isinstance(v, int) or isinstance(v, bool):
         raise SuiteError(f"parameter {key!r} must be an integer")
     if not lo <= v <= hi:

@@ -139,6 +139,7 @@ def test_suite_with_params(capsys):
     ["member", "--suite", "star-condition"],     # both modes
     [],                                          # neither mode
     ["member", "--params", '{"topology": {"base": "z"}}'],  # missing keys
+    ["--suite", "gen-con-two", "--params", '{"cases": "abc"}'],  # not an int
 ])
 def test_usage_errors(argv, capsys):
     code, _ = run(capsys, *argv)

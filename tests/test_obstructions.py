@@ -2,9 +2,10 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from semitop.obstructions import (ZERO_MAP, OpenSetSpec, build_fn, build_g,
-                                  enumerate_partial_maps, fn_threshold,
-                                  o_member, open_set_identity,
+from semitop import obstructions
+from semitop.obstructions import (ZERO_MAP, OpenSetSpec, _sweep_sets,
+                                  build_fn, build_g, enumerate_partial_maps,
+                                  fn_threshold, o_member, open_set_identity,
                                   open_set_identity_sweep, proof_skeleton,
                                   valid_ns, verify_annihilation, verify_fnp)
 from semitop.semigroups import PartialMap
@@ -65,7 +66,56 @@ def test_open_set_identity_sweep_small():
     assert v.status == "PASS"
     assert v.witness["universe"] == 73
     assert v.witness["specs_checked"] == 152
-    assert v.witness["cross_checked"] == 96
+    assert v.witness["cross_checked"] == 152
+    assert v.witness["translators"] == 39
+    assert v.witness["compositions"] == 39 * 73
+
+
+def test_open_set_identity_sweep_catches_translator_without_fprime_leg(
+        monkeypatch):
+    # negative control: a translator that forgets F' pulls back a set that
+    # ignores F', so the sweep must fail with a witness the direct check
+    # confirms
+    real_build_g = obstructions.build_g
+    monkeypatch.setattr(obstructions, "build_g",
+                        lambda f, fprime: real_build_g(f, ()))
+    v = open_set_identity_sweep(3, 4)
+    assert v.is_fail
+    w = v.witness
+    f, g = PartialMap(w["f"]), PartialMap(w["g"])
+    assert w["fprime"] and g == real_build_g(f, ())
+    direct = open_set_identity(f, w["fprime"], enumerate_partial_maps(3, 4),
+                               g=g)
+    assert direct.is_fail
+    assert direct.witness["only_in"][0] == (
+        "preimage" if w["in_preimage"] else "basic_set", w["mismatch_h"])
+
+
+def test_open_set_identity_sweep_catches_wrong_composition(monkeypatch):
+    monkeypatch.setattr(PartialMap, "compose", lambda self, other: self)
+    v = open_set_identity_sweep(2, 3)
+    assert v.is_fail
+    assert v.detail == "key reduction disagrees with literal composition"
+
+
+@pytest.mark.parametrize("max_domain,max_value", [(2, 3), (3, 4)])
+def test_sweep_sets_match_direct_check(max_domain, max_value):
+    universe = enumerate_partial_maps(max_domain, max_value)
+    specs = 0
+    for g, rows in _sweep_sets(universe, max_domain):
+        for f, fprime, direct, keyed, basic in rows:
+            specs += 1
+            assert g == build_g(f, fprime)
+            assert direct == keyed == basic
+            spec = OpenSetSpec(f, frozenset(fprime))
+            members = {i for i in range(len(universe)) if direct >> i & 1}
+            assert members == {i for i, h in enumerate(universe)
+                               if o_member(spec, h)}
+            oracle = open_set_identity(f, fprime, universe, g=g)
+            assert oracle.status == "PASS"
+            assert oracle.witness["set_size"] == len(members)
+    assert specs == open_set_identity_sweep(
+        max_domain, max_value).witness["specs_checked"]
 
 
 def test_fn_threshold():

@@ -171,3 +171,21 @@ def test_partial_map_rejects_non_injective(pairs):
     else:
         with pytest.raises(ValueError):
             PartialMap(pairs)
+
+
+injective_maps = st.lists(st.integers(1, 10), unique=True, max_size=6).flatmap(
+    lambda dom: st.lists(st.integers(1, 10), unique=True, min_size=len(dom),
+                         max_size=len(dom)).map(
+        lambda img: PartialMap(zip(dom, img))))
+
+
+@given(injective_maps, injective_maps)
+def test_compose_matches_validated_construction(a, b):
+    # compose builds its result without re-validation; the validating
+    # constructor on the same pointwise values is the oracle
+    ab = a.compose(b)
+    oracle = PartialMap({n: a(b(n)) for n in b.domain if a(b(n))})
+    assert ab.pairs == oracle.pairs
+    assert hash(ab) == hash(oracle)
+    assert ab == oracle
+    assert all(ab(n) == a(b(n)) for n in range(12))
