@@ -23,8 +23,9 @@ limit = (2, 5)
 seq = [(1, 5 + w.value(j)) for j in range(2, 9)]
 print("sequence:", seq[:3], "...")
 
-cert = check_convergence(T, seq, limit, alpha_max=3)
-print("\ncertificate for the limit", limit)
+verdict = check_convergence(T, seq, limit, alpha_max=3)
+cert = verdict.witness
+print("\ncertificate for the limit", limit, "->", verdict.status)
 print(json.dumps(certificate_to_json(cert), indent=2))
 print("revalidates:", cert.revalidate(T, seq))
 print("tampered prefix revalidates:", cert.revalidate(T, seq[:-1]))

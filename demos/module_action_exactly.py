@@ -25,7 +25,7 @@ for s in (2, 3, 8):
 
 # sharpness: an x with <x, a> = 0 whose translate pairing is not zero
 a = d(1) + d(2)
-w = counterexample_x(a)
+w = counterexample_x(a).witness
 print("\na =", a)
 print("x =", w.x, " s =", w.s)
 print("<x, a> =", w.pairing_a)

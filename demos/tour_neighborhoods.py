@@ -18,7 +18,7 @@ print("\nU(2, 0, 1) membership, spending credits on weight blocks:")
 for point in [(2, 0), (1, 4), (1, 16), (0, 20), (0, 16), (3, 0)]:
     res = T.member(U, point)
     print(f"  {point!r:10} -> {res.status}"
-          + (f"  (weights used: {list(res.indices)})" if res.status else ""))
+          + (f"  (weights used: {list(res.witness)})" if res else ""))
 
 print("\nthe alpha floor cuts off low-index weights:")
 for alpha in (1, 2, 3):
@@ -27,4 +27,4 @@ for alpha in (1, 2, 3):
 
 # every decision above is reproducible by brute force over index subsets
 slow = T.member_bruteforce(U, (0, 20))
-print("\nbrute force agrees on (0, 20):", slow.status, list(slow.indices))
+print("\nbrute force agrees on (0, 20):", slow.status, list(slow.witness))

@@ -22,19 +22,18 @@ from .semigroups import (INF, CyclicGroup, FreeWords, IntegerGroup,
                          is_weakly_cancellative_window, length)
 from .suites import SUITES, SuiteError, run_suite
 from .topologies import (BasicNbhd, ConvergenceCertificate, DiscreteTopology,
-                         Membership, OnePointTopology, TopologyInstance,
-                         TransferResult, WeightSequence, base_inclusion,
-                         base_property_check, check_convergence,
-                         convergence_transfer, distinguish_topologies,
-                         find_limit, good_corr_check, hausdorff_witness,
-                         mask_family, natural_to_odd_pair,
+                         OnePointTopology, TopologyInstance, TransferResult,
+                         WeightSequence, base_inclusion, base_property_check,
+                         check_convergence, convergence_transfer,
+                         distinguish_topologies, find_limit, good_corr_check,
+                         hausdorff_witness, mask_family, natural_to_odd_pair,
                          odd_pair_to_natural, separate_continuity_identity,
                          verify_star, verify_star_star)
 from .verdicts import (HorizonExceeded, NotReachable, Verdict, failed,
                        not_applicable, passed, undetermined)
-from .wap import (LimitFunctional, SharpnessWitness, WAPVerdict, arens_box,
-                  arens_diamond, counterexample_x, eval_limit,
-                  indicator_of_evens, random_c0_plus_const,
-                  subsequence_pair_family, telescoping_check, wap_test)
+from .wap import (LimitFunctional, SharpnessWitness, arens_box, arens_diamond,
+                  counterexample_x, eval_limit, indicator_of_evens,
+                  random_c0_plus_const, subsequence_pair_family,
+                  telescoping_check, wap_test)
 
 __version__ = "0.1.0"

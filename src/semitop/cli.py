@@ -2,15 +2,16 @@
 
 Two modes share one executable:
 
-* ``semitop --suite NAME [--params JSON] [--seed N] [--jobs N] [--out PATH]``
+* ``semitop --suite NAME [--params JSON] [--seed N] [--out PATH]``
   runs a registered suite and writes its report as JSON.
 * ``semitop member|converge|distinguish|waptest --params JSON`` answers a
   single query described entirely by the params payload.
 
-Exit codes: 0 when everything determined passed, 1 when any determined
-failure (or a negative answer to a query) is present, 2 when something was
-left undetermined at the given horizon, 3 for usage errors such as an
-unknown suite, malformed JSON, or out-of-range parameters.
+Exit codes follow the status of the one `Verdict` type: 0 when everything
+determined passed, 1 when any determined failure (or a negative answer to
+a query) is present, 2 when something was left undetermined at the given
+horizon, 3 for usage errors such as an unknown suite, malformed JSON, or
+out-of-range parameters.
 """
 
 from __future__ import annotations
@@ -22,8 +23,9 @@ import sys
 from . import jsonio, topologies
 from .suites import SUITES, SuiteError, run_suite
 from .verdicts import (DISTINCT, FAIL, FOUND, NOT_APPLICABLE,
-                       NOT_FOUND_AT_HORIZON, PASS, UNDETERMINED, VACUOUS)
-from .wap import NOT_WAP, WAP_CONSISTENT, subsequence_pair_family, wap_test
+                       NOT_FOUND_AT_HORIZON, NOT_WAP, PASS, UNDETERMINED,
+                       VACUOUS, WAP_CONSISTENT)
+from .wap import subsequence_pair_family, wap_test
 
 _EXIT_OK = 0
 _EXIT_FAIL = 1
@@ -36,8 +38,10 @@ _STATUS_EXIT = {
     FAIL: _EXIT_FAIL, NOT_WAP: _EXIT_FAIL,
     UNDETERMINED: _EXIT_UNDETERMINED,
     NOT_FOUND_AT_HORIZON: _EXIT_UNDETERMINED,
-    True: _EXIT_OK, False: _EXIT_FAIL, None: _EXIT_UNDETERMINED,
 }
+
+# The member command reports membership as true, false or null.
+_MEMBER_STATUS = {PASS: True, FAIL: False, UNDETERMINED: None}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -51,10 +55,9 @@ def _member(params: dict, seed: int) -> tuple:
     nbhd = jsonio.nbhd_from_json(T, params["nbhd"])
     point = jsonio.s1_point_from_json(T, params["point"])
     res = T.member(nbhd, point)
-    status = res.status
-    payload = {"status": status, "indices": list(res.indices or ()),
-               "reason": res.reason}
-    return payload, _STATUS_EXIT[status]
+    payload = {"status": _MEMBER_STATUS[res.status],
+               "indices": list(res.witness or ()), "reason": res.detail}
+    return payload, _STATUS_EXIT[res.status]
 
 
 def _converge(params: dict, seed: int) -> tuple:
@@ -63,13 +66,12 @@ def _converge(params: dict, seed: int) -> tuple:
     alpha_max = int(params.get("alpha_max", 3))
     if "limit" in params:
         limit = jsonio.s1_point_from_json(T, params["limit"])
-        out = topologies.check_convergence(T, seq, limit, alpha_max)
-        if isinstance(out, topologies.ConvergenceCertificate):
+        res = topologies.check_convergence(T, seq, limit, alpha_max)
+        if res:
             return ({"status": PASS,
-                     "certificate": jsonio.certificate_to_json(out)},
+                     "certificate": jsonio.certificate_to_json(res.witness)},
                     _EXIT_OK)
-        return ({"status": out.status, "witness": jsonio.to_jsonable(out.witness),
-                 "detail": out.detail}, _STATUS_EXIT[out.status])
+        return jsonio.to_jsonable(res), _STATUS_EXIT[res.status]
     got = topologies.find_limit(T, seq, alpha_max)
     if got is None:
         return ({"status": NOT_FOUND_AT_HORIZON,
@@ -86,8 +88,7 @@ def _distinguish(params: dict, seed: int) -> tuple:
     mask2 = [int(i) for i in params["mask2"]]
     horizon = int(params.get("horizon", weights.index_bound))
     res = topologies.distinguish_topologies(weights, mask1, mask2, horizon)
-    return ({"status": res.status, "witness": jsonio.to_jsonable(res.witness),
-             "detail": res.detail}, _STATUS_EXIT[res.status])
+    return jsonio.to_jsonable(res), _STATUS_EXIT[res.status]
 
 
 def _waptest(params: dict, seed: int) -> tuple:
@@ -101,8 +102,7 @@ def _waptest(params: dict, seed: int) -> tuple:
         pairs = subsequence_pair_family(int(params.get("count", 20)),
                                         horizon, seed=seed)
     res = wap_test(f, pairs)
-    return ({"status": res.status, "witness": jsonio.to_jsonable(res.witness),
-             "detail": res.detail}, _STATUS_EXIT[res.status])
+    return jsonio.to_jsonable(res), _STATUS_EXIT[res.status]
 
 
 _COMMANDS = {"member": _member, "converge": _converge,
@@ -132,8 +132,6 @@ def main(argv=None) -> int:
                         help="seed for every randomized construction")
     parser.add_argument("--out", metavar="PATH",
                         help="write the JSON report here instead of stdout")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker threads for independent checks")
     args = parser.parse_args(argv)
 
     if (args.command is None) == (args.suite is None):
@@ -160,7 +158,7 @@ def main(argv=None) -> int:
         return code
 
     try:
-        report = run_suite(args.suite, params, seed=args.seed, jobs=args.jobs)
+        report = run_suite(args.suite, params, seed=args.seed)
     except SuiteError as exc:
         print(f"semitop: error: {exc}", file=sys.stderr)
         return _EXIT_USAGE

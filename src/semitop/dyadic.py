@@ -169,6 +169,6 @@ def psi(point: tuple, nbhd, topology) -> DyadicPoint:
     truncation.
     """
     res = topology.member(nbhd, point)
-    if res.status is not True:
+    if not res:
         raise ValueError(f"{point!r} is not a settled member of {nbhd!r}")
-    return DyadicPoint(res.indices)
+    return DyadicPoint(res.witness)

@@ -315,9 +315,6 @@ def to_jsonable(obj: Any) -> Any:
     if isinstance(obj, Verdict):
         return {"status": obj.status, "witness": to_jsonable(obj.witness),
                 "detail": obj.detail}
-    if isinstance(obj, wap.WAPVerdict):
-        return {"status": obj.status, "witness": to_jsonable(obj.witness),
-                "detail": obj.detail}
     if isinstance(obj, topologies.ConvergenceCertificate):
         return certificate_to_json(obj)
     if isinstance(obj, topologies.BasicNbhd):

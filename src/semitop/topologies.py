@@ -8,9 +8,10 @@ the basic set U(a, s, alpha) collects every (a - k, s combined with a sum
 of k distinct masked weights indexed at or above alpha).
 
 Everything here is decided relative to the declared index bound of the
-weight sequence.  Membership answers True, False, or None (undetermined):
-None means the answer could depend on masked indices beyond the bound,
-and it is never collapsed into a boolean.
+weight sequence.  Membership and representation searches return a
+`Verdict`: PASS with the representation indices as witness, FAIL, or
+UNDETERMINED when the answer could depend on masked indices beyond the
+bound, which is never collapsed into a FAIL.
 """
 
 from __future__ import annotations
@@ -18,15 +19,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, product as iproduct
+from itertools import combinations, product as iproduct, takewhile
 from typing import Any, Iterable, Optional, Sequence
 
-from .verdicts import (DISTINCT, FOUND, NOT_FOUND_AT_HORIZON, UNDETERMINED, VACUOUS,
-                       Verdict, failed, not_applicable, passed, undetermined)
-
-REP_FOUND = "FOUND"
-REP_NONE = "NONE"
-REP_UNDETERMINED = "UNDETERMINED"
+from .verdicts import (DISTINCT, FAIL, FOUND, NOT_FOUND_AT_HORIZON, UNDETERMINED,
+                       VACUOUS, Verdict, failed, not_applicable, passed,
+                       undetermined)
 
 _BASES = ("zplus", "z", "odd_nat")
 
@@ -35,18 +33,10 @@ def _odd_primes(n: int) -> list:
     out = []
     cand = 3
     while len(out) < n:
-        if all(cand % p for p in out) and all(cand % d for d in (2,)):
-            # trial division by found primes suffices once cand < p_last^2;
-            # fall back to full trial division to stay obviously correct
-            is_p = True
-            d = 3
-            while d * d <= cand:
-                if cand % d == 0:
-                    is_p = False
-                    break
-                d += 2
-            if is_p:
-                out.append(cand)
+        # out holds every odd prime below cand, so trial division by those
+        # up to sqrt(cand) decides primality of the odd candidate
+        if all(cand % p for p in takewhile(lambda p: p * p <= cand, out)):
+            out.append(cand)
         cand += 2
     return out
 
@@ -135,28 +125,6 @@ class BasicNbhd:
             raise ValueError("alpha must be a positive index")
 
 
-@dataclass(frozen=True)
-class Membership:
-    status: Optional[bool]            # None means undetermined at the bound
-    indices: Optional[tuple] = None   # representation when status is True
-    reason: str = ""
-
-
-@dataclass(frozen=True)
-class Rep:
-    status: str
-    indices: tuple = ()
-
-
-@dataclass(frozen=True)
-class Rep2:
-    """Two-sided representation: diff = (sum over plus) - (sum over minus)."""
-
-    status: str
-    plus: tuple = ()
-    minus: tuple = ()
-
-
 class TopologyInstance:
     """One masked weight topology on Z_+ x S."""
 
@@ -234,12 +202,13 @@ class TopologyInstance:
 
     # -- representations ----------------------------------------------
 
-    def find_representation(self, diff: Any, min_index: int = 1) -> Rep:
+    def find_representation(self, diff: Any, min_index: int = 1) -> Verdict[tuple]:
         """The unique way of writing diff as a combination of distinct
         masked weights with indices >= min_index, when one exists.
 
-        NONE is definitive; UNDETERMINED means the answer could involve
-        masked indices beyond the declared index bound.
+        PASS carries the sorted index tuple as witness.  FAIL is
+        definitive; UNDETERMINED means the answer could involve masked
+        indices beyond the declared index bound.
         """
         if self.weights.kind == "double_exp":
             return self._rep_double_exp(diff, min_index)
@@ -247,12 +216,12 @@ class TopologyInstance:
             return self._rep_odd_primes(diff, min_index)
         return self._rep_explicit(diff, min_index)
 
-    def _rep_double_exp(self, diff: Any, min_index: int) -> Rep:
+    def _rep_double_exp(self, diff: Any, min_index: int) -> Verdict[tuple]:
         diff = _as_int(diff)
         if diff is None or diff < 0:
-            return Rep(REP_NONE)
+            return failed(detail="not a nonnegative integer")
         if diff == 0:
-            return Rep(REP_FOUND, ())
+            return passed(())
         bound = self.weights.index_bound
         indices = []
         undet = False
@@ -263,47 +232,47 @@ class TopologyInstance:
             d ^= low
             n = pos.bit_length() - 1
             if pos < 2 or (1 << n) != pos:
-                return Rep(REP_NONE)     # bit position is not a power of two
+                return failed(detail="bit position is not a power of two")
             if n > bound:
                 undet = True
             elif n < min_index or n not in self._mask_set:
-                return Rep(REP_NONE)
+                return failed(detail="weight index below the level or unmasked")
             else:
                 indices.append(n)
         if undet:
-            return Rep(REP_UNDETERMINED)
-        return Rep(REP_FOUND, tuple(sorted(indices)))
+            return undetermined("weight index beyond the bound")
+        return passed(tuple(sorted(indices)))
 
-    def _rep_odd_primes(self, diff: Any, min_index: int) -> Rep:
+    def _rep_odd_primes(self, diff: Any, min_index: int) -> Verdict[tuple]:
         if isinstance(diff, Fraction) and diff.denominator != 1:
-            return Rep(REP_NONE)
+            return failed(detail="not an integer")
         n = _as_int(diff)
         if n is None or n < 1:
-            return Rep(REP_NONE)
+            return failed(detail="not a positive integer")
         if n == 1:
-            return Rep(REP_FOUND, ())
+            return passed(())
         indices = []
         for i, w in enumerate(self.weights.values, start=1):
             if n % w == 0:
                 n //= w
                 if n % w == 0:
-                    return Rep(REP_NONE)   # repeated prime cannot occur
+                    return failed(detail="repeated prime cannot occur")
                 if i < min_index or i not in self._mask_set:
-                    return Rep(REP_NONE)   # this prime is no masked weight
+                    return failed(detail="weight index below the level or unmasked")
                 indices.append(i)
             if n == 1:
                 break
         if n == 1:
-            return Rep(REP_FOUND, tuple(indices))
+            return passed(tuple(indices))
         if n % 2 == 0:
-            return Rep(REP_NONE)           # even cofactor is never a weight
-        return Rep(REP_UNDETERMINED)       # odd cofactor beyond the bound
+            return failed(detail="even cofactor is never a weight")
+        return undetermined("odd cofactor beyond the bound")
 
-    def _rep_explicit(self, diff: Any, min_index: int) -> Rep:
+    def _rep_explicit(self, diff: Any, min_index: int) -> Verdict[tuple]:
         # explicit sequences are complete finite lists, so always settled
         diff = _as_int(diff)
         if diff is None:
-            return Rep(REP_NONE)
+            return failed(detail="not an integer")
         idxs = [i for i in self.mask if i >= min_index]
         if len(idxs) > 16:
             raise ValueError("explicit representation search limited to 16 indices")
@@ -313,55 +282,51 @@ class TopologyInstance:
                 if self.weight_total(combo) == diff:
                     found.append(combo)
         if not found:
-            return Rep(REP_NONE)
+            return failed(detail="no combination of the weights")
         if len(found) > 1:
-            raise ArithmeticError(
+            # the weights themselves lack unique representability: bad input
+            raise ValueError(
                 f"ambiguous representation of {diff!r}: {found[:2]} (weights lack "
                 f"unique representability)")
-        return Rep(REP_FOUND, found[0])
-
-    def represent(self, target: Any, k: int, min_index: int = 1) -> Rep:
-        """Representation with exactly k indices, or NONE/UNDETERMINED."""
-        rep = self.find_representation(target, min_index)
-        if rep.status == REP_FOUND and len(rep.indices) != int(k):
-            return Rep(REP_NONE)
-        return rep
+        return passed(found[0])
 
     # -- membership ----------------------------------------------------
 
-    def member(self, nbhd: BasicNbhd, point: Any) -> Membership:
+    def member(self, nbhd: BasicNbhd, point: Any) -> Verdict[tuple]:
+        """Whether point lies in U(nbhd): PASS with the representation
+        indices as witness, FAIL with the reason as detail, or
+        UNDETERMINED at the index bound."""
         if not self.in_S(nbhd.s):
             raise TypeError(f"neighborhood center {nbhd.s!r} is outside S")
         if not self.valid_point(point):
-            return Membership(False, reason="not a point of Z+ x S")
+            return failed(detail="not a point of Z+ x S")
         x, u = self.require_point(point)
         k = nbhd.a - x
         if k < 0 or k > nbhd.a:
-            return Membership(False, reason="first coordinate out of range")
-        diff = self.g_diff(u, nbhd.s)
-        rep = self.find_representation(diff, nbhd.alpha)
-        if rep.status == REP_UNDETERMINED:
-            return Membership(None, reason="representation undetermined at the index bound")
-        if rep.status == REP_NONE or len(rep.indices) != k:
-            return Membership(False)
-        return Membership(True, rep.indices)
+            return failed(detail="first coordinate out of range")
+        rep = self.find_representation(self.g_diff(u, nbhd.s), nbhd.alpha)
+        if rep.status == UNDETERMINED:
+            return undetermined("representation undetermined at the index bound")
+        if not rep or len(rep.witness) != k:
+            return failed()
+        return rep
 
     def member_bruteforce(self, nbhd: BasicNbhd, point: Any,
-                          cap: Optional[int] = None) -> Membership:
+                          cap: Optional[int] = None) -> Verdict[tuple]:
         """Oracle membership by exhaustive subset enumeration up to cap."""
         if not self.valid_point(point):
-            return Membership(False, reason="not a point of Z+ x S")
+            return failed(detail="not a point of Z+ x S")
         x, u = self.require_point(point)
         k = nbhd.a - x
         if k < 0 or k > nbhd.a:
-            return Membership(False, reason="first coordinate out of range")
+            return failed(detail="first coordinate out of range")
         cap = self.weights.index_bound if cap is None else min(cap, self.weights.index_bound)
         idxs = [i for i in self.mask if nbhd.alpha <= i <= cap]
         diff = self.g_diff(u, nbhd.s)
         for combo in combinations(idxs, k):
             if self.weight_total(combo) == diff:
-                return Membership(True, combo)
-        return Membership(False)
+                return passed(combo)
+        return failed()
 
     def basic_points(self, nbhd: BasicNbhd, cap: Optional[int] = None) -> list:
         """All members whose representation stays within [alpha, cap],
@@ -377,57 +342,48 @@ class TopologyInstance:
 
     # -- two-sided representations (for separation witnesses) -----------
 
-    def two_sided_representation(self, diff: Any) -> Rep2:
-        try:
-            cached = self._two_sided_cache.get(diff)
-        except TypeError:
-            cached = None
-        if cached is not None:
-            return cached
-        out = self._two_sided_uncached(diff)
-        try:
-            self._two_sided_cache[diff] = out
-        except TypeError:
-            pass
+    def two_sided_representation(self, diff: Any) -> Verdict[tuple]:
+        """diff as the weight combination over `plus` combined with the
+        inverse of the one over `minus`: PASS with (plus, minus) as
+        witness, FAIL, or UNDETERMINED at the index bound."""
+        out = self._two_sided_cache.get(diff)
+        if out is None:
+            out = self._two_sided_cache[diff] = self._two_sided_uncached(diff)
         return out
 
-    def _two_sided_uncached(self, diff: Any) -> Rep2:
+    def _two_sided_uncached(self, diff: Any) -> Verdict[tuple]:
         if self.multiplicative:
             frac = diff if isinstance(diff, Fraction) else Fraction(_as_int(diff), 1)
             plus = self._rep_odd_primes(frac.numerator, 1)
             minus = self._rep_odd_primes(frac.denominator, 1)
             for part in (plus, minus):
-                if part.status == REP_NONE:
-                    return Rep2(REP_NONE)
+                if part.status == FAIL:
+                    return part
             for part in (plus, minus):
-                if part.status == REP_UNDETERMINED:
-                    return Rep2(REP_UNDETERMINED)
-            return Rep2(REP_FOUND, plus.indices, minus.indices)
+                if part.status == UNDETERMINED:
+                    return part
+            return passed((plus.witness, minus.witness))
         diff = _as_int(diff)
         if diff is None:
-            return Rep2(REP_NONE)
+            return failed(detail="not an integer")
         if len(self.mask) > 13:
             raise ValueError("two-sided search limited to 13 masked indices")
-        best = None
         for signs in iproduct((-1, 0, 1), repeat=len(self.mask)):
             total = sum(sign * self.weights.value(i)
                         for sign, i in zip(signs, self.mask) if sign)
             if total == diff:
                 plus = tuple(i for sign, i in zip(signs, self.mask) if sign > 0)
                 minus = tuple(i for sign, i in zip(signs, self.mask) if sign < 0)
-                best = Rep2(REP_FOUND, plus, minus)
-                break
-        if best is not None:
-            return best
+                return passed((plus, minus))
         if self.weights.kind == "explicit":
-            return Rep2(REP_NONE)
+            return failed(detail="no signed combination of the weights")
         # any signed combination using an index above the bound has absolute
         # value at least w(bound+1) - sum of all bounded weights
         bound = self.weights.index_bound
         min_new = 2 ** (2 ** (bound + 1)) - sum(self.weights.values)
         if abs(diff) < min_new:
-            return Rep2(REP_NONE)
-        return Rep2(REP_UNDETERMINED)
+            return failed(detail="no signed combination of the weights")
+        return undetermined("a combination could use indices beyond the bound")
 
 
 def _as_int(u: Any) -> Optional[int]:
@@ -456,19 +412,19 @@ def base_inclusion(T: TopologyInstance, inner: BasicNbhd, outer: BasicNbhd,
     """
     center = (inner.a, inner.s)
     res = T.member(outer, center)
-    if res.status is None:
+    if res.status == UNDETERMINED:
         return undetermined("center membership undetermined at the index bound")
-    if res.status is False:
+    if not res:
         raise ValueError("inner center lies outside the outer set")
-    threshold = (max(res.indices) + 1) if res.indices else outer.alpha
+    threshold = (max(res.witness) + 1) if res.witness else outer.alpha
     claim = inner.alpha >= threshold
     escaping = None
     saw_undetermined = False
     for point, _ in T.basic_points(inner, cap):
         m = T.member(outer, point)
-        if m.status is None:
+        if m.status == UNDETERMINED:
             saw_undetermined = True
-        elif m.status is False:
+        elif not m:
             escaping = point
             break
     if claim:
@@ -501,9 +457,9 @@ def base_property_check(T: TopologyInstance, u1: BasicNbhd, u2: BasicNbhd,
         for q, _ in T.basic_points(enclosed, cap):
             r1 = T.member(u1, q)
             r2 = T.member(u2, q)
-            if r1.status is None or r2.status is None:
+            if r1.status == UNDETERMINED or r2.status == UNDETERMINED:
                 return undetermined(f"membership undetermined near {p!r}")
-            if not (r1.status and r2.status):
+            if not (r1 and r2):
                 return failed(witness={"common_point": p, "escaping": q,
                                        "enclosed_alpha": max(g1, g2)})
             checked += 1
@@ -530,11 +486,12 @@ def hausdorff_witness(T: TopologyInstance, x: tuple, y: tuple,
         alpha = beta = 1
     else:
         rep2 = T.two_sided_representation(T.g_diff(t, s))
-        if rep2.status == REP_UNDETERMINED:
+        if rep2.status == UNDETERMINED:
             return undetermined("representability of the difference is unsettled "
                                 "at the index bound")
-        if rep2.status == REP_FOUND:
-            alpha = beta = max(rep2.plus + rep2.minus) + 1
+        if rep2:
+            plus, minus = rep2.witness
+            alpha = beta = max(plus + minus) + 1
         else:
             alpha = beta = 1
     ux = BasicNbhd(a, s, alpha)
@@ -543,7 +500,7 @@ def hausdorff_witness(T: TopologyInstance, x: tuple, y: tuple,
     py = {p for p, _ in T.basic_points(uy, cap)}
     overlap = px & py
     witness = {"x_nbhd": ux, "y_nbhd": uy,
-               "two_sided": (rep2.plus, rep2.minus) if rep2 and rep2.status == REP_FOUND else None}
+               "two_sided": rep2.witness if rep2 else None}
     if overlap:
         return failed(witness={**witness, "common_point": sorted(overlap, key=repr)[0]})
     return passed(witness=witness,
@@ -580,11 +537,11 @@ def separate_continuity_identity(T: TopologyInstance, shift: tuple, center: tupl
     for p in sorted(universe, key=repr):
         lhs = T.member(outer, push(p))
         rhs = T.member(inner, p)
-        if lhs.status is None or rhs.status is None:
+        if lhs.status == UNDETERMINED or rhs.status == UNDETERMINED:
             return undetermined(f"membership undetermined at {p!r}")
         if lhs.status != rhs.status:
             return failed(witness={"point": p, "translated": push(p),
-                                   "in_preimage": lhs.status, "in_inner": rhs.status})
+                                   "in_preimage": bool(lhs), "in_inner": bool(rhs)})
     return passed(witness={"points_checked": len(universe)})
 
 
@@ -609,20 +566,21 @@ class ConvergenceCertificate:
             if n0 is None:
                 return False
             for n in range(n0, self.prefix_len + 1):
-                if T.member(BasicNbhd(b, t, alpha), sequence[n - 1]).status is not True:
+                if not T.member(BasicNbhd(b, t, alpha), sequence[n - 1]):
                     return False
         return True
 
 
 def check_convergence(T: TopologyInstance, sequence: Sequence, limit: tuple,
-                      alpha_max: int):
-    """Certificate of convergence of a finite prefix to `limit`.
+                      alpha_max: int) -> Verdict[ConvergenceCertificate]:
+    """Convergence of a finite prefix to `limit`, certified.
 
-    For each level alpha up to alpha_max the certificate stores the least
-    N with every later term inside U(limit, alpha).  A term that violates
-    membership at some level with no recovery before the end of the prefix
-    yields a FAIL verdict instead (prefix-relative divergence evidence);
-    an unsettled membership yields UNDETERMINED.
+    PASS carries a `ConvergenceCertificate` as witness: for each level
+    alpha up to alpha_max it stores the least N with every later term
+    inside U(limit, alpha).  A term that violates membership at some level
+    with no recovery before the end of the prefix yields FAIL
+    (prefix-relative divergence evidence); an unsettled membership yields
+    UNDETERMINED.
     """
     b, t = T.require_point(limit)
     alpha_max = int(alpha_max)
@@ -631,9 +589,9 @@ def check_convergence(T: TopologyInstance, sequence: Sequence, limit: tuple,
     reps = []
     for n, term in enumerate(sequence, start=1):
         res = T.member(BasicNbhd(b, t, 1), term)
-        if res.status is None:
+        if res.status == UNDETERMINED:
             return undetermined(f"membership of term {n} undetermined at the bound")
-        reps.append(res.indices if res.status else None)
+        reps.append(res.witness if res else None)
     if not reps:
         raise ValueError("empty sequence")
     thresholds = {}
@@ -648,9 +606,10 @@ def check_convergence(T: TopologyInstance, sequence: Sequence, limit: tuple,
                           detail="no tail of the prefix stays inside at this level")
         else:
             thresholds[alpha] = bad[-1] + 1
-    return ConvergenceCertificate(limit=(b, t), alpha_max=alpha_max,
-                                  thresholds=thresholds,
-                                  witnesses=tuple(reps), prefix_len=len(reps))
+    return passed(ConvergenceCertificate(limit=(b, t), alpha_max=alpha_max,
+                                         thresholds=thresholds,
+                                         witnesses=tuple(reps),
+                                         prefix_len=len(reps)))
 
 
 def _limit_candidates(T: TopologyInstance, sequence: Sequence,
@@ -683,9 +642,9 @@ def find_limit(T: TopologyInstance, sequence: Sequence, alpha_max: int):
     as evidence of divergence.
     """
     for cand in _limit_candidates(T, sequence):
-        cert = check_convergence(T, sequence, cand, alpha_max)
-        if isinstance(cert, ConvergenceCertificate):
-            return cand, cert
+        res = check_convergence(T, sequence, cand, alpha_max)
+        if res:
+            return cand, res.witness
     return None
 
 
@@ -722,11 +681,12 @@ def convergence_transfer(T: TopologyInstance, sequence: Sequence, shift: tuple,
                 "no limit of the shifted sequence found at this horizon"))
         shifted_limit, shifted_cert = got
     else:
-        shifted_cert = check_convergence(T, shifted, shifted_limit, alpha_max)
-        if not isinstance(shifted_cert, ConvergenceCertificate):
+        res = check_convergence(T, shifted, shifted_limit, alpha_max)
+        if not res:
             return TransferResult(
-                Verdict(shifted_cert.status, shifted_cert.witness,
-                        "shifted sequence failed to certify: " + shifted_cert.detail))
+                Verdict(res.status, res.witness,
+                        "shifted sequence failed to certify: " + res.detail))
+        shifted_cert = res.witness
     b, t = shifted_limit
     back = T.g_diff(t, s)
     back_int = _as_int(back)
@@ -738,15 +698,15 @@ def convergence_transfer(T: TopologyInstance, sequence: Sequence, shift: tuple,
             shifted_limit=shifted_limit, shifted_certificate=shifted_cert,
             division_data=division)
     predicted = (b - a, back_int)
-    cert = check_convergence(T, sequence, predicted, alpha_max)
-    if not isinstance(cert, ConvergenceCertificate):
+    res = check_convergence(T, sequence, predicted, alpha_max)
+    if not res:
         return TransferResult(
-            Verdict(cert.status, cert.witness,
-                    "original sequence failed to certify: " + cert.detail),
+            Verdict(res.status, res.witness,
+                    "original sequence failed to certify: " + res.detail),
             predicted_limit=predicted, shifted_limit=shifted_limit,
             shifted_certificate=shifted_cert, division_data=division)
     return TransferResult(passed(witness={"predicted_limit": predicted}),
-                          predicted_limit=predicted, certificate=cert,
+                          predicted_limit=predicted, certificate=res.witness,
                           shifted_limit=shifted_limit,
                           shifted_certificate=shifted_cert,
                           division_data=division)
@@ -809,9 +769,6 @@ def verify_star_star(T: TopologyInstance, t: Any, s_window: int = 10_000) -> Ver
         t = _as_int(t)
         if t is None:
             raise TypeError("t must be an integer for the z base")
-        for s in range(-50, 51):
-            for n in range(1, T.weights.index_bound + 1):
-                assert isinstance(s - t + T.weights.value(n), int)
         return passed(witness={"alpha_t": 1},
                       detail="S is the whole group; every index works")
     t = _as_int(t)
@@ -894,12 +851,12 @@ def distinguish_topologies(weights: WeightSequence, mask1: Iterable, mask2: Iter
         point = (0, weights.value(j))
         inside = True
         for alpha in range(1, min(j, alpha_max) + 1):
-            if owner.member(BasicNbhd(1, ident, alpha), point).status is not True:
+            if not owner.member(BasicNbhd(1, ident, alpha), point):
                 inside = False
         outside = True
         if other is not None:
             for alpha in range(1, alpha_max + 1):
-                if other.member(BasicNbhd(1, ident, alpha), point).status is not False:
+                if other.member(BasicNbhd(1, ident, alpha), point).status != FAIL:
                     outside = False
         if not (inside and outside):
             return failed(witness={"index": j, "point": point},
@@ -964,17 +921,17 @@ def _subseq_sigma(T: TopologyInstance, seq: Sequence, alpha_max: int):
         need = 1
         for n, term in enumerate(seq, start=1):
             res = T.member(BasicNbhd(cand[0], cand[1], 1), term)
-            if res.status is not True:
+            if not res:
                 continue
-            level = min(res.indices) if res.indices else None
+            level = min(res.witness) if res.witness else None
             if level is None or level >= need:
                 idxs.append(n)
                 need += 1
         if len(idxs) >= min(alpha_max, 3):
             sub = [seq[i - 1] for i in idxs]
-            cert = check_convergence(T, sub, cand, min(alpha_max, len(idxs)))
-            if isinstance(cert, ConvergenceCertificate):
-                return (cand, idxs, cert)
+            res = check_convergence(T, sub, cand, min(alpha_max, len(idxs)))
+            if res:
+                return (cand, idxs, res.witness)
     return None
 
 

@@ -1,15 +1,16 @@
-"""Shared verdict values for window- and truncation-relative checks.
+"""The one verdict type for window- and truncation-relative checks.
 
-Checkers in this package report a small set of statuses instead of bare
-booleans.  Most searches here inspect a finite window or truncation of an
-infinite object, so "could not decide within the truncation" is a real
-outcome and must never be conflated with a pass.
+Checkers in this package, and the membership and representation
+primitives, return a `Verdict` instead of a bare boolean, and every status
+string is defined here.  Most searches inspect a finite window or
+truncation of an infinite object, so "could not decide within the
+truncation" is a real outcome and must never be conflated with a pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Generic, TypeVar
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -22,13 +23,23 @@ NOT_FOUND_AT_HORIZON = "NOT_FOUND_AT_HORIZON"
 VACUOUS = "VACUOUS"
 DISTINCT = "DISTINCT"
 
+# Statuses of the double-limit test for weak almost periodicity.
+WAP_CONSISTENT = "WAP-consistent"
+NOT_WAP = "NOT-WAP"
+
+W = TypeVar("W")
+
 
 @dataclass(frozen=True)
-class Verdict:
-    """Outcome of one check, with an optional machine-checkable witness."""
+class Verdict(Generic[W]):
+    """Outcome of one check, with an optional machine-checkable witness.
+
+    A verdict is truthy exactly when its status is PASS, so callers branch
+    with `if v:` and test other statuses by comparing `v.status`.
+    """
 
     status: str
-    witness: Any = None
+    witness: W = None
     detail: str = ""
 
     def __bool__(self) -> bool:

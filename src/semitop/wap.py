@@ -20,11 +20,8 @@ from typing import Optional, Sequence
 
 from .l1 import BoundedFunction, L1Vector, convolve, pairing_vectors, _coeff_sum
 from .semigroups import NatMax
-from .verdicts import (UNDETERMINED, Verdict, failed, not_applicable, passed,
-                       undetermined)
-
-WAP_CONSISTENT = "WAP-consistent"
-NOT_WAP = "NOT-WAP"
+from .verdicts import (NOT_WAP, WAP_CONSISTENT, Verdict, failed, not_applicable,
+                       passed, undetermined)
 
 
 @dataclass(frozen=True)
@@ -142,20 +139,10 @@ def arens_diamond(omega: LimitFunctional, upsilon: LimitFunctional,
     return value
 
 
-@dataclass(frozen=True)
-class WAPVerdict:
-    status: str                      # WAP-consistent | NOT-WAP | UNDETERMINED
-    witness: Optional[dict] = None
-    detail: str = ""
-
-    @property
-    def is_not_wap(self) -> bool:
-        return self.status == NOT_WAP
-
-
-def wap_test(f: BoundedFunction, pairs: Sequence) -> WAPVerdict:
+def wap_test(f: BoundedFunction, pairs: Sequence) -> Verdict[dict]:
     """Double-limit test over a family of subsequence pairs.
 
+    The status is WAP-consistent, NOT-WAP or UNDETERMINED.
     A determined, unequal (box, diamond) pair is a genuine counterexample
     and certifies NOT-WAP.  Agreement everywhere is only consistency for
     sampled functions; finitely modified constants are certified members
@@ -171,19 +158,19 @@ def wap_test(f: BoundedFunction, pairs: Sequence) -> WAPVerdict:
             continue
         determined += 1
         if box != diamond:
-            return WAPVerdict(NOT_WAP, witness={
+            return Verdict(NOT_WAP, witness={
                 "omega": omega, "upsilon": upsilon,
                 "box": box, "diamond": diamond},
                 detail="iterated limits disagree exactly")
     if f.tag == "c0_plus_const":
-        return WAPVerdict(WAP_CONSISTENT,
-                          witness={"pairs": len(pairs), "determined": determined},
-                          detail="membership certified: vanishing part plus a constant")
+        return Verdict(WAP_CONSISTENT,
+                       witness={"pairs": len(pairs), "determined": determined},
+                       detail="membership certified: vanishing part plus a constant")
     if determined == 0:
-        return WAPVerdict(UNDETERMINED, detail="no pair stabilized")
-    return WAPVerdict(WAP_CONSISTENT,
-                      witness={"pairs": len(pairs), "determined": determined},
-                      detail="all determined pairs agree (consistency only)")
+        return undetermined("no pair stabilized")
+    return Verdict(WAP_CONSISTENT,
+                   witness={"pairs": len(pairs), "determined": determined},
+                   detail="all determined pairs agree (consistency only)")
 
 
 def indicator_of_evens(horizon: int) -> BoundedFunction:
@@ -275,13 +262,14 @@ class SharpnessWitness:
     pairing_translated: Fraction
 
 
-def counterexample_x(a: L1Vector):
+def counterexample_x(a: L1Vector) -> Verdict[SharpnessWitness]:
     """Functional x and index s with <x, a> = 0 but <x, delta_s * a> != 0.
 
     This witnesses that "pairs to zero" does not survive the module
-    action, which is the sharp end of the uniqueness argument.  Needs
-    total mass != 0; the zero-mass case is a different branch and returns
-    NOT-APPLICABLE.  Single-term vectors use the one-point variant.
+    action, which is the sharp end of the uniqueness argument.  PASS
+    carries the `SharpnessWitness`.  Needs total mass != 0; the zero-mass
+    case is a different branch and returns NOT-APPLICABLE.  Single-term
+    vectors use the one-point variant.
     """
     S = a.instance
     if not isinstance(S, NatMax):
@@ -316,4 +304,4 @@ def counterexample_x(a: L1Vector):
         raise ArithmeticError(
             f"witness verification failed: <x,a> = {p0}, "
             f"<x, translated> = {p1}, expected {expected}")
-    return SharpnessWitness(x=x, s=s, pairing_a=p0, pairing_translated=p1)
+    return passed(SharpnessWitness(x=x, s=s, pairing_a=p0, pairing_translated=p1))

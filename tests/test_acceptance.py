@@ -153,8 +153,8 @@ def test_criterion_08_member_vs_bruteforce(capfd):
                     fast = T.member(U, p)
                     slow = T.member_bruteforce(U, p)
                     same = fast.status == slow.status and (
-                        not fast.status
-                        or tuple(fast.indices) == tuple(slow.indices))
+                        not fast
+                        or tuple(fast.witness) == tuple(slow.witness))
                     checked += 1
                     agreed += same
     elapsed = time.monotonic() - t0

@@ -1,10 +1,15 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from semitop import cli, verdicts
 from semitop.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 Z_TOP = {"base": "z", "weights": {"kind": "double_exp", "index_bound": 6}}
 
@@ -140,10 +145,49 @@ def test_suite_with_params(capsys):
     [],                                          # neither mode
     ["member", "--params", '{"topology": {"base": "z"}}'],  # missing keys
     ["--suite", "gen-con-two", "--params", '{"cases": "abc"}'],  # not an int
+    ["--suite", "star-condition", "--jobs", "2"],  # the flag is gone
+    ["member", "--params", json.dumps({       # 3 = 1 + 2: ambiguous weights
+        "topology": {"base": "z",
+                     "weights": {"kind": "explicit", "values": [1, 2, 3]}},
+        "nbhd": {"a": 2, "s": 0, "alpha": 1}, "point": {"a": 1, "s": 3}})],
 ])
 def test_usage_errors(argv, capsys):
     code, _ = run(capsys, *argv)
     assert code == 3
+
+
+def test_every_status_has_an_exit_code():
+    statuses = {v for k, v in vars(verdicts).items()
+                if k.isupper() and isinstance(v, str)}
+    assert all(isinstance(k, str) for k in cli._STATUS_EXIT)
+    assert set(cli._STATUS_EXIT) == statuses
+
+
+def _strip_timing(doc):
+    if isinstance(doc, dict):
+        return {k: _strip_timing(v) for k, v in doc.items()
+                if k != "elapsed_ms"}
+    if isinstance(doc, list):
+        return [_strip_timing(v) for v in doc]
+    return doc
+
+
+def test_reports_are_deterministic(capsys):
+    # remark4-continuum draws its mask family from the seed, so equal
+    # reports are not equal merely because the suite ignores the seed
+    argv = ["--suite", "remark4-continuum", "--seed", "5"]
+    code1, first = run(capsys, *argv)
+    code2, second = run(capsys, *argv)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-m", "semitop.cli", *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert code1 == code2 == proc.returncode == 0
+    report = _strip_timing(first)
+    assert report == _strip_timing(second)
+    assert report == _strip_timing(json.loads(proc.stdout))
+    _, other_seed = run(capsys, "--suite", "remark4-continuum", "--seed", "6")
+    assert _strip_timing(other_seed) != report
 
 
 def test_unknown_flag_exits_3():

@@ -147,7 +147,7 @@ def test_certificate_round_trip():
     T = TopologyInstance("z", WeightSequence("double_exp", 6))
     w = T.weights
     seq = [(1, w.value(j)) for j in range(2, 7)]
-    cert = check_convergence(T, seq, (2, 0), 3)
+    cert = check_convergence(T, seq, (2, 0), 3).witness
     doc = jsonio.certificate_to_json(cert)
     json.dumps(doc)
     back = jsonio.certificate_from_json(T, doc)

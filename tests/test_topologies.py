@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semitop.semigroups import INF, NatInfinity, NatMul
-from semitop.topologies import (REP_FOUND, REP_NONE, REP_UNDETERMINED,
-                                BasicNbhd, ConvergenceCertificate,
+from semitop.topologies import (BasicNbhd, ConvergenceCertificate,
                                 DiscreteTopology, OnePointTopology,
                                 TopologyInstance, WeightSequence,
                                 base_inclusion, base_property_check,
@@ -19,7 +18,7 @@ from semitop.topologies import (REP_FOUND, REP_NONE, REP_UNDETERMINED,
                                 separate_continuity_identity, verify_star,
                                 verify_star_star)
 from semitop.verdicts import (DISTINCT, FAIL, FOUND, NOT_APPLICABLE, PASS,
-                              UNDETERMINED, VACUOUS)
+                              UNDETERMINED, VACUOUS, Verdict)
 
 
 def Tz(bound=6, mask=None):
@@ -39,8 +38,10 @@ def test_double_exp_values():
 
 
 def test_odd_prime_values():
-    w = WeightSequence.odd_primes(6)
-    assert [w.value(i) for i in range(1, 7)] == [3, 5, 7, 11, 13, 17]
+    w = WeightSequence.odd_primes(20)
+    assert [w.value(i) for i in range(1, 21)] == [
+        3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
+        71, 73]
 
 
 def test_explicit_weights_must_increase():
@@ -54,41 +55,74 @@ def test_explicit_weights_must_increase():
 def test_rep_double_exp_found():
     T = Tz(6)
     rep = T.find_representation(16 + 256)
-    assert rep.status == REP_FOUND and rep.indices == (2, 3)
+    assert rep.status == PASS and rep.witness == (2, 3)
 
 
 def test_rep_double_exp_none_cases():
     T = Tz(6)
-    assert T.find_representation(5).status == REP_NONE           # 4 + 1
-    assert T.find_representation(8).status == REP_NONE           # 2^3 alone
-    assert T.find_representation(4, min_index=2).status == REP_NONE
+    assert T.find_representation(5).status == FAIL           # 4 + 1
+    assert T.find_representation(8).status == FAIL           # 2^3 alone
+    assert T.find_representation(4, min_index=2).status == FAIL
 
 
 def test_rep_double_exp_undetermined_beyond_bound():
     T = Tz(3)
     huge = 2 ** (2 ** 9)
-    assert T.find_representation(huge).status == REP_UNDETERMINED
+    assert T.find_representation(huge).status == UNDETERMINED
 
 
 def test_rep_respects_mask():
     T = Tz(6, mask=[1, 3, 5])
-    assert T.find_representation(16).status == REP_NONE
-    assert T.find_representation(4 + 256).indices == (1, 3)
+    assert T.find_representation(16).status == FAIL
+    assert T.find_representation(4 + 256).witness == (1, 3)
 
 
 def test_rep_odd_primes():
     T = Todd(6)
-    assert T.find_representation(Fraction(15)).indices == (1, 2)
-    assert T.find_representation(Fraction(9)).status == REP_NONE    # 3 twice
-    assert T.find_representation(Fraction(6)).status == REP_NONE    # even part
-    assert T.find_representation(Fraction(19)).status == REP_UNDETERMINED
+    assert T.find_representation(Fraction(15)).witness == (1, 2)
+    assert T.find_representation(Fraction(9)).status == FAIL    # 3 twice
+    assert T.find_representation(Fraction(6)).status == FAIL    # even part
+    assert T.find_representation(Fraction(19)).status == UNDETERMINED
 
 
 def test_rep_explicit_always_settled():
     T = TopologyInstance("z", WeightSequence.explicit([10, 20, 40]))
-    assert T.find_representation(30).indices == (1, 2)
-    assert T.find_representation(31).status == REP_NONE
-    assert T.find_representation(10 ** 9).status == REP_NONE
+    assert T.find_representation(30).witness == (1, 2)
+    assert T.find_representation(31).status == FAIL
+    assert T.find_representation(10 ** 9).status == FAIL
+
+
+def test_primitives_return_verdicts():
+    # every status of the representation and membership primitives
+    # arrives as a Verdict; PASS carries the index tuple as witness
+    T, odd = Tz(3), Todd(6)
+    cases = [
+        (T.find_representation(4 + 16), PASS, (1, 2)),
+        (T.find_representation(5), FAIL, None),
+        (T.find_representation(2 ** (2 ** 9)), UNDETERMINED, None),
+        (T.member(BasicNbhd(2, 0, 1), (0, 20)), PASS, (1, 2)),
+        (T.member(BasicNbhd(2, 0, 1), (3, 0)), FAIL, None),
+        (odd.member(BasicNbhd(1, 1, 1), (0, 19)), UNDETERMINED, None),
+        (T.member_bruteforce(BasicNbhd(2, 0, 1), (0, 20)), PASS, (1, 2)),
+        (T.member_bruteforce(BasicNbhd(2, 0, 1), (0, 16)), FAIL, None),
+        (T.two_sided_representation(16 - 4), PASS, ((2,), (1,))),
+        (T.two_sided_representation(3), FAIL, None),
+        (T.two_sided_representation(2 ** 16), UNDETERMINED, None),
+        (odd.two_sided_representation(Fraction(3, 5)), PASS, ((1,), (2,))),
+        (odd.two_sided_representation(Fraction(9, 5)), FAIL, None),
+        (odd.two_sided_representation(Fraction(19, 3)), UNDETERMINED, None),
+    ]
+    for v, status, witness in cases:
+        assert isinstance(v, Verdict)
+        assert v.status == status and v.witness == witness, v
+    assert T.member(BasicNbhd(2, 0, 1), (3, 0)).detail == \
+        "first coordinate out of range"
+    seq = seq_to_limit(Tz(6), 2, 0)
+    for limit, status in (((2, 0), PASS), ((1, 4), FAIL)):
+        v = check_convergence(Tz(6), seq, limit, 3)
+        assert isinstance(v, Verdict) and v.status == status
+    v = check_convergence(odd, [(0, 19)], (1, 1), 1)
+    assert isinstance(v, Verdict) and v.status == UNDETERMINED
 
 
 # -- membership and its brute-force oracle ------------------------------
@@ -97,17 +131,17 @@ def test_rep_explicit_always_settled():
 def test_member_basic():
     T = Tz(6)
     U = BasicNbhd(2, 0, 1)
-    assert T.member(U, (2, 0)).status is True
-    assert T.member(U, (1, 16)).status is True
-    assert T.member(U, (0, 20)).status is True          # 4 + 16
-    assert T.member(U, (0, 16)).status is False         # needs k = 2
-    assert T.member(U, (3, 0)).status is False
+    assert T.member(U, (2, 0)).status == PASS
+    assert T.member(U, (1, 16)).status == PASS
+    assert T.member(U, (0, 20)).status == PASS          # 4 + 16
+    assert T.member(U, (0, 16)).status == FAIL          # needs k = 2
+    assert T.member(U, (3, 0)).status == FAIL
 
 
 def test_member_alpha_floor():
     T = Tz(6)
-    assert T.member(BasicNbhd(2, 0, 3), (1, 16)).status is False
-    assert T.member(BasicNbhd(2, 0, 2), (1, 16)).status is True
+    assert T.member(BasicNbhd(2, 0, 3), (1, 16)).status == FAIL
+    assert T.member(BasicNbhd(2, 0, 2), (1, 16)).status == PASS
 
 
 def test_member_matches_bruteforce_everywhere():
@@ -130,8 +164,8 @@ def test_member_matches_bruteforce_everywhere():
                     fast = T.member(U, p)
                     slow = T.member_bruteforce(U, p)
                     assert fast.status == slow.status, (U, p)
-                    if fast.status:
-                        assert tuple(fast.indices) == tuple(slow.indices)
+                    if fast:
+                        assert tuple(fast.witness) == tuple(slow.witness)
                     checked += 1
     assert checked > 9000
 
@@ -234,7 +268,9 @@ def seq_to_limit(T, c, v, start=1):
 def test_check_convergence_produces_certificate():
     T = Tz(6)
     seq = seq_to_limit(T, 2, 0)
-    cert = check_convergence(T, seq, (2, 0), 3)
+    res = check_convergence(T, seq, (2, 0), 3)
+    assert res.status == PASS
+    cert = res.witness
     assert isinstance(cert, ConvergenceCertificate)
     assert cert.thresholds[1] == 1
     assert cert.thresholds[3] == 3     # first term with index >= 3

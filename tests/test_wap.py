@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 from semitop.l1 import BoundedFunction, L1Vector, convolve, pairing_vectors
 from semitop.semigroups import NatMax
-from semitop.verdicts import NOT_APPLICABLE, PASS
-from semitop.wap import (NOT_WAP, WAP_CONSISTENT, LimitFunctional,
-                         SharpnessWitness, arens_box, arens_diamond,
-                         counterexample_x, eval_limit, indicator_of_evens,
-                         random_c0_plus_const, subsequence_pair_family,
-                         telescoping_check, wap_test)
+from semitop.verdicts import (NOT_APPLICABLE, NOT_WAP, PASS, UNDETERMINED,
+                              WAP_CONSISTENT, Verdict)
+from semitop.wap import (LimitFunctional, SharpnessWitness, arens_box,
+                         arens_diamond, counterexample_x, eval_limit,
+                         indicator_of_evens, random_c0_plus_const,
+                         subsequence_pair_family, telescoping_check, wap_test)
 
 F = Fraction
 S = NatMax()
@@ -100,6 +100,16 @@ def test_wap_test_sample_shorter_than_pair_horizon():
                       indicator_of_evens(40)) is None
 
 
+def test_wap_test_returns_verdict_for_every_status():
+    pairs = subsequence_pair_family(10, 200, seed=1)
+    never_stable = BoundedFunction.sampled([F(n) for n in range(1, 201)])
+    for f, status in ((BoundedFunction.c0_plus_const({}, F(1)), WAP_CONSISTENT),
+                      (indicator_of_evens(200), NOT_WAP),
+                      (never_stable, UNDETERMINED)):
+        v = wap_test(f, pairs)
+        assert isinstance(v, Verdict) and v.status == status
+
+
 def test_subsequence_pair_family_deterministic():
     a = subsequence_pair_family(5, 100, seed=3)
     b = subsequence_pair_family(5, 100, seed=3)
@@ -144,7 +154,9 @@ def test_telescoping_identity_form():
 
 def test_counterexample_two_term_pinned():
     a = _d(1) + _d(2)
-    w = counterexample_x(a)
+    v = counterexample_x(a)
+    assert isinstance(v, Verdict) and v.status == PASS
+    w = v.witness
     assert isinstance(w, SharpnessWitness)
     assert w.s == 3
     assert w.x == _d(2) - _d(1) + _d(3)
@@ -154,7 +166,7 @@ def test_counterexample_two_term_pinned():
 
 def test_counterexample_single_term():
     a = _d(5, 2)
-    w = counterexample_x(a)
+    w = counterexample_x(a).witness
     assert w.s == 6
     assert pairing_vectors(w.x, a) == 0
     assert pairing_vectors(w.x, convolve(_d(6), a)) == 2
@@ -162,13 +174,14 @@ def test_counterexample_single_term():
 
 def test_counterexample_zero_mass_not_applicable():
     v = counterexample_x(_d(1) - _d(2))
+    assert isinstance(v, Verdict)
     assert v.status == NOT_APPLICABLE
 
 
 def test_counterexample_unsorted_support():
     # support points whose string order differs from numeric order
     a = _d(10, 3) + _d(2, 4)
-    w = counterexample_x(a)
+    w = counterexample_x(a).witness
     assert pairing_vectors(w.x, a) == 0
     moved = convolve(_d(w.s), a)
     assert pairing_vectors(w.x, moved) == w.pairing_translated != 0
@@ -184,10 +197,12 @@ def test_counterexample_property(terms):
     if a.is_zero or total == 0:
         assert out.status == NOT_APPLICABLE
     else:
-        assert pairing_vectors(out.x, a) == 0
-        moved = convolve(_d(out.s), a)
-        expected = sum((c for t, c in a.terms() if t <= out.s), F(0))
-        assert pairing_vectors(out.x, moved) == expected != 0
+        assert out.status == PASS
+        w = out.witness
+        assert pairing_vectors(w.x, a) == 0
+        moved = convolve(_d(w.s), a)
+        expected = sum((c for t, c in a.terms() if t <= w.s), F(0))
+        assert pairing_vectors(w.x, moved) == expected != 0
 
 
 @settings(max_examples=100, deadline=None)
