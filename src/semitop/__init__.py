@@ -20,7 +20,8 @@ from .semigroups import (INF, CyclicGroup, FreeWords, IntegerGroup,
                          associativity_window, is_cancellative_window,
                          is_finitely_left_divisible_window,
                          is_weakly_cancellative_window, length)
-from .suites import SUITES, SuiteError, run_suite
+from .jsonio import SuiteError
+from .suites import SUITES, run_suite
 from .topologies import (BasicNbhd, ConvergenceCertificate, DiscreteTopology,
                          OnePointTopology, TopologyInstance, TransferResult,
                          WeightSequence, base_inclusion, base_property_check,

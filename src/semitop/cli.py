@@ -10,8 +10,8 @@ Two modes share one executable:
 Exit codes follow the status of the one `Verdict` type: 0 when everything
 determined passed, 1 when any determined failure (or a negative answer to
 a query) is present, 2 when something was left undetermined at the given
-horizon, 3 for usage errors such as an unknown suite, malformed JSON, or
-out-of-range parameters.
+horizon, 3 for usage errors such as an unknown suite or key, malformed
+JSON, or a parameter that is not an integer in its declared range.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ import json
 import sys
 
 from . import jsonio, topologies
-from .suites import SUITES, SuiteError, run_suite
+from .jsonio import MAX_INDEX_BOUND, SuiteError
+from .suites import SUITE_PARAMS, SUITES, run_suite
 from .verdicts import (DISTINCT, FAIL, FOUND, NOT_APPLICABLE,
                        NOT_FOUND_AT_HORIZON, NOT_WAP, PASS, UNDETERMINED,
                        VACUOUS, WAP_CONSISTENT)
@@ -63,7 +64,7 @@ def _member(params: dict, seed: int) -> tuple:
 def _converge(params: dict, seed: int) -> tuple:
     T = jsonio.topology_from_json(params["topology"])
     seq = [jsonio.s1_point_from_json(T, p) for p in params["sequence"]]
-    alpha_max = int(params.get("alpha_max", 3))
+    alpha_max = params["alpha_max"]
     if "limit" in params:
         limit = jsonio.s1_point_from_json(T, params["limit"])
         res = topologies.check_convergence(T, seq, limit, alpha_max)
@@ -84,29 +85,44 @@ def _converge(params: dict, seed: int) -> tuple:
 
 def _distinguish(params: dict, seed: int) -> tuple:
     weights = jsonio.weights_from_json(params["weights"])
-    mask1 = [int(i) for i in params["mask1"]]
-    mask2 = [int(i) for i in params["mask2"]]
-    horizon = int(params.get("horizon", weights.index_bound))
-    res = topologies.distinguish_topologies(weights, mask1, mask2, horizon)
+    horizon = params["horizon"] or weights.index_bound
+    res = topologies.distinguish_topologies(weights, params["mask1"],
+                                            params["mask2"], horizon)
     return jsonio.to_jsonable(res), _STATUS_EXIT[res.status]
 
 
 def _waptest(params: dict, seed: int) -> tuple:
     f = jsonio.bounded_function_from_json(params["function"])
-    horizon = int(params.get("horizon", 200))
+    horizon = params["horizon"]
     if "pairs" in params:
         pairs = [(jsonio.limit_functional_from_json(a),
                   jsonio.limit_functional_from_json(b))
                  for a, b in params["pairs"]]
     else:
-        pairs = subsequence_pair_family(int(params.get("count", 20)),
-                                        horizon, seed=seed)
+        pairs = subsequence_pair_family(params["count"], horizon, seed=seed)
     res = wap_test(f, pairs)
     return jsonio.to_jsonable(res), _STATUS_EXIT[res.status]
 
 
-_COMMANDS = {"member": _member, "converge": _converge,
-             "distinguish": _distinguish, "waptest": _waptest}
+def _like(suite: str, key: str, default: int) -> tuple:
+    """A query key bounded like the same quantity in a suite."""
+    _, lo, hi = SUITE_PARAMS[suite][key]
+    return default, lo, hi
+
+
+# Each command with its top-level keys, declared as for jsonio.read_params.
+_COMMANDS = {
+    "member": (_member, {"topology": None, "nbhd": None, "point": None}),
+    "converge": (_converge, {"topology": None, "sequence": None, "limit": None,
+                             "alpha_max": _like("gen-con-two", "alpha_max", 3)}),
+    "distinguish": (_distinguish, {
+        "weights": None, "mask1": (list, 1, MAX_INDEX_BOUND),
+        "mask2": (list, 1, MAX_INDEX_BOUND),
+        "horizon": (None, 1, MAX_INDEX_BOUND)}),
+    "waptest": (_waptest, {"function": None, "pairs": None,
+                           "horizon": _like("nmax-wap", "horizon", 200),
+                           "count": _like("nmax-wap", "pairs", 20)}),
+}
 
 
 def _emit(payload: dict, out_path) -> None:
@@ -140,13 +156,14 @@ def main(argv=None) -> int:
         params = json.loads(args.params)
         if not isinstance(params, dict):
             raise SuiteError("--params must be a JSON object")
-    except (json.JSONDecodeError, SuiteError) as exc:
+    except ValueError as exc:
         print(f"semitop: error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
 
     if args.command is not None:
+        handler, keys = _COMMANDS[args.command]
         try:
-            result, code = _COMMANDS[args.command](params, args.seed)
+            result, code = handler(jsonio.read_params(params, keys), args.seed)
         except (KeyError, TypeError, ValueError) as exc:
             print(f"semitop: error: bad query parameters: {exc!r}",
                   file=sys.stderr)

@@ -3,19 +3,24 @@
 Conventions: rationals travel as exact "p/q" strings; integers that can be
 astronomically large (weight values, instance descriptor parameters) travel
 as decimal strings, and every parser here accepts either a JSON number or
-a decimal string; small structural indices (mask entries, levels, map
-pairs) stay plain numbers.  The adjoined infinity is the string "INF" and
-the absorbing matrix zero is the string "0".
+a decimal string (an optional sign and digits, of any length); small
+structural indices (mask entries, levels, map pairs) stay plain numbers.
+The adjoined infinity is the string "INF" and the absorbing matrix zero is
+the string "0".  Suite params and query payloads go through `read_params`,
+which rejects undeclared keys and reads every integer that sizes the work
+into its declared range before anything is computed from it.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import re
+from decimal import Decimal
 from fractions import Fraction
-from typing import Any, Optional
+from typing import Any
 
 from . import dyadic, topologies, wap
-from .semigroups import (INF, REES_ZERO, CyclicGroup, FreeWords, IntegerGroup,
+from .semigroups import (INF, CyclicGroup, FreeWords, IntegerGroup,
                          IntegerVectorGroup, NatInfinity, NatMax, NatMul,
                          PartialMap, PartialMaps, ReesElement, ReesMatrix,
                          SemigroupInstance, ZPlusK, ZPlusTimesZ)
@@ -23,6 +28,17 @@ from .l1 import BoundedFunction, L1Vector
 from .verdicts import Verdict
 
 SCHEMA_VERSION = "1"
+
+# The largest weight index bound any suite or query may ask for: w_16 =
+# 2^65536 is still cheap, and each further index doubles its size.
+MAX_INDEX_BOUND = 16
+
+_DECIMAL = re.compile(r"[+-]?[0-9]+")
+
+
+class SuiteError(ValueError):
+    """A usage error: unknown suite or key, or a malformed or out-of-range
+    parameter."""
 
 
 def frac_to_str(q: Any) -> str:
@@ -33,9 +49,15 @@ def frac_from(j: Any) -> Fraction:
     if isinstance(j, bool):
         raise TypeError("booleans are not rationals")
     if isinstance(j, (int, str)):
-        return Fraction(j)
+        try:
+            return Fraction(j)
+        except ZeroDivisionError:
+            raise ValueError(f"{j!r} has a zero denominator") from None
     raise TypeError(f"{j!r} is not an exact rational encoding")
 
+
+# Python refuses int <-> decimal str conversions past a process-wide digit
+# limit (4300 by default); Decimal converts exactly and is not subject to it.
 
 def int_from(j: Any) -> int:
     if isinstance(j, bool):
@@ -43,12 +65,73 @@ def int_from(j: Any) -> int:
     if isinstance(j, int):
         return j
     if isinstance(j, str):
-        return int(j, 10)
+        if not _DECIMAL.fullmatch(j):
+            raise ValueError(f"{j!r} is not a decimal integer")
+        try:
+            return int(j)
+        except ValueError:
+            return int(Decimal(j))
     raise TypeError(f"{j!r} is not an integer encoding")
 
 
 def int_to_str(n: int) -> str:
-    return str(int(n))
+    try:
+        return str(int(n))
+    except ValueError:
+        return str(Decimal(n))
+
+
+# ---------------------------------------------------------------------------
+# bounded parameters
+
+
+def read_int(j: Any, key: str, lo: int, hi: int) -> int:
+    """``j`` as an integer in [lo, hi]; anything else is a SuiteError."""
+    try:
+        v = int_from(j)
+    except (TypeError, ValueError):
+        raise SuiteError(f"parameter {key!r} must be an integer") from None
+    if not lo <= v <= hi:
+        raise SuiteError(f"parameter {key!r} = {int_to_str(v)} outside the "
+                         f"safe range [{lo}, {hi}]")
+    return v
+
+
+def _array(j: Any, key: str) -> list:
+    if not isinstance(j, list):
+        raise SuiteError(f"parameter {key!r} must be a JSON array")
+    return j
+
+
+def read_ints(j: Any, key: str, lo: int, hi: int) -> list:
+    """``j`` as a JSON array of integers in [lo, hi]."""
+    return [read_int(v, key, lo, hi) for v in _array(j, key)]
+
+
+def read_params(params: dict, keys: dict) -> dict:
+    """``params`` with its integers read against their declarations.
+
+    ``keys`` declares every key the caller accepts: None for a value that
+    its own reader parses, else (default, lo, hi) for an integer in
+    [lo, hi] that reads as ``default`` when absent, or, when ``default``
+    is ``list``, for a required JSON array of such integers.  Any other
+    key is a SuiteError.
+    """
+    unknown = sorted(set(params) - set(keys))
+    if unknown:
+        raise SuiteError(f"unknown parameter {unknown[0]!r}; expected one "
+                         f"of {sorted(keys)}")
+    out = dict(params)
+    for key, spec in keys.items():
+        if spec is None:
+            continue
+        default, lo, hi = spec
+        if default is list:
+            out[key] = read_ints(params[key], key, lo, hi)
+        else:
+            out[key] = (read_int(params[key], key, lo, hi) if key in params
+                        else default)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -63,17 +146,6 @@ def group_to_json(g: Any) -> dict:
     if isinstance(g, IntegerVectorGroup):
         return {"kind": "Z^d", "dim": int_to_str(g.dim)}
     raise TypeError(f"unknown group {g!r}")
-
-
-def group_from_json(d: dict) -> Any:
-    kind = d["kind"]
-    if kind == "cyclic":
-        return CyclicGroup(int_from(d["modulus"]))
-    if kind == "Z":
-        return IntegerGroup()
-    if kind == "Z^d":
-        return IntegerVectorGroup(int_from(d["dim"]))
-    raise ValueError(f"unknown group kind {kind!r}")
 
 
 def instance_to_json(S: SemigroupInstance) -> dict:
@@ -98,39 +170,12 @@ def instance_to_json(S: SemigroupInstance) -> dict:
     raise TypeError(f"unknown instance {S!r}")
 
 
-def instance_from_json(d: dict) -> SemigroupInstance:
-    kind = d["kind"]
-    if kind == "zplus_k":
-        return ZPlusK(int_from(d["k"]))
-    if kind == "free":
-        return FreeWords(d["alphabet"])
-    if kind == "nat_mul":
-        return NatMul()
-    if kind == "nat_max":
-        return NatMax()
-    if kind == "nat_infty":
-        return NatInfinity()
-    if kind == "zplus_times_z":
-        return ZPlusTimesZ()
-    if kind == "rees":
-        group = group_from_json(d["group"])
-        P = [[group.parse(cell) for cell in row] for row in d["P"]]
-        return ReesMatrix(group, int_from(d["I"]), int_from(d["J"]), P)
-    if kind == "partial_maps":
-        return PartialMaps()
-    raise ValueError(f"unknown instance kind {kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # elements
 
 
 def partial_map_to_json(f: PartialMap) -> dict:
     return {"pairs": [[n, v] for n, v in f.pairs]}
-
-
-def partial_map_from_json(d: dict) -> PartialMap:
-    return PartialMap([(int_from(n), int_from(v)) for n, v in d["pairs"]])
 
 
 def element_to_json(S: SemigroupInstance, e: Any) -> Any:
@@ -151,25 +196,6 @@ def element_to_json(S: SemigroupInstance, e: Any) -> Any:
     raise TypeError(f"no element serialization for {S!r}")
 
 
-def element_from_json(S: SemigroupInstance, j: Any) -> Any:
-    if isinstance(S, (ZPlusK, ZPlusTimesZ)):
-        return tuple(int_from(c) for c in j)
-    if isinstance(S, FreeWords):
-        return j
-    if isinstance(S, (NatMul, NatMax)):
-        return int_from(j)
-    if isinstance(S, NatInfinity):
-        return INF if j == "INF" else int_from(j)
-    if isinstance(S, ReesMatrix):
-        if j == "0":
-            return REES_ZERO
-        return ReesElement(S.group.parse(j["entry"]), int_from(j["row"]),
-                           int_from(j["col"]))
-    if isinstance(S, PartialMaps):
-        return partial_map_from_json(j)
-    raise TypeError(f"no element parser for {S!r}")
-
-
 # ---------------------------------------------------------------------------
 # vectors and bounded functions
 
@@ -177,11 +203,6 @@ def element_from_json(S: SemigroupInstance, j: Any) -> Any:
 def l1vector_to_json(a: L1Vector) -> dict:
     return {"terms": [{"elem": element_to_json(a.instance, e),
                        "coeff": frac_to_str(c)} for e, c in a.terms()]}
-
-
-def l1vector_from_json(S: SemigroupInstance, d: dict) -> L1Vector:
-    return L1Vector(S, [(element_from_json(S, t["elem"]), frac_from(t["coeff"]))
-                        for t in d["terms"]])
 
 
 def bounded_function_to_json(f: BoundedFunction) -> dict:
@@ -194,7 +215,8 @@ def bounded_function_to_json(f: BoundedFunction) -> dict:
 
 def bounded_function_from_json(d: dict) -> BoundedFunction:
     if d["tag"] == "sampled":
-        return BoundedFunction.sampled([frac_from(v) for v in d["values"]])
+        return BoundedFunction.sampled(
+            [frac_from(v) for v in _array(d["values"], "values")])
     mod = {m["elem"] if not isinstance(m["elem"], str) else int_from(m["elem"]):
            frac_from(m["value"]) for m in d.get("mod", [])}
     return BoundedFunction.c0_plus_const(mod, frac_from(d.get("const", 0)))
@@ -204,28 +226,18 @@ def bounded_function_from_json(d: dict) -> BoundedFunction:
 # topologies, neighborhoods, points, certificates
 
 
-def weights_to_json(w: topologies.WeightSequence) -> dict:
-    out = {"kind": w.kind, "index_bound": w.index_bound}
-    if w.kind == "explicit":
-        out["values"] = [int_to_str(v) for v in w.values]
-    return out
-
-
 def weights_from_json(d: dict) -> topologies.WeightSequence:
     kind = d["kind"]
     if kind == "explicit":
         return topologies.WeightSequence.explicit(
-            [int_from(v) for v in d["values"]])
-    return topologies.WeightSequence(kind, int_from(d["index_bound"]))
-
-
-def topology_to_json(T: topologies.TopologyInstance) -> dict:
-    return {"base": T.base, "weights": weights_to_json(T.weights),
-            "mask": list(T.mask)}
+            [int_from(v) for v in _array(d["values"], "values")])
+    return topologies.WeightSequence(
+        kind, read_int(d["index_bound"], "index_bound", 1, MAX_INDEX_BOUND))
 
 
 def topology_from_json(d: dict) -> topologies.TopologyInstance:
-    mask = [int_from(i) for i in d["mask"]] if "mask" in d else None
+    mask = (read_ints(d["mask"], "mask", 1, MAX_INDEX_BOUND) if "mask" in d
+            else None)
     return topologies.TopologyInstance(d["base"], weights_from_json(d["weights"]),
                                        mask)
 
@@ -251,9 +263,7 @@ def nbhd_to_json(n: topologies.BasicNbhd) -> dict:
 
 
 def nbhd_from_json(T: topologies.TopologyInstance, d: dict) -> topologies.BasicNbhd:
-    s = d["s"]
-    s = tuple(int_from(c) for c in s) if isinstance(s, list) else int_from(s)
-    return topologies.BasicNbhd(int_from(d["a"]), s, int_from(d["alpha"]))
+    return topologies.BasicNbhd(*s1_point_from_json(T, d), int_from(d["alpha"]))
 
 
 def certificate_to_json(cert: topologies.ConvergenceCertificate) -> dict:
@@ -265,23 +275,8 @@ def certificate_to_json(cert: topologies.ConvergenceCertificate) -> dict:
             "prefix_len": cert.prefix_len}
 
 
-def certificate_from_json(T: topologies.TopologyInstance,
-                          d: dict) -> topologies.ConvergenceCertificate:
-    return topologies.ConvergenceCertificate(
-        limit=s1_point_from_json(T, d["limit"]),
-        alpha_max=int_from(d["alpha_max"]),
-        thresholds={int_from(k): int_from(v) for k, v in d["thresholds"].items()},
-        witnesses=tuple(tuple(w) if w is not None else None
-                        for w in d["witnesses"]),
-        prefix_len=int_from(d["prefix_len"]))
-
-
 def dyadic_point_to_json(p: dyadic.DyadicPoint) -> dict:
     return {"exponents": list(p.exponents), "value": frac_to_str(p.value)}
-
-
-def dyadic_point_from_json(d: dict) -> dyadic.DyadicPoint:
-    return dyadic.DyadicPoint(tuple(int_from(m) for m in d["exponents"]))
 
 
 def limit_functional_to_json(phi: wap.LimitFunctional) -> dict:

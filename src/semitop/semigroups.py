@@ -57,9 +57,6 @@ class CyclicGroup:
     def elements(self) -> Iterator[int]:
         return iter(range(self.modulus))
 
-    def parse(self, s: str) -> int:
-        return int(s) % self.modulus
-
     def show(self, x: int) -> str:
         return str(x)
 
@@ -80,9 +77,6 @@ class IntegerGroup:
         for n in count(1):
             yield n
             yield -n
-
-    def parse(self, s: str) -> int:
-        return int(s)
 
     def show(self, x: int) -> str:
         return str(x)
@@ -123,13 +117,6 @@ class IntegerVectorGroup:
                         yield (s,) + tail
 
         yield from build(norm, self.dim)
-
-    def parse(self, s: str) -> tuple:
-        body = s.strip().strip("()")
-        parts = [p for p in body.split(",") if p.strip() != ""]
-        v = tuple(int(p) for p in parts)
-        self.validate(v)
-        return v
 
     def show(self, x: tuple) -> str:
         return "(" + ",".join(str(c) for c in x) + ")"

@@ -14,7 +14,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import dyadic, obstructions, topologies
-from .jsonio import SCHEMA_VERSION, to_jsonable
+from .jsonio import (MAX_INDEX_BOUND, SCHEMA_VERSION, SuiteError, read_params,
+                     to_jsonable)
 from .l1 import BoundedFunction, L1Vector
 from .semigroups import (INF, CyclicGroup, FreeWords, IntegerGroup, NatInfinity,
                          NatMax, NatMul, PartialMap, PartialMaps, ReesMatrix,
@@ -30,23 +31,19 @@ from .wap import (LimitFunctional, arens_box, arens_diamond, counterexample_x,
                   subsequence_pair_family, telescoping_check, wap_test)
 
 
-class SuiteError(ValueError):
-    """Unknown suite or out-of-range parameters: a usage error."""
+SUITES: dict = {}
+SUITE_PARAMS: dict = {}
 
 
-def _param(params: dict, key: str, default: int, lo: int, hi: int) -> int:
-    v = params.get(key, default)
-    if isinstance(v, str):
-        try:
-            v = int(v)
-        except ValueError:
-            raise SuiteError(f"parameter {key!r} must be an integer") from None
-    if not isinstance(v, int) or isinstance(v, bool):
-        raise SuiteError(f"parameter {key!r} must be an integer")
-    if not lo <= v <= hi:
-        raise SuiteError(f"parameter {key!r} = {v} outside the safe range "
-                         f"[{lo}, {hi}]")
-    return v
+def _suite(name: str, **keys):
+    """Register a suite builder under ``name`` with its integer parameters,
+    each declared as (default, lo, hi).  The builder receives them read
+    and range-checked, and returns a list of (check_id, thunk)."""
+    def register(builder):
+        SUITES[name] = builder
+        SUITE_PARAMS[name] = keys
+        return builder
+    return register
 
 
 def _wrap(expected_status: str, inner: Verdict, extra: dict = None) -> Verdict:
@@ -62,14 +59,16 @@ def _wrap(expected_status: str, inner: Verdict, extra: dict = None) -> Verdict:
 
 
 # ---------------------------------------------------------------------------
-# suite builders; each returns a list of (check_id, thunk)
+# suite builders
 
 
-def _suite_lemma_technical(params: dict, seed: int) -> list:
-    a_max = _param(params, "a_max", 4, 1, 5)
-    alpha_max = _param(params, "alpha_max", 3, 1, 4)
-    beta_max = _param(params, "beta_max", 8, 1, 10)
-    max_exp = _param(params, "max_exp", 12, 2, 14)
+@_suite("lemma-technical", a_max=(4, 1, 5), alpha_max=(3, 1, 4),
+       beta_max=(8, 1, 10), max_exp=(12, 2, 14))
+def _suite_lemma_technical(p: dict, seed: int) -> list:
+    a_max = p["a_max"]
+    alpha_max = p["alpha_max"]
+    beta_max = p["beta_max"]
+    max_exp = p["max_exp"]
 
     def sweep():
         return dyadic.interval_identity_sweep(a_max, alpha_max, beta_max, max_exp)
@@ -120,11 +119,13 @@ def _random_center(T: topologies.TopologyInstance, rng: random.Random,
     return total
 
 
-def _suite_gen_con_one(params: dict, seed: int) -> list:
-    bound = _param(params, "index_bound", 6, 2, 8)
-    a_max = _param(params, "a_max", 3, 0, 3)
-    h_a_max = _param(params, "hausdorff_a_max", 2, 0, 2)
-    triples = _param(params, "triples", 100, 10, 300)
+@_suite("gen-con-one", index_bound=(6, 2, 8), a_max=(3, 0, 3),
+       hausdorff_a_max=(2, 0, 2), triples=(100, 10, 300))
+def _suite_gen_con_one(p: dict, seed: int) -> list:
+    bound = p["index_bound"]
+    a_max = p["a_max"]
+    h_a_max = p["hausdorff_a_max"]
+    triples = p["triples"]
     Tz = _tz(bound)
     Todd = _todd(bound)
 
@@ -205,10 +206,12 @@ def _suite_gen_con_one(params: dict, seed: int) -> list:
              lambda: separate_continuity(Todd, "odd"))]
 
 
-def _suite_gen_con_two(params: dict, seed: int) -> list:
-    bound = _param(params, "index_bound", 12, 4, 14)
-    cases = _param(params, "cases", 25, 5, 100)
-    alpha_max = _param(params, "alpha_max", 4, 1, 6)
+@_suite("gen-con-two", index_bound=(12, 4, 14), cases=(25, 5, 100),
+       alpha_max=(4, 1, 6))
+def _suite_gen_con_two(p: dict, seed: int) -> list:
+    bound = p["index_bound"]
+    cases = p["cases"]
+    alpha_max = p["alpha_max"]
     Tz = _tz(bound)
     Todd = _todd(bound)
 
@@ -272,10 +275,13 @@ def _suite_gen_con_two(params: dict, seed: int) -> list:
             ("nat-mul-transport", transport)]
 
 
-def _suite_star_condition(params: dict, seed: int) -> list:
-    de_bound = _param(params, "double_exp_bound", 6, 2, 12)
-    op_bound = _param(params, "odd_primes_bound", 8, 2, 16)
-    s_window = _param(params, "s_window", 10_000, 100, 100_000)
+@_suite("star-condition", double_exp_bound=(6, 2, 12),
+       odd_primes_bound=(8, 2, MAX_INDEX_BOUND),
+       s_window=(10_000, 100, 100_000))
+def _suite_star_condition(p: dict, seed: int) -> list:
+    de_bound = p["double_exp_bound"]
+    op_bound = p["odd_primes_bound"]
+    s_window = p["s_window"]
 
     def star_double():
         return topologies.verify_star(
@@ -313,9 +319,11 @@ def _suite_star_condition(params: dict, seed: int) -> list:
             ("division-zplus-not-applicable", division_zplus)]
 
 
-def _suite_remark4_continuum(params: dict, seed: int) -> list:
-    n_masks = _param(params, "masks", 20, 2, 30)
-    horizon = _param(params, "horizon", 12, 4, 16)
+@_suite("remark4-continuum", masks=(20, 2, 30),
+       horizon=(12, 4, MAX_INDEX_BOUND))
+def _suite_remark4_continuum(p: dict, seed: int) -> list:
+    n_masks = p["masks"]
+    horizon = p["horizon"]
 
     def pairwise_distinct():
         masks = topologies.mask_family(n_masks, horizon, seed=seed)
@@ -344,8 +352,9 @@ def _suite_remark4_continuum(params: dict, seed: int) -> list:
     return [("mask-family-pairwise-distinct", pairwise_distinct)]
 
 
-def _suite_good_corr(params: dict, seed: int) -> list:
-    bound = _param(params, "index_bound", 12, 4, 14)
+@_suite("good-corr", index_bound=(12, 4, 14))
+def _suite_good_corr(p: dict, seed: int) -> list:
+    bound = p["index_bound"]
     Todd = _todd(bound)
 
     def discrete_found():
@@ -406,10 +415,12 @@ def _suite_good_corr(params: dict, seed: int) -> list:
             ("sigma-vacuous", sigma_vacuous)]
 
 
-def _suite_nmax_wap(params: dict, seed: int) -> list:
-    n_funcs = _param(params, "functions", 50, 1, 200)
-    n_pairs = _param(params, "pairs", 50, 1, 200)
-    horizon = _param(params, "horizon", 200, 20, 2000)
+@_suite("nmax-wap", functions=(50, 1, 200), pairs=(50, 1, 200),
+       horizon=(200, 20, 2000))
+def _suite_nmax_wap(p: dict, seed: int) -> list:
+    n_funcs = p["functions"]
+    n_pairs = p["pairs"]
+    horizon = p["horizon"]
 
     def random_family():
         rng = random.Random(f"{seed}:wapfam")
@@ -487,9 +498,10 @@ def _random_vector(S: NatMax, rng: random.Random, span: int = 40,
     return L1Vector(S, items)
 
 
-def _suite_unique_l1s(params: dict, seed: int) -> list:
-    s_max = _param(params, "s_max", 50, 5, 200)
-    trials = _param(params, "trials", 1000, 10, 5000)
+@_suite("unique-l1s", s_max=(50, 5, 200), trials=(1000, 10, 5000))
+def _suite_unique_l1s(p: dict, seed: int) -> list:
+    s_max = p["s_max"]
+    trials = p["trials"]
     S = NatMax()
 
     def closed_form():
@@ -599,11 +611,13 @@ def _random_partial_map(rng: random.Random, max_domain: int = 5,
     return PartialMap(zip(sorted(dom), img))
 
 
-def _suite_section4(params: dict, seed: int) -> list:
-    max_domain = _param(params, "max_domain", 5, 2, 5)
-    max_value = _param(params, "max_value", 6, 2, 6)
-    fnp_trials = _param(params, "fnp_trials", 1000, 10, 5000)
-    n_max = _param(params, "n_max", 50, 5, 200)
+@_suite("section4-no-predual", max_domain=(5, 2, 5), max_value=(6, 2, 6),
+       fnp_trials=(1000, 10, 5000), n_max=(50, 5, 200))
+def _suite_section4(p: dict, seed: int) -> list:
+    max_domain = p["max_domain"]
+    max_value = p["max_value"]
+    fnp_trials = p["fnp_trials"]
+    n_max = p["n_max"]
 
     def sweep():
         return obstructions.open_set_identity_sweep(max_domain, max_value)
@@ -691,11 +705,14 @@ def _suite_section4(params: dict, seed: int) -> list:
             ("proof-skeleton", skeleton)]
 
 
-def _suite_rees(params: dict, seed: int) -> list:
-    rees_rank = _param(params, "rees_rank", 201, 10, 500)
-    infty_rank = _param(params, "infty_rank", 200, 10, 500)
-    nat_rank = _param(params, "nat_max_rank", 200, 10, 500)
-    min_pre = _param(params, "min_preimages", 100, 1, 400)
+@_suite("rees-cancellativity", rees_rank=(201, 10, 500),
+       infty_rank=(200, 10, 500), nat_max_rank=(200, 10, 500),
+       min_preimages=(100, 1, 400))
+def _suite_rees(p: dict, seed: int) -> list:
+    rees_rank = p["rees_rank"]
+    infty_rank = p["infty_rank"]
+    nat_rank = p["nat_max_rank"]
+    min_pre = p["min_preimages"]
 
     def nat_max_passes():
         return is_weakly_cancellative_window(NatMax(), nat_rank)
@@ -735,9 +752,10 @@ def _suite_rees(params: dict, seed: int) -> list:
             ("growth-witness-rees", rees_fails)]
 
 
-def _suite_structural(params: dict, seed: int) -> list:
-    rank = _param(params, "rank", 12, 4, 24)
-    assoc_rank = _param(params, "assoc_rank", 8, 3, 16)
+@_suite("structural", rank=(12, 4, 24), assoc_rank=(8, 3, 16))
+def _suite_structural(p: dict, seed: int) -> list:
+    rank = p["rank"]
+    assoc_rank = p["assoc_rank"]
     zp2, zp3 = ZPlusK(2), ZPlusK(3)
     free = FreeWords("ab")
 
@@ -798,28 +816,13 @@ def _suite_structural(params: dict, seed: int) -> list:
             ("associativity-windows", associative)]
 
 
-SUITES = {
-    "lemma-technical": _suite_lemma_technical,
-    "gen-con-one": _suite_gen_con_one,
-    "gen-con-two": _suite_gen_con_two,
-    "star-condition": _suite_star_condition,
-    "remark4-continuum": _suite_remark4_continuum,
-    "good-corr": _suite_good_corr,
-    "nmax-wap": _suite_nmax_wap,
-    "unique-l1s": _suite_unique_l1s,
-    "section4-no-predual": _suite_section4,
-    "rees-cancellativity": _suite_rees,
-    "structural": _suite_structural,
-}
-
-
 def run_suite(name: str, params: dict = None, seed: int = 0) -> dict:
     """Execute a named suite and assemble its report dictionary."""
     if name not in SUITES:
         raise SuiteError(f"unknown suite {name!r}; choose from "
                          f"{sorted(SUITES)}")
     params = dict(params or {})
-    checks = SUITES[name](params, seed)
+    checks = SUITES[name](read_params(params, SUITE_PARAMS[name]), seed)
     t0 = time.perf_counter()
     out_checks = []
     statuses = []

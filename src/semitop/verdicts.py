@@ -45,10 +45,6 @@ class Verdict(Generic[W]):
     def __bool__(self) -> bool:
         return self.status == PASS
 
-    @property
-    def is_fail(self) -> bool:
-        return self.status == FAIL
-
 
 def passed(witness: Any = None, detail: str = "") -> Verdict:
     return Verdict(PASS, witness, detail)

@@ -6,8 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from semitop import cli, verdicts
+from semitop import cli, jsonio, verdicts
 from semitop.cli import main
+from semitop.jsonio import SuiteError, read_params
+from semitop.suites import SUITE_PARAMS, run_suite
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -150,10 +152,99 @@ def test_suite_with_params(capsys):
         "topology": {"base": "z",
                      "weights": {"kind": "explicit", "values": [1, 2, 3]}},
         "nbhd": {"a": 2, "s": 0, "alpha": 1}, "point": {"a": 1, "s": 3}})],
+    ["waptest", "--params",                   # zero denominator
+     '{"function": {"tag": "c0_plus_const", "const": "1/0"}}'],
+    ["converge", "--params", json.dumps({     # a float is not truncated
+        "topology": Z_TOP, "sequence": [{"a": 1, "s": 16}],
+        "limit": {"a": 2, "s": 0}, "alpha_max": 2.9})],
+    ["distinguish", "--params", json.dumps({  # a boolean is not 1
+        "weights": {"kind": "double_exp", "index_bound": 4},
+        "mask1": [1, 2], "mask2": [1], "horizon": True})],
+    ["member", "--params", json.dumps({       # a string is not an array
+        "topology": {"base": "z",
+                     "weights": {"kind": "explicit", "values": "12"}},
+        "nbhd": {"a": 1, "s": 0, "alpha": 1}, "point": {"a": 0, "s": 1}})],
+    ["--suite", "good-corr", "--params", '{"index_bond": 12}'],  # unknown key
+    ["waptest", "--params", json.dumps({      # unknown key
+        "function": {"tag": "c0_plus_const", "const": "1"}, "cuont": 5})],
+    ["member", "--params", json.dumps({       # index bound past 16
+        "topology": {"base": "z",
+                     "weights": {"kind": "double_exp", "index_bound": 17}},
+        "nbhd": {"a": 1, "s": 0, "alpha": 1}, "point": {"a": 0, "s": 4}})],
+    ["waptest", "--params", json.dumps({      # count past nmax-wap's pairs
+        "function": {"tag": "c0_plus_const", "const": "1"}, "count": 201})],
+    ["member", "--params",                    # number past the digit limit
+     '{"topology": ' + "1" * 5000 + "}"],
 ])
 def test_usage_errors(argv, capsys):
     code, _ = run(capsys, *argv)
     assert code == 3
+
+
+# One valid payload per query command; each bounded key is then set one
+# past a bound, which alone must turn the answer into a usage error.
+VALID_QUERIES = {
+    "member": {"topology": Z_TOP, "nbhd": {"a": 2, "s": 0, "alpha": 3},
+               "point": {"a": 1, "s": 256}},
+    "converge": {"topology": Z_TOP, "limit": {"a": 2, "s": 0},
+                 "sequence": [{"a": 1, "s": 2 ** (2 ** j)} for j in range(2, 7)]},
+    "distinguish": {"weights": {"kind": "double_exp", "index_bound": 8},
+                    "mask1": [1, 2, 3, 4], "mask2": [1, 2, 5, 6]},
+    "waptest": {"function": {"tag": "c0_plus_const", "const": "2"},
+                "count": 5, "horizon": 100},
+}
+
+
+def _past_bounds(keys):
+    for key, spec in keys.items():
+        if spec is None:
+            continue
+        default, lo, hi = spec
+        for bad in (lo - 1, hi + 1):
+            yield key, ([bad] if default is list else bad)
+
+
+@pytest.mark.parametrize("command,key,bad", [
+    (command, key, bad) for command, (_, keys) in sorted(cli._COMMANDS.items())
+    for key, bad in _past_bounds(keys)])
+def test_query_keys_rejected_past_bounds(command, key, bad, capsys):
+    assert run(capsys, command, "--params",
+               json.dumps(VALID_QUERIES[command]))[0] in (0, 1, 2)
+    params = dict(VALID_QUERIES[command], **{key: bad})
+    assert run(capsys, command, "--params", json.dumps(params))[0] == 3
+
+
+@pytest.mark.parametrize("bound", [0, 17])
+def test_weights_index_bound_rejected_past_bounds(bound, capsys):
+    params = dict(VALID_QUERIES["distinguish"],
+                  weights={"kind": "double_exp", "index_bound": bound})
+    assert run(capsys, "distinguish", "--params", json.dumps(params))[0] == 3
+
+
+@pytest.mark.parametrize("suite,key,bad", [
+    (suite, key, bad) for suite, keys in sorted(SUITE_PARAMS.items())
+    for key, bad in _past_bounds(keys)])
+def test_suite_keys_rejected_past_bounds(suite, key, bad, capsys):
+    default, lo, hi = SUITE_PARAMS[suite][key]
+    assert lo <= default <= hi
+    for edge in (lo, hi):
+        assert read_params({key: edge}, SUITE_PARAMS[suite])[key] == edge
+    with pytest.raises(SuiteError):
+        run_suite(suite, {key: bad})
+    assert run(capsys, "--suite", suite, "--params",
+               json.dumps({key: bad}))[0] == 3
+
+
+def test_past_int_str_digit_limit(capsys):
+    # w_14 = 2^16384 has 4933 decimal digits, past Python's default limit
+    # on int <-> str conversion; the witness must still be written
+    params = {"weights": {"kind": "double_exp", "index_bound": 14},
+              "mask1": [1, 2, 3], "mask2": [1, 2, 3, 14], "horizon": 14}
+    code, doc = run(capsys, "distinguish", "--params", json.dumps(params))
+    assert code == 0
+    assert doc["status"] == "DISTINCT"
+    assert doc["witness"]["witnesses"][0]["point"] == [0, jsonio.int_to_str(
+        2 ** 16384)]
 
 
 def test_every_status_has_an_exit_code():
@@ -197,9 +288,10 @@ def test_unknown_flag_exits_3():
 
 
 def test_console_script_smoke():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
         [sys.executable, "-m", "semitop.cli", "--suite", "good-corr"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["overall"] == "PASS"

@@ -9,6 +9,7 @@ from semitop.obstructions import (ZERO_MAP, OpenSetSpec, _sweep_sets,
                                   open_set_identity_sweep, proof_skeleton,
                                   valid_ns, verify_annihilation, verify_fnp)
 from semitop.semigroups import PartialMap
+from semitop.verdicts import FAIL
 
 F1 = PartialMap([(1, 2)])
 
@@ -57,7 +58,7 @@ def test_open_set_identity_detects_wrong_g():
     universe = enumerate_partial_maps(3, 4)
     bad = PartialMap([(1, 1)])   # forgets the F' leg
     v = open_set_identity(F1, {3}, universe, g=bad)
-    assert v.is_fail
+    assert v.status == FAIL
     assert v.witness["only_in"]
 
 
@@ -80,13 +81,13 @@ def test_open_set_identity_sweep_catches_translator_without_fprime_leg(
     monkeypatch.setattr(obstructions, "build_g",
                         lambda f, fprime: real_build_g(f, ()))
     v = open_set_identity_sweep(3, 4)
-    assert v.is_fail
+    assert v.status == FAIL
     w = v.witness
     f, g = PartialMap(w["f"]), PartialMap(w["g"])
     assert w["fprime"] and g == real_build_g(f, ())
     direct = open_set_identity(f, w["fprime"], enumerate_partial_maps(3, 4),
                                g=g)
-    assert direct.is_fail
+    assert direct.status == FAIL
     assert direct.witness["only_in"][0] == (
         "preimage" if w["in_preimage"] else "basic_set", w["mismatch_h"])
 
@@ -94,7 +95,7 @@ def test_open_set_identity_sweep_catches_translator_without_fprime_leg(
 def test_open_set_identity_sweep_catches_wrong_composition(monkeypatch):
     monkeypatch.setattr(PartialMap, "compose", lambda self, other: self)
     v = open_set_identity_sweep(2, 3)
-    assert v.is_fail
+    assert v.status == FAIL
     assert v.detail == "key reduction disagrees with literal composition"
 
 
@@ -157,7 +158,7 @@ def test_verify_fnp_vacuous():
 
 def test_verify_fnp_sabotage_fails():
     v = verify_fnp(F1, n0=3, n_range=range(1, 21), sabotage=True)
-    assert v.is_fail
+    assert v.status == FAIL
     assert v.witness["n"] == 1
     assert dict(v.witness["composite"]) == {1: 2, 3: 1}
 
