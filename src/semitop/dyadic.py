@@ -139,8 +139,8 @@ def verify_interval_identity(x0: DyadicPoint, space: XSpace, beta: int) -> Verdi
                            "interval_only": extra, "neighborhood_only": missing})
 
 
-def interval_identity_sweep(a_max: int = 4, alpha_max: int = 3,
-                            beta_max: int = 8, max_exp: int = 12) -> Verdict:
+def interval_identity_sweep(a_max: int, alpha_max: int, beta_max: int,
+                            max_exp: int) -> Verdict:
     """Exhaustive interval-identity check over a grid of truncations."""
     checked = 0
     for a in range(1, a_max + 1):

@@ -34,6 +34,7 @@ SCHEMA_VERSION = "1"
 MAX_INDEX_BOUND = 16
 
 _DECIMAL = re.compile(r"[+-]?[0-9]+")
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 class SuiteError(ValueError):
@@ -41,23 +42,34 @@ class SuiteError(ValueError):
     parameter."""
 
 
+# Python refuses int <-> decimal str conversions past a process-wide digit
+# limit (4300 by default); Decimal converts exactly and is not subject to it.
+
 def frac_to_str(q: Any) -> str:
-    return str(Fraction(q))
+    q = Fraction(q)
+    num = int_to_str(q.numerator)
+    return num if q.denominator == 1 else f"{num}/{int_to_str(q.denominator)}"
 
 
 def frac_from(j: Any) -> Fraction:
     if isinstance(j, bool):
         raise TypeError("booleans are not rationals")
-    if isinstance(j, (int, str)):
-        try:
-            return Fraction(j)
-        except ZeroDivisionError:
-            raise ValueError(f"{j!r} has a zero denominator") from None
-    raise TypeError(f"{j!r} is not an exact rational encoding")
+    if not isinstance(j, (int, str)):
+        raise TypeError(f"{j!r} is not an exact rational encoding")
+    try:
+        return Fraction(j)
+    except ZeroDivisionError:
+        raise ValueError(f"{j!r} has a zero denominator") from None
+    except ValueError:
+        # "p/q" past the digit limit: read each side through int_from
+        if not (isinstance(j, str) and _RATIONAL.fullmatch(j)):
+            raise
+    p, _, q = j.partition("/")
+    p, q = int_from(p), int_from(q or "1")
+    if q == 0:
+        raise ValueError(f"{j!r} has a zero denominator")
+    return Fraction(p, q)
 
-
-# Python refuses int <-> decimal str conversions past a process-wide digit
-# limit (4300 by default); Decimal converts exactly and is not subject to it.
 
 def int_from(j: Any) -> int:
     if isinstance(j, bool):
@@ -229,8 +241,11 @@ def bounded_function_from_json(d: dict) -> BoundedFunction:
 def weights_from_json(d: dict) -> topologies.WeightSequence:
     kind = d["kind"]
     if kind == "explicit":
-        return topologies.WeightSequence.explicit(
-            [int_from(v) for v in _array(d["values"], "values")])
+        values = _array(d["values"], "values")
+        if not 1 <= len(values) <= MAX_INDEX_BOUND:
+            raise SuiteError(f"explicit weights take 1 to {MAX_INDEX_BOUND} "
+                             f"values, not {len(values)}")
+        return topologies.WeightSequence.explicit([int_from(v) for v in values])
     return topologies.WeightSequence(
         kind, read_int(d["index_bound"], "index_bound", 1, MAX_INDEX_BOUND))
 
@@ -244,8 +259,7 @@ def topology_from_json(d: dict) -> topologies.TopologyInstance:
 
 def s1_point_to_json(p: tuple) -> dict:
     a, s = p
-    s_json = int(s) if isinstance(s, int) else [int(c) for c in s]
-    return {"a": int(a), "s": s_json}
+    return {"a": int(a), "s": to_jsonable(s)}
 
 
 def s1_point_from_json(T: topologies.TopologyInstance, d: dict) -> tuple:
@@ -258,8 +272,7 @@ def s1_point_from_json(T: topologies.TopologyInstance, d: dict) -> tuple:
 
 
 def nbhd_to_json(n: topologies.BasicNbhd) -> dict:
-    s_json = int(n.s) if isinstance(n.s, int) else [int(c) for c in n.s]
-    return {"a": n.a, "s": s_json, "alpha": n.alpha}
+    return {"a": n.a, "s": to_jsonable(n.s), "alpha": n.alpha}
 
 
 def nbhd_from_json(T: topologies.TopologyInstance, d: dict) -> topologies.BasicNbhd:

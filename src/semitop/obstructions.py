@@ -73,7 +73,7 @@ def build_g(f: PartialMap, fprime: Iterable) -> PartialMap:
     return PartialMap(pairs)
 
 
-def enumerate_partial_maps(max_domain: int = 5, max_value: int = 6) -> list:
+def enumerate_partial_maps(max_domain: int, max_value: int) -> list:
     """Every injective partial map with domain inside {1..max_domain} and
     values inside {1..max_value}, the zero map included."""
     universe = [ZERO_MAP]
@@ -105,7 +105,7 @@ def open_set_identity(f: PartialMap, fprime: Iterable, universe: Sequence,
                      universe[i].pairs) for i in diff]})
 
 
-def open_set_identity_sweep(max_domain: int = 5, max_value: int = 6) -> Verdict:
+def open_set_identity_sweep(max_domain: int, max_value: int) -> Verdict:
     """Exhaustive identity check for every f and every admissible fprime
     over the bounded universe.
 
@@ -264,14 +264,14 @@ def verify_annihilation(f: PartialMap, n0: int, g: PartialMap, k0: int,
                            "nonzero_at": nonzero_at})
 
 
-def proof_skeleton(max_domain: int = 3, max_value: int = 4) -> dict:
+def proof_skeleton() -> dict:
     """Machine-checked skeleton of the collapse argument at small scale.
 
     Each step records an identity, its role in the contradiction, and a
     verdict from an actual run.  The topological glue (convergence and
     separation) is narrated, not re-proved; only the algebra is checked.
     """
-    universe = enumerate_partial_maps(max_domain, max_value)
+    universe = enumerate_partial_maps(3, 4)
     f = PartialMap([(1, 2)])
     fprime = (3,)
     step1 = open_set_identity(f, fprime, universe)

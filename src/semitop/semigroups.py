@@ -545,21 +545,18 @@ def _preimage_map(S: SemigroupInstance, win: list, side: str) -> dict:
     return pre
 
 
-def is_weakly_cancellative_window(S: SemigroupInstance, window_rank: int,
-                                  growth_threshold: Optional[int] = None,
-                                  max_witnesses: int = 10) -> Verdict:
+def is_weakly_cancellative_window(S: SemigroupInstance, window_rank: int) -> Verdict:
     """Finite-to-one behaviour of translations, detected by window growth.
 
     Preimage sets under a translation are counted in a half-size window and
     in the full window; a preimage set that keeps growing with the window
-    and reaches the threshold is reported as a failure witness.  Preimage
-    sets that are merely large but stable (for example the lower set of s
-    under the max operation) do not fail.
+    and reaches max(4, rank / 4) is reported as a failure witness (at most
+    10).  Preimage sets that are merely large but stable (for example the
+    lower set of s under the max operation) do not fail.
     """
     r2 = window_rank
     r1 = max(1, window_rank // 2)
-    if growth_threshold is None:
-        growth_threshold = max(4, r2 // 4)
+    growth_threshold = max(4, r2 // 4)
     win1 = S.window(r1)
     win2 = S.window(r2)
     witnesses = []
@@ -573,9 +570,9 @@ def is_weakly_cancellative_window(S: SemigroupInstance, window_rank: int,
                 witnesses.append({"side": side, "translate_by": s, "target": target,
                                   "preimages": big, "counts": (len(small), len(big)),
                                   "window_ranks": (r1, r2)})
-                if len(witnesses) >= max_witnesses:
+                if len(witnesses) >= 10:
                     break
-        if len(witnesses) >= max_witnesses:
+        if len(witnesses) >= 10:
             break
     if witnesses:
         return failed(witness=witnesses,
@@ -585,18 +582,16 @@ def is_weakly_cancellative_window(S: SemigroupInstance, window_rank: int,
 
 
 def is_finitely_left_divisible_window(S: SemigroupInstance, s: Any,
-                                      window_rank: int,
-                                      checkpoints: Optional[tuple] = None) -> Verdict:
+                                      window_rank: int) -> Verdict:
     """Left divisor set of s, tracked across growing windows.
 
     Divisors are the t in the window with t*r = s for some r in the window.
-    The set is recomputed at each checkpoint rank; a count still growing at
-    the final checkpoint is failure evidence, a stable count passes.
+    The set is recomputed at window ranks r, 3r/2 and 2r; a count still
+    growing at the last is failure evidence, a stable count passes.
     """
     S.validate(s)
-    if checkpoints is None:
-        checkpoints = (window_rank, (3 * window_rank + 1) // 2, 2 * window_rank)
-    checkpoints = tuple(sorted(set(int(c) for c in checkpoints)))
+    checkpoints = sorted({window_rank, (3 * window_rank + 1) // 2,
+                          2 * window_rank})
     base_window = S.window(checkpoints[0])
     if s not in base_window:
         raise ValueError(f"{s!r} is not inside the window of rank {checkpoints[0]}")
@@ -615,10 +610,10 @@ def is_finitely_left_divisible_window(S: SemigroupInstance, s: Any,
                   detail=f"divisor count stable at {ordered[-1]} across checkpoints")
 
 
-def length(S: SemigroupInstance, x: Any, max_length: int = 24) -> int:
+def length(S: SemigroupInstance, x: Any) -> int:
     """Least number of generators whose product is x, by breadth-first search.
 
-    Raises NotReachable when the search closes or hits max_length without
+    Raises NotReachable when the search closes or hits length 24 without
     reaching x; an identity-free instance never reaches its neutral-looking
     elements, which is reported rather than looped on.
     """
@@ -630,7 +625,7 @@ def length(S: SemigroupInstance, x: Any, max_length: int = 24) -> int:
         return 1
     seen = set(frontier)
     n = 1
-    while n < max_length:
+    while n < 24:
         nxt = set()
         for y in frontier:
             for c in S.generators:
@@ -645,4 +640,4 @@ def length(S: SemigroupInstance, x: Any, max_length: int = 24) -> int:
                 f"{x!r} is not a product of generators (search closed at length {n - 1})")
         seen |= nxt
         frontier = nxt
-    raise NotReachable(f"{x!r} not reached by products of <= {max_length} generators")
+    raise NotReachable(f"{x!r} not reached by products of <= 24 generators")

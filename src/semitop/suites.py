@@ -46,11 +46,9 @@ def _suite(name: str, **keys):
     return register
 
 
-def _wrap(expected_status: str, inner: Verdict, extra: dict = None) -> Verdict:
+def _wrap(expected_status: str, inner: Verdict) -> Verdict:
     """Pass exactly when the inner verdict carries the expected status."""
     witness = {"inner": inner}
-    if extra:
-        witness.update(extra)
     if inner.status == expected_status:
         return passed(witness=witness,
                       detail=f"inner verdict is {expected_status} as required")
@@ -603,8 +601,8 @@ def _suite_unique_l1s(p: dict, seed: int) -> list:
             ("sharpness-witness-trials", sharpness)]
 
 
-def _random_partial_map(rng: random.Random, max_domain: int = 5,
-                        max_value: int = 6) -> PartialMap:
+def _random_partial_map(rng: random.Random, max_domain: int,
+                        max_value: int) -> PartialMap:
     k = rng.randint(0, max_domain - 1)
     dom = rng.sample(range(1, max_domain + 1), k)
     img = rng.sample(range(1, max_value + 1), k)

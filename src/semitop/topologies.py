@@ -311,28 +311,25 @@ class TopologyInstance:
             return failed()
         return rep
 
-    def member_bruteforce(self, nbhd: BasicNbhd, point: Any,
-                          cap: Optional[int] = None) -> Verdict[tuple]:
-        """Oracle membership by exhaustive subset enumeration up to cap."""
+    def member_bruteforce(self, nbhd: BasicNbhd, point: Any) -> Verdict[tuple]:
+        """Oracle membership by exhaustive subset enumeration."""
         if not self.valid_point(point):
             return failed(detail="not a point of Z+ x S")
         x, u = self.require_point(point)
         k = nbhd.a - x
         if k < 0 or k > nbhd.a:
             return failed(detail="first coordinate out of range")
-        cap = self.weights.index_bound if cap is None else min(cap, self.weights.index_bound)
-        idxs = [i for i in self.mask if nbhd.alpha <= i <= cap]
+        idxs = [i for i in self.mask if i >= nbhd.alpha]
         diff = self.g_diff(u, nbhd.s)
         for combo in combinations(idxs, k):
             if self.weight_total(combo) == diff:
                 return passed(combo)
         return failed()
 
-    def basic_points(self, nbhd: BasicNbhd, cap: Optional[int] = None) -> list:
-        """All members whose representation stays within [alpha, cap],
+    def basic_points(self, nbhd: BasicNbhd) -> list:
+        """All members whose representation stays within the index bound,
         as (point, indices) pairs."""
-        cap = self.weights.index_bound if cap is None else min(cap, self.weights.index_bound)
-        idxs = [i for i in self.mask if nbhd.alpha <= i <= cap]
+        idxs = [i for i in self.mask if i >= nbhd.alpha]
         out = []
         for k in range(0, nbhd.a + 1):
             for combo in combinations(idxs, k):
@@ -400,8 +397,7 @@ def _as_int(u: Any) -> Optional[int]:
 # base facts: inclusion, filter property, separation, continuity
 
 
-def base_inclusion(T: TopologyInstance, inner: BasicNbhd, outer: BasicNbhd,
-                   cap: Optional[int] = None) -> Verdict:
+def base_inclusion(T: TopologyInstance, inner: BasicNbhd, outer: BasicNbhd) -> Verdict:
     """Whether U(inner) sits inside U(outer), decided by the top-index rule
     and confirmed point-by-point at the truncation.
 
@@ -420,7 +416,7 @@ def base_inclusion(T: TopologyInstance, inner: BasicNbhd, outer: BasicNbhd,
     claim = inner.alpha >= threshold
     escaping = None
     saw_undetermined = False
-    for point, _ in T.basic_points(inner, cap):
+    for point, _ in T.basic_points(inner):
         m = T.member(outer, point)
         if m.status == UNDETERMINED:
             saw_undetermined = True
@@ -442,19 +438,18 @@ def base_inclusion(T: TopologyInstance, inner: BasicNbhd, outer: BasicNbhd,
                   detail="inner level too small; explicit escaping point found")
 
 
-def base_property_check(T: TopologyInstance, u1: BasicNbhd, u2: BasicNbhd,
-                        cap: Optional[int] = None) -> Verdict:
+def base_property_check(T: TopologyInstance, u1: BasicNbhd, u2: BasicNbhd) -> Verdict:
     """Filter-base property at the truncation: every common point of two
     basic sets admits an enclosed basic set contained in both."""
-    pts1 = {p: rep for p, rep in T.basic_points(u1, cap)}
-    pts2 = {p: rep for p, rep in T.basic_points(u2, cap)}
+    pts1 = {p: rep for p, rep in T.basic_points(u1)}
+    pts2 = {p: rep for p, rep in T.basic_points(u2)}
     common = sorted(set(pts1) & set(pts2), key=repr)
     checked = 0
     for p in common:
         g1 = (max(pts1[p]) + 1) if pts1[p] else u1.alpha
         g2 = (max(pts2[p]) + 1) if pts2[p] else u2.alpha
         enclosed = BasicNbhd(p[0], p[1], max(g1, g2))
-        for q, _ in T.basic_points(enclosed, cap):
+        for q, _ in T.basic_points(enclosed):
             r1 = T.member(u1, q)
             r2 = T.member(u2, q)
             if r1.status == UNDETERMINED or r2.status == UNDETERMINED:
@@ -466,8 +461,7 @@ def base_property_check(T: TopologyInstance, u1: BasicNbhd, u2: BasicNbhd,
     return passed(witness={"common_points": len(common), "enclosed_checked": checked})
 
 
-def hausdorff_witness(T: TopologyInstance, x: tuple, y: tuple,
-                      cap: Optional[int] = None) -> Verdict:
+def hausdorff_witness(T: TopologyInstance, x: tuple, y: tuple) -> Verdict:
     """Disjoint basic sets around two distinct points.
 
     Level recipe: equal S-coordinates separate at level 1; otherwise the
@@ -496,8 +490,8 @@ def hausdorff_witness(T: TopologyInstance, x: tuple, y: tuple,
             alpha = beta = 1
     ux = BasicNbhd(a, s, alpha)
     uy = BasicNbhd(b, t, beta)
-    px = {p for p, _ in T.basic_points(ux, cap)}
-    py = {p for p, _ in T.basic_points(uy, cap)}
+    px = {p for p, _ in T.basic_points(ux)}
+    py = {p for p, _ in T.basic_points(uy)}
     overlap = px & py
     witness = {"x_nbhd": ux, "y_nbhd": uy,
                "two_sided": rep2.witness if rep2 else None}
@@ -508,7 +502,7 @@ def hausdorff_witness(T: TopologyInstance, x: tuple, y: tuple,
 
 
 def separate_continuity_identity(T: TopologyInstance, shift: tuple, center: tuple,
-                                 alpha: int, cap: Optional[int] = None) -> Verdict:
+                                 alpha: int) -> Verdict:
     """Translation preimage identity at the truncation.
 
     With M the translation by `shift`, the preimage of the basic set around
@@ -524,8 +518,8 @@ def separate_continuity_identity(T: TopologyInstance, shift: tuple, center: tupl
     def push(p):
         return (p[0] + b, T.s_op(p[1], t))
 
-    universe = {p for p, _ in T.basic_points(inner, cap)}
-    for q, _ in T.basic_points(outer, cap):
+    universe = {p for p, _ in T.basic_points(inner)}
+    for q, _ in T.basic_points(outer):
         xq, uq = q
         if xq - b < 0:
             continue
@@ -612,14 +606,15 @@ def check_convergence(T: TopologyInstance, sequence: Sequence, limit: tuple,
                                          prefix_len=len(reps)))
 
 
-def _limit_candidates(T: TopologyInstance, sequence: Sequence,
-                      max_unshift: int = 3, top: int = 10) -> list:
+def _limit_candidates(T: TopologyInstance, sequence: Sequence) -> list:
+    """The ten points most often reached by unshifting a term by up to
+    three masked weights, most frequent first, ties in point order."""
     counts: dict = {}
     for term in sequence:
         if not T.valid_point(term):
             continue
         x, u = T.require_point(term)
-        for k in range(0, max_unshift + 1):
+        for k in range(4):
             for combo in combinations(T.mask, k):
                 if T.multiplicative:
                     q, r = divmod(u, T.weight_total(combo))
@@ -631,8 +626,8 @@ def _limit_candidates(T: TopologyInstance, sequence: Sequence,
                 cand = (x + k, v)
                 if T.valid_point(cand):
                     counts[cand] = counts.get(cand, 0) + 1
-    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], repr(kv[0])))
-    return [cand for cand, _ in ranked[:top]]
+    ranked = sorted(counts, key=lambda cand: (-counts[cand], cand))
+    return ranked[:10]
 
 
 def find_limit(T: TopologyInstance, sequence: Sequence, alpha_max: int):
@@ -716,7 +711,7 @@ def convergence_transfer(T: TopologyInstance, sequence: Sequence, shift: tuple,
 # the unique-representability condition and the division condition
 
 
-def verify_star(weights: WeightSequence, index_bound: Optional[int] = None,
+def verify_star(weights: WeightSequence,
                 max_multiplicity: Optional[int] = None) -> Verdict:
     """Distinct index multisets give distinct weight combinations.
 
@@ -725,8 +720,7 @@ def verify_star(weights: WeightSequence, index_bound: Optional[int] = None,
     exhaustively and grouped by combined value; any group of size two is a
     counterexample.
     """
-    bound = weights.index_bound if index_bound is None else min(
-        int(index_bound), weights.index_bound)
+    bound = weights.index_bound
     if max_multiplicity is None:
         max_multiplicity = 2 if weights.kind == "double_exp" else 1
     mult = int(max_multiplicity)
@@ -800,13 +794,11 @@ def verify_star_star(T: TopologyInstance, t: Any, s_window: int = 10_000) -> Ver
 # distinguishing masked topologies
 
 
-def mask_family(count: int, horizon: int, min_symdiff: Optional[int] = None,
-                seed: int = 0) -> list:
+def mask_family(count: int, horizon: int, seed: int = 0) -> list:
     """Deterministic family of masks with pairwise large symmetric difference."""
     count = int(count)
     horizon = int(horizon)
-    if min_symdiff is None:
-        min_symdiff = max(2, horizon // 3)
+    min_symdiff = max(2, horizon // 3)
     rng = random.Random(seed)
     masks: list = []
     attempts = 0
@@ -814,7 +806,7 @@ def mask_family(count: int, horizon: int, min_symdiff: Optional[int] = None,
         attempts += 1
         if attempts > 200_000:
             raise RuntimeError("could not build the requested mask family")
-        size = rng.randint(max(2, horizon // 3), horizon - 1)
+        size = rng.randint(min_symdiff, horizon - 1)
         cand = tuple(sorted(rng.sample(range(1, horizon + 1), size)))
         if all(len(set(cand) ^ set(m)) >= min_symdiff for m in masks):
             masks.append(cand)
@@ -822,26 +814,23 @@ def mask_family(count: int, horizon: int, min_symdiff: Optional[int] = None,
 
 
 def distinguish_topologies(weights: WeightSequence, mask1: Iterable, mask2: Iterable,
-                           horizon: int, base: Optional[str] = None,
-                           alpha_max: Optional[int] = None) -> Verdict:
+                           horizon: int) -> Verdict:
     """Witness that two masks induce different topologies.
 
     Any index in one mask but not the other yields the witness point
     (0, w_index): it belongs to the level-alpha basic sets around the base
     point (1, identity) for the owning mask (alpha up to the index), and to
-    none of them for the other mask.  The verdict is flagged strong when
-    the symmetric difference is large relative to the horizon.
+    none of them (alpha up to the horizon) for the other mask, over the odd
+    naturals for prime weights and Z otherwise.  The verdict is flagged
+    strong when the symmetric difference is large relative to the horizon.
     """
     horizon = min(int(horizon), weights.index_bound)
-    if base is None:
-        base = "odd_nat" if weights.kind == "odd_primes" else "z"
+    base = "odd_nat" if weights.kind == "odd_primes" else "z"
     m1 = set(mask1) & set(range(1, horizon + 1))
     m2 = set(mask2) & set(range(1, horizon + 1))
     sym = sorted(m1 ^ m2)
     if not sym:
         return undetermined("masks agree within the horizon")
-    if alpha_max is None:
-        alpha_max = horizon
     t_one = TopologyInstance(base, weights, sorted(m1)) if m1 else None
     t_two = TopologyInstance(base, weights, sorted(m2)) if m2 else None
     witnesses = []
@@ -850,12 +839,12 @@ def distinguish_topologies(weights: WeightSequence, mask1: Iterable, mask2: Iter
         ident = 1 if base == "odd_nat" else 0
         point = (0, weights.value(j))
         inside = True
-        for alpha in range(1, min(j, alpha_max) + 1):
+        for alpha in range(1, min(j, horizon) + 1):
             if not owner.member(BasicNbhd(1, ident, alpha), point):
                 inside = False
         outside = True
         if other is not None:
-            for alpha in range(1, alpha_max + 1):
+            for alpha in range(1, horizon + 1):
                 if other.member(BasicNbhd(1, ident, alpha), point).status != FAIL:
                     outside = False
         if not (inside and outside):
@@ -886,18 +875,18 @@ class OnePointTopology:
     instance: Any
 
 
-def _subseq_constant(seq: Sequence, min_repeat: int = 2):
+def _subseq_constant(seq: Sequence):
     counts: dict = {}
     for n, v in enumerate(seq, start=1):
         counts.setdefault(v, []).append(n)
     best = None
     for v, idxs in counts.items():
-        if len(idxs) >= min_repeat and (best is None or len(idxs) > len(best[1])):
+        if len(idxs) >= 2 and (best is None or len(idxs) > len(best[1])):
             best = (v, idxs)
     return best
 
 
-def _subseq_onepoint(seq: Sequence, min_increase: int = 3):
+def _subseq_onepoint(seq: Sequence):
     from .semigroups import INF
     const = _subseq_constant(seq)
     if const is not None:
@@ -910,12 +899,14 @@ def _subseq_onepoint(seq: Sequence, min_increase: int = 3):
         if v > last:
             idxs.append(n)
             last = v
-    if len(idxs) >= min_increase:
+    if len(idxs) >= 3:
         return (INF, idxs)
     return None
 
 
-def _subseq_sigma(T: TopologyInstance, seq: Sequence, alpha_max: int):
+def _subseq_sigma(T: TopologyInstance, seq: Sequence):
+    """A limit candidate with at least three terms entering ever deeper
+    levels, certified on those terms up to level 6."""
     for cand in _limit_candidates(T, seq):
         idxs = []
         need = 1
@@ -927,16 +918,15 @@ def _subseq_sigma(T: TopologyInstance, seq: Sequence, alpha_max: int):
             if level is None or level >= need:
                 idxs.append(n)
                 need += 1
-        if len(idxs) >= min(alpha_max, 3):
+        if len(idxs) >= 3:
             sub = [seq[i - 1] for i in idxs]
-            res = check_convergence(T, sub, cand, min(alpha_max, len(idxs)))
+            res = check_convergence(T, sub, cand, min(6, len(idxs)))
             if res:
                 return (cand, idxs, res.witness)
     return None
 
 
-def good_corr_check(topology: Any, s: Any, sequence: Sequence,
-                    alpha_max: int = 6) -> Verdict:
+def good_corr_check(topology: Any, s: Any, sequence: Sequence) -> Verdict:
     """Convergent-subsequence transfer from a translate back to the sequence.
 
     Hypothesis: one of the two translates of the sequence by s has a
@@ -967,11 +957,11 @@ def good_corr_check(topology: Any, s: Any, sequence: Sequence,
     sp = T.require_point(s)
     shifted = [(p[0] + sp[0], T.s_op(p[1], sp[1]))
                for p in map(T.require_point, sequence)]
-    hyp = _subseq_sigma(T, shifted, alpha_max)
+    hyp = _subseq_sigma(T, shifted)
     if hyp is None:
         return Verdict(VACUOUS, detail="hypothesis unmet in the prefix: "
                        "no convergent subsequence of the translate was found")
-    got = _subseq_sigma(T, list(sequence), alpha_max)
+    got = _subseq_sigma(T, list(sequence))
     if got is None:
         return Verdict(NOT_FOUND_AT_HORIZON,
                        witness={"hypothesis_limit": hyp[0]},

@@ -54,11 +54,11 @@ def failed(witness: Any = None, detail: str = "") -> Verdict:
     return Verdict(FAIL, witness, detail)
 
 
-def undetermined(detail: str = "", witness: Any = None) -> Verdict:
-    return Verdict(UNDETERMINED, witness, detail)
+def undetermined(detail: str) -> Verdict:
+    return Verdict(UNDETERMINED, None, detail)
 
 
-def not_applicable(detail: str = "") -> Verdict:
+def not_applicable(detail: str) -> Verdict:
     return Verdict(NOT_APPLICABLE, None, detail)
 
 

@@ -189,13 +189,13 @@ def subsequence_pair_family(count: int, horizon: int, seed: int = 0) -> list:
     return pairs[:count]
 
 
-def random_c0_plus_const(rng: random.Random, support_max: int = 30,
-                         denom_max: int = 9) -> BoundedFunction:
+def random_c0_plus_const(rng: random.Random,
+                         support_max: int = 30) -> BoundedFunction:
     mod = {}
     for _ in range(rng.randint(0, 6)):
         mod[rng.randint(1, support_max)] = Fraction(
-            rng.randint(-9, 9), rng.randint(1, denom_max))
-    const = Fraction(rng.randint(-9, 9), rng.randint(1, denom_max))
+            rng.randint(-9, 9), rng.randint(1, 9))
+    const = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
     return BoundedFunction.c0_plus_const(mod, const)
 
 

@@ -175,6 +175,9 @@ def test_suite_with_params(capsys):
         "function": {"tag": "c0_plus_const", "const": "1"}, "count": 201})],
     ["member", "--params",                    # number past the digit limit
      '{"topology": ' + "1" * 5000 + "}"],
+    ["distinguish", "--params", json.dumps({  # explicit weights past 16
+        "weights": {"kind": "explicit", "values": [2 ** i for i in range(17)]},
+        "mask1": [1, 2], "mask2": [1, 3]})],
 ])
 def test_usage_errors(argv, capsys):
     code, _ = run(capsys, *argv)
@@ -245,6 +248,44 @@ def test_past_int_str_digit_limit(capsys):
     assert doc["status"] == "DISTINCT"
     assert doc["witness"]["witnesses"][0]["point"] == [0, jsonio.int_to_str(
         2 ** 16384)]
+
+
+# Terms (0, w_14 + w_j), j = 2..7, converge to (1, w_14) under the double
+# exponential weights of index bound 8; w_14 = 2^16384 has 4933 digits.
+W14 = 2 ** 16384
+BIG_SEQUENCE = {"topology": {"base": "z", "weights": {"kind": "double_exp",
+                                                      "index_bound": 8}},
+                "sequence": [{"a": 0, "s": jsonio.int_to_str(W14 + 2 ** 2 ** j)}
+                             for j in range(2, 8)]}
+
+
+def test_converge_finds_a_limit_past_the_digit_limit(capsys):
+    code, doc = run(capsys, "converge", "--params", json.dumps(BIG_SEQUENCE))
+    assert code == 0
+    assert doc["limit"] == {"a": 1, "s": jsonio.int_to_str(W14)}
+
+
+def test_converge_writes_a_limit_past_the_digit_limit(capsys):
+    params = dict(BIG_SEQUENCE, limit={"a": 1, "s": jsonio.int_to_str(W14)})
+    code, doc = run(capsys, "converge", "--params", json.dumps(params))
+    assert code == 0
+    assert doc["certificate"]["limit"] == {"a": 1,
+                                           "s": jsonio.int_to_str(W14)}
+
+
+def test_waptest_reads_a_rational_past_the_digit_limit(capsys):
+    big = "1" + "0" * 5000
+    params = {"function": {"tag": "c0_plus_const", "const": f"{big}/{big}"}}
+    code, doc = run(capsys, "waptest", "--params", json.dumps(params))
+    assert code == 0
+    assert doc["status"] == "WAP-consistent"
+    # the witness values of a NOT-WAP verdict are written exactly
+    values = [f"{big}/3" if n % 2 == 0 else "0" for n in range(1, 201)]
+    params = {"function": {"tag": "sampled", "values": values}}
+    code, doc = run(capsys, "waptest", "--params", json.dumps(params))
+    assert code == 1
+    assert doc["witness"]["box"] == "0"
+    assert doc["witness"]["diamond"] == f"{big}/3"
 
 
 def test_every_status_has_an_exit_code():

@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 
 from semitop import jsonio
 from semitop.dyadic import DyadicPoint
+from semitop.jsonio import SuiteError
 from semitop.l1 import BoundedFunction, L1Vector
 from semitop.semigroups import (INF, REES_ZERO, CyclicGroup, FreeWords,
                                 NatInfinity, NatMax, NatMul, PartialMap,
                                 PartialMaps, ReesElement, ReesMatrix, ZPlusK,
                                 ZPlusTimesZ)
-from semitop.topologies import (TopologyInstance, WeightSequence,
+from semitop.topologies import (BasicNbhd, TopologyInstance, WeightSequence,
                                 check_convergence)
 from semitop.verdicts import passed
 from semitop.wap import LimitFunctional
@@ -59,6 +60,21 @@ def test_int_encodings_past_the_digit_limit():
 def test_zero_denominator_is_a_value_error():
     with pytest.raises(ValueError):
         jsonio.frac_from("1/0")
+
+
+def test_rationals_past_the_digit_limit():
+    big = "1" + "0" * 5000
+    assert jsonio.frac_from(f"{big}/{big}") == 1
+    assert jsonio.frac_from(f"-{big}/3") == F(-10 ** 5000, 3)
+    assert jsonio.frac_from(big) == 10 ** 5000
+    assert jsonio.frac_to_str(F(-10 ** 5000, 3)) == f"-{big}/3"
+    for text in ("1/-2", f"{big}/0", f"{big}.5", f" {big}"):
+        with pytest.raises(ValueError):
+            jsonio.frac_from(text)
+    # the forms Fraction reads below the limit are still read
+    for text, want in ((" 3/4 ", F(3, 4)), ("-3/4", F(-3, 4)),
+                       ("1.5", F(3, 2)), ("1e3", F(1000))):
+        assert jsonio.frac_from(text) == want
 
 
 _JSON = st.recursive(
@@ -150,6 +166,15 @@ def test_weights_round_trip():
     assert (w.index_bound, w.values) == (3, (2, 8, huge))
 
 
+def test_explicit_weights_rejected_past_bounds():
+    values = [2 ** i for i in range(17)]
+    w = jsonio.weights_from_json({"kind": "explicit", "values": values[:16]})
+    assert w.index_bound == 16
+    for bad in ([], values):
+        with pytest.raises(SuiteError):
+            jsonio.weights_from_json({"kind": "explicit", "values": bad})
+
+
 def test_topology_round_trip():
     doc = {"base": "z", "weights": {"kind": "double_exp", "index_bound": 6},
            "mask": [1, 3, 5]}
@@ -172,6 +197,14 @@ def test_point_and_nbhd_round_trip():
     n = jsonio.nbhd_from_json(T, {"a": 2, "s": 3, "alpha": "4"})
     assert (n.a, n.s, n.alpha) == (2, 3, 4)
     assert jsonio.nbhd_to_json(n) == {"a": 2, "s": 3, "alpha": 4}
+    # s past 2^53 is a decimal string, also past the int <-> str digit limit
+    w14 = 2 ** 16384
+    text = jsonio.int_to_str(w14)
+    assert jsonio.s1_point_to_json((1, w14)) == {"a": 1, "s": text}
+    assert jsonio.s1_point_to_json((1, -2 ** 53)) == {"a": 1,
+                                                      "s": str(-2 ** 53)}
+    assert jsonio.nbhd_to_json(BasicNbhd(1, w14, 2)) == {"a": 1, "s": text,
+                                                         "alpha": 2}
 
 
 def test_certificate_round_trip():

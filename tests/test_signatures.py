@@ -1,0 +1,69 @@
+"""The defaulted parameters of the public API, pinned by name.
+
+Every default is one more configuration to reason about and to test, so
+adding or removing one must show up here as a deliberate edit.
+"""
+
+import inspect
+
+import semitop
+
+# Exported functions, classes (their constructors) and the public methods
+# of exported classes that take a default, with the defaulted names.
+PINNED = {
+    "BoundedFunction": ("mod", "const", "values"),
+    "BoundedFunction.c0_plus_const": ("mod", "const"),
+    "DyadicPoint": ("exponents",),
+    "L1Vector": ("coeffs",),
+    "L1Vector.delta": ("coeff",),
+    "PartialMap": ("mapping",),
+    "TopologyInstance": ("mask",),
+    "TopologyInstance.find_representation": ("min_index",),
+    "TransferResult": ("predicted_limit", "certificate", "shifted_limit",
+                       "shifted_certificate", "division_data"),
+    "Verdict": ("witness", "detail"),
+    "WeightSequence": ("values",),
+    "convergence_transfer": ("shifted_limit",),
+    "failed": ("witness", "detail"),
+    "mask_family": ("seed",),
+    "open_set_identity": ("g",),
+    "passed": ("witness", "detail"),
+    "random_c0_plus_const": ("support_max",),
+    "run_suite": ("params", "seed"),
+    "subsequence_pair_family": ("seed",),
+    "verify_fnp": ("sabotage",),
+    "verify_star": ("max_multiplicity",),
+    "verify_star_star": ("s_window",),
+}
+
+
+def _defaulted(fn) -> tuple:
+    return tuple(p.name for p in inspect.signature(fn).parameters.values()
+                 if p.default is not inspect.Parameter.empty)
+
+
+def _public_callables():
+    for name, obj in sorted(vars(semitop).items()):
+        if name.startswith("_"):
+            continue
+        if inspect.isfunction(obj):
+            yield name, obj
+        elif inspect.isclass(obj) and not issubclass(obj, BaseException):
+            yield name, obj
+            for attr, member in sorted(vars(obj).items()):
+                fn = getattr(member, "__func__", member)
+                if not attr.startswith("_") and inspect.isfunction(fn):
+                    yield f"{name}.{attr}", fn
+
+
+def test_defaulted_parameters_are_pinned():
+    found = {name: _defaulted(fn) for name, fn in _public_callables()}
+    assert {k: v for k, v in found.items() if v} == PINNED
+
+
+def test_scan_reaches_the_public_api():
+    names = {name for name, _ in _public_callables()}
+    assert {"TopologyInstance.member_bruteforce",
+            "TopologyInstance.basic_points", "WeightSequence.explicit",
+            "interval_identity_sweep", "open_set_identity_sweep",
+            "is_weakly_cancellative_window", "undetermined"} <= names
