@@ -53,8 +53,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _member(params: dict, seed: int) -> tuple:
     T = jsonio.topology_from_json(params["topology"])
-    nbhd = jsonio.nbhd_from_json(T, params["nbhd"])
-    point = jsonio.s1_point_from_json(T, params["point"])
+    nbhd = jsonio.nbhd_from_json(params["nbhd"])
+    point = jsonio.s1_point_from_json(params["point"])
     res = T.member(nbhd, point)
     payload = {"status": _MEMBER_STATUS[res.status],
                "indices": list(res.witness or ()), "reason": res.detail}
@@ -63,10 +63,10 @@ def _member(params: dict, seed: int) -> tuple:
 
 def _converge(params: dict, seed: int) -> tuple:
     T = jsonio.topology_from_json(params["topology"])
-    seq = [jsonio.s1_point_from_json(T, p) for p in params["sequence"]]
+    seq = [jsonio.s1_point_from_json(p) for p in params["sequence"]]
     alpha_max = params["alpha_max"]
     if "limit" in params:
-        limit = jsonio.s1_point_from_json(T, params["limit"])
+        limit = jsonio.s1_point_from_json(params["limit"])
         res = topologies.check_convergence(T, seq, limit, alpha_max)
         if res:
             return ({"status": PASS,

@@ -6,12 +6,15 @@ neighborhoods inside it extend a point's exponent set upward from a level
 beta, and the central fact checked here is that such a neighborhood is
 exactly an open interval around its base point intersected with the model.
 
-All arithmetic is exact (fractions over powers of two); every equality is
-a genuine set equality of finite sets at the chosen truncation.
+All arithmetic is exact: a point's value is a fraction over a power of
+two, and the interval cut compares integer numerators over one common
+power of two.  Every equality is a genuine set equality of finite sets at
+the chosen truncation.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -85,6 +88,24 @@ def _points(a: int, alpha: int, max_exp: int) -> tuple:
     return tuple(out)
 
 
+def _numerator(p: DyadicPoint, n: int) -> int:
+    """The value of p times 2^n, for n at least its top exponent."""
+    return sum(1 << (n - m) for m in p.exponents)
+
+
+@lru_cache(maxsize=None)
+def _sorted_points(a: int, alpha: int, max_exp: int) -> tuple:
+    """(N, numerators, points) with the points sorted by value and each
+    value held as its numerator over 2^N, N = max_exp + a + 1.
+
+    N exceeds every exponent of the space and the left radius exponent
+    m_top + a of the interval cut, so every endpoint is an integer too.
+    """
+    n = max_exp + a + 1
+    keyed = sorted((_numerator(p, n), p) for p in _points(a, alpha, max_exp))
+    return n, [v for v, _ in keyed], tuple(p for _, p in keyed)
+
+
 def basic_neighborhood(x0: DyadicPoint, beta: int, space: XSpace) -> set:
     """Points of the space extending x0 by exponents at or above beta.
 
@@ -108,6 +129,22 @@ def basic_neighborhood(x0: DyadicPoint, beta: int, space: XSpace) -> set:
     return out
 
 
+def interval_cut(x0: DyadicPoint, space: XSpace, beta: int) -> set:
+    """The points of the space inside the interval that
+    `verify_interval_identity` describes, by one bisection of the sorted
+    integer numerators."""
+    n, values, pts = _sorted_points(space.a, space.alpha, space.max_exp)
+    center = _numerator(x0, n)
+    # past beta = n + 1 the right radius is below one unit; a one-unit
+    # radius keeps the same integer values, those up to the center
+    hi = center + (1 << max(n + 1 - beta, 0))
+    if x0.is_zero:
+        lo = -1
+    else:
+        lo = center - (1 << (n - x0.exponents[-1] - space.a))
+    return set(pts[bisect_right(values, lo):bisect_left(values, hi)])
+
+
 def verify_interval_identity(x0: DyadicPoint, space: XSpace, beta: int) -> Verdict:
     """Set equality between the beta-neighborhood of x0 and an interval cut.
 
@@ -121,15 +158,7 @@ def verify_interval_identity(x0: DyadicPoint, space: XSpace, beta: int) -> Verdi
     [0, 2^(1-beta)).
     """
     nbhd = basic_neighborhood(x0, beta, space)
-    pts = space.points()
-    if x0.is_zero:
-        hi = Fraction(1, 2 ** (beta - 1))
-        hits = {p for p in pts if p.value < hi}
-    else:
-        m_top = x0.exponents[-1]
-        lo = x0.value - Fraction(1, 2 ** (m_top + space.a))
-        hi = x0.value + Fraction(1, 2 ** (beta - 1))
-        hits = {p for p in pts if lo < p.value < hi}
+    hits = interval_cut(x0, space, beta)
     if hits == nbhd:
         return passed(witness={"size": len(nbhd)},
                       detail=f"interval cut matches the neighborhood at beta={beta}")

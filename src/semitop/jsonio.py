@@ -25,13 +25,10 @@ from .semigroups import (INF, CyclicGroup, FreeWords, IntegerGroup,
                          PartialMap, PartialMaps, ReesElement, ReesMatrix,
                          SemigroupInstance, ZPlusK, ZPlusTimesZ)
 from .l1 import BoundedFunction, L1Vector
+from .topologies import MAX_INDEX_BOUND
 from .verdicts import Verdict
 
 SCHEMA_VERSION = "1"
-
-# The largest weight index bound any suite or query may ask for: w_16 =
-# 2^65536 is still cheap, and each further index doubles its size.
-MAX_INDEX_BOUND = 16
 
 _DECIMAL = re.compile(r"[+-]?[0-9]+")
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
@@ -262,7 +259,7 @@ def s1_point_to_json(p: tuple) -> dict:
     return {"a": int(a), "s": to_jsonable(s)}
 
 
-def s1_point_from_json(T: topologies.TopologyInstance, d: dict) -> tuple:
+def s1_point_from_json(d: dict) -> tuple:
     s = d["s"]
     if isinstance(s, list):
         s = tuple(int_from(c) for c in s)
@@ -275,8 +272,8 @@ def nbhd_to_json(n: topologies.BasicNbhd) -> dict:
     return {"a": n.a, "s": to_jsonable(n.s), "alpha": n.alpha}
 
 
-def nbhd_from_json(T: topologies.TopologyInstance, d: dict) -> topologies.BasicNbhd:
-    return topologies.BasicNbhd(*s1_point_from_json(T, d), int_from(d["alpha"]))
+def nbhd_from_json(d: dict) -> topologies.BasicNbhd:
+    return topologies.BasicNbhd(*s1_point_from_json(d), int_from(d["alpha"]))
 
 
 def certificate_to_json(cert: topologies.ConvergenceCertificate) -> dict:

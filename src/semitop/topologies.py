@@ -28,6 +28,11 @@ from .verdicts import (DISTINCT, FAIL, FOUND, NOT_FOUND_AT_HORIZON, UNDETERMINED
 
 _BASES = ("zplus", "z", "odd_nat")
 
+# The largest weight index bound any suite or query may ask for: w_16 =
+# 2^65536 is still cheap, and each further index doubles its size.  It also
+# caps the masked indices a two-sided representation search takes.
+MAX_INDEX_BOUND = 16
+
 
 def _odd_primes(n: int) -> list:
     out = []
@@ -147,6 +152,8 @@ class TopologyInstance:
         self.mask = mask
         self._mask_set = frozenset(mask)
         self._two_sided_cache: dict = {}
+        self._subset_sums: dict = {}
+        self._basic_points: dict = {}
 
     def __repr__(self) -> str:
         return f"TopologyInstance({self.base}, {self.weights!r}, mask={list(self.mask)})"
@@ -274,8 +281,9 @@ class TopologyInstance:
         if diff is None:
             return failed(detail="not an integer")
         idxs = [i for i in self.mask if i >= min_index]
-        if len(idxs) > 16:
-            raise ValueError("explicit representation search limited to 16 indices")
+        if len(idxs) > MAX_INDEX_BOUND:
+            raise ValueError("explicit representation search limited to "
+                             f"{MAX_INDEX_BOUND} indices")
         found = []
         for k in range(len(idxs) + 1):
             for combo in combinations(idxs, k):
@@ -326,15 +334,25 @@ class TopologyInstance:
                 return passed(combo)
         return failed()
 
-    def basic_points(self, nbhd: BasicNbhd) -> list:
+    def basic_points(self, nbhd: BasicNbhd) -> tuple:
         """All members whose representation stays within the index bound,
-        as (point, indices) pairs."""
-        idxs = [i for i in self.mask if i >= nbhd.alpha]
-        out = []
-        for k in range(0, nbhd.a + 1):
-            for combo in combinations(idxs, k):
-                point = (nbhd.a - k, self.s_op(nbhd.s, self.weight_total(combo)))
-                out.append((point, combo))
+        as (point, indices) pairs, in `combinations` order of the indices."""
+        out = self._basic_points.get(nbhd)
+        if out is None:
+            out = self._basic_points[nbhd] = tuple(
+                ((nbhd.a - len(combo), self.s_op(nbhd.s, total)), combo)
+                for combo, total in self._subset_sum_table(nbhd.alpha, nbhd.a))
+        return out
+
+    def _subset_sum_table(self, alpha: int, a: int) -> tuple:
+        """(indices, weight total) for every set of at most `a` masked
+        indices at or above alpha, in `combinations` order by size."""
+        out = self._subset_sums.get((alpha, a))
+        if out is None:
+            idxs = [i for i in self.mask if i >= alpha]
+            out = self._subset_sums[(alpha, a)] = tuple(
+                (combo, self.weight_total(combo))
+                for k in range(a + 1) for combo in combinations(idxs, k))
         return out
 
     # -- two-sided representations (for separation witnesses) -----------
@@ -363,24 +381,62 @@ class TopologyInstance:
         diff = _as_int(diff)
         if diff is None:
             return failed(detail="not an integer")
-        if len(self.mask) > 13:
-            raise ValueError("two-sided search limited to 13 masked indices")
-        for signs in iproduct((-1, 0, 1), repeat=len(self.mask)):
-            total = sum(sign * self.weights.value(i)
-                        for sign, i in zip(signs, self.mask) if sign)
-            if total == diff:
-                plus = tuple(i for sign, i in zip(signs, self.mask) if sign > 0)
-                minus = tuple(i for sign, i in zip(signs, self.mask) if sign < 0)
-                return passed((plus, minus))
+        if len(self.mask) > MAX_INDEX_BOUND:
+            raise ValueError(
+                f"two-sided search limited to {MAX_INDEX_BOUND} masked indices")
         if self.weights.kind == "explicit":
-            return failed(detail="no signed combination of the weights")
-        # any signed combination using an index above the bound has absolute
-        # value at least w(bound+1) - sum of all bounded weights
-        bound = self.weights.index_bound
-        min_new = 2 ** (2 ** (bound + 1)) - sum(self.weights.values)
-        if abs(diff) < min_new:
-            return failed(detail="no signed combination of the weights")
-        return undetermined("a combination could use indices beyond the bound")
+            signs = self._signed_explicit(diff)
+            if signs is None:
+                return failed(detail="no signed combination of the weights")
+        else:
+            signs = self._signed_double_exp(diff)
+            if signs is None:
+                # any signed combination using an index above the bound has
+                # absolute value at least w(bound+1) - sum of all bounded weights
+                bound = self.weights.index_bound
+                min_new = 2 ** (2 ** (bound + 1)) - sum(self.weights.values)
+                if abs(diff) < min_new:
+                    return failed(detail="no signed combination of the weights")
+                return undetermined("a combination could use indices beyond the bound")
+        plus = tuple(i for sign, i in zip(signs, self.mask) if sign > 0)
+        minus = tuple(i for sign, i in zip(signs, self.mask) if sign < 0)
+        return passed((plus, minus))
+
+    def _signed_double_exp(self, diff: int) -> Optional[tuple]:
+        """The signs over the mask of the signed representation of diff, or
+        None.  Each weight exceeds twice the sum of the weights below it, so
+        the representation is unique and the top weight is taken exactly
+        when the remainder exceeds the sum of the lower masked weights."""
+        values = [self.weights.value(i) for i in self.mask]
+        signs = [0] * len(values)
+        below = sum(values)
+        d = diff
+        for pos in range(len(values) - 1, -1, -1):
+            below -= values[pos]
+            if abs(d) > below:
+                signs[pos] = 1 if d > 0 else -1
+                d -= signs[pos] * values[pos]
+        return tuple(signs) if d == 0 else None
+
+    def _signed_explicit(self, diff: int) -> Optional[tuple]:
+        """The first signs over the mask, in `product((-1, 0, 1))` order,
+        whose signed weight sum is diff, or None: meet in the middle over
+        the two halves of the mask, the first signs of the upper half for
+        each of its sums tabled in that order."""
+        values = [self.weights.value(i) for i in self.mask]
+        half = len(values) // 2
+        upper: dict = {}
+        for signs in iproduct((-1, 0, 1), repeat=len(values) - half):
+            upper.setdefault(_signed_sum(signs, values[half:]), signs)
+        for signs in iproduct((-1, 0, 1), repeat=half):
+            rest = upper.get(diff - _signed_sum(signs, values[:half]))
+            if rest is not None:
+                return signs + rest
+        return None
+
+
+def _signed_sum(signs: tuple, values: Sequence) -> int:
+    return sum(sign * v for sign, v in zip(signs, values) if sign)
 
 
 def _as_int(u: Any) -> Optional[int]:
@@ -443,7 +499,7 @@ def base_property_check(T: TopologyInstance, u1: BasicNbhd, u2: BasicNbhd) -> Ve
     basic sets admits an enclosed basic set contained in both."""
     pts1 = {p: rep for p, rep in T.basic_points(u1)}
     pts2 = {p: rep for p, rep in T.basic_points(u2)}
-    common = sorted(set(pts1) & set(pts2), key=repr)
+    common = sorted(set(pts1) & set(pts2))
     checked = 0
     for p in common:
         g1 = (max(pts1[p]) + 1) if pts1[p] else u1.alpha
@@ -496,7 +552,7 @@ def hausdorff_witness(T: TopologyInstance, x: tuple, y: tuple) -> Verdict:
     witness = {"x_nbhd": ux, "y_nbhd": uy,
                "two_sided": rep2.witness if rep2 else None}
     if overlap:
-        return failed(witness={**witness, "common_point": sorted(overlap, key=repr)[0]})
+        return failed(witness={**witness, "common_point": min(overlap)})
     return passed(witness=witness,
                   detail="truncated basic sets are disjoint")
 
@@ -528,7 +584,7 @@ def separate_continuity_identity(T: TopologyInstance, shift: tuple, center: tupl
         if back_int is None or not T.in_S(back_int):
             continue
         universe.add((xq - b, back_int))
-    for p in sorted(universe, key=repr):
+    for p in sorted(universe):
         lhs = T.member(outer, push(p))
         rhs = T.member(inner, p)
         if lhs.status == UNDETERMINED or rhs.status == UNDETERMINED:

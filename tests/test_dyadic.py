@@ -2,11 +2,12 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import semitop.dyadic as dyadic
 from semitop.dyadic import (DyadicPoint, XSpace, basic_neighborhood,
-                            interval_identity_sweep, psi,
+                            interval_cut, interval_identity_sweep, psi,
                             verify_interval_identity)
 from semitop.topologies import BasicNbhd, TopologyInstance, WeightSequence
 
@@ -82,6 +83,47 @@ def test_interval_identity_random_cells(a, alpha, seedling):
     top = x0.exponents[-1] if x0.exponents else alpha - 1
     for beta in range(top + 1, 7):
         assert verify_interval_identity(x0, space, beta)
+
+
+def _fraction_cut(x0, space, beta):
+    # oracle: the interval cut summed in Fractions, point by point
+    pts = space.points()
+    if x0.is_zero:
+        hi = Fraction(1, 2 ** (beta - 1))
+        return {p for p in pts if p.value < hi}
+    m_top = x0.exponents[-1]
+    lo = x0.value - Fraction(1, 2 ** (m_top + space.a))
+    hi = x0.value + Fraction(1, 2 ** (beta - 1))
+    return {p for p in pts if lo < p.value < hi}
+
+
+@settings(max_examples=150)
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 8),
+       st.integers(0, 10 ** 6), st.integers(0, 16))
+def test_interval_cut_matches_fraction_cut(a, alpha, span, seedling, beta_up):
+    # beta runs past max_exp + a + 2, where the right radius drops below
+    # one unit of the common denominator
+    space = XSpace(a, alpha, alpha + span)
+    pts = space.points()
+    x0 = pts[seedling % len(pts)]
+    beta = (x0.exponents[-1] if x0.exponents else alpha - 1) + 1 + beta_up
+    assert interval_cut(x0, space, beta) == _fraction_cut(x0, space, beta)
+
+
+def test_sweep_fails_when_the_neighborhood_drops_a_point(monkeypatch):
+    # negative control: the cut is computed without the neighborhood, so a
+    # neighborhood missing one point shows up as that point in the cut only
+    dropped = DyadicPoint([2, 5])
+    real = dyadic.basic_neighborhood
+
+    def short(x0, beta, space):
+        return real(x0, beta, space) - {dropped}
+
+    monkeypatch.setattr(dyadic, "basic_neighborhood", short)
+    v = interval_identity_sweep(a_max=2, alpha_max=2, beta_max=5, max_exp=7)
+    assert v.status == "FAIL"
+    assert v.witness["interval_only"] == [(2, 5)]
+    assert v.witness["neighborhood_only"] == []
 
 
 def test_psi_reads_off_representation_indices():

@@ -186,15 +186,13 @@ def test_topology_round_trip():
 
 
 def test_point_and_nbhd_round_trip():
-    T = jsonio.topology_from_json(
-        {"base": "z", "weights": {"kind": "double_exp", "index_bound": 6}})
-    p = jsonio.s1_point_from_json(T, {"a": 2, "s": "3"})
+    p = jsonio.s1_point_from_json({"a": 2, "s": "3"})
     assert p == (2, 3)
     assert jsonio.s1_point_to_json(p) == {"a": 2, "s": 3}
     # vector-valued second coordinate travels as a list
     assert jsonio.s1_point_to_json((1, (0, 3))) == {"a": 1, "s": [0, 3]}
-    assert jsonio.s1_point_from_json(T, {"a": 1, "s": [0, 3]}) == (1, (0, 3))
-    n = jsonio.nbhd_from_json(T, {"a": 2, "s": 3, "alpha": "4"})
+    assert jsonio.s1_point_from_json({"a": 1, "s": [0, 3]}) == (1, (0, 3))
+    n = jsonio.nbhd_from_json({"a": 2, "s": 3, "alpha": "4"})
     assert (n.a, n.s, n.alpha) == (2, 3, 4)
     assert jsonio.nbhd_to_json(n) == {"a": 2, "s": 3, "alpha": 4}
     # s past 2^53 is a decimal string, also past the int <-> str digit limit

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product as iproduct
 
 import pytest
 from hypothesis import given, settings
@@ -183,6 +183,117 @@ def test_member_bruteforce_agreement_property(a, x, alpha, idxs, negate):
     assert T.member(U, p).status == T.member_bruteforce(U, p).status
 
 
+def _basic_points_rebuild(T, nbhd):
+    # oracle: every subset of at most a masked indices at or above alpha,
+    # its weight total recomputed for each
+    idxs = [i for i in T.mask if i >= nbhd.alpha]
+    return [((nbhd.a - k, T.s_op(nbhd.s, T.weight_total(combo))), combo)
+            for k in range(nbhd.a + 1) for combo in combinations(idxs, k)]
+
+
+@settings(max_examples=80)
+@given(st.sampled_from(["zplus", "z", "odd_nat", "explicit"]),
+       st.integers(1, 7), st.data())
+def test_basic_points_match_subset_rebuild(kind, bound, data):
+    if kind == "odd_nat":
+        T = Todd(bound)
+    elif kind == "explicit":
+        T = TopologyInstance("z", WeightSequence.explicit(
+            sorted(data.draw(st.sets(st.integers(1, 60), min_size=bound,
+                                     max_size=bound)))))
+    else:
+        T = TopologyInstance(kind, WeightSequence.double_exp(bound))
+    mask = data.draw(st.sets(st.integers(1, bound), min_size=1))
+    T = TopologyInstance(T.base, T.weights, mask)
+    for _ in range(3):
+        a = data.draw(st.integers(0, 3))
+        alpha = data.draw(st.integers(1, bound + 1))
+        s = T.s_op(T.s_identity, T.weight_total(
+            data.draw(st.sets(st.sampled_from(T.mask), max_size=2))))
+        nbhd = BasicNbhd(a, s, alpha)
+        got = T.basic_points(nbhd)
+        assert isinstance(got, tuple)
+        assert list(got) == _basic_points_rebuild(T, nbhd)
+        assert T.basic_points(nbhd) is got
+
+
+# -- two-sided representations and their enumeration oracle ---------------
+
+
+def _two_sided_enumeration(T, diff):
+    # oracle: the first of all 3^|mask| sign vectors, in product order,
+    # whose signed weight sum is diff
+    for signs in iproduct((-1, 0, 1), repeat=len(T.mask)):
+        total = sum(sign * T.weights.value(i)
+                    for sign, i in zip(signs, T.mask) if sign)
+        if total == diff:
+            plus = tuple(i for sign, i in zip(signs, T.mask) if sign > 0)
+            minus = tuple(i for sign, i in zip(signs, T.mask) if sign < 0)
+            return Verdict(PASS, (plus, minus))
+    if T.weights.kind == "explicit":
+        return Verdict(FAIL)
+    bound = T.weights.index_bound
+    min_new = 2 ** (2 ** (bound + 1)) - sum(T.weights.values)
+    return Verdict(FAIL if abs(diff) < min_new else UNDETERMINED)
+
+
+def _assert_two_sided_agree(T, diff):
+    got = T.two_sided_representation(diff)
+    want = _two_sided_enumeration(T, diff)
+    assert (got.status, got.witness) == (want.status, want.witness), diff
+
+
+def _signed_sum(T, signs):
+    return sum(sign * T.weights.value(i) for sign, i in zip(signs, T.mask))
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 7), st.data())
+def test_two_sided_greedy_matches_enumeration(bound, data):
+    mask = data.draw(st.sets(st.integers(1, bound), min_size=1))
+    T = Tz(bound, mask=mask)
+    signs = data.draw(st.lists(st.sampled_from((-1, 0, 1)),
+                               min_size=len(T.mask), max_size=len(T.mask)))
+    diff = _signed_sum(T, signs)
+    for d in (diff, diff + 1, diff - 1, 2 ** (2 ** (bound + 1)) + diff):
+        _assert_two_sided_agree(T, d)
+
+
+@settings(max_examples=60)
+@given(st.sets(st.integers(1, 40), min_size=1, max_size=8), st.data())
+def test_two_sided_meet_in_the_middle_matches_enumeration(values, data):
+    # small weights give many signed representations of one value, so the
+    # first in product order is what is compared
+    w = WeightSequence.explicit(sorted(values))
+    mask = data.draw(st.sets(st.integers(1, w.index_bound), min_size=1))
+    T = TopologyInstance("z", w, mask)
+    signs = data.draw(st.lists(st.sampled_from((-1, 0, 1)),
+                               min_size=len(T.mask), max_size=len(T.mask)))
+    diff = _signed_sum(T, signs)
+    for d in (diff, diff + 1, diff - 1, sum(values) + 1):
+        _assert_two_sided_agree(T, d)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 3 ** 9 - 1))
+def test_two_sided_sixteen_explicit_values_match_enumeration(position):
+    # the sign vector at this position of the product order is within the
+    # first 3^9 vectors, so the enumeration stops after at most that many
+    T = TopologyInstance("z", WeightSequence.explicit(
+        [1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987, 1597]))
+    signs = [(position // 3 ** (15 - k)) % 3 - 1 for k in range(16)]
+    _assert_two_sided_agree(T, _signed_sum(T, signs))
+
+
+def test_two_sided_search_takes_every_index_up_to_the_bound():
+    T = Tz(16)
+    w = T.weights.value
+    v = T.two_sided_representation(w(16) - w(9) + w(1))
+    assert (v.status, v.witness) == (PASS, ((1, 16), (9,)))
+    with pytest.raises(ValueError, match="limited to 16 masked indices"):
+        Tz(17).two_sided_representation(3)
+
+
 # -- inclusion, base property, Hausdorff, separate continuity -----------
 
 
@@ -240,6 +351,34 @@ def test_hausdorff_exhaustive_small():
     pts = [(x, u) for x in (0, 1) for u in vals]
     for p, q in combinations(pts, 2):
         assert hausdorff_witness(T, p, q).status == PASS
+
+
+def test_hausdorff_witness_past_thirteen_masked_indices():
+    v = hausdorff_witness(Tz(14), (0, 0), (1, 5))
+    assert v.status == PASS
+
+
+def test_base_property_check_past_the_digit_limit():
+    # w_13 and w_14 have more than 4300 decimal digits
+    v = base_property_check(Tz(14), BasicNbhd(1, 0, 14), BasicNbhd(1, 0, 13))
+    assert v.status == PASS
+    assert v.witness["common_points"] == 2
+
+
+def test_hausdorff_overlap_past_the_digit_limit():
+    # w_1 + w_2 = w_3 breaks unique representability, so the sets around
+    # (2, 0) and (1, 0) share the point (0, w_3)
+    big = 10 ** 5000
+    T = TopologyInstance("z", WeightSequence.explicit([big, 2 * big, 3 * big]))
+    v = hausdorff_witness(T, (2, 0), (1, 0))
+    assert v.status == FAIL
+    assert v.witness["common_point"] == (0, 3 * big)
+
+
+def test_separate_continuity_past_the_digit_limit():
+    T = Tz(14)
+    v = separate_continuity_identity(T, (0, 0), (1, T.weights.value(14)), 14)
+    assert v.status == PASS
 
 
 def test_separate_continuity_identity_cases():
