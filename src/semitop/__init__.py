@@ -6,17 +6,15 @@ obstruction calculus, all behind re-validatable verdict objects."""
 from .dyadic import (DyadicPoint, XSpace, basic_neighborhood,
                      interval_identity_sweep, psi, verify_interval_identity)
 from .l1 import (BoundedFunction, L1Vector, ProductInstance, convolve,
-                 coproduct, max_action_formula, module_action, pairing,
-                 pairing_vectors)
+                 coproduct, max_action_formula, pairing, pairing_vectors)
 from .obstructions import (OpenSetSpec, build_fn, build_g,
                            enumerate_partial_maps, fn_threshold, o_member,
                            open_set_identity, open_set_identity_sweep,
                            proof_skeleton, valid_ns, verify_annihilation,
                            verify_fnp)
 from .semigroups import (INF, CyclicGroup, FreeWords, IntegerGroup,
-                         IntegerVectorGroup, NatInfinity, NatMax, NatMul,
-                         PartialMap, PartialMaps, ReesMatrix,
-                         SemigroupInstance, ZPlusK, ZPlusTimesZ,
+                         NatInfinity, NatMax, NatMul, PartialMap, PartialMaps,
+                         ReesMatrix, SemigroupInstance, ZPlusK, ZPlusTimesZ,
                          associativity_window, is_cancellative_window,
                          is_finitely_left_divisible_window,
                          is_weakly_cancellative_window, length)

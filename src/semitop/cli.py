@@ -11,7 +11,8 @@ Exit codes follow the status of the one `Verdict` type: 0 when everything
 determined passed, 1 when any determined failure (or a negative answer to
 a query) is present, 2 when something was left undetermined at the given
 horizon, 3 for usage errors such as an unknown suite or key, malformed
-JSON, or a parameter that is not an integer in its declared range.
+JSON, a parameter that is not an integer in its declared range, or an
+``--out`` path that cannot be written.
 """
 
 from __future__ import annotations
@@ -125,13 +126,21 @@ _COMMANDS = {
 }
 
 
-def _emit(payload: dict, out_path) -> None:
+def _emit(payload: dict, out_path, code: int) -> int:
+    """Write the payload and return ``code``, or the usage exit code when
+    ``out_path`` cannot be written."""
     text = json.dumps(payload, indent=2)
-    if out_path:
+    if not out_path:
+        print(text)
+        return code
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-    else:
-        print(text)
+    except OSError as exc:
+        print(f"semitop: error: cannot write {out_path}: {exc.strerror}",
+              file=sys.stderr)
+        return _EXIT_USAGE
+    return code
 
 
 def main(argv=None) -> int:
@@ -171,16 +180,14 @@ def main(argv=None) -> int:
         payload = {"schema_version": jsonio.SCHEMA_VERSION,
                    "command": args.command, "seed": args.seed}
         payload.update(result)
-        _emit(payload, args.out)
-        return code
+        return _emit(payload, args.out, code)
 
     try:
         report = run_suite(args.suite, params, seed=args.seed)
     except SuiteError as exc:
         print(f"semitop: error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
-    _emit(report, args.out)
-    return _STATUS_EXIT[report["overall"]]
+    return _emit(report, args.out, _STATUS_EXIT[report["overall"]])
 
 
 if __name__ == "__main__":

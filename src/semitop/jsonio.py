@@ -21,9 +21,9 @@ from typing import Any
 
 from . import dyadic, topologies, wap
 from .semigroups import (INF, CyclicGroup, FreeWords, IntegerGroup,
-                         IntegerVectorGroup, NatInfinity, NatMax, NatMul,
-                         PartialMap, PartialMaps, ReesElement, ReesMatrix,
-                         SemigroupInstance, ZPlusK, ZPlusTimesZ)
+                         NatInfinity, NatMax, NatMul, PartialMap, PartialMaps,
+                         ReesElement, ReesMatrix, SemigroupInstance, ZPlusK,
+                         ZPlusTimesZ)
 from .l1 import BoundedFunction, L1Vector
 from .topologies import MAX_INDEX_BOUND
 from .verdicts import Verdict
@@ -152,8 +152,6 @@ def group_to_json(g: Any) -> dict:
         return {"kind": "cyclic", "modulus": int_to_str(g.modulus)}
     if isinstance(g, IntegerGroup):
         return {"kind": "Z"}
-    if isinstance(g, IntegerVectorGroup):
-        return {"kind": "Z^d", "dim": int_to_str(g.dim)}
     raise TypeError(f"unknown group {g!r}")
 
 
@@ -226,8 +224,15 @@ def bounded_function_from_json(d: dict) -> BoundedFunction:
     if d["tag"] == "sampled":
         return BoundedFunction.sampled(
             [frac_from(v) for v in _array(d["values"], "values")])
-    mod = {m["elem"] if not isinstance(m["elem"], str) else int_from(m["elem"]):
-           frac_from(m["value"]) for m in d.get("mod", [])}
+    if d["tag"] != "c0_plus_const":
+        raise SuiteError(f"function tag must be 'sampled' or 'c0_plus_const', "
+                         f"not {d['tag']!r}")
+    mod = {}
+    for m in d.get("mod", []):
+        elem = int_from(m["elem"])
+        if elem < 1:
+            raise SuiteError(f"mod elem {int_to_str(elem)} is not positive")
+        mod[elem] = frac_from(m["value"])
     return BoundedFunction.c0_plus_const(mod, frac_from(d.get("const", 0)))
 
 
@@ -268,10 +273,6 @@ def s1_point_from_json(d: dict) -> tuple:
     return (int_from(d["a"]), s)
 
 
-def nbhd_to_json(n: topologies.BasicNbhd) -> dict:
-    return {"a": n.a, "s": to_jsonable(n.s), "alpha": n.alpha}
-
-
 def nbhd_from_json(d: dict) -> topologies.BasicNbhd:
     return topologies.BasicNbhd(*s1_point_from_json(d), int_from(d["alpha"]))
 
@@ -287,10 +288,6 @@ def certificate_to_json(cert: topologies.ConvergenceCertificate) -> dict:
 
 def dyadic_point_to_json(p: dyadic.DyadicPoint) -> dict:
     return {"exponents": list(p.exponents), "value": frac_to_str(p.value)}
-
-
-def limit_functional_to_json(phi: wap.LimitFunctional) -> dict:
-    return {"along": list(phi.along), "horizon": phi.horizon}
 
 
 def limit_functional_from_json(d: dict) -> wap.LimitFunctional:
@@ -322,10 +319,6 @@ def to_jsonable(obj: Any) -> Any:
                 "detail": obj.detail}
     if isinstance(obj, topologies.ConvergenceCertificate):
         return certificate_to_json(obj)
-    if isinstance(obj, topologies.BasicNbhd):
-        return nbhd_to_json(obj)
-    if isinstance(obj, wap.LimitFunctional):
-        return limit_functional_to_json(obj)
     if isinstance(obj, PartialMap):
         return partial_map_to_json(obj)
     if isinstance(obj, ReesElement):

@@ -13,10 +13,9 @@ represent a general bounded sequence; that restriction is the point.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import count
-from typing import Any, Iterator, Optional
+from typing import Any, Optional
 
-from .semigroups import NatMax, NatMul, SemigroupInstance, ZPlusK
+from .semigroups import NatMax, SemigroupInstance
 from .verdicts import HorizonExceeded
 
 
@@ -152,29 +151,6 @@ class ProductInstance(SemigroupInstance):
         self.left.validate(x[0])
         self.right.validate(x[1])
 
-    def elements(self) -> Iterator[tuple]:
-        lefts: list = []
-        rights: list = []
-        lit, rit = self.left.elements(), self.right.elements()
-        ldone = rdone = False
-        for n in count(0):
-            while not ldone and len(lefts) <= n:
-                try:
-                    lefts.append(next(lit))
-                except StopIteration:
-                    ldone = True
-            while not rdone and len(rights) <= n:
-                try:
-                    rights.append(next(rit))
-                except StopIteration:
-                    rdone = True
-            if ldone and rdone and n > len(lefts) + len(rights) - 2:
-                return
-            for i in range(n + 1):
-                j = n - i
-                if i < len(lefts) and j < len(rights):
-                    yield (lefts[i], rights[j])
-
 
 def coproduct(a: L1Vector) -> L1Vector:
     """Diagonal coproduct: delta_s maps to delta_(s,s), extended linearly."""
@@ -271,91 +247,6 @@ def pairing_vectors(x: L1Vector, b: L1Vector) -> Fraction:
 
 def _coeff_sum(a: L1Vector) -> Fraction:
     return sum(a._coeffs.values(), Fraction(0))
-
-
-def _mod_scan_points(S: SemigroupInstance, a: L1Vector, f: BoundedFunction,
-                     side: str) -> Optional[set]:
-    """Elements where the translated pairing may differ from its constant tail.
-
-    Returns None when no exact constancy bound is available for S.
-    """
-    supp_a = list(a._coeffs)
-    supp_m = list(f.mod)
-    if isinstance(S, NatMax):
-        bound = max([1] + supp_a + supp_m)
-        return set(range(1, bound + 1))
-    if isinstance(S, ZPlusK):
-        pts = set()
-        for u in supp_m:
-            for t in supp_a:
-                cand = tuple(ui - ti for ui, ti in zip(u, t))
-                if all(c >= 0 for c in cand):
-                    pts.add(cand)
-        return pts
-    if isinstance(S, NatMul):
-        pts = set()
-        for u in supp_m:
-            for t in supp_a:
-                if u % t == 0:
-                    pts.add(u // t)
-        return pts
-    return None
-
-
-def module_action(side: str, a: L1Vector, f: BoundedFunction,
-                  S: SemigroupInstance) -> BoundedFunction:
-    """The translate of f by a: s maps to <f, delta_s * a> (side "left")
-    or <f, a * delta_s> (side "right").
-
-    For c0_plus_const input the result is returned exactly in the same
-    form; this is supported for instances with a provable constancy bound
-    (max, additive tuples, multiplication on N).  For sampled input the
-    result is sampled, with the horizon shrunk so every evaluation stays
-    inside the input's horizon.
-    """
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
-    if a.instance.key != S.key:
-        raise TypeError("vector and instance disagree")
-
-    def translated(s) -> Fraction:
-        total = Fraction(0)
-        for t, c in a._coeffs.items():
-            st = S.product(s, t) if side == "left" else S.product(t, s)
-            total += c * f.evaluate(st)
-        return total
-
-    if f.tag == "c0_plus_const":
-        scan = _mod_scan_points(S, a, f, side)
-        if scan is None:
-            raise ValueError(
-                f"no exact constancy bound for instance {S.name}; use a sampled f")
-        tail = f.const * _coeff_sum(a)
-        mod = {}
-        for s in scan:
-            v = translated(s)
-            if v != tail:
-                mod[s] = v - tail
-        return BoundedFunction.c0_plus_const(mod, tail)
-
-    # sampled: shrink the horizon so s * t stays within range for all t
-    supp = a.support()
-    if not supp:
-        return BoundedFunction.sampled([Fraction(0)])
-    if not all(isinstance(t, int) for t in supp):
-        raise TypeError("sampled module action needs integer-indexed instances")
-    H = f.horizon
-    if isinstance(S, NatMax):
-        if max(supp) > H:
-            raise HorizonExceeded("support of a exceeds the sample horizon")
-        new_h = H
-    elif isinstance(S, NatMul):
-        new_h = H // max(supp)
-        if new_h < 1:
-            raise HorizonExceeded("support of a exceeds the sample horizon")
-    else:
-        raise ValueError(f"no sampled horizon rule for instance {S.name}")
-    return BoundedFunction.sampled([translated(s) for s in range(1, new_h + 1)])
 
 
 def max_action_formula(s: int, a: L1Vector) -> L1Vector:

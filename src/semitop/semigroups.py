@@ -82,46 +82,6 @@ class IntegerGroup:
         return str(x)
 
 
-class IntegerVectorGroup:
-    def __init__(self, dim: int):
-        dim = int(dim)
-        if dim < 1:
-            raise ValueError("dimension must be positive")
-        self.dim = dim
-        self.name = f"Z^{dim}"
-        self.identity = (0,) * dim
-
-    def op(self, x, y):
-        return tuple(a + b for a, b in zip(x, y))
-
-    def validate(self, x: Any) -> None:
-        if not (isinstance(x, tuple) and len(x) == self.dim
-                and all(isinstance(c, int) and not isinstance(c, bool) for c in x)):
-            raise TypeError(f"{x!r} is not an element of {self.name}")
-
-    def elements(self) -> Iterator[tuple]:
-        for norm in count(0):
-            yield from self._with_norm(norm)
-
-    def _with_norm(self, norm: int) -> Iterator[tuple]:
-        def build(rest: int, k: int):
-            if k == 1:
-                signs = (rest,) if rest == 0 else (-rest, rest)
-                for s in signs:
-                    yield (s,)
-                return
-            for mag in range(rest + 1):
-                signs = (mag,) if mag == 0 else (-mag, mag)
-                for s in signs:
-                    for tail in build(rest - mag, k - 1):
-                        yield (s,) + tail
-
-        yield from build(norm, self.dim)
-
-    def show(self, x: tuple) -> str:
-        return "(" + ",".join(str(c) for c in x) + ")"
-
-
 # ---------------------------------------------------------------------------
 # structured elements
 
@@ -211,9 +171,6 @@ class PartialMap:
         get = self._map.get
         return PartialMap._trusted(
             tuple([(n, w) for n, v in other._pairs if (w := get(v))]))
-
-    def inverse(self) -> "PartialMap":
-        return PartialMap({v: n for n, v in self._pairs})
 
     def __eq__(self, other: Any) -> bool:
         return isinstance(other, PartialMap) and self._pairs == other._pairs

@@ -56,6 +56,13 @@ def _wrap(expected_status: str, inner: Verdict) -> Verdict:
                   detail=f"expected {expected_status}, got {inner.status}")
 
 
+def _relay(inner: Verdict, **context) -> Verdict:
+    """The inner verdict's status and detail, its witness nested under
+    "inner" after the keys that locate it."""
+    return Verdict(inner.status, witness={**context, "inner": inner.witness},
+                   detail=inner.detail)
+
+
 # ---------------------------------------------------------------------------
 # suite builders
 
@@ -141,10 +148,7 @@ def _suite_gen_con_one(p: dict, seed: int) -> list:
         for u1, u2 in combinations(family, 2):
             res = topologies.base_property_check(Tz, u1, u2)
             if res.status != PASS:
-                return Verdict(res.status,
-                               witness={"u1": u1, "u2": u2,
-                                        "inner": res.witness},
-                               detail=res.detail)
+                return _relay(res, u1=u1, u2=u2)
             if res.witness["common_points"]:
                 intersecting += 1
                 points_checked += res.witness["common_points"]
@@ -169,9 +173,7 @@ def _suite_gen_con_one(p: dict, seed: int) -> list:
             res = topologies.hausdorff_witness(Tz, p, q)
             pairs += 1
             if res.status != PASS:
-                return Verdict(res.status, witness={"x": p, "y": q,
-                                                    "inner": res.witness},
-                               detail=res.detail)
+                return _relay(res, x=p, y=q)
         return passed(witness={"points": len(points), "pairs": pairs},
                       detail="disjoint separating sets found for every pair")
 
@@ -187,11 +189,8 @@ def _suite_gen_con_one(p: dict, seed: int) -> list:
                 shift = (shift[0], T.s_identity)
             res = topologies.separate_continuity_identity(T, shift, center, alpha)
             if res.status != PASS:
-                return Verdict(res.status,
-                               witness={"case": i, "shift": shift,
-                                        "center": center, "alpha": alpha,
-                                        "inner": res.witness},
-                               detail=res.detail)
+                return _relay(res, case=i, shift=shift, center=center,
+                              alpha=alpha)
             total_points += res.witness["points_checked"]
         return passed(witness={"triples": triples,
                                "points_checked": total_points})
@@ -231,10 +230,7 @@ def _suite_gen_con_two(p: dict, seed: int) -> list:
             res = topologies.convergence_transfer(
                 T, terms, shift, alpha_max, shifted_limit=shifted_limit)
             if res.verdict.status != PASS:
-                return Verdict(res.verdict.status,
-                               witness={"case": i, "shift": shift,
-                                        "inner": res.verdict.witness},
-                               detail=res.verdict.detail)
+                return _relay(res.verdict, case=i, shift=shift)
             if res.predicted_limit != (c, v):
                 return failed(witness={"case": i,
                                        "predicted": res.predicted_limit,
@@ -332,10 +328,7 @@ def _suite_remark4_continuum(p: dict, seed: int) -> list:
         for m1, m2 in combinations(masks, 2):
             res = topologies.distinguish_topologies(w, m1, m2, horizon)
             if res.status != DISTINCT:
-                return Verdict(res.status,
-                               witness={"mask1": list(m1), "mask2": list(m2),
-                                        "inner": res.witness},
-                               detail=res.detail)
+                return _relay(res, mask1=list(m1), mask2=list(m2))
             checked += 1
             strong += bool(res.witness["strong"])
             if sample is None:
@@ -360,8 +353,7 @@ def _suite_good_corr(p: dict, seed: int) -> list:
         seq = [2, 3, 2, 3, 2, 3, 2, 3]
         res = topologies.good_corr_check(topologies.DiscreteTopology(S), 5, seq)
         if res.status != FOUND:
-            return Verdict(res.status, witness={"inner": res.witness},
-                           detail=res.detail)
+            return _relay(res)
         return passed(witness={"inner": res.witness})
 
     def discrete_vacuous():
@@ -390,8 +382,7 @@ def _suite_good_corr(p: dict, seed: int) -> list:
         seq = [(0, Todd.weights.value(j)) for j in range(1, bound + 1)]
         res = topologies.good_corr_check(Todd, (0, 3), seq)
         if res.status != FOUND:
-            return Verdict(res.status, witness={"inner": res.witness},
-                           detail=res.detail)
+            return _relay(res)
         cert = res.witness["certificate"]
         sub = [seq[i - 1] for i in res.witness["term_indices"]]
         if res.witness["limit"] != (1, 1) or not cert.revalidate(Todd, sub):
@@ -761,9 +752,7 @@ def _suite_structural(p: dict, seed: int) -> list:
         for S in (zp2, zp3, free):
             res = is_cancellative_window(S, rank)
             if res.status != PASS:
-                return Verdict(res.status, witness={"instance": S.name,
-                                                    "inner": res.witness},
-                               detail=res.detail)
+                return _relay(res, instance=S.name)
         return passed(witness={"instances": [zp2.name, zp3.name, free.name]})
 
     def divisible():
@@ -772,10 +761,7 @@ def _suite_structural(p: dict, seed: int) -> list:
             for s in S.window(rank):
                 res = is_finitely_left_divisible_window(S, s, rank)
                 if res.status != PASS:
-                    return Verdict(res.status,
-                                   witness={"instance": S.name, "s": s,
-                                            "inner": res.witness},
-                                   detail=res.detail)
+                    return _relay(res, instance=S.name, s=s)
                 checked += 1
         return passed(witness={"elements_checked": checked})
 
@@ -804,8 +790,7 @@ def _suite_structural(p: dict, seed: int) -> list:
         for S in instances:
             res = associativity_window(S, assoc_rank)
             if res.status != PASS:
-                return Verdict(res.status, witness={"instance": S.name},
-                               detail=res.detail)
+                return _relay(res, instance=S.name)
         return passed(witness={"instances": [S.name for S in instances]})
 
     return [("cancellative-windows", cancellative),

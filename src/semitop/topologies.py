@@ -284,11 +284,8 @@ class TopologyInstance:
         if len(idxs) > MAX_INDEX_BOUND:
             raise ValueError("explicit representation search limited to "
                              f"{MAX_INDEX_BOUND} indices")
-        found = []
-        for k in range(len(idxs) + 1):
-            for combo in combinations(idxs, k):
-                if self.weight_total(combo) == diff:
-                    found.append(combo)
+        found = [combo for combo, total
+                 in self._subset_sum_table(min_index, len(idxs)) if total == diff]
         if not found:
             return failed(detail="no combination of the weights")
         if len(found) > 1:
@@ -670,18 +667,16 @@ def _limit_candidates(T: TopologyInstance, sequence: Sequence) -> list:
         if not T.valid_point(term):
             continue
         x, u = T.require_point(term)
-        for k in range(4):
-            for combo in combinations(T.mask, k):
-                if T.multiplicative:
-                    q, r = divmod(u, T.weight_total(combo))
-                    if r:
-                        continue
-                    v = q
-                else:
-                    v = u - T.weight_total(combo)
-                cand = (x + k, v)
-                if T.valid_point(cand):
-                    counts[cand] = counts.get(cand, 0) + 1
+        for combo, total in T._subset_sum_table(1, 3):
+            if T.multiplicative:
+                v, r = divmod(u, total)
+                if r:
+                    continue
+            else:
+                v = u - total
+            cand = (x + len(combo), v)
+            if T.valid_point(cand):
+                counts[cand] = counts.get(cand, 0) + 1
     ranked = sorted(counts, key=lambda cand: (-counts[cand], cand))
     return ranked[:10]
 

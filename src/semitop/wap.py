@@ -53,10 +53,6 @@ class LimitFunctional:
     def odds(cls, horizon: int) -> "LimitFunctional":
         return cls.arithmetic(1, 2, horizon)
 
-    @classmethod
-    def all_naturals(cls, horizon: int) -> "LimitFunctional":
-        return cls.arithmetic(1, 1, horizon)
-
 
 def _stabilized(vals: Sequence) -> Optional[Fraction]:
     """Value of a final constant run covering at least a quarter of the
@@ -114,29 +110,25 @@ def _iterated_max_limit(outer: LimitFunctional, inner: LimitFunctional,
 def arens_box(omega: LimitFunctional, upsilon: LimitFunctional,
               f: BoundedFunction) -> Optional[Fraction]:
     """First the inner limit along upsilon, then the outer along omega,
-    of f(max(s, t)).
+    of f(max(s, t)); None when undetermined.
 
-    When both this and the plain limit along upsilon are determined they
-    must agree (the max of a fixed s against an escaping t is eventually
-    t); that collapse is asserted, not assumed.
+    The max of a fixed s against an escaping t is eventually t, so the
+    true iterated limit equals the plain limit along upsilon.  When both
+    are determined and still disagree, the prefix has not settled the
+    limit (the iteration reads f only up to the shorter horizon, the
+    collapse up to upsilon's), so the value is undetermined, not an error.
     """
     value = _iterated_max_limit(omega, upsilon, f)
     collapse = eval_limit(upsilon, f)
     if value is not None and collapse is not None and value != collapse:
-        raise ArithmeticError(
-            f"iterated limit {value} disagrees with its collapse {collapse}")
+        return None
     return value
 
 
 def arens_diamond(omega: LimitFunctional, upsilon: LimitFunctional,
                   f: BoundedFunction) -> Optional[Fraction]:
     """The reversed iteration: inner along omega, outer along upsilon."""
-    value = _iterated_max_limit(upsilon, omega, f)
-    collapse = eval_limit(omega, f)
-    if value is not None and collapse is not None and value != collapse:
-        raise ArithmeticError(
-            f"iterated limit {value} disagrees with its collapse {collapse}")
-    return value
+    return arens_box(upsilon, omega, f)
 
 
 def wap_test(f: BoundedFunction, pairs: Sequence) -> Verdict[dict]:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from semitop import cli, jsonio, verdicts
+from semitop import cli, jsonio, suites, verdicts
 from semitop.cli import main
 from semitop.jsonio import SuiteError, read_params
 from semitop.suites import SUITE_PARAMS, run_suite
@@ -115,6 +115,19 @@ def test_waptest_short_sample_default_horizon(capsys):
     assert doc["status"] == "NOT-WAP"
 
 
+def test_waptest_pairs_with_different_horizons_are_undetermined(capsys):
+    # the iteration reads f up to the shorter horizon only, so it sees the
+    # zeros while the plain limit along the longer subsequence sees the ones
+    values = ["0"] * 100 + ["1"] * 100
+    pair = [{"along": [1, 2, 3, 4], "horizon": 4},
+            {"along": list(range(1, 201)), "horizon": 200}]
+    params = {"function": {"tag": "sampled", "values": values},
+              "pairs": [pair]}
+    code, doc = run(capsys, "waptest", "--params", json.dumps(params))
+    assert code == 2
+    assert doc["status"] == "UNDETERMINED"
+
+
 def test_suite_run_and_out_file(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(["--suite", "star-condition", "--seed", "7",
@@ -127,6 +140,30 @@ def test_suite_run_and_out_file(tmp_path, capsys):
     assert doc["overall"] == "PASS"
     assert {c["id"] for c in doc["checks"]} >= {"star-double-exp",
                                                 "star-negative-control"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["--suite", "star-condition"],
+    ["waptest", "--params", '{"function": {"tag": "c0_plus_const"}}'],
+])
+def test_out_path_that_cannot_be_written(argv, tmp_path, capsys):
+    out = tmp_path / "missing" / "r.json"
+    code = main(argv + ["--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and str(out) in captured.err
+    assert not out.parent.exists()
+
+
+def test_associativity_failure_keeps_its_witness(monkeypatch):
+    # every instance is associative, so a failing window is faked
+    monkeypatch.setattr(suites, "associativity_window", lambda S, rank:
+                        verdicts.failed(witness=(1, 2, 3), detail="broke"))
+    check = run_suite("structural", {})["checks"][-1]
+    assert (check["id"], check["status"], check["detail"]) == (
+        "associativity-windows", "FAIL", "broke")
+    assert check["witness"] == {"instance": "zplus_2", "inner": [1, 2, 3]}
 
 
 def test_suite_with_params(capsys):
@@ -178,6 +215,12 @@ def test_suite_with_params(capsys):
     ["distinguish", "--params", json.dumps({  # explicit weights past 16
         "weights": {"kind": "explicit", "values": [2 ** i for i in range(17)]},
         "mask1": [1, 2], "mask2": [1, 3]})],
+    ["waptest", "--params", json.dumps({      # a misspelt tag is not 0
+        "function": {"tag": "sampeld", "values": ["0", "1", "0", "1"]}})],
+    *(["waptest", "--params", json.dumps({    # mod elements are positive ints
+        "function": {"tag": "c0_plus_const", "const": "0",
+                     "mod": [{"elem": elem, "value": "1"}]}})]
+      for elem in (1.5, -4, True)),
 ])
 def test_usage_errors(argv, capsys):
     code, _ = run(capsys, *argv)

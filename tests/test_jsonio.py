@@ -194,15 +194,15 @@ def test_point_and_nbhd_round_trip():
     assert jsonio.s1_point_from_json({"a": 1, "s": [0, 3]}) == (1, (0, 3))
     n = jsonio.nbhd_from_json({"a": 2, "s": 3, "alpha": "4"})
     assert (n.a, n.s, n.alpha) == (2, 3, 4)
-    assert jsonio.nbhd_to_json(n) == {"a": 2, "s": 3, "alpha": 4}
+    assert jsonio.to_jsonable(n) == {"a": 2, "s": 3, "alpha": 4}
     # s past 2^53 is a decimal string, also past the int <-> str digit limit
     w14 = 2 ** 16384
     text = jsonio.int_to_str(w14)
     assert jsonio.s1_point_to_json((1, w14)) == {"a": 1, "s": text}
     assert jsonio.s1_point_to_json((1, -2 ** 53)) == {"a": 1,
                                                       "s": str(-2 ** 53)}
-    assert jsonio.nbhd_to_json(BasicNbhd(1, w14, 2)) == {"a": 1, "s": text,
-                                                         "alpha": 2}
+    assert jsonio.to_jsonable(BasicNbhd(1, w14, 2)) == {"a": 1, "s": text,
+                                                        "alpha": 2}
 
 
 def test_certificate_round_trip():
@@ -223,7 +223,7 @@ def test_dyadic_point_round_trip():
 
 def test_limit_functional_round_trip():
     phi = LimitFunctional.evens(10)
-    doc = jsonio.limit_functional_to_json(phi)
+    doc = jsonio.to_jsonable(phi)
     assert doc == {"along": [2, 4, 6, 8, 10], "horizon": 10}
     assert jsonio.limit_functional_from_json(doc) == phi
 

@@ -5,8 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from semitop.l1 import (BoundedFunction, L1Vector, convolve, coproduct,
-                        max_action_formula, module_action, pairing,
-                        pairing_vectors)
+                        max_action_formula, pairing, pairing_vectors)
 from semitop.semigroups import FreeWords, NatMax, NatMul
 from semitop.verdicts import HorizonExceeded
 
@@ -97,16 +96,6 @@ def test_pairing_vectors():
     x = _d(S, 2) - _d(S, 1)
     a = _d(S, 1, 5) + _d(S, 2, 5)
     assert pairing_vectors(x, a) == 0
-
-
-def test_module_action_matches_translated_pairing():
-    S = NatMax()
-    a = _d(S, 2, 3)
-    f = BoundedFunction.c0_plus_const({3: F(1)}, F(0))
-    left = module_action("left", a, f, S)
-    # (a . f)(s) = f(2 max s) * 3
-    assert left.evaluate(1) == 0
-    assert left.evaluate(3) == 3
 
 
 def test_max_action_formula_examples():

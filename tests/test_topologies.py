@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from itertools import combinations, product as iproduct
 
@@ -17,6 +18,7 @@ from semitop.topologies import (BasicNbhd, ConvergenceCertificate,
                                 odd_pair_to_natural,
                                 separate_continuity_identity, verify_star,
                                 verify_star_star)
+from semitop.topologies import _limit_candidates
 from semitop.verdicts import (DISTINCT, FAIL, FOUND, NOT_APPLICABLE, PASS,
                               UNDETERMINED, VACUOUS, Verdict)
 
@@ -90,6 +92,36 @@ def test_rep_explicit_always_settled():
     assert T.find_representation(30).witness == (1, 2)
     assert T.find_representation(31).status == FAIL
     assert T.find_representation(10 ** 9).status == FAIL
+    assert T.find_representation(30, 2).status == FAIL   # w_1 is below the level
+
+
+def _rep_explicit_loop(T, diff, min_index):
+    # oracle: every subset of the masked indices at or above min_index,
+    # its weight total recomputed for each
+    idxs = [i for i in T.mask if i >= min_index]
+    return [combo for k in range(len(idxs) + 1)
+            for combo in combinations(idxs, k) if T.weight_total(combo) == diff]
+
+
+@settings(max_examples=80)
+@given(st.sets(st.integers(1, 300), min_size=1, max_size=8), st.data())
+def test_rep_explicit_matches_subset_loop(values, data):
+    # small weights make some values ambiguous, which must raise naming
+    # the same first two subsets as the loop finds
+    w = WeightSequence.explicit(sorted(values))
+    T = TopologyInstance("z", w, data.draw(
+        st.sets(st.integers(1, w.index_bound), min_size=1)))
+    min_index = data.draw(st.integers(1, w.index_bound + 1))
+    diff = T.weight_total(data.draw(st.sets(st.sampled_from(T.mask)))) \
+        + data.draw(st.integers(-1, 1))
+    found = _rep_explicit_loop(T, diff, min_index)
+    if len(found) > 1:
+        with pytest.raises(ValueError, match=re.escape(str(found[:2]))):
+            T.find_representation(diff, min_index)
+        return
+    got = T.find_representation(diff, min_index)
+    assert (got.status, got.witness) == ((PASS, found[0]) if found
+                                         else (FAIL, None))
 
 
 def test_primitives_return_verdicts():
@@ -171,10 +203,14 @@ def test_member_matches_bruteforce_everywhere():
 
 
 @settings(max_examples=80)
-@given(st.integers(0, 3), st.integers(0, 3), st.integers(1, 5),
+@given(st.sampled_from(["double_exp", "explicit"]),
+       st.integers(0, 3), st.integers(0, 3), st.integers(1, 5),
        st.sets(st.integers(1, 6), max_size=3), st.booleans())
-def test_member_bruteforce_agreement_property(a, x, alpha, idxs, negate):
-    T = Tz(6)
+def test_member_bruteforce_agreement_property(kind, a, x, alpha, idxs, negate):
+    # each explicit weight exceeds the sum of those below it, so every
+    # value has at most one representation
+    T = Tz(6) if kind == "double_exp" else TopologyInstance(
+        "z", WeightSequence.explicit([3, 5, 11, 23, 47, 97]))
     target = T.weight_total(sorted(idxs))
     if negate:
         target = -target + 3
@@ -432,6 +468,52 @@ def test_find_limit_recovers_construction():
     limit, cert = got
     assert limit == (1, 5)
     assert cert.revalidate(T, seq)
+
+
+def _limit_candidates_loop(T, sequence):
+    # oracle: each term unshifted by every set of at most three masked
+    # weights, the weight total recomputed for each
+    counts = {}
+    for term in sequence:
+        if not T.valid_point(term):
+            continue
+        x, u = T.require_point(term)
+        for k in range(4):
+            for combo in combinations(T.mask, k):
+                if T.multiplicative:
+                    q, r = divmod(u, T.weight_total(combo))
+                    if r:
+                        continue
+                    v = q
+                else:
+                    v = u - T.weight_total(combo)
+                cand = (x + k, v)
+                if T.valid_point(cand):
+                    counts[cand] = counts.get(cand, 0) + 1
+    return sorted(counts, key=lambda cand: (-counts[cand], cand))[:10]
+
+
+@settings(max_examples=60)
+@given(st.sampled_from(["zplus", "z", "odd_nat", "explicit"]),
+       st.integers(1, 7), st.data())
+def test_limit_candidates_match_unshift_loop(kind, bound, data):
+    if kind == "odd_nat":
+        T = Todd(bound)
+    elif kind == "explicit":
+        T = TopologyInstance("z", WeightSequence.explicit(
+            sorted(data.draw(st.sets(st.integers(1, 60), min_size=bound,
+                                     max_size=bound)))))
+    else:
+        T = TopologyInstance(kind, WeightSequence.double_exp(bound))
+    T = TopologyInstance(T.base, T.weights, data.draw(
+        st.sets(st.integers(1, bound), min_size=1)))
+    seq = []
+    for _ in range(data.draw(st.integers(0, 6))):
+        s = T.s_op(T.s_identity, T.weight_total(
+            data.draw(st.sets(st.sampled_from(T.mask), max_size=3))))
+        seq.append((data.draw(st.integers(-1, 3)), s + data.draw(
+            st.sampled_from([0, 0, 1, -2]))))
+    assert _limit_candidates(T, seq) == _limit_candidates_loop(T, seq)
 
 
 def test_convergence_transfer_z():

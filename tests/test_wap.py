@@ -39,9 +39,9 @@ def test_eval_limit_constant_plus_c0_is_exact():
 def test_eval_limit_sampled_needs_stabilization():
     tail = [F(0)] * 10 + [F(1)] * 30
     f = BoundedFunction.sampled(tail)
-    assert eval_limit(LimitFunctional.all_naturals(40), f) == 1
+    assert eval_limit(LimitFunctional.arithmetic(1, 1, 40), f) == 1
     wob = BoundedFunction.sampled([F(n % 2) for n in range(40)])
-    assert eval_limit(LimitFunctional.all_naturals(40), wob) is None
+    assert eval_limit(LimitFunctional.arithmetic(1, 1, 40), wob) is None
 
 
 def test_arens_values_for_indicator_of_evens():
@@ -108,6 +108,26 @@ def test_wap_test_returns_verdict_for_every_status():
                       (never_stable, UNDETERMINED)):
         v = wap_test(f, pairs)
         assert isinstance(v, Verdict) and v.status == status
+
+
+@st.composite
+def _limit_functionals(draw):
+    horizon = draw(st.integers(1, 80))
+    along = draw(st.sets(st.integers(1, horizon), min_size=1))
+    return LimitFunctional(tuple(sorted(along)), horizon)
+
+
+@settings(max_examples=200)
+@given(st.lists(st.tuples(st.integers(-1, 1), st.integers(1, 40)),
+                min_size=1, max_size=4),
+       st.lists(st.tuples(_limit_functionals(), _limit_functionals()),
+                min_size=1, max_size=4))
+def test_wap_test_never_raises_on_explicit_pairs(runs, pairs):
+    # step functions stabilize often, so pairs with different horizons
+    # reach determined but disagreeing iterated limits and collapses
+    f = BoundedFunction.sampled([F(v) for v, n in runs for _ in range(n)])
+    v = wap_test(f, pairs)
+    assert v.status in (WAP_CONSISTENT, NOT_WAP, UNDETERMINED)
 
 
 def test_subsequence_pair_family_deterministic():
