@@ -291,7 +291,8 @@ def dyadic_point_to_json(p: dyadic.DyadicPoint) -> dict:
 
 
 def limit_functional_from_json(d: dict) -> wap.LimitFunctional:
-    return wap.LimitFunctional(tuple(int_from(p) for p in d["along"]),
+    along = _array(d["along"], "along")
+    return wap.LimitFunctional(tuple(int_from(p) for p in along),
                                int_from(d["horizon"]))
 
 

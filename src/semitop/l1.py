@@ -41,9 +41,19 @@ class L1Vector:
             instance.validate(elem)
             c = _frac(c)
             if c:
-                acc[elem] = acc.get(elem, Fraction(0)) + c
+                prev = acc.get(elem)
+                acc[elem] = c if prev is None else prev + c
         self.instance = instance
         self._coeffs = {e: c for e, c in acc.items() if c}
+
+    @classmethod
+    def _trusted(cls, instance: SemigroupInstance, coeffs: dict) -> "L1Vector":
+        """Skip validation; keys must be elements of the instance and
+        values Fractions.  Zero coefficients are still dropped."""
+        obj = object.__new__(cls)
+        obj.instance = instance
+        obj._coeffs = {e: c for e, c in coeffs.items() if c}
+        return obj
 
     @classmethod
     def delta(cls, instance: SemigroupInstance, elem: Any, coeff: Any = 1) -> "L1Vector":
@@ -126,8 +136,9 @@ def convolve(a: L1Vector, b: L1Vector) -> L1Vector:
     for s, cs in a._coeffs.items():
         for t, ct in b._coeffs.items():
             st = S.product(s, t)
-            out[st] = out.get(st, Fraction(0)) + cs * ct
-    return L1Vector(S, out)
+            prev = out.get(st)
+            out[st] = cs * ct if prev is None else prev + cs * ct
+    return L1Vector._trusted(S, out)
 
 
 class ProductInstance(SemigroupInstance):
@@ -205,7 +216,8 @@ class BoundedFunction:
 
     def evaluate(self, elem: Any) -> Fraction:
         if self.tag == "c0_plus_const":
-            return self.const + self.mod.get(elem, Fraction(0))
+            m = self.mod.get(elem)
+            return self.const if m is None else self.const + m
         if not isinstance(elem, int) or isinstance(elem, bool) or elem < 1:
             raise TypeError("sampled functions are defined on positive integers")
         if elem > len(self.values):

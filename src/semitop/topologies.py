@@ -154,6 +154,7 @@ class TopologyInstance:
         self._two_sided_cache: dict = {}
         self._subset_sums: dict = {}
         self._basic_points: dict = {}
+        self._basic_point_maps: dict = {}
 
     def __repr__(self) -> str:
         return f"TopologyInstance({self.base}, {self.weights!r}, mask={list(self.mask)})"
@@ -341,6 +342,14 @@ class TopologyInstance:
                 for combo, total in self._subset_sum_table(nbhd.alpha, nbhd.a))
         return out
 
+    def basic_point_map(self, nbhd: BasicNbhd) -> dict:
+        """``dict(basic_points(nbhd))``, memoised: each point keyed to the
+        indices of its last representation in `basic_points` order."""
+        out = self._basic_point_maps.get(nbhd)
+        if out is None:
+            out = self._basic_point_maps[nbhd] = dict(self.basic_points(nbhd))
+        return out
+
     def _subset_sum_table(self, alpha: int, a: int) -> tuple:
         """(indices, weight total) for every set of at most `a` masked
         indices at or above alpha, in `combinations` order by size."""
@@ -494,9 +503,9 @@ def base_inclusion(T: TopologyInstance, inner: BasicNbhd, outer: BasicNbhd) -> V
 def base_property_check(T: TopologyInstance, u1: BasicNbhd, u2: BasicNbhd) -> Verdict:
     """Filter-base property at the truncation: every common point of two
     basic sets admits an enclosed basic set contained in both."""
-    pts1 = {p: rep for p, rep in T.basic_points(u1)}
-    pts2 = {p: rep for p, rep in T.basic_points(u2)}
-    common = sorted(set(pts1) & set(pts2))
+    pts1 = T.basic_point_map(u1)
+    pts2 = T.basic_point_map(u2)
+    common = sorted(pts1.keys() & pts2.keys())
     checked = 0
     for p in common:
         g1 = (max(pts1[p]) + 1) if pts1[p] else u1.alpha
@@ -543,9 +552,7 @@ def hausdorff_witness(T: TopologyInstance, x: tuple, y: tuple) -> Verdict:
             alpha = beta = 1
     ux = BasicNbhd(a, s, alpha)
     uy = BasicNbhd(b, t, beta)
-    px = {p for p, _ in T.basic_points(ux)}
-    py = {p for p, _ in T.basic_points(uy)}
-    overlap = px & py
+    overlap = T.basic_point_map(ux).keys() & T.basic_point_map(uy).keys()
     witness = {"x_nbhd": ux, "y_nbhd": uy,
                "two_sided": rep2.witness if rep2 else None}
     if overlap:
@@ -829,9 +836,9 @@ def verify_star_star(T: TopologyInstance, t: Any, s_window: int = 10_000) -> Ver
     if alpha_t is None:
         return undetermined("every bounded weight divides into the prime "
                             "factors of t; raise the index bound")
+    weights = list(enumerate(T.weights.values, start=1))[alpha_t - 1:]
     for s in range(1, s_window + 1, 2):
-        for n in range(alpha_t, T.weights.index_bound + 1):
-            w = T.weights.value(n)
+        for n, w in weights:
             moved = s * w
             if moved % t == 0 and (moved // t) % 2 == 1:
                 if not (s % t == 0 and (s // t) % 2 == 1):

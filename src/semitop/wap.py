@@ -14,11 +14,13 @@ disagreement pair, which is the counterexample format used throughout.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .l1 import BoundedFunction, L1Vector, convolve, pairing_vectors, _coeff_sum
+from .l1 import (BoundedFunction, L1Vector, convolve, pairing, pairing_vectors,
+                 _coeff_sum)
 from .semigroups import NatMax
 from .verdicts import (NOT_WAP, WAP_CONSISTENT, Verdict, failed, not_applicable,
                        passed, undetermined)
@@ -57,14 +59,7 @@ class LimitFunctional:
 def _stabilized(vals: Sequence) -> Optional[Fraction]:
     """Value of a final constant run covering at least a quarter of the
     sequence (and at least two terms); None otherwise."""
-    if not vals:
-        return None
-    run = 1
-    for prev, cur in zip(reversed(vals[:-1]), reversed(vals)):
-        if prev != cur:
-            break
-        run += 1
-    if run >= max(2, len(vals) // 4):
+    if vals and _final_run(vals) >= max(2, len(vals) // 4):
         return vals[-1]
     return None
 
@@ -84,8 +79,26 @@ def eval_limit(phi: LimitFunctional, f: BoundedFunction) -> Optional[Fraction]:
     return _stabilized(vals)
 
 
+def _final_run(vals: Sequence) -> int:
+    """Length of the final constant run of a nonempty sequence."""
+    run = 1
+    for prev, cur in zip(reversed(vals[:-1]), reversed(vals)):
+        if prev != cur:
+            break
+        run += 1
+    return run
+
+
 def _iterated_max_limit(outer: LimitFunctional, inner: LimitFunctional,
                         f: BoundedFunction) -> Optional[Fraction]:
+    """Outer limit over s of the inner limit over t of f(max(s, t)).
+
+    The row of an outer point s is f(s) repeated m times (m = the number
+    of inner points <= s) followed by the fixed tail f(t) over the inner
+    points above s.  So the tail is evaluated once, with the length of
+    its final constant run, and each row's final run is read off from m
+    alone: exactly what `_stabilized` would find on the full row.
+    """
     if f.tag == "c0_plus_const":
         # f(max(s, .)) is f modified on the finite prefix [1, s], so the
         # inner limit is f's constant for every s, and so is the outer.
@@ -97,13 +110,24 @@ def _iterated_max_limit(outer: LimitFunctional, inner: LimitFunctional,
     inner_pts = [t for t in inner.along if t <= horizon]
     if not outer_pts or not inner_pts:
         return None
+    tail = [f.evaluate(t) for t in inner_pts]
+    n = len(tail)
+    last = tail[-1]
+    tail_run = _final_run(tail)
+    need = max(2, n // 4)
     rows = []
     for s in outer_pts:
-        vals = [f.evaluate(max(s, t)) for t in inner_pts]
-        v = _stabilized(vals)
-        if v is None:
+        m = bisect_right(inner_pts, s)
+        head = f.evaluate(s)
+        if m == n:
+            run, value = n, head
+        elif n - m <= tail_run and head == last:
+            run, value = n, last
+        else:
+            run, value = min(tail_run, n - m), last
+        if run < need:
             return None
-        rows.append(v)
+        rows.append(value)
     return _stabilized(rows)
 
 
@@ -214,22 +238,26 @@ def telescoping_check(a: L1Vector, x: BoundedFunction, s_max: int) -> Verdict:
         raise TypeError("x must be a finitely modified constant")
     if a.is_zero:
         return passed(detail="vacuous: a = 0")
-    from .l1 import pairing
     base = pairing(a, x)
     for s in range(1, s_max + 1):
         moved = pairing(convolve(L1Vector.delta(S, s), a), x)
         if moved != base:
             return failed(witness={"s": s, "lhs": base, "rhs": moved},
                           detail=f"hypothesis fails at s = {s}")
-    supp = a.support()
+    items = sorted(a.terms())
+    head = mass = Fraction(0)
+    i = 0
     for s in range(1, s_max + 1):
-        head = sum((c * x.evaluate(t) for t, c in a.terms() if t <= s), Fraction(0))
-        mass = sum((c for t, c in a.terms() if t <= s), Fraction(0))
+        while i < len(items) and items[i][0] <= s:
+            t, c = items[i]
+            head += c * x.evaluate(t)
+            mass += c
+            i += 1
         if head != x.evaluate(s) * mass:
             raise ArithmeticError(
                 f"telescoped identity failed at s = {s} although the "
                 f"hypothesis held; internal inconsistency")
-    clear = max(supp + list(x.mod) + [0])
+    clear = max([t for t, _ in items] + list(x.mod) + [0])
     if s_max <= clear:
         return passed(witness={"s_max": s_max},
                       detail="hypothesis and identity verified; s_max does not "

@@ -221,6 +221,11 @@ def test_suite_with_params(capsys):
         "function": {"tag": "c0_plus_const", "const": "0",
                      "mod": [{"elem": elem, "value": "1"}]}})]
       for elem in (1.5, -4, True)),
+    *(["waptest", "--params", json.dumps({    # a subsequence is an array
+        "function": {"tag": "sampled", "values": ["0", "1"] * 4},
+        "pairs": [[{"along": along, "horizon": 8},
+                   {"along": [1, 3, 5, 7], "horizon": 8}]]})]
+      for along in ("2468", {"2": 0, "4": 0, "6": 0, "8": 0})),
 ])
 def test_usage_errors(argv, capsys):
     code, _ = run(capsys, *argv)

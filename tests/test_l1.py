@@ -48,6 +48,15 @@ def test_convolution_nat_max_collapses():
     assert out == _d(S, 2) + _d(S, 3)
 
 
+def test_convolution_drops_cancelled_coefficients():
+    S = NatMax()
+    assert convolve(_d(S, 1) - _d(S, 2), _d(S, 2)).is_zero
+    W = FreeWords("ab")
+    # a.ab and aa.b are both aab, with opposite signs
+    out = convolve(_d(W, "a") - _d(W, "aa"), _d(W, "ab") + _d(W, "b"))
+    assert out.support() == ["aaab", "ab"]
+
+
 def test_convolution_is_bilinear():
     S = NatMul()
     a, b, c = _d(S, 2), _d(S, 3), _d(S, 5)
@@ -126,6 +135,37 @@ def test_convolution_norm_submultiplicative(t1, t2):
     a = L1Vector(S, [(e, F(c)) for e, c in t1])
     b = L1Vector(S, [(e, F(c)) for e, c in t2])
     assert convolve(a, b).norm() <= a.norm() * b.norm()
+
+
+def _convolve_validating(a, b):
+    """The convolution as it was built before: sums onto Fraction(0), then
+    the validating constructor."""
+    S = a.instance
+    out = {}
+    for s, cs in a.terms():
+        for t, ct in b.terms():
+            st_ = S.product(s, t)
+            out[st_] = out.get(st_, F(0)) + cs * ct
+    return L1Vector(S, out)
+
+
+# few distinct values, so that products cancel to zero often
+_coeffs = st.sampled_from([F(-1), F(1), F(-1, 2), F(1, 2), F(2)])
+
+
+@given(st.sampled_from(["nat_max", "free_ab"]), st.data())
+def test_convolution_matches_validating_constructor(kind, data):
+    if kind == "nat_max":
+        S, elems = NatMax(), st.integers(1, 6)
+    else:
+        S, elems = FreeWords("ab"), st.text(alphabet="ab", min_size=1, max_size=2)
+    terms = st.lists(st.tuples(elems, _coeffs), max_size=5)
+    a = L1Vector(S, data.draw(terms))
+    b = L1Vector(S, data.draw(terms))
+    got = convolve(a, b)
+    want = _convolve_validating(a, b)
+    assert got == want and got.terms() == want.terms()
+    assert all(isinstance(c, F) and c != 0 for _, c in got.terms())
 
 
 def test_mixed_instances_rejected():

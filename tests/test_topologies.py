@@ -251,6 +251,18 @@ def test_basic_points_match_subset_rebuild(kind, bound, data):
         assert isinstance(got, tuple)
         assert list(got) == _basic_points_rebuild(T, nbhd)
         assert T.basic_points(nbhd) is got
+        assert T.basic_point_map(nbhd) == dict(T.basic_points(nbhd))
+
+
+def test_basic_point_map_keeps_the_last_representation():
+    # 1 + 4 = 2 + 3: one point, two representations, and the map keeps the
+    # one `basic_points` lists last, as the filter-base check reads it
+    T = TopologyInstance("z", WeightSequence.explicit([1, 2, 3, 4]))
+    nbhd = BasicNbhd(2, 0, 1)
+    reps = [rep for p, rep in T.basic_points(nbhd) if p == (0, 5)]
+    assert reps == [(1, 4), (2, 3)]
+    assert T.basic_point_map(nbhd)[(0, 5)] == (2, 3)
+    assert T.basic_point_map(nbhd) is T.basic_point_map(nbhd)
 
 
 # -- two-sided representations and their enumeration oracle ---------------

@@ -1,18 +1,22 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semitop.l1 import BoundedFunction, L1Vector, convolve, pairing_vectors
+from semitop import wap
+from semitop.l1 import (BoundedFunction, L1Vector, _coeff_sum, convolve,
+                        pairing, pairing_vectors)
 from semitop.semigroups import NatMax
 from semitop.verdicts import (NOT_APPLICABLE, NOT_WAP, PASS, UNDETERMINED,
-                              WAP_CONSISTENT, Verdict)
+                              WAP_CONSISTENT, Verdict, failed, passed)
 from semitop.wap import (LimitFunctional, SharpnessWitness, arens_box,
                          arens_diamond, counterexample_x, eval_limit,
                          indicator_of_evens, random_c0_plus_const,
                          subsequence_pair_family, telescoping_check, wap_test)
+from semitop.wap import _iterated_max_limit, _stabilized
 
 F = Fraction
 S = NatMax()
@@ -130,6 +134,120 @@ def test_wap_test_never_raises_on_explicit_pairs(runs, pairs):
     assert v.status in (WAP_CONSISTENT, NOT_WAP, UNDETERMINED)
 
 
+# The double loop that `_iterated_max_limit` replaced: every f(max(s, t))
+# is evaluated and each row is stabilized in full.  Kept as the oracle.
+def _iterated_max_limit_oracle(outer, inner, f):
+    if f.tag == "c0_plus_const":
+        return f.const
+    horizon = min(outer.horizon, inner.horizon)
+    if f.tag == "sampled":
+        horizon = min(horizon, f.horizon)
+    outer_pts = [s for s in outer.along if s <= horizon // 2]
+    inner_pts = [t for t in inner.along if t <= horizon]
+    if not outer_pts or not inner_pts:
+        return None
+    rows = []
+    for s in outer_pts:
+        v = _stabilized([f.evaluate(max(s, t)) for t in inner_pts])
+        if v is None:
+            return None
+        rows.append(v)
+    return _stabilized(rows)
+
+
+def _arens_box_oracle(omega, upsilon, f):
+    value = _iterated_max_limit_oracle(omega, upsilon, f)
+    collapse = eval_limit(upsilon, f)
+    if value is not None and collapse is not None and value != collapse:
+        return None
+    return value
+
+
+_step_functions = st.lists(st.tuples(st.integers(-1, 1), st.integers(1, 40)),
+                           min_size=1, max_size=6).map(
+    lambda runs: BoundedFunction.sampled(
+        [F(v) for v, n in runs for _ in range(n)]))
+
+
+@st.composite
+def _arithmetic_functionals(draw):
+    horizon = draw(st.integers(1, 160))
+    start = draw(st.integers(1, min(horizon, 8)))
+    return LimitFunctional.arithmetic(start, draw(st.integers(1, 6)), horizon)
+
+
+_functionals = st.one_of(_arithmetic_functionals(), _limit_functionals())
+
+
+@settings(max_examples=400, deadline=None)
+@given(_step_functions, _functionals, _functionals)
+def test_arens_limits_match_double_loop(f, omega, upsilon):
+    # horizons are drawn independently, so pairs mix horizons shorter and
+    # longer than the sample and than each other
+    assert (_iterated_max_limit(omega, upsilon, f)
+            == _iterated_max_limit_oracle(omega, upsilon, f))
+    assert arens_box(omega, upsilon, f) == _arens_box_oracle(omega, upsilon, f)
+    assert (arens_diamond(omega, upsilon, f)
+            == _arens_box_oracle(upsilon, omega, f))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 3))
+def test_arens_limits_match_double_loop_on_periodic_tails(period, shift, tail):
+    # a periodic prefix followed by a constant tail: rows stabilize only
+    # where the tail reaches, which exercises every branch of the row rule
+    vals = [F((n // period + shift) % 2) for n in range(1, 81)]
+    vals += [F(1)] * (20 * tail)
+    f = BoundedFunction.sampled(vals)
+    for omega, upsilon in subsequence_pair_family(6, len(vals), seed=period):
+        assert arens_box(omega, upsilon, f) == _arens_box_oracle(omega, upsilon, f)
+        assert (arens_diamond(omega, upsilon, f)
+                == _arens_box_oracle(upsilon, omega, f))
+
+
+def test_iterated_limit_matches_double_loop_exhaustively():
+    # every 0/1 function on [1, 6] against every pair of subsequences
+    # there: each branch of the row rule, including inner points at or
+    # below the outer point and tails whose final run is a single term
+    horizon = 6
+
+    def subsequences(top):
+        return [LimitFunctional(c, horizon) for r in range(1, top + 1)
+                for c in combinations(range(1, top + 1), r)]
+
+    inners = subsequences(horizon)
+    outers = subsequences(horizon // 2)
+    for bits in range(2 ** horizon):
+        f = BoundedFunction.sampled([F((bits >> i) & 1) for i in range(horizon)])
+        for outer in outers:
+            for inner in inners:
+                assert (_iterated_max_limit(outer, inner, f)
+                        == _iterated_max_limit_oracle(outer, inner, f))
+
+
+def test_arens_limits_evaluate_linearly_often(monkeypatch):
+    # one explicit 4000-point pair: the double loop evaluates f about
+    # 8 million times here, the row rule once per point and per tail entry
+    omega = LimitFunctional(tuple(range(2, 8001, 2)), 8000)
+    upsilon = LimitFunctional(tuple(range(1, 8001, 2)), 8000)
+    f = indicator_of_evens(8000)
+    calls = 0
+    evaluate = BoundedFunction.evaluate
+
+    def counted(self, elem):
+        nonlocal calls
+        calls += 1
+        return evaluate(self, elem)
+
+    monkeypatch.setattr(BoundedFunction, "evaluate", counted)
+    budget = 2 * (len(omega.along) + len(upsilon.along))
+    assert arens_box(omega, upsilon, f) == 0
+    assert 0 < calls <= budget
+    calls = 0
+    assert arens_diamond(omega, upsilon, f) == 1
+    assert 0 < calls <= budget
+
+
 def test_subsequence_pair_family_deterministic():
     a = subsequence_pair_family(5, 100, seed=3)
     b = subsequence_pair_family(5, 100, seed=3)
@@ -167,6 +285,90 @@ def test_telescoping_identity_form():
                                           F(rng.randint(-2, 2)))
         v = telescoping_check(a, x, k + 4)
         assert v.status == PASS, v
+
+
+# The function `telescoping_check` replaced: the identity loop re-sums the
+# support below s for every s.  Kept as the oracle.
+def _telescoping_check_oracle(a, x, s_max):
+    S = a.instance
+    if a.is_zero:
+        return passed(detail="vacuous: a = 0")
+    base = pairing(a, x)
+    for s in range(1, s_max + 1):
+        moved = pairing(convolve(L1Vector.delta(S, s), a), x)
+        if moved != base:
+            return failed(witness={"s": s, "lhs": base, "rhs": moved},
+                          detail=f"hypothesis fails at s = {s}")
+    supp = a.support()
+    for s in range(1, s_max + 1):
+        head = sum((c * x.evaluate(t) for t, c in a.terms() if t <= s), F(0))
+        mass = sum((c for t, c in a.terms() if t <= s), F(0))
+        if head != x.evaluate(s) * mass:
+            raise ArithmeticError("internal inconsistency")
+    clear = max(supp + list(x.mod) + [0])
+    if s_max <= clear:
+        return passed(witness={"s_max": s_max},
+                      detail="hypothesis and identity verified; s_max does not "
+                             "clear the supports, conclusion not evaluated")
+    vanishing_pairing = base - x.const * _coeff_sum(a)
+    if vanishing_pairing != 0:
+        return failed(witness={"vanishing_part_pairing": vanishing_pairing},
+                      detail="conclusion failed although the hypothesis held; "
+                             "this should be unreachable")
+    return passed(witness={"s_max": s_max, "pairing": base,
+                           "vanishing_part_pairing": F(0)},
+                  detail="hypothesis, identity and vanishing conclusion all hold")
+
+
+@st.composite
+def _telescoping_inputs(draw):
+    if draw(st.booleans()):
+        # the shape that satisfies the hypothesis: x constant on [1, k]
+        k = draw(st.integers(2, 8))
+        c = F(draw(st.integers(-5, 5)))
+        a = (_d(1, draw(st.integers(-3, 3))) - _d(k, draw(st.integers(-3, 3)))
+             + _d(k + draw(st.integers(1, 4)), draw(st.integers(-3, 3))))
+        x = BoundedFunction.c0_plus_const({n: c for n in range(1, k + 1)},
+                                          F(draw(st.integers(-2, 2))))
+    else:
+        a = L1Vector(S, draw(st.lists(
+            st.tuples(st.integers(1, 15), st.integers(-4, 4).map(F)),
+            max_size=5)))
+        x = BoundedFunction.c0_plus_const(
+            draw(st.dictionaries(st.integers(1, 15),
+                                 st.fractions(-3, 3, max_denominator=4),
+                                 max_size=4)),
+            draw(st.fractions(-3, 3, max_denominator=4)))
+    return a, x, draw(st.integers(1, 24))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_telescoping_inputs())
+def test_telescoping_matches_resumming_oracle(inputs):
+    a, x, s_max = inputs
+    got = telescoping_check(a, x, s_max)
+    want = _telescoping_check_oracle(a, x, s_max)
+    assert (got.status, got.witness, got.detail) == (want.status, want.witness,
+                                                     want.detail)
+
+
+def test_telescoping_hypothesis_is_decided_by_the_convolution(monkeypatch):
+    # a convolution that moves the top coefficient one step up breaks the
+    # hypothesis of an input that passes: the literal product decides it
+    a = _d(1) - _d(2)
+    x = BoundedFunction.c0_plus_const({1: F(1), 2: F(1)}, F(0))
+    assert telescoping_check(a, x, 6).status == PASS
+
+    def moving(p, q):
+        out = convolve(p, q)
+        top = max(out.support())
+        c = out.coeff(top)
+        return out - L1Vector.delta(S, top, c) + L1Vector.delta(S, top + 1, c)
+
+    monkeypatch.setattr(wap, "convolve", moving)
+    v = telescoping_check(a, x, 6)
+    assert v.status == "FAIL"
+    assert "hypothesis" in v.detail
 
 
 # -- sharpness witness ---------------------------------------------------
