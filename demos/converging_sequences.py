@@ -38,8 +38,9 @@ print("\nrecovered limit:", found[0])
 # translating every term by a fixed (b, t) moves the limit the same way
 shift = (1 + args.seed % 2, 3)
 res = convergence_transfer(T, seq, shift, alpha_max=3)
-print("\nshift by", shift, "->", res.verdict.status)
-print("predicted limit of the unshifted sequence:", res.predicted_limit)
+print("\nshift by", shift, "->", res.status)
+print("predicted limit of the unshifted sequence:",
+      res.witness["predicted_limit"])
 print("shifted certificate revalidates:",
-      res.shifted_certificate.revalidate(
+      res.witness["shifted_certificate"].revalidate(
           T, [(p[0] + shift[0], p[1] + shift[1]) for p in seq]))

@@ -21,8 +21,8 @@ from .semigroups import (INF, CyclicGroup, FreeWords, IntegerGroup,
 from .jsonio import SuiteError
 from .suites import SUITES, run_suite
 from .topologies import (BasicNbhd, ConvergenceCertificate, DiscreteTopology,
-                         OnePointTopology, TopologyInstance, TransferResult,
-                         WeightSequence, base_inclusion, base_property_check,
+                         OnePointTopology, TopologyInstance, WeightSequence,
+                         base_inclusion, base_property_check,
                          check_convergence, convergence_transfer,
                          distinguish_topologies, find_limit, good_corr_check,
                          hausdorff_witness, mask_family, natural_to_odd_pair,

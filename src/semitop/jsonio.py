@@ -1,8 +1,8 @@
 """JSON serialization for every value the CLI reads or writes.
 
 Conventions: rationals travel as exact "p/q" strings; integers that can be
-astronomically large (weight values, instance descriptor parameters) travel
-as decimal strings, and every parser here accepts either a JSON number or
+astronomically large (weight values, semigroup elements) travel as
+decimal strings, and every parser here accepts either a JSON number or
 a decimal string (an optional sign and digits, of any length); small
 structural indices (mask entries, levels, map pairs) stay plain numbers.
 The adjoined infinity is the string "INF" and the absorbing matrix zero is
@@ -20,10 +20,7 @@ from fractions import Fraction
 from typing import Any
 
 from . import dyadic, topologies, wap
-from .semigroups import (INF, CyclicGroup, FreeWords, IntegerGroup,
-                         NatInfinity, NatMax, NatMul, PartialMap, PartialMaps,
-                         ReesElement, ReesMatrix, SemigroupInstance, ZPlusK,
-                         ZPlusTimesZ)
+from .semigroups import INF, PartialMap, ReesElement
 from .l1 import BoundedFunction, L1Vector
 from .topologies import MAX_INDEX_BOUND
 from .verdicts import Verdict
@@ -144,72 +141,7 @@ def read_params(params: dict, keys: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# groups and instances
-
-
-def group_to_json(g: Any) -> dict:
-    if isinstance(g, CyclicGroup):
-        return {"kind": "cyclic", "modulus": int_to_str(g.modulus)}
-    if isinstance(g, IntegerGroup):
-        return {"kind": "Z"}
-    raise TypeError(f"unknown group {g!r}")
-
-
-def instance_to_json(S: SemigroupInstance) -> dict:
-    if isinstance(S, ZPlusK):
-        return {"kind": "zplus_k", "k": int_to_str(S.k)}
-    if isinstance(S, FreeWords):
-        return {"kind": "free", "alphabet": S.alphabet}
-    if isinstance(S, NatMul):
-        return {"kind": "nat_mul"}
-    if isinstance(S, NatMax):
-        return {"kind": "nat_max"}
-    if isinstance(S, NatInfinity):
-        return {"kind": "nat_infty"}
-    if isinstance(S, ZPlusTimesZ):
-        return {"kind": "zplus_times_z"}
-    if isinstance(S, ReesMatrix):
-        return {"kind": "rees", "group": group_to_json(S.group),
-                "I": int_to_str(S.n_rows), "J": int_to_str(S.n_cols),
-                "P": [[S.group.show(e) for e in row] for row in S.sandwich]}
-    if isinstance(S, PartialMaps):
-        return {"kind": "partial_maps"}
-    raise TypeError(f"unknown instance {S!r}")
-
-
-# ---------------------------------------------------------------------------
-# elements
-
-
-def partial_map_to_json(f: PartialMap) -> dict:
-    return {"pairs": [[n, v] for n, v in f.pairs]}
-
-
-def element_to_json(S: SemigroupInstance, e: Any) -> Any:
-    if isinstance(S, (ZPlusK, ZPlusTimesZ)):
-        return [int(c) for c in e]
-    if isinstance(S, FreeWords):
-        return e
-    if isinstance(S, (NatMul, NatMax)):
-        return int(e)
-    if isinstance(S, NatInfinity):
-        return "INF" if e is INF else int(e)
-    if isinstance(S, ReesMatrix):
-        if e.is_zero:
-            return "0"
-        return {"entry": S.group.show(e.entry), "row": e.row, "col": e.col}
-    if isinstance(S, PartialMaps):
-        return partial_map_to_json(e)
-    raise TypeError(f"no element serialization for {S!r}")
-
-
-# ---------------------------------------------------------------------------
-# vectors and bounded functions
-
-
-def l1vector_to_json(a: L1Vector) -> dict:
-    return {"terms": [{"elem": element_to_json(a.instance, e),
-                       "coeff": frac_to_str(c)} for e, c in a.terms()]}
+# bounded functions
 
 
 def bounded_function_to_json(f: BoundedFunction) -> dict:
@@ -321,18 +253,17 @@ def to_jsonable(obj: Any) -> Any:
     if isinstance(obj, topologies.ConvergenceCertificate):
         return certificate_to_json(obj)
     if isinstance(obj, PartialMap):
-        return partial_map_to_json(obj)
+        return {"pairs": [[n, v] for n, v in obj.pairs]}
     if isinstance(obj, ReesElement):
         return "0" if obj.is_zero else {"entry": repr(obj.entry),
                                         "row": obj.row, "col": obj.col}
     if isinstance(obj, L1Vector):
-        return l1vector_to_json(obj)
+        return {"terms": [{"elem": to_jsonable(e), "coeff": frac_to_str(c)}
+                          for e, c in obj.terms()]}
     if isinstance(obj, BoundedFunction):
         return bounded_function_to_json(obj)
     if isinstance(obj, dyadic.DyadicPoint):
         return dyadic_point_to_json(obj)
-    if isinstance(obj, SemigroupInstance):
-        return instance_to_json(obj)
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple, set, frozenset)):

@@ -135,7 +135,7 @@ def convolve(a: L1Vector, b: L1Vector) -> L1Vector:
     out: dict = {}
     for s, cs in a._coeffs.items():
         for t, ct in b._coeffs.items():
-            st = S.product(s, t)
+            st = S.op(s, t)
             prev = out.get(st)
             out[st] = cs * ct if prev is None else prev + cs * ct
     return L1Vector._trusted(S, out)
@@ -153,8 +153,8 @@ class ProductInstance(SemigroupInstance):
     def key(self) -> str:
         return f"({self.left.key})x({self.right.key})"
 
-    def product(self, x, y):
-        return (self.left.product(x[0], y[0]), self.right.product(x[1], y[1]))
+    def op(self, x, y):
+        return (self.left.op(x[0], y[0]), self.right.op(x[1], y[1]))
 
     def validate(self, x):
         if not (isinstance(x, tuple) and len(x) == 2):

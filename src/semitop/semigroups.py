@@ -15,6 +15,7 @@ level of the structures that carry an instance tag (vectors, checkers);
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations, count, islice, permutations, product as iproduct
 from typing import Any, Iterable, Iterator, Optional
@@ -57,9 +58,6 @@ class CyclicGroup:
     def elements(self) -> Iterator[int]:
         return iter(range(self.modulus))
 
-    def show(self, x: int) -> str:
-        return str(x)
-
 
 class IntegerGroup:
     name = "Z"
@@ -77,9 +75,6 @@ class IntegerGroup:
         for n in count(1):
             yield n
             yield -n
-
-    def show(self, x: int) -> str:
-        return str(x)
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +185,13 @@ class PartialMap:
 
 
 class SemigroupInstance:
-    """Base for concrete instances; subclasses fix law and enumeration."""
+    """Base for concrete instances; subclasses fix law and enumeration.
+
+    ``product`` is the one place where operands are checked: it validates
+    both, then applies ``op``, the bare law.  Code whose operands are
+    elements by construction (window members, generators, the support of
+    a validated vector) calls ``op`` directly.
+    """
 
     name = "abstract"
     has_zero: Any = None          # absorbing element, when one exists
@@ -202,6 +203,11 @@ class SemigroupInstance:
         return self.name
 
     def product(self, x: Any, y: Any) -> Any:
+        self.validate(x)
+        self.validate(y)
+        return self.op(x, y)
+
+    def op(self, x: Any, y: Any) -> Any:
         raise NotImplementedError
 
     def validate(self, x: Any) -> None:
@@ -241,9 +247,7 @@ class ZPlusK(SemigroupInstance):
             tuple(1 if i == j else 0 for i in range(k)) for j in range(k)
         )
 
-    def product(self, x, y):
-        self.validate(x)
-        self.validate(y)
+    def op(self, x, y):
         return tuple(a + b for a, b in zip(x, y))
 
     def validate(self, x):
@@ -266,9 +270,7 @@ class FreeWords(SemigroupInstance):
         self.name = f"free_{alphabet}"
         self.generators = tuple(alphabet)
 
-    def product(self, x, y):
-        self.validate(x)
-        self.validate(y)
+    def op(self, x, y):
         return x + y
 
     def validate(self, x):
@@ -281,40 +283,33 @@ class FreeWords(SemigroupInstance):
                 yield "".join(letters)
 
 
-class NatMul(SemigroupInstance):
+class _PositiveIntegers(SemigroupInstance):
+    """The positive integers in their natural order; subclasses fix the law."""
+
+    def validate(self, x):
+        if not isinstance(x, int) or isinstance(x, bool) or x < 1:
+            raise TypeError(f"{x!r} is not a positive integer")
+
+    def elements(self):
+        return count(1)
+
+
+class NatMul(_PositiveIntegers):
     """Positive integers under multiplication."""
 
     name = "nat_mul"
 
-    def product(self, x, y):
-        self.validate(x)
-        self.validate(y)
+    def op(self, x, y):
         return x * y
 
-    def validate(self, x):
-        if not isinstance(x, int) or isinstance(x, bool) or x < 1:
-            raise TypeError(f"{x!r} is not a positive integer")
 
-    def elements(self):
-        return count(1)
-
-
-class NatMax(SemigroupInstance):
+class NatMax(_PositiveIntegers):
     """Positive integers under the maximum operation."""
 
     name = "nat_max"
 
-    def product(self, x, y):
-        self.validate(x)
-        self.validate(y)
+    def op(self, x, y):
         return max(x, y)
-
-    def validate(self, x):
-        if not isinstance(x, int) or isinstance(x, bool) or x < 1:
-            raise TypeError(f"{x!r} is not a positive integer")
-
-    def elements(self):
-        return count(1)
 
 
 class NatInfinity(SemigroupInstance):
@@ -323,9 +318,7 @@ class NatInfinity(SemigroupInstance):
     name = "nat_infty"
     has_zero = INF
 
-    def product(self, x, y):
-        self.validate(x)
-        self.validate(y)
+    def op(self, x, y):
         if x is INF or y is INF:
             return INF
         return x + y
@@ -346,9 +339,7 @@ class ZPlusTimesZ(SemigroupInstance):
 
     name = "zplus_times_z"
 
-    def product(self, x, y):
-        self.validate(x)
-        self.validate(y)
+    def op(self, x, y):
         return (x[0] + y[0], x[1] + y[1])
 
     def validate(self, x):
@@ -398,9 +389,7 @@ class ReesMatrix(SemigroupInstance):
     def key(self) -> str:
         return f"{self.name}|P={self.sandwich!r}"
 
-    def product(self, x, y):
-        self.validate(x)
-        self.validate(y)
+    def op(self, x, y):
         if x.is_zero or y.is_zero:
             return REES_ZERO
         mid = self.sandwich[x.col - 1][y.row - 1]
@@ -430,9 +419,7 @@ class PartialMaps(SemigroupInstance):
     name = "partial_maps"
     has_zero = PartialMap()
 
-    def product(self, x, y):
-        self.validate(x)
-        self.validate(y)
+    def op(self, x, y):
         return x.compose(y)
 
     def validate(self, x):
@@ -463,12 +450,12 @@ def associativity_window(S: SemigroupInstance, rank: int) -> Verdict:
     right = {}
     for y in win:
         for z in win:
-            right[(y, z)] = S.product(y, z)
+            right[(y, z)] = S.op(y, z)
     for x in win:
         for y in win:
-            xy = S.product(x, y)
+            xy = S.op(x, y)
             for z in win:
-                if S.product(xy, z) != S.product(x, right[(y, z)]):
+                if S.op(xy, z) != S.op(x, right[(y, z)]):
                     return failed(witness=(x, y, z), detail="associativity broke")
     return passed(detail=f"associative on window of rank {len(win)}")
 
@@ -480,12 +467,12 @@ def is_cancellative_window(S: SemigroupInstance, window_rank: int) -> Verdict:
         seen_left: dict = {}
         seen_right: dict = {}
         for t in win:
-            v = S.product(s, t)
+            v = S.op(s, t)
             if v in seen_left and seen_left[v] != t:
                 return failed(witness={"side": "left", "translate_by": s,
                                        "first": seen_left[v], "second": t, "value": v})
             seen_left[v] = t
-            w = S.product(t, s)
+            w = S.op(t, s)
             if w in seen_right and seen_right[w] != t:
                 return failed(witness={"side": "right", "translate_by": s,
                                        "first": seen_right[w], "second": t, "value": w})
@@ -494,11 +481,13 @@ def is_cancellative_window(S: SemigroupInstance, window_rank: int) -> Verdict:
 
 
 def _preimage_map(S: SemigroupInstance, win: list, side: str) -> dict:
+    """(rank of s, v) -> the ranks of the t in the window with s*t = v
+    (left) or t*s = v (right), in increasing order."""
     pre: dict = {}
-    for s in win:
-        for t in win:
-            v = S.product(s, t) if side == "left" else S.product(t, s)
-            pre.setdefault((s, v), []).append(t)
+    for i, s in enumerate(win):
+        for j, t in enumerate(win):
+            v = S.op(s, t) if side == "left" else S.op(t, s)
+            pre.setdefault((i, v), []).append(j)
     return pre
 
 
@@ -510,22 +499,27 @@ def is_weakly_cancellative_window(S: SemigroupInstance, window_rank: int) -> Ver
     and reaches max(4, rank / 4) is reported as a failure witness (at most
     10).  Preimage sets that are merely large but stable (for example the
     lower set of s under the max operation) do not fail.
+
+    The half window is a prefix of the full one, so one map over the full
+    window gives both counts: the half-window count is the number of
+    preimages of rank below r1, and the half window's own map holds the
+    keys whose translator has rank below r1 and whose count is positive,
+    in the same order.
     """
     r2 = window_rank
     r1 = max(1, window_rank // 2)
     growth_threshold = max(4, r2 // 4)
-    win1 = S.window(r1)
-    win2 = S.window(r2)
+    win = S.window(r2)
     witnesses = []
     for side in ("left", "right"):
-        pre1 = _preimage_map(S, win1, side)
-        pre2 = _preimage_map(S, win2, side)
-        for key, small in pre1.items():
-            big = pre2.get(key, [])
-            if len(big) > len(small) and len(big) >= growth_threshold:
-                s, target = key
-                witnesses.append({"side": side, "translate_by": s, "target": target,
-                                  "preimages": big, "counts": (len(small), len(big)),
+        for (i, target), ranks in _preimage_map(S, win, side).items():
+            small = bisect_left(ranks, r1)
+            if (i < r1 and 0 < small < len(ranks)
+                    and len(ranks) >= growth_threshold):
+                witnesses.append({"side": side, "translate_by": win[i],
+                                  "target": target,
+                                  "preimages": [win[j] for j in ranks],
+                                  "counts": (small, len(ranks)),
                                   "window_ranks": (r1, r2)})
                 if len(witnesses) >= 10:
                     break
@@ -556,7 +550,7 @@ def is_finitely_left_divisible_window(S: SemigroupInstance, s: Any,
     divisors: list = []
     for r in checkpoints:
         win = S.window(r)
-        divisors = [t for t in win if any(S.product(t, rr) == s for rr in win)]
+        divisors = [t for t in win if any(S.op(t, rr) == s for rr in win)]
         counts[r] = len(divisors)
     ordered = [counts[r] for r in checkpoints]
     growing = len(ordered) >= 2 and ordered[-1] > ordered[-2]
@@ -586,7 +580,7 @@ def length(S: SemigroupInstance, x: Any) -> int:
         nxt = set()
         for y in frontier:
             for c in S.generators:
-                z = S.product(y, c)
+                z = S.op(y, c)
                 if z not in seen:
                     nxt.add(z)
         n += 1

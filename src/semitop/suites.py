@@ -229,20 +229,20 @@ def _suite_gen_con_two(p: dict, seed: int) -> list:
             shifted_limit = (c + shift[0], T.s_op(v, shift[1])) if explicit else None
             res = topologies.convergence_transfer(
                 T, terms, shift, alpha_max, shifted_limit=shifted_limit)
-            if res.verdict.status != PASS:
-                return _relay(res.verdict, case=i, shift=shift)
-            if res.predicted_limit != (c, v):
+            if not res:
+                return _relay(res, case=i, shift=shift)
+            w = res.witness
+            if w["predicted_limit"] != (c, v):
                 return failed(witness={"case": i,
-                                       "predicted": res.predicted_limit,
+                                       "predicted": w["predicted_limit"],
                                        "constructed": (c, v)})
             shifted = [(p[0] + shift[0], T.s_op(p[1], shift[1])) for p in terms]
-            if not (res.certificate.revalidate(T, terms)
-                    and res.shifted_certificate.revalidate(T, shifted)):
+            if not (w["certificate"].revalidate(T, terms)
+                    and w["shifted_certificate"].revalidate(T, shifted)):
                 return failed(witness={"case": i},
                               detail="certificate failed to revalidate")
-            if res.division_data is not None and res.division_data.status == FAIL:
-                return failed(witness={"case": i,
-                                       "division": res.division_data})
+            if w["division"].status == FAIL:
+                return failed(witness={"case": i, "division": w["division"]})
             revalidated += 1
         return passed(witness={"cases": cases, "revalidated": revalidated})
 

@@ -701,19 +701,9 @@ def find_limit(T: TopologyInstance, sequence: Sequence, alpha_max: int):
     return None
 
 
-@dataclass
-class TransferResult:
-    verdict: Verdict
-    predicted_limit: Optional[tuple] = None
-    certificate: Optional[ConvergenceCertificate] = None
-    shifted_limit: Optional[tuple] = None
-    shifted_certificate: Optional[ConvergenceCertificate] = None
-    division_data: Optional[Verdict] = None
-
-
 def convergence_transfer(T: TopologyInstance, sequence: Sequence, shift: tuple,
                          alpha_max: int,
-                         shifted_limit: Optional[tuple] = None) -> TransferResult:
+                         shifted_limit: Optional[tuple] = None) -> Verdict[dict]:
     """Convergence of a sequence inferred from convergence of its shift.
 
     The shifted sequence (terms combined with `shift`) is certified to its
@@ -721,48 +711,46 @@ def convergence_transfer(T: TopologyInstance, sequence: Sequence, shift: tuple,
     shift back out, and must land inside Z_+ x S, which is where the
     division condition on the base enters.  The original prefix is then
     certified to the predicted limit directly.
+
+    The witness dict carries whichever of "predicted_limit", "certificate",
+    "shifted_limit", "shifted_certificate" and "division" (the star-star
+    verdict at the shift) the function reached; when the shifted sequence
+    fails to certify, the witness is that failure's own.
     """
     if T.base == "zplus":
-        return TransferResult(not_applicable(
-            "no division data is claimed for the zplus base"))
+        return not_applicable("no division data is claimed for the zplus base")
     a, s = T.require_point(shift)
     shifted = [(p[0] + a, T.s_op(p[1], s)) for p in map(T.require_point, sequence)]
     if shifted_limit is None:
         got = find_limit(T, shifted, alpha_max)
         if got is None:
-            return TransferResult(undetermined(
-                "no limit of the shifted sequence found at this horizon"))
+            return undetermined(
+                "no limit of the shifted sequence found at this horizon")
         shifted_limit, shifted_cert = got
     else:
         res = check_convergence(T, shifted, shifted_limit, alpha_max)
         if not res:
-            return TransferResult(
-                Verdict(res.status, res.witness,
-                        "shifted sequence failed to certify: " + res.detail))
+            return Verdict(res.status, res.witness,
+                           "shifted sequence failed to certify: " + res.detail)
         shifted_cert = res.witness
     b, t = shifted_limit
     back = T.g_diff(t, s)
     back_int = _as_int(back)
-    division = verify_star_star(T, s)
+    reached = {"shifted_limit": shifted_limit,
+               "shifted_certificate": shifted_cert,
+               "division": verify_star_star(T, s)}
     if b - a < 0 or back_int is None or not T.in_S(back_int):
-        return TransferResult(
-            failed(witness={"shifted_limit": shifted_limit, "shift": shift},
-                   detail="predicted limit leaves Z+ x S"),
-            shifted_limit=shifted_limit, shifted_certificate=shifted_cert,
-            division_data=division)
+        return failed(witness={"shift": shift, **reached},
+                      detail="predicted limit leaves Z+ x S")
     predicted = (b - a, back_int)
     res = check_convergence(T, sequence, predicted, alpha_max)
     if not res:
-        return TransferResult(
-            Verdict(res.status, res.witness,
-                    "original sequence failed to certify: " + res.detail),
-            predicted_limit=predicted, shifted_limit=shifted_limit,
-            shifted_certificate=shifted_cert, division_data=division)
-    return TransferResult(passed(witness={"predicted_limit": predicted}),
-                          predicted_limit=predicted, certificate=res.witness,
-                          shifted_limit=shifted_limit,
-                          shifted_certificate=shifted_cert,
-                          division_data=division)
+        return Verdict(res.status,
+                       {**(res.witness or {}), "predicted_limit": predicted,
+                        **reached},
+                       "original sequence failed to certify: " + res.detail)
+    return passed(witness={"predicted_limit": predicted,
+                           "certificate": res.witness, **reached})
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,9 @@ from semitop import jsonio
 from semitop.dyadic import DyadicPoint
 from semitop.jsonio import SuiteError
 from semitop.l1 import BoundedFunction, L1Vector
-from semitop.semigroups import (INF, REES_ZERO, CyclicGroup, FreeWords,
-                                NatInfinity, NatMax, NatMul, PartialMap,
-                                PartialMaps, ReesElement, ReesMatrix, ZPlusK,
-                                ZPlusTimesZ)
+from semitop.semigroups import (INF, REES_ZERO, CyclicGroup, NatInfinity,
+                                NatMax, PartialMap, PartialMaps, ReesElement,
+                                ReesMatrix, ZPlusTimesZ)
 from semitop.topologies import (BasicNbhd, TopologyInstance, WeightSequence,
                                 check_convergence)
 from semitop.verdicts import passed
@@ -97,24 +96,6 @@ def test_read_int_reads_in_range_or_raises_usage_error(j, lo, width):
     assert v == (j if isinstance(j, int) else int(j))
 
 
-@pytest.mark.parametrize("S,doc", [
-    (ZPlusK(2), {"kind": "zplus_k", "k": "2"}),
-    (FreeWords("ab"), {"kind": "free", "alphabet": "ab"}),
-    (NatMul(), {"kind": "nat_mul"}),
-    (NatMax(), {"kind": "nat_max"}),
-    (NatInfinity(), {"kind": "nat_infty"}),
-    (ZPlusTimesZ(), {"kind": "zplus_times_z"}),
-    (PartialMaps(), {"kind": "partial_maps"}),
-    (ReesMatrix(CyclicGroup(3), 2, 2, [[1, 2], [0, 1]]),
-     {"kind": "rees", "group": {"kind": "cyclic", "modulus": "3"},
-      "I": "2", "J": "2", "P": [["1", "2"], ["0", "1"]]}),
-], ids=[f"doc{i}" for i in range(8)])
-def test_instance_round_trip(S, doc):
-    assert jsonio.instance_to_json(S) == doc
-    # and the result is JSON in the first place
-    json.dumps(doc)
-
-
 @pytest.mark.parametrize("S,elem,doc", [
     (ZPlusTimesZ(), (0, 3), [0, 3]),
     (NatMax(), 6, 6),
@@ -126,13 +107,14 @@ def test_instance_round_trip(S, doc):
     (PartialMaps(), PartialMap([(1, 2)]), {"pairs": [[1, 2]]}),
 ])
 def test_element_round_trip(S, elem, doc):
-    assert jsonio.element_to_json(S, elem) == doc
+    S.validate(elem)
+    assert jsonio.to_jsonable(elem) == doc
 
 
 def test_l1vector_round_trip():
     S = NatMax()
     a = L1Vector(S, [(2, F(1, 3)), (10, F(-4))])
-    doc = jsonio.l1vector_to_json(a)
+    doc = jsonio.to_jsonable(a)
     assert doc == {"terms": [{"elem": 10, "coeff": "-4"},
                              {"elem": 2, "coeff": "1/3"}]}
 

@@ -180,3 +180,99 @@ def test_compose_matches_validated_construction(a, b):
     assert hash(ab) == hash(oracle)
     assert ab == oracle
     assert all(ab(n) == a(b(n)) for n in range(12))
+
+
+# -- the validation boundary: product checks, op is the bare law ----------
+
+# every instance a suite builds, with one malformed operand for each
+SUITE_INSTANCES = [
+    (ZPlusK(2), (1,)),
+    (ZPlusK(3), (0, -1, 0)),
+    (FreeWords("ab"), ""),
+    (NatMul(), 0),
+    (NatMax(), True),
+    (NatInfinity(), 0),
+    (ZPlusTimesZ(), (-1, 0)),
+    (PartialMaps(), {1: 2}),
+    (ReesMatrix(CyclicGroup(3), 2, 2, [[1, 2], [0, 1]]), ReesElement(3, 1, 1)),
+    (ReesMatrix(IntegerGroup(), 100, 1, [[0] * 100]), ReesElement(0, 1, 2)),
+]
+
+
+@pytest.mark.parametrize("S", [S for S, _ in SUITE_INSTANCES], ids=repr)
+def test_window_elements_validate(S):
+    # the premise that lets the window checks call op: a window holds
+    # elements only (500 is the largest rank a suite parameter allows)
+    for x in S.window(500):
+        S.validate(x)
+
+
+@pytest.mark.parametrize("S,bad", SUITE_INSTANCES,
+                         ids=[repr(S) for S, _ in SUITE_INSTANCES])
+def test_product_rejects_a_malformed_operand(S, bad):
+    good = S.window(2)[-1]
+    with pytest.raises(TypeError):
+        S.product(bad, good)
+    with pytest.raises(TypeError):
+        S.product(good, bad)
+
+
+def _weakly_cancellative_two_maps(S, window_rank):
+    """The former implementation: separate preimage maps of the half and
+    the full window, kept as the oracle of the one-map version."""
+    def preimage_map(win, side):
+        pre = {}
+        for s in win:
+            for t in win:
+                v = S.product(s, t) if side == "left" else S.product(t, s)
+                pre.setdefault((s, v), []).append(t)
+        return pre
+
+    r2 = window_rank
+    r1 = max(1, window_rank // 2)
+    growth_threshold = max(4, r2 // 4)
+    win1 = S.window(r1)
+    win2 = S.window(r2)
+    witnesses = []
+    for side in ("left", "right"):
+        pre1 = preimage_map(win1, side)
+        pre2 = preimage_map(win2, side)
+        for key, small in pre1.items():
+            big = pre2.get(key, [])
+            if len(big) > len(small) and len(big) >= growth_threshold:
+                s, target = key
+                witnesses.append({"side": side, "translate_by": s, "target": target,
+                                  "preimages": big, "counts": (len(small), len(big)),
+                                  "window_ranks": (r1, r2)})
+                if len(witnesses) >= 10:
+                    break
+        if len(witnesses) >= 10:
+            break
+    return (FAIL, witnesses) if witnesses else (PASS, None)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([NatMax(), NatInfinity(), ZPlusTimesZ(), PartialMaps(),
+                        ReesMatrix(CyclicGroup(3), 2, 2, [[1, 2], [0, 1]])]),
+       st.integers(2, 60))
+def test_weak_cancellativity_matches_two_map_oracle(S, rank):
+    v = is_weakly_cancellative_window(S, rank)
+    assert (v.status, v.witness) == _weakly_cancellative_two_maps(S, rank)
+
+
+def test_weak_cancellativity_calls_op_only():
+    S = NatMax()
+    calls = {"op": 0, "validate": 0}
+    op, validate = S.op, S.validate
+
+    def counted_op(x, y):
+        calls["op"] += 1
+        return op(x, y)
+
+    def counted_validate(x):
+        calls["validate"] += 1
+        return validate(x)
+
+    S.op, S.validate = counted_op, counted_validate
+    assert is_weakly_cancellative_window(S, 200).status == PASS
+    assert calls == {"op": 2 * 200 ** 2, "validate": 0}

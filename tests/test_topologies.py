@@ -533,12 +533,12 @@ def test_convergence_transfer_z():
     seq = seq_to_limit(T, 2, 4, start=2)
     shift = (1, 16)
     res = convergence_transfer(T, seq, shift, 3)
-    assert res.verdict.status == PASS
-    assert res.predicted_limit == (2, 4)
-    assert res.certificate.revalidate(T, seq)
+    assert res.status == PASS
+    assert res.witness["predicted_limit"] == (2, 4)
+    assert res.witness["certificate"].revalidate(T, seq)
     shifted = [(p[0] + 1, p[1] + 16) for p in seq]
-    assert res.shifted_certificate.revalidate(T, shifted)
-    assert res.division_data.status == PASS
+    assert res.witness["shifted_certificate"].revalidate(T, shifted)
+    assert res.witness["division"].status == PASS
 
 
 def test_convergence_transfer_odd_instance():
@@ -546,14 +546,14 @@ def test_convergence_transfer_odd_instance():
     seq = seq_to_limit(T, 1, 1, start=1)
     res = convergence_transfer(T, seq, (0, 3), 3,
                                shifted_limit=(1, 3))
-    assert res.verdict.status == PASS
-    assert res.predicted_limit == (1, 1)
+    assert res.status == PASS
+    assert res.witness["predicted_limit"] == (1, 1)
 
 
 def test_convergence_transfer_zplus_not_applicable():
     T = TopologyInstance("zplus", WeightSequence.double_exp(4))
     res = convergence_transfer(T, [(0, 4)], (0, 0), 2)
-    assert res.verdict.status == NOT_APPLICABLE
+    assert res.status == NOT_APPLICABLE
 
 
 # -- the two conditions on the weights ----------------------------------
