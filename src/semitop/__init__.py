@@ -28,8 +28,8 @@ from .topologies import (BasicNbhd, ConvergenceCertificate, DiscreteTopology,
                          hausdorff_witness, mask_family, natural_to_odd_pair,
                          odd_pair_to_natural, separate_continuity_identity,
                          verify_star, verify_star_star)
-from .verdicts import (HorizonExceeded, NotReachable, Verdict, failed,
-                       not_applicable, passed, undetermined)
+from .verdicts import (HorizonExceeded, Verdict, failed, not_applicable,
+                       passed, undetermined)
 from .wap import (LimitFunctional, SharpnessWitness, arens_box, arens_diamond,
                   counterexample_x, eval_limit, indicator_of_evens,
                   random_c0_plus_const, subsequence_pair_family,

@@ -11,8 +11,9 @@ Exit codes follow the status of the one `Verdict` type: 0 when everything
 determined passed, 1 when any determined failure (or a negative answer to
 a query) is present, 2 when something was left undetermined at the given
 horizon, 3 for usage errors such as an unknown suite or key, malformed
-JSON, a parameter that is not an integer in its declared range, or an
-``--out`` path that cannot be written.
+JSON, a parameter that is not an integer in its declared range, a point
+or sequence term that is not a point of Z+ x S for the topology's base, or
+an ``--out`` path that cannot be written.
 """
 
 from __future__ import annotations

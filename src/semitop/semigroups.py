@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import combinations, count, islice, permutations, product as iproduct
 from typing import Any, Iterable, Iterator, Optional
 
-from .verdicts import NotReachable, Verdict, failed, passed
+from .verdicts import Verdict, failed, passed, undetermined
 
 
 class _Infinity:
@@ -561,19 +561,19 @@ def is_finitely_left_divisible_window(S: SemigroupInstance, s: Any,
                   detail=f"divisor count stable at {ordered[-1]} across checkpoints")
 
 
-def length(S: SemigroupInstance, x: Any) -> int:
+def length(S: SemigroupInstance, x: Any) -> Verdict[int]:
     """Least number of generators whose product is x, by breadth-first search.
 
-    Raises NotReachable when the search closes or hits length 24 without
-    reaching x; an identity-free instance never reaches its neutral-looking
-    elements, which is reported rather than looped on.
+    PASS carries the length as witness.  FAIL means the search closed
+    without reaching x; UNDETERMINED means it hit length 24 first, as it
+    does for the neutral-looking elements of an identity-free instance.
     """
     if S.generators is None:
         raise ValueError(f"{S.name} does not declare a finite generator set")
     S.validate(x)
     frontier = set(S.generators)
     if x in frontier:
-        return 1
+        return passed(1)
     seen = set(frontier)
     n = 1
     while n < 24:
@@ -585,10 +585,10 @@ def length(S: SemigroupInstance, x: Any) -> int:
                     nxt.add(z)
         n += 1
         if x in nxt:
-            return n
+            return passed(n)
         if not nxt:
-            raise NotReachable(
-                f"{x!r} is not a product of generators (search closed at length {n - 1})")
+            return failed(detail=f"{x!r} is not a product of generators "
+                                 f"(search closed at length {n - 1})")
         seen |= nxt
         frontier = nxt
-    raise NotReachable(f"{x!r} not reached by products of <= 24 generators")
+    return undetermined(f"{x!r} not reached by products of <= 24 generators")

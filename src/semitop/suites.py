@@ -24,8 +24,8 @@ from .semigroups import (INF, CyclicGroup, FreeWords, IntegerGroup, NatInfinity,
                          is_finitely_left_divisible_window,
                          is_weakly_cancellative_window, length)
 from .verdicts import (DISTINCT, FAIL, FOUND, NOT_APPLICABLE, NOT_WAP, PASS,
-                       UNDETERMINED, VACUOUS, WAP_CONSISTENT, NotReachable,
-                       Verdict, failed, passed)
+                       UNDETERMINED, VACUOUS, WAP_CONSISTENT, Verdict, failed,
+                       passed)
 from .wap import (LimitFunctional, arens_box, arens_diamond, counterexample_x,
                   indicator_of_evens, random_c0_plus_const,
                   subsequence_pair_family, telescoping_check, wap_test)
@@ -87,7 +87,7 @@ def _suite_lemma_technical(p: dict, seed: int) -> list:
                 nbhd = topologies.BasicNbhd(a, 0, alpha)
                 space = dyadic.XSpace(a, alpha, max_exp)
                 image = {dyadic.psi(point, nbhd, T)
-                         for point, _ in T.basic_points(nbhd)}
+                         for point in T.basic_points(nbhd)}
                 expected = set(space.points())
                 if image != expected or len(image) != space.expected_count():
                     return failed(witness={
@@ -279,11 +279,11 @@ def _suite_star_condition(p: dict, seed: int) -> list:
 
     def star_double():
         return topologies.verify_star(
-            topologies.WeightSequence.double_exp(de_bound), max_multiplicity=2)
+            topologies.WeightSequence.double_exp(de_bound))
 
     def star_odd():
         return topologies.verify_star(
-            topologies.WeightSequence.odd_primes(op_bound), max_multiplicity=1)
+            topologies.WeightSequence.odd_primes(op_bound))
 
     def star_negative():
         inner = topologies.verify_star(
@@ -769,17 +769,14 @@ def _suite_structural(p: dict, seed: int) -> list:
         for S, formula in ((zp2, sum), (free, len)):
             for x in S.window(rank):
                 expected = formula(x)
-                if expected == 0:
-                    try:
-                        length(S, x)
-                    except NotReachable:
-                        continue
-                    return failed(witness={"instance": S.name, "x": x},
-                                  detail="neutral element reported reachable")
                 got = length(S, x)
-                if got != expected:
+                if expected == 0:
+                    if got:
+                        return failed(witness={"instance": S.name, "x": x},
+                                      detail="neutral element reported reachable")
+                elif got.witness != expected:
                     return failed(witness={"instance": S.name, "x": x,
-                                           "got": got, "want": expected})
+                                           "got": got.witness, "want": expected})
         return passed(witness={"window_rank": rank},
                       detail="search lengths equal the closed forms")
 

@@ -154,7 +154,6 @@ class TopologyInstance:
         self._two_sided_cache: dict = {}
         self._subset_sums: dict = {}
         self._basic_points: dict = {}
-        self._basic_point_maps: dict = {}
 
     def __repr__(self) -> str:
         return f"TopologyInstance({self.base}, {self.weights!r}, mask={list(self.mask)})"
@@ -195,18 +194,25 @@ class TopologyInstance:
             total = total * w if self.multiplicative else total + w
         return total
 
-    def valid_point(self, point: Any) -> bool:
-        if not (isinstance(point, tuple) and len(point) == 2):
-            return False
-        x, u = point
-        if not isinstance(x, int) or isinstance(x, bool) or x < 0:
-            return False
-        return self.in_S(u)
-
     def require_point(self, point: Any) -> tuple:
-        if not self.valid_point(point):
-            raise TypeError(f"{point!r} is not a point of Z+ x S for base {self.base}")
-        return (point[0], _as_int(point[1]))
+        """``point`` as (x, u) with integer u; TypeError unless it is a
+        point of Z+ x S."""
+        if isinstance(point, tuple) and len(point) == 2:
+            x, u = point
+            if (isinstance(x, int) and not isinstance(x, bool) and x >= 0
+                    and self.in_S(u)):
+                return (x, _as_int(u))
+        raise TypeError(f"{point!r} is not a point of Z+ x S for base {self.base}")
+
+    def unshift(self, u: int, t: int) -> Optional[int]:
+        """The v in S with v combined with t equal to u, or None."""
+        if self.multiplicative:
+            v, r = divmod(u, t)
+            if r:
+                return None
+        else:
+            v = u - t
+        return v if self.in_S(v) else None
 
     # -- representations ----------------------------------------------
 
@@ -304,8 +310,6 @@ class TopologyInstance:
         UNDETERMINED at the index bound."""
         if not self.in_S(nbhd.s):
             raise TypeError(f"neighborhood center {nbhd.s!r} is outside S")
-        if not self.valid_point(point):
-            return failed(detail="not a point of Z+ x S")
         x, u = self.require_point(point)
         k = nbhd.a - x
         if k < 0 or k > nbhd.a:
@@ -319,8 +323,6 @@ class TopologyInstance:
 
     def member_bruteforce(self, nbhd: BasicNbhd, point: Any) -> Verdict[tuple]:
         """Oracle membership by exhaustive subset enumeration."""
-        if not self.valid_point(point):
-            return failed(detail="not a point of Z+ x S")
         x, u = self.require_point(point)
         k = nbhd.a - x
         if k < 0 or k > nbhd.a:
@@ -332,22 +334,15 @@ class TopologyInstance:
                 return passed(combo)
         return failed()
 
-    def basic_points(self, nbhd: BasicNbhd) -> tuple:
+    def basic_points(self, nbhd: BasicNbhd) -> dict:
         """All members whose representation stays within the index bound,
-        as (point, indices) pairs, in `combinations` order of the indices."""
+        memoised as {point: indices}: points in `combinations` order of
+        their first representation, each keyed to its last."""
         out = self._basic_points.get(nbhd)
         if out is None:
-            out = self._basic_points[nbhd] = tuple(
-                ((nbhd.a - len(combo), self.s_op(nbhd.s, total)), combo)
-                for combo, total in self._subset_sum_table(nbhd.alpha, nbhd.a))
-        return out
-
-    def basic_point_map(self, nbhd: BasicNbhd) -> dict:
-        """``dict(basic_points(nbhd))``, memoised: each point keyed to the
-        indices of its last representation in `basic_points` order."""
-        out = self._basic_point_maps.get(nbhd)
-        if out is None:
-            out = self._basic_point_maps[nbhd] = dict(self.basic_points(nbhd))
+            out = self._basic_points[nbhd] = {
+                (nbhd.a - len(combo), self.s_op(nbhd.s, total)): combo
+                for combo, total in self._subset_sum_table(nbhd.alpha, nbhd.a)}
         return out
 
     def _subset_sum_table(self, alpha: int, a: int) -> tuple:
@@ -478,7 +473,7 @@ def base_inclusion(T: TopologyInstance, inner: BasicNbhd, outer: BasicNbhd) -> V
     claim = inner.alpha >= threshold
     escaping = None
     saw_undetermined = False
-    for point, _ in T.basic_points(inner):
+    for point in T.basic_points(inner):
         m = T.member(outer, point)
         if m.status == UNDETERMINED:
             saw_undetermined = True
@@ -503,15 +498,15 @@ def base_inclusion(T: TopologyInstance, inner: BasicNbhd, outer: BasicNbhd) -> V
 def base_property_check(T: TopologyInstance, u1: BasicNbhd, u2: BasicNbhd) -> Verdict:
     """Filter-base property at the truncation: every common point of two
     basic sets admits an enclosed basic set contained in both."""
-    pts1 = T.basic_point_map(u1)
-    pts2 = T.basic_point_map(u2)
+    pts1 = T.basic_points(u1)
+    pts2 = T.basic_points(u2)
     common = sorted(pts1.keys() & pts2.keys())
     checked = 0
     for p in common:
         g1 = (max(pts1[p]) + 1) if pts1[p] else u1.alpha
         g2 = (max(pts2[p]) + 1) if pts2[p] else u2.alpha
         enclosed = BasicNbhd(p[0], p[1], max(g1, g2))
-        for q, _ in T.basic_points(enclosed):
+        for q in T.basic_points(enclosed):
             r1 = T.member(u1, q)
             r2 = T.member(u2, q)
             if r1.status == UNDETERMINED or r2.status == UNDETERMINED:
@@ -552,7 +547,7 @@ def hausdorff_witness(T: TopologyInstance, x: tuple, y: tuple) -> Verdict:
             alpha = beta = 1
     ux = BasicNbhd(a, s, alpha)
     uy = BasicNbhd(b, t, beta)
-    overlap = T.basic_point_map(ux).keys() & T.basic_point_map(uy).keys()
+    overlap = T.basic_points(ux).keys() & T.basic_points(uy).keys()
     witness = {"x_nbhd": ux, "y_nbhd": uy,
                "two_sided": rep2.witness if rep2 else None}
     if overlap:
@@ -578,16 +573,11 @@ def separate_continuity_identity(T: TopologyInstance, shift: tuple, center: tupl
     def push(p):
         return (p[0] + b, T.s_op(p[1], t))
 
-    universe = {p for p, _ in T.basic_points(inner)}
-    for q, _ in T.basic_points(outer):
-        xq, uq = q
-        if xq - b < 0:
-            continue
-        back = T.g_diff(uq, t)
-        back_int = _as_int(back)
-        if back_int is None or not T.in_S(back_int):
-            continue
-        universe.add((xq - b, back_int))
+    universe = set(T.basic_points(inner))
+    for xq, uq in T.basic_points(outer):
+        v = T.unshift(uq, t)
+        if xq - b >= 0 and v is not None:
+            universe.add((xq - b, v))
     for p in sorted(universe):
         lhs = T.member(outer, push(p))
         rhs = T.member(inner, p)
@@ -671,18 +661,11 @@ def _limit_candidates(T: TopologyInstance, sequence: Sequence) -> list:
     three masked weights, most frequent first, ties in point order."""
     counts: dict = {}
     for term in sequence:
-        if not T.valid_point(term):
-            continue
         x, u = T.require_point(term)
         for combo, total in T._subset_sum_table(1, 3):
-            if T.multiplicative:
-                v, r = divmod(u, total)
-                if r:
-                    continue
-            else:
-                v = u - total
-            cand = (x + len(combo), v)
-            if T.valid_point(cand):
+            v = T.unshift(u, total)
+            if v is not None:
+                cand = (x + len(combo), v)
                 counts[cand] = counts.get(cand, 0) + 1
     ranked = sorted(counts, key=lambda cand: (-counts[cand], cand))
     return ranked[:10]
@@ -733,16 +716,15 @@ def convergence_transfer(T: TopologyInstance, sequence: Sequence, shift: tuple,
             return Verdict(res.status, res.witness,
                            "shifted sequence failed to certify: " + res.detail)
         shifted_cert = res.witness
-    b, t = shifted_limit
-    back = T.g_diff(t, s)
-    back_int = _as_int(back)
+    b, t = shifted_cert.limit
+    back = T.unshift(t, s)
     reached = {"shifted_limit": shifted_limit,
                "shifted_certificate": shifted_cert,
                "division": verify_star_star(T, s)}
-    if b - a < 0 or back_int is None or not T.in_S(back_int):
+    if b - a < 0 or back is None:
         return failed(witness={"shift": shift, **reached},
                       detail="predicted limit leaves Z+ x S")
-    predicted = (b - a, back_int)
+    predicted = (b - a, back)
     res = check_convergence(T, sequence, predicted, alpha_max)
     if not res:
         return Verdict(res.status,
@@ -757,8 +739,7 @@ def convergence_transfer(T: TopologyInstance, sequence: Sequence, shift: tuple,
 # the unique-representability condition and the division condition
 
 
-def verify_star(weights: WeightSequence,
-                max_multiplicity: Optional[int] = None) -> Verdict:
+def verify_star(weights: WeightSequence) -> Verdict:
     """Distinct index multisets give distinct weight combinations.
 
     Multisets with entries up to the multiplicity cap (2 for the doubly
@@ -767,9 +748,7 @@ def verify_star(weights: WeightSequence,
     counterexample.
     """
     bound = weights.index_bound
-    if max_multiplicity is None:
-        max_multiplicity = 2 if weights.kind == "double_exp" else 1
-    mult = int(max_multiplicity)
+    mult = 2 if weights.kind == "double_exp" else 1
     if (mult + 1) ** bound > 2_000_000:
         raise ValueError("multiset enumeration too large; lower the bound")
     multiplicative = weights.kind == "odd_primes"

@@ -64,7 +64,3 @@ def not_applicable(detail: str) -> Verdict:
 
 class HorizonExceeded(Exception):
     """An exact answer would need data beyond the declared horizon."""
-
-
-class NotReachable(Exception):
-    """Element not expressible as a product of generators within the bound."""

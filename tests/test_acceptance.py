@@ -54,7 +54,7 @@ def l1s_report():
 
 def test_criterion_01_star_condition(capfd):
     t0 = time.monotonic()
-    pos = verify_star(WeightSequence.double_exp(6), max_multiplicity=2)
+    pos = verify_star(WeightSequence.double_exp(6))
     neg = verify_star(WeightSequence.explicit([1, 2, 3]))
     elapsed = time.monotonic() - t0
     ok = (pos.status == "PASS" and pos.witness["multisets"] == 3 ** 6

@@ -14,6 +14,7 @@ from semitop.suites import SUITE_PARAMS, run_suite
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 Z_TOP = {"base": "z", "weights": {"kind": "double_exp", "index_bound": 6}}
+ODD_TOP = {"base": "odd_nat", "weights": {"kind": "odd_primes", "index_bound": 6}}
 
 
 def run(capsys, *argv):
@@ -226,6 +227,22 @@ def test_suite_with_params(capsys):
         "pairs": [[{"along": along, "horizon": 8},
                    {"along": [1, 3, 5, 7], "horizon": 8}]]})]
       for along in ("2468", {"2": 0, "4": 0, "6": 0, "8": 0})),
+    ["member", "--params", json.dumps({       # 4 is not an odd natural
+        "topology": ODD_TOP, "nbhd": {"a": 1, "s": 1, "alpha": 1},
+        "point": {"a": 0, "s": 4}})],
+    ["member", "--params", json.dumps({       # first coordinate below 0
+        "topology": Z_TOP, "nbhd": {"a": 1, "s": 0, "alpha": 1},
+        "point": {"a": -1, "s": 4}})],
+    *(["converge", "--params", json.dumps({    # a term that is not a point
+        "topology": ODD_TOP, **limit,
+        "sequence": [{"a": -4, "s": 7}] + [{"a": 0, "s": p}
+                                           for p in (3, 5, 7, 11, 13, 17)]})]
+      for limit in ({}, {"limit": {"a": 1, "s": 1}})),
+    ["member", "--params", json.dumps({       # no base has vector coordinates
+        "topology": Z_TOP, "nbhd": {"a": 1, "s": 0, "alpha": 1},
+        "point": {"a": 0, "s": [0, 4]}})],
+    ["waptest", "--params",                   # "p" or "p/q" only, no exponent
+     '{"function": {"tag": "c0_plus_const", "const": "1e3"}}'],
 ])
 def test_usage_errors(argv, capsys):
     code, _ = run(capsys, *argv)

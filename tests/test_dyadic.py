@@ -146,5 +146,5 @@ def test_psi_image_matches_model_exactly():
     T = TopologyInstance("z", WeightSequence.double_exp(8))
     nbhd = BasicNbhd(2, 0, 3)
     space = XSpace(2, 3, 8)
-    image = {psi(p, nbhd, T) for p, _ in T.basic_points(nbhd)}
+    image = {psi(p, nbhd, T) for p in T.basic_points(nbhd)}
     assert image == set(space.points())

@@ -1,0 +1,53 @@
+"""The timing-stripped reports of the suite battery, pinned by sha256.
+
+A refactor that must not change what any suite reports is checked
+against these digests rather than stated.  A change that alters a report
+on purpose updates its digest here and says why.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from semitop.suites import run_suite
+
+# sha256 of json.dumps(report without elapsed_ms, sort_keys=True), each
+# suite at its default params and seed 0
+DIGESTS = {
+    "lemma-technical":
+        "b4234b859ce59febb3759aeffa59c47a8f1de83abd79d492fe70bd18d031eb2a",
+    "gen-con-one":
+        "48b0c80db4533148d754ccc4eb178e6b442a02a9d2e410b8f49e2657627980e5",
+    "gen-con-two":
+        "5d9a83e92ca59afdcd868357f2bad0c8d0672e8dc43218ab4d6522ab4ef93661",
+    "star-condition":
+        "8d207f273c95e16a0cdcb5be0827deea9b61df8865d35633d7eb96df0d5b2e02",
+    "remark4-continuum":
+        "d6107ad7919ff3d3ebab89b802a01beef94b87063e94246c70980f79d86d9bc8",
+    "good-corr":
+        "bdc4f80436de3dbcad8b23ab8f2e07c54c54c36b6d7cf7334f858496b6600a28",
+    "nmax-wap":
+        "4b3ad3f3f013465ea6835fc03d53e539cde0e98556f6e2814831c10feacb0ad6",
+    "unique-l1s":
+        "0baf98942851af0825567410c0eebfce7c11d5275704b8896a5eb817964f5fb4",
+    "rees-cancellativity":
+        "684738a7d920fdcb44d0bed63551350d4c91be1957bb9302b6f07e69b2f26aea",
+    "structural":
+        "a0de9a5f15fb274e9b884e3b0880c3681b3d7581885e6500a005b6707cdb1064",
+}
+
+
+def _strip_timing(doc):
+    if isinstance(doc, dict):
+        return {k: _strip_timing(v) for k, v in doc.items()
+                if k != "elapsed_ms"}
+    if isinstance(doc, list):
+        return [_strip_timing(v) for v in doc]
+    return doc
+
+
+@pytest.mark.parametrize("suite", sorted(DIGESTS))
+def test_report_digest(suite):
+    canon = json.dumps(_strip_timing(run_suite(suite)), sort_keys=True)
+    assert hashlib.sha256(canon.encode()).hexdigest() == DIGESTS[suite]

@@ -9,7 +9,7 @@ from semitop.semigroups import (INF, CyclicGroup, FreeWords, IntegerGroup,
                                 is_cancellative_window,
                                 is_finitely_left_divisible_window,
                                 is_weakly_cancellative_window, length)
-from semitop.verdicts import FAIL, PASS, NotReachable
+from semitop.verdicts import FAIL, PASS, UNDETERMINED, passed
 
 
 def test_zplus_k_product_and_identity():
@@ -127,11 +127,16 @@ def test_divisibility_windows():
 
 def test_length_closed_forms():
     free = FreeWords("ab")
-    assert length(free, "abba") == 4
+    assert length(free, "abba") == passed(4)
     zp = ZPlusK(2)
-    assert length(zp, (2, 3)) == 5
-    with pytest.raises(NotReachable):
-        length(zp, (0, 0))
+    assert length(zp, (2, 3)) == passed(5)
+    # (0, 0) is never a sum of generators, but the search never closes
+    assert length(zp, (0, 0)).status == UNDETERMINED
+    # under max, products of 1 and 2 close at {1, 2} and never reach 3
+    nm = NatMax()
+    nm.generators = (1, 2)
+    assert length(nm, 2) == passed(1)
+    assert length(nm, 3).status == FAIL
 
 
 @given(st.text(alphabet="ab", min_size=1, max_size=6),

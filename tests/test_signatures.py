@@ -34,7 +34,6 @@ PINNED = {
     "run_suite": ("params", "seed"),
     "subsequence_pair_family": ("seed",),
     "verify_fnp": ("sabotage",),
-    "verify_star": ("max_multiplicity",),
     "verify_star_star": ("s_window",),
 }
 

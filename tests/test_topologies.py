@@ -248,21 +248,20 @@ def test_basic_points_match_subset_rebuild(kind, bound, data):
             data.draw(st.sets(st.sampled_from(T.mask), max_size=2))))
         nbhd = BasicNbhd(a, s, alpha)
         got = T.basic_points(nbhd)
-        assert isinstance(got, tuple)
-        assert list(got) == _basic_points_rebuild(T, nbhd)
+        assert isinstance(got, dict)
+        assert list(got.items()) == list(
+            dict(_basic_points_rebuild(T, nbhd)).items())
         assert T.basic_points(nbhd) is got
-        assert T.basic_point_map(nbhd) == dict(T.basic_points(nbhd))
 
 
-def test_basic_point_map_keeps_the_last_representation():
+def test_basic_points_keep_the_last_representation():
     # 1 + 4 = 2 + 3: one point, two representations, and the map keeps the
-    # one `basic_points` lists last, as the filter-base check reads it
+    # one `combinations` order lists last, as the filter-base check reads it
     T = TopologyInstance("z", WeightSequence.explicit([1, 2, 3, 4]))
     nbhd = BasicNbhd(2, 0, 1)
-    reps = [rep for p, rep in T.basic_points(nbhd) if p == (0, 5)]
+    reps = [rep for p, rep in _basic_points_rebuild(T, nbhd) if p == (0, 5)]
     assert reps == [(1, 4), (2, 3)]
-    assert T.basic_point_map(nbhd)[(0, 5)] == (2, 3)
-    assert T.basic_point_map(nbhd) is T.basic_point_map(nbhd)
+    assert T.basic_points(nbhd)[(0, 5)] == (2, 3)
 
 
 # -- two-sided representations and their enumeration oracle ---------------
@@ -486,22 +485,17 @@ def _limit_candidates_loop(T, sequence):
     # oracle: each term unshifted by every set of at most three masked
     # weights, the weight total recomputed for each
     counts = {}
-    for term in sequence:
-        if not T.valid_point(term):
-            continue
-        x, u = T.require_point(term)
+    for x, u in sequence:
         for k in range(4):
             for combo in combinations(T.mask, k):
                 if T.multiplicative:
-                    q, r = divmod(u, T.weight_total(combo))
+                    v, r = divmod(u, T.weight_total(combo))
                     if r:
                         continue
-                    v = q
                 else:
                     v = u - T.weight_total(combo)
-                cand = (x + k, v)
-                if T.valid_point(cand):
-                    counts[cand] = counts.get(cand, 0) + 1
+                if T.in_S(v):
+                    counts[(x + k, v)] = counts.get((x + k, v), 0) + 1
     return sorted(counts, key=lambda cand: (-counts[cand], cand))[:10]
 
 
@@ -523,9 +517,24 @@ def test_limit_candidates_match_unshift_loop(kind, bound, data):
     for _ in range(data.draw(st.integers(0, 6))):
         s = T.s_op(T.s_identity, T.weight_total(
             data.draw(st.sets(st.sampled_from(T.mask), max_size=3))))
-        seq.append((data.draw(st.integers(-1, 3)), s + data.draw(
-            st.sampled_from([0, 0, 1, -2]))))
+        u = s + data.draw(st.sampled_from([0, 0, 1, -2]))
+        if T.in_S(u):
+            seq.append((data.draw(st.integers(0, 3)), u))
     assert _limit_candidates(T, seq) == _limit_candidates_loop(T, seq)
+
+
+@pytest.mark.parametrize("term", [(-4, 7), (0, 4), (1, Fraction(1, 3)),
+                                  (True, 3), [0, 3], (0, 3, 1), (0, "3")])
+def test_a_term_that_is_not_a_point_is_a_type_error(term):
+    T = Todd(4)
+    U = BasicNbhd(1, 3, 1)
+    for call in (lambda: T.member(U, term),
+                 lambda: T.member_bruteforce(U, term),
+                 lambda: check_convergence(T, [(1, 3), term], (1, 3), 2),
+                 lambda: _limit_candidates(T, [(1, 3), term]),
+                 lambda: find_limit(T, [(1, 3), term], 2)):
+        with pytest.raises(TypeError):
+            call()
 
 
 def test_convergence_transfer_z():
@@ -560,7 +569,7 @@ def test_convergence_transfer_zplus_not_applicable():
 
 
 def test_verify_star_double_exp():
-    v = verify_star(WeightSequence.double_exp(6), max_multiplicity=2)
+    v = verify_star(WeightSequence.double_exp(6))
     assert v.status == PASS
     assert v.witness["multisets"] == 3 ** 6
 
