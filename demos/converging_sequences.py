@@ -27,13 +27,16 @@ verdict = check_convergence(T, seq, limit, alpha_max=3)
 cert = verdict.witness
 print("\ncertificate for the limit", limit, "->", verdict.status)
 print(json.dumps(certificate_to_json(cert), indent=2))
-print("revalidates:", cert.revalidate(T, seq))
-print("tampered prefix revalidates:", cert.revalidate(T, seq[:-1]))
+print("revalidates:", cert.revalidate(T, seq).status)
+tampered = cert.revalidate(T, seq[:-1])
+print("tampered prefix revalidates:", tampered.status, tampered.witness,
+      tampered.detail)
 
-# the limit can also be recovered without being told
+# the limit can also be recovered without being told: the search returns
+# the convergence verdict of the first candidate that certifies
 found = find_limit(T, seq, alpha_max=3)
-assert found is not None
-print("\nrecovered limit:", found[0])
+assert found
+print("\nrecovered limit:", found.witness.limit)
 
 # translating every term by a fixed (b, t) moves the limit the same way
 shift = (1 + args.seed % 2, 3)
@@ -43,4 +46,4 @@ print("predicted limit of the unshifted sequence:",
       res.witness["predicted_limit"])
 print("shifted certificate revalidates:",
       res.witness["shifted_certificate"].revalidate(
-          T, [(p[0] + shift[0], p[1] + shift[1]) for p in seq]))
+          T, [(p[0] + shift[0], p[1] + shift[1]) for p in seq]).status)

@@ -67,22 +67,15 @@ def _converge(params: dict, seed: int) -> tuple:
     T = jsonio.topology_from_json(params["topology"])
     seq = [jsonio.s1_point_from_json(p) for p in params["sequence"]]
     alpha_max = params["alpha_max"]
-    if "limit" in params:
-        limit = jsonio.s1_point_from_json(params["limit"])
-        res = topologies.check_convergence(T, seq, limit, alpha_max)
-        if res:
-            return ({"status": PASS,
-                     "certificate": jsonio.certificate_to_json(res.witness)},
-                    _EXIT_OK)
+    given = "limit" in params
+    res = (topologies.check_convergence(
+        T, seq, jsonio.s1_point_from_json(params["limit"]), alpha_max)
+        if given else topologies.find_limit(T, seq, alpha_max))
+    if not res:
         return jsonio.to_jsonable(res), _STATUS_EXIT[res.status]
-    got = topologies.find_limit(T, seq, alpha_max)
-    if got is None:
-        return ({"status": NOT_FOUND_AT_HORIZON,
-                 "detail": "no limit found among the unshift candidates"},
-                _EXIT_UNDETERMINED)
-    limit, cert = got
-    return ({"status": PASS, "limit": jsonio.s1_point_to_json(limit),
-             "certificate": jsonio.certificate_to_json(cert)}, _EXIT_OK)
+    cert = jsonio.certificate_to_json(res.witness)
+    found = {} if given else {"limit": cert["limit"]}
+    return {"status": PASS, **found, "certificate": cert}, _EXIT_OK
 
 
 def _distinguish(params: dict, seed: int) -> tuple:

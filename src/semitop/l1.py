@@ -263,8 +263,8 @@ def _coeff_sum(a: L1Vector) -> Fraction:
 
 def max_action_formula(s: int, a: L1Vector) -> L1Vector:
     """Closed form of delta_s * a over (N, max): the mass at or below s
-    collapses onto delta_s and the rest stays put.  The result is checked
-    against the convolution before being returned."""
+    collapses onto delta_s and the rest stays put.  The
+    `max-action-closed-form` check compares it with the convolution."""
     S = a.instance
     if not isinstance(S, NatMax):
         raise TypeError("the closed form is specific to (N, max)")
@@ -272,8 +272,4 @@ def max_action_formula(s: int, a: L1Vector) -> L1Vector:
     low = sum((c for t, c in a._coeffs.items() if t <= s), Fraction(0))
     out = {t: c for t, c in a._coeffs.items() if t > s}
     out[s] = out.get(s, Fraction(0)) + low
-    formula = L1Vector(S, out)
-    direct = convolve(L1Vector.delta(S, s), a)
-    if formula != direct:
-        raise ArithmeticError("closed form disagrees with convolution")
-    return formula
+    return L1Vector(S, out)

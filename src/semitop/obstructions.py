@@ -264,12 +264,13 @@ def verify_annihilation(f: PartialMap, n0: int, g: PartialMap, k0: int,
                            "nonzero_at": nonzero_at})
 
 
-def proof_skeleton() -> dict:
+def proof_skeleton() -> Verdict:
     """Machine-checked skeleton of the collapse argument at small scale.
 
     Each step records an identity, its role in the contradiction, and a
     verdict from an actual run.  The topological glue (convergence and
     separation) is narrated, not re-proved; only the algebra is checked.
+    PASS when every step passes; the universe size and steps are the witness.
     """
     universe = enumerate_partial_maps(3, 4)
     f = PartialMap([(1, 2)])
@@ -301,5 +302,5 @@ def proof_skeleton() -> dict:
                  "topology with separately continuous composition",
          "verdict": step3},
     ]
-    overall = "PASS" if all(s["verdict"].status == "PASS" for s in steps) else "FAIL"
-    return {"universe_size": len(universe), "steps": steps, "overall": overall}
+    verdict = passed if all(s["verdict"] for s in steps) else failed
+    return verdict({"universe_size": len(universe), "steps": steps})

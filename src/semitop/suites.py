@@ -16,7 +16,7 @@ from itertools import combinations
 from . import dyadic, obstructions, topologies
 from .jsonio import (MAX_INDEX_BOUND, SCHEMA_VERSION, SuiteError, read_params,
                      to_jsonable)
-from .l1 import BoundedFunction, L1Vector
+from .l1 import BoundedFunction, L1Vector, convolve, max_action_formula
 from .semigroups import (INF, CyclicGroup, FreeWords, IntegerGroup, NatInfinity,
                          NatMax, NatMul, PartialMap, PartialMaps, ReesMatrix,
                          ZPlusK, ZPlusTimesZ, associativity_window,
@@ -237,10 +237,11 @@ def _suite_gen_con_two(p: dict, seed: int) -> list:
                                        "predicted": w["predicted_limit"],
                                        "constructed": (c, v)})
             shifted = [(p[0] + shift[0], T.s_op(p[1], shift[1])) for p in terms]
-            if not (w["certificate"].revalidate(T, terms)
-                    and w["shifted_certificate"].revalidate(T, shifted)):
-                return failed(witness={"case": i},
-                              detail="certificate failed to revalidate")
+            for key, seq in (("certificate", terms),
+                             ("shifted_certificate", shifted)):
+                check = w[key].revalidate(T, seq)
+                if not check:
+                    return _relay(check, case=i, certificate=key)
             if w["division"].status == FAIL:
                 return failed(witness={"case": i, "division": w["division"]})
             revalidated += 1
@@ -383,11 +384,13 @@ def _suite_good_corr(p: dict, seed: int) -> list:
         res = topologies.good_corr_check(Todd, (0, 3), seq)
         if res.status != FOUND:
             return _relay(res)
-        cert = res.witness["certificate"]
         sub = [seq[i - 1] for i in res.witness["term_indices"]]
-        if res.witness["limit"] != (1, 1) or not cert.revalidate(Todd, sub):
+        if res.witness["limit"] != (1, 1):
             return failed(witness={"inner": res.witness},
-                          detail="limit or certificate mismatch")
+                          detail="limit mismatch")
+        check = res.witness["certificate"].revalidate(Todd, sub)
+        if not check:
+            return _relay(check, limit=res.witness["limit"])
         return passed(witness={"limit": res.witness["limit"],
                                "terms_used": len(sub)})
 
@@ -496,11 +499,15 @@ def _suite_unique_l1s(p: dict, seed: int) -> list:
     def closed_form():
         rng = random.Random(f"{seed}:maxact")
         checked = 0
-        from .l1 import max_action_formula
         for s in range(1, s_max + 1):
             for _ in range(3):
                 a = _random_vector(S, rng)
-                max_action_formula(s, a)      # raises on any mismatch
+                formula = max_action_formula(s, a)
+                direct = convolve(L1Vector.delta(S, s), a)
+                if formula != direct:
+                    return failed(witness={"s": s, "a": a, "formula": formula,
+                                           "convolution": direct},
+                                  detail="closed form differs from convolve")
                 checked += 1
         return passed(witness={"identities": checked},
                       detail="closed form equals convolution on every trial")
@@ -594,7 +601,7 @@ def _suite_unique_l1s(p: dict, seed: int) -> list:
 
 def _random_partial_map(rng: random.Random, max_domain: int,
                         max_value: int) -> PartialMap:
-    k = rng.randint(0, max_domain - 1)
+    k = rng.randint(0, min(max_domain - 1, max_value))
     dom = rng.sample(range(1, max_domain + 1), k)
     img = rng.sample(range(1, max_value + 1), k)
     return PartialMap(zip(sorted(dom), img))
@@ -679,29 +686,20 @@ def _suite_section4(p: dict, seed: int) -> list:
                           detail="the mutated compression should kill g")
         return passed(detail="mutated construction fails as designed")
 
-    def skeleton():
-        rep = obstructions.proof_skeleton()
-        if rep["overall"] != "PASS":
-            return failed(witness={"report": to_jsonable(rep)})
-        return passed(witness={"universe_size": rep["universe_size"],
-                               "steps": [s["id"] for s in rep["steps"]]})
-
     return [("open-set-identity-sweep", sweep),
             ("fnp-random", fnp_random),
             ("fnp-negative-control", fnp_negative),
             ("annihilation-cases", annihilation_cases),
             ("annihilation-negative-control", annihilation_negative),
-            ("proof-skeleton", skeleton)]
+            ("proof-skeleton", obstructions.proof_skeleton)]
 
 
 @_suite("rees-cancellativity", rees_rank=(201, 10, 500),
-       infty_rank=(200, 10, 500), nat_max_rank=(200, 10, 500),
-       min_preimages=(100, 1, 400))
+       infty_rank=(200, 10, 500), nat_max_rank=(200, 10, 500))
 def _suite_rees(p: dict, seed: int) -> list:
     rees_rank = p["rees_rank"]
     infty_rank = p["infty_rank"]
     nat_rank = p["nat_max_rank"]
-    min_pre = p["min_preimages"]
 
     def nat_max_passes():
         return is_weakly_cancellative_window(NatMax(), nat_rank)
@@ -718,12 +716,8 @@ def _suite_rees(p: dict, seed: int) -> list:
                 return failed(witness={"inner": inner},
                               detail="only the absorbing element witnessed the "
                                      "failure; a structural witness is required")
-        best = max(len(w["preimages"]) for w in records)
-        if best < min_pre:
-            return failed(witness={"largest_preimage_set": best},
-                          detail=f"witness smaller than {min_pre}")
         sample = max(records, key=lambda w: len(w["preimages"]))
-        return passed(witness={"largest_preimage_set": best,
+        return passed(witness={"largest_preimage_set": len(sample["preimages"]),
                                "translate_by": sample["translate_by"],
                                "target": sample["target"],
                                "counts": sample["counts"]})
@@ -732,8 +726,8 @@ def _suite_rees(p: dict, seed: int) -> list:
         return _expect_growth(NatInfinity(), infty_rank)
 
     def rees_fails():
-        group = IntegerGroup()
-        S = ReesMatrix(group, 100, 1, [[0] * 100])
+        # one row per rank, so no window exhausts the (infinite) index set
+        S = ReesMatrix(IntegerGroup(), rees_rank, 1, [[0] * rees_rank])
         return _expect_growth(S, rees_rank, skip_absorbing=True)
 
     return [("weakly-cancellative-nat-max", nat_max_passes),

@@ -154,6 +154,7 @@ class TopologyInstance:
         self._two_sided_cache: dict = {}
         self._subset_sums: dict = {}
         self._basic_points: dict = {}
+        self._division: dict = {}     # s -> verify_star_star(self, s)
 
     def __repr__(self) -> str:
         return f"TopologyInstance({self.base}, {self.weights!r}, mask={list(self.mask)})"
@@ -601,18 +602,24 @@ class ConvergenceCertificate:
     witnesses: tuple       # per term: representation indices, or None
     prefix_len: int
 
-    def revalidate(self, T: TopologyInstance, sequence: Sequence) -> bool:
+    def revalidate(self, T: TopologyInstance, sequence: Sequence) -> Verdict:
+        """PASS when each level's tail lies in U(limit, alpha); FAIL names
+        the broken level and term, a level with no threshold, or a length."""
         if len(sequence) != self.prefix_len:
-            return False
+            return failed(witness={"prefix_len": self.prefix_len,
+                                   "terms": len(sequence)},
+                          detail="the sequence is not the certified prefix")
         b, t = self.limit
         for alpha in range(1, self.alpha_max + 1):
             n0 = self.thresholds.get(alpha)
             if n0 is None:
-                return False
+                return failed(witness={"alpha": alpha},
+                              detail="no threshold recorded at this level")
             for n in range(n0, self.prefix_len + 1):
                 if not T.member(BasicNbhd(b, t, alpha), sequence[n - 1]):
-                    return False
-        return True
+                    return failed(witness={"alpha": alpha, "term": n},
+                                  detail="term outside U(limit, alpha)")
+        return passed()
 
 
 def check_convergence(T: TopologyInstance, sequence: Sequence, limit: tuple,
@@ -671,17 +678,20 @@ def _limit_candidates(T: TopologyInstance, sequence: Sequence) -> list:
     return ranked[:10]
 
 
-def find_limit(T: TopologyInstance, sequence: Sequence, alpha_max: int):
+def find_limit(T: TopologyInstance, sequence: Sequence,
+               alpha_max: int) -> Verdict[ConvergenceCertificate]:
     """Best-effort limit search over unshift candidates.
 
-    Misses are reported as None, meaning not found at this horizon, never
-    as evidence of divergence.
+    PASS is the first certifying candidate's convergence verdict, whose
+    certificate carries the limit; a miss is NOT_FOUND_AT_HORIZON, never
+    evidence of divergence.
     """
     for cand in _limit_candidates(T, sequence):
         res = check_convergence(T, sequence, cand, alpha_max)
         if res:
-            return cand, res.witness
-    return None
+            return res
+    return Verdict(NOT_FOUND_AT_HORIZON,
+                   detail="no limit found among the unshift candidates")
 
 
 def convergence_transfer(T: TopologyInstance, sequence: Sequence, shift: tuple,
@@ -705,22 +715,23 @@ def convergence_transfer(T: TopologyInstance, sequence: Sequence, shift: tuple,
     a, s = T.require_point(shift)
     shifted = [(p[0] + a, T.s_op(p[1], s)) for p in map(T.require_point, sequence)]
     if shifted_limit is None:
-        got = find_limit(T, shifted, alpha_max)
-        if got is None:
+        res = find_limit(T, shifted, alpha_max)
+        if not res:
             return undetermined(
                 "no limit of the shifted sequence found at this horizon")
-        shifted_limit, shifted_cert = got
     else:
         res = check_convergence(T, shifted, shifted_limit, alpha_max)
         if not res:
             return Verdict(res.status, res.witness,
                            "shifted sequence failed to certify: " + res.detail)
-        shifted_cert = res.witness
+    shifted_cert = res.witness
     b, t = shifted_cert.limit
     back = T.unshift(t, s)
-    reached = {"shifted_limit": shifted_limit,
+    if s not in T._division:
+        T._division[s] = verify_star_star(T, s)
+    reached = {"shifted_limit": shifted_cert.limit,
                "shifted_certificate": shifted_cert,
-               "division": verify_star_star(T, s)}
+               "division": T._division[s]}
     if b - a < 0 or back is None:
         return failed(witness={"shift": shift, **reached},
                       detail="predicted limit leaves Z+ x S")

@@ -254,9 +254,10 @@ def telescoping_check(a: L1Vector, x: BoundedFunction, s_max: int) -> Verdict:
             mass += c
             i += 1
         if head != x.evaluate(s) * mass:
-            raise ArithmeticError(
-                f"telescoped identity failed at s = {s} although the "
-                f"hypothesis held; internal inconsistency")
+            return failed(witness={"s": s, "lhs": head,
+                                   "rhs": x.evaluate(s) * mass},
+                          detail="telescoped identity failed although the "
+                                 "hypothesis held; internal inconsistency")
     clear = max([t for t, _ in items] + list(x.mod) + [0])
     if s_max <= clear:
         return passed(witness={"s_max": s_max},
@@ -289,7 +290,8 @@ def counterexample_x(a: L1Vector) -> Verdict[SharpnessWitness]:
     action, which is the sharp end of the uniqueness argument.  PASS
     carries the `SharpnessWitness`.  Needs total mass != 0; the zero-mass
     case is a different branch and returns NOT-APPLICABLE.  Single-term
-    vectors use the one-point variant.
+    vectors use the one-point variant.  A construction that does not
+    verify is a FAIL with the quantities that disagree.
     """
     S = a.instance
     if not isinstance(S, NatMax):
@@ -311,8 +313,9 @@ def counterexample_x(a: L1Vector) -> Verdict[SharpnessWitness]:
                 s = cand
                 break
         if s is None:
-            raise ArithmeticError("no admissible s found; unreachable when "
-                                  "the total mass is nonzero")
+            return failed(witness={"total_mass": total},
+                          detail="no admissible s found; unreachable when "
+                                 "the total mass is nonzero")
         x = (L1Vector.delta(S, s1, a.coeff(s0))
              - L1Vector.delta(S, s0, a.coeff(s1))
              + L1Vector.delta(S, s))
@@ -321,7 +324,7 @@ def counterexample_x(a: L1Vector) -> Verdict[SharpnessWitness]:
     p1 = pairing_vectors(x, translated)
     expected = sum((c for t, c in a.terms() if t <= s), Fraction(0))
     if p0 != 0 or p1 != expected or p1 == 0:
-        raise ArithmeticError(
-            f"witness verification failed: <x,a> = {p0}, "
-            f"<x, translated> = {p1}, expected {expected}")
+        return failed(witness={"pairing_a": p0, "pairing_translated": p1,
+                               "expected": expected},
+                      detail="witness verification failed")
     return passed(SharpnessWitness(x=x, s=s, pairing_a=p0, pairing_translated=p1))

@@ -71,6 +71,16 @@ def test_converge_find_limit(capsys):
     assert doc["limit"] == {"a": 2, "s": 0}
 
 
+def test_converge_not_found_has_the_verdict_shape(capsys):
+    seq = [{"a": 0, "s": 0}] * 5 + [{"a": 0, "s": 1000}]
+    params = {"topology": Z_TOP, "sequence": seq}
+    code, doc = run(capsys, "converge", "--params", json.dumps(params))
+    assert code == 2
+    assert doc == {"schema_version": "1", "command": "converge", "seed": 0,
+                   "status": "NOT_FOUND_AT_HORIZON", "witness": None,
+                   "detail": "no limit found among the unshift candidates"}
+
+
 def test_converge_divergent(capsys):
     params = {"topology": Z_TOP, "sequence": [{"a": 1, "s": 3}] * 4,
               "limit": {"a": 2, "s": 0}, "alpha_max": 2}

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from semitop.l1 import (BoundedFunction, L1Vector, convolve, coproduct,
                         max_action_formula, pairing, pairing_vectors)
+from semitop import suites
+from semitop.jsonio import read_params
 from semitop.semigroups import FreeWords, NatMax, NatMul
 from semitop.verdicts import HorizonExceeded
 
@@ -124,6 +126,20 @@ def test_max_action_formula_agrees_with_convolution(s, terms):
     S = NatMax()
     a = L1Vector(S, [(e, F(c)) for e, c in terms])
     assert max_action_formula(s, a) == convolve(_d(S, s), a)
+
+
+def test_max_action_check_fails_on_a_wrong_formula(monkeypatch):
+    # the closed form with delta_s left off: the check, not the formula,
+    # must catch it
+    monkeypatch.setattr(suites, "max_action_formula", lambda s, a: a)
+    name = "unique-l1s"
+    checks = suites.SUITES[name](read_params({}, suites.SUITE_PARAMS[name]), 0)
+    v = dict(checks)["max-action-closed-form"]()
+    assert v.status == "FAIL"
+    w = v.witness
+    assert set(w) == {"s", "a", "formula", "convolution"}
+    assert w["formula"] == w["a"] != w["convolution"]
+    assert w["convolution"] == convolve(_d(NatMax(), w["s"]), w["a"])
 
 
 @given(st.lists(st.tuples(st.integers(1, 9), st.integers(-4, 4)),

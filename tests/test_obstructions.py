@@ -8,8 +8,10 @@ from semitop.obstructions import (ZERO_MAP, OpenSetSpec, _sweep_sets,
                                   fn_threshold, o_member, open_set_identity,
                                   open_set_identity_sweep, proof_skeleton,
                                   valid_ns, verify_annihilation, verify_fnp)
+from semitop.jsonio import read_params
 from semitop.semigroups import PartialMap
-from semitop.verdicts import FAIL
+from semitop.suites import SUITE_PARAMS, SUITES
+from semitop.verdicts import FAIL, PASS
 
 F1 = PartialMap([(1, 2)])
 
@@ -203,14 +205,28 @@ def test_compression_with_wrong_fixed_point_kills_g_too():
 
 def test_proof_skeleton():
     sk = proof_skeleton()
-    assert sk["universe_size"] == 73
-    assert sk["overall"] == "PASS"
-    assert [s["id"] for s in sk["steps"]] == [
+    assert sk.status == PASS
+    assert sk.witness["universe_size"] == 73
+    assert [s["id"] for s in sk.witness["steps"]] == [
         "open-sets-are-translation-preimages",
         "family-translates-onto-target",
         "two-point-compressions-separate",
     ]
-    assert all(s["verdict"].status == "PASS" for s in sk["steps"])
+    assert all(s["verdict"].status == PASS for s in sk.witness["steps"])
+
+
+def test_proof_skeleton_check_fails_on_a_wrong_step(monkeypatch):
+    # the family step run with a sabotaged composition must sink the check
+    real = obstructions.verify_fnp
+    monkeypatch.setattr(obstructions, "verify_fnp",
+                        lambda f, n0, n_range: real(f, n0, n_range,
+                                                    sabotage=True))
+    name = "section4-no-predual"
+    checks = SUITES[name](read_params({}, SUITE_PARAMS[name]), 0)
+    v = dict(checks)["proof-skeleton"]()
+    assert v.status == FAIL
+    assert [s["verdict"].status for s in v.witness["steps"]] == [
+        PASS, FAIL, PASS]
 
 
 @given(st.lists(st.integers(1, 8), min_size=0, max_size=4, unique=True),

@@ -32,7 +32,7 @@ DIGESTS = {
     "unique-l1s":
         "0baf98942851af0825567410c0eebfce7c11d5275704b8896a5eb817964f5fb4",
     "rees-cancellativity":
-        "684738a7d920fdcb44d0bed63551350d4c91be1957bb9302b6f07e69b2f26aea",
+        "c886ffdc5c9705516312a91ba73b4d9273cdef3bedbca833700f6979382189f9",
     "structural":
         "a0de9a5f15fb274e9b884e3b0880c3681b3d7581885e6500a005b6707cdb1064",
 }

@@ -99,6 +99,20 @@ def test_exports_nothing_under_src_calls_are_pinned():
             if name.rsplit(".", 1)[-1] not in used} == UNCALLED
 
 
+def test_no_module_raises_arithmetic_error():
+    # a self-check that disagrees returns a FAIL verdict with the
+    # quantities that disagree; a raise escapes the CLI as a traceback
+    raised = set()
+    for path in Path(semitop.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) \
+                    else node.exc
+                if isinstance(exc, ast.Name) and exc.id == "ArithmeticError":
+                    raised.add(path.name)
+    assert not raised
+
+
 def _instance_classes(cls=semitop.SemigroupInstance):
     for sub in cls.__subclasses__():
         if sub.__module__.startswith("semitop."):

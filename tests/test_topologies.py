@@ -1,3 +1,4 @@
+import dataclasses
 import re
 from fractions import Fraction
 from itertools import combinations, product as iproduct
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semitop import topologies
 from semitop.semigroups import INF, NatInfinity, NatMul
 from semitop.topologies import (BasicNbhd, ConvergenceCertificate,
                                 DiscreteTopology, OnePointTopology,
@@ -19,8 +21,9 @@ from semitop.topologies import (BasicNbhd, ConvergenceCertificate,
                                 separate_continuity_identity, verify_star,
                                 verify_star_star)
 from semitop.topologies import _limit_candidates
-from semitop.verdicts import (DISTINCT, FAIL, FOUND, NOT_APPLICABLE, PASS,
-                              UNDETERMINED, VACUOUS, Verdict)
+from semitop.verdicts import (DISTINCT, FAIL, FOUND, NOT_APPLICABLE,
+                              NOT_FOUND_AT_HORIZON, PASS, UNDETERMINED,
+                              VACUOUS, Verdict)
 
 
 def Tz(bound=6, mask=None):
@@ -460,8 +463,38 @@ def test_check_convergence_produces_certificate():
     assert isinstance(cert, ConvergenceCertificate)
     assert cert.thresholds[1] == 1
     assert cert.thresholds[3] == 3     # first term with index >= 3
-    assert cert.revalidate(T, seq)
-    assert not cert.revalidate(T, seq[:-1])
+    assert cert.revalidate(T, seq).status == PASS
+
+
+def _certificate_to_2_0():
+    T = Tz(6)
+    seq = seq_to_limit(T, 2, 0)
+    return T, seq, check_convergence(T, seq, (2, 0), 3).witness
+
+
+def test_revalidate_fails_on_a_shorter_prefix():
+    T, seq, cert = _certificate_to_2_0()
+    v = cert.revalidate(T, seq[:-1])
+    assert v.status == FAIL
+    assert v.witness == {"prefix_len": 6, "terms": 5}
+
+
+def test_revalidate_names_the_level_and_term_a_lowered_threshold_admits():
+    # at level 3 the tail starts at term 3; from term 1 it takes in w_1,
+    # whose index lies below the level
+    T, seq, cert = _certificate_to_2_0()
+    lowered = dataclasses.replace(cert, thresholds={**cert.thresholds, 3: 1})
+    v = lowered.revalidate(T, seq)
+    assert v.status == FAIL
+    assert v.witness == {"alpha": 3, "term": 1}
+
+
+def test_revalidate_fails_on_a_missing_level():
+    T, seq, cert = _certificate_to_2_0()
+    thresholds = {k: n for k, n in cert.thresholds.items() if k != 2}
+    v = dataclasses.replace(cert, thresholds=thresholds).revalidate(T, seq)
+    assert v.status == FAIL
+    assert v.witness == {"alpha": 2}
 
 
 def test_check_convergence_detects_divergence():
@@ -475,10 +508,17 @@ def test_find_limit_recovers_construction():
     T = Todd(8)
     seq = seq_to_limit(T, 1, 5, start=2)
     got = find_limit(T, seq, 3)
-    assert got is not None
-    limit, cert = got
-    assert limit == (1, 5)
-    assert cert.revalidate(T, seq)
+    assert got.status == PASS
+    assert got.witness.limit == (1, 5)
+    assert got.witness.revalidate(T, seq)
+
+
+def test_find_limit_not_found_at_horizon():
+    # no unshift candidate holds the last term, and a constant prefix
+    # would always certify to its own last term
+    v = find_limit(Tz(6), [(0, 0)] * 5 + [(0, 1000)], 3)
+    assert v.status == NOT_FOUND_AT_HORIZON
+    assert v.witness is None and v.detail
 
 
 def _limit_candidates_loop(T, sequence):
@@ -548,6 +588,23 @@ def test_convergence_transfer_z():
     shifted = [(p[0] + 1, p[1] + 16) for p in seq]
     assert res.witness["shifted_certificate"].revalidate(T, shifted)
     assert res.witness["division"].status == PASS
+
+
+def test_convergence_transfer_memoises_division_per_shift(monkeypatch):
+    # an undetermined verdict is falsy, and must be reused all the same
+    calls = []
+
+    def stub(T, t):
+        calls.append(t)
+        return Verdict(UNDETERMINED, detail="stub")
+
+    monkeypatch.setattr(topologies, "verify_star_star", stub)
+    T = Tz(8)
+    seq = seq_to_limit(T, 2, 4, start=2)
+    for _ in range(3):
+        res = convergence_transfer(T, seq, (1, 16), 3)
+        assert res.witness["division"].status == UNDETERMINED
+    assert calls == [16]
 
 
 def test_convergence_transfer_odd_instance():

@@ -10,8 +10,9 @@ from semitop import wap
 from semitop.l1 import (BoundedFunction, L1Vector, _coeff_sum, convolve,
                         pairing, pairing_vectors)
 from semitop.semigroups import NatMax
-from semitop.verdicts import (NOT_APPLICABLE, NOT_WAP, PASS, UNDETERMINED,
-                              WAP_CONSISTENT, Verdict, failed, passed)
+from semitop.verdicts import (FAIL, NOT_APPLICABLE, NOT_WAP, PASS,
+                              UNDETERMINED, WAP_CONSISTENT, Verdict, failed,
+                              passed)
 from semitop.wap import (LimitFunctional, SharpnessWitness, arens_box,
                          arens_diamond, counterexample_x, eval_limit,
                          indicator_of_evens, random_c0_plus_const,
@@ -398,6 +399,25 @@ def test_counterexample_zero_mass_not_applicable():
     v = counterexample_x(_d(1) - _d(2))
     assert isinstance(v, Verdict)
     assert v.status == NOT_APPLICABLE
+
+
+def test_counterexample_self_check_is_a_fail_verdict(monkeypatch):
+    # a translate that loses all its mass: the built x no longer verifies
+    monkeypatch.setattr(wap, "convolve", lambda u, v: v - v)
+    v = counterexample_x(_d(1) + _d(2))
+    assert v.status == FAIL
+    assert v.witness == {"pairing_a": 0, "pairing_translated": 0,
+                         "expected": 2}
+
+
+def test_telescoping_self_check_is_a_fail_verdict(monkeypatch):
+    # with every translate stubbed to a itself the hypothesis holds, so
+    # the telescoped identity is the check that must catch it
+    monkeypatch.setattr(wap, "convolve", lambda u, v: v)
+    x = BoundedFunction.c0_plus_const({1: Fraction(1)}, 0)
+    v = telescoping_check(_d(1), x, 4)
+    assert v.status == FAIL
+    assert v.witness == {"s": 2, "lhs": 1, "rhs": 0}
 
 
 def test_counterexample_unsorted_support():
