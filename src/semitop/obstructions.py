@@ -109,67 +109,66 @@ def open_set_identity_sweep(max_domain: int, max_value: int) -> Verdict:
     """Exhaustive identity check for every f and every admissible fprime
     over the bounded universe.
 
-    Each spec (f, F') gives three sets of maps h, and all three must agree:
-    the basic set; the keyed preimage {h : h(g(m)) = f(m) on dom g} for
-    g = build_g(f, F'); and the literal preimage {h : h o g = f}, from
-    composing h o g for every h once per distinct translator g.  The
-    witness counts the specs, the translators and the compositions.
+    Each spec (f, F') gives the identity's two sides as sets of maps h:
+    the literal preimage {h : h o g = f} for g = build_g(f, F'), and the
+    basic set.  The witness counts the specs, the distinct translators and
+    the compositions performed.
     """
     universe = enumerate_partial_maps(max_domain, max_value)
-    translators = specs_checked = 0
-    for g, rows in _sweep_sets(universe, max_domain):
+    translators = specs_checked = compositions = 0
+    for g, composed, rows in _sweep_sets(universe, max_domain):
         translators += 1
-        for f, fprime, direct, keyed, basic in rows:
+        compositions += composed
+        for f, fprime, literal, basic in rows:
             specs_checked += 1
-            if not direct == keyed == basic:
-                pre, other = (direct, keyed) if direct != keyed else (keyed, basic)
-                bad = ((pre ^ other) & -(pre ^ other)).bit_length() - 1
+            if literal != basic:
+                bad = ((literal ^ basic) & -(literal ^ basic)).bit_length() - 1
                 return failed(witness={
                     "f": f.pairs, "fprime": list(fprime), "g": g.pairs,
                     "mismatch_h": universe[bad].pairs,
-                    "in_preimage": bool(pre >> bad & 1)},
-                    detail="key reduction disagrees with literal composition"
-                    if direct != keyed else "")
+                    "in_preimage": bool(literal >> bad & 1)})
     return passed(witness={"universe": len(universe),
                            "specs_checked": specs_checked,
                            "cross_checked": specs_checked,
                            "translators": translators,
-                           "compositions": translators * len(universe)})
+                           "compositions": compositions})
 
 
 def _sweep_sets(universe: Sequence, max_domain: int):
-    """Yield each distinct translator g with rows (f, F', literal preimage,
-    keyed preimage, basic set) for the specs it serves; each set is a
-    bitset of universe indices, the last two ANDs of columns B[n][v]."""
-    full = (1 << len(universe)) - 1
-    columns: dict = {}                # (n, v) -> bitset of h with h(n) = v
-    base = range(1, max_domain + 1)
-    for i, h in enumerate(universe):
-        for n in base:
-            columns[(n, h(n))] = columns.get((n, h(n)), 0) | 1 << i
+    """Yield each distinct translator g, the compositions made for it, and
+    rows (f, F', literal preimage, basic set) for the specs it serves, each
+    set a bitset of universe indices read off the maps classed by their
+    values on a support.  The basic set is the class of f's values on
+    dom f and F'."""
+    index: dict = {}                  # support -> values -> (bitset, last h)
 
-    def meet(keys) -> int:
-        bits = full
-        for n, v in keys:             # h(n) = 0 for every h when n > max_domain
-            bits &= columns.get((n, v), full if v == 0 else 0)
-        return bits
+    def classes(support: tuple) -> dict:
+        if support not in index:
+            by_values = index[support] = {}
+            for i, h in enumerate(universe):
+                key = tuple(map(h, support))
+                by_values[key] = (by_values.get(key, (0,))[0] | 1 << i, h)
+        return index[support]
 
     by_translator: dict = {}
+    base = range(1, max_domain + 1)
     for f in universe:
         complement = [n for n in base if n not in f.domain]
         for r in range(len(complement) + 1):
             for fprime in combinations(complement, r):
                 by_translator.setdefault(build_g(f, fprime), []).append(
-                    (f, fprime))
+                    (f, fprime, tuple(sorted(f.domain + fprime))))
     for g, specs in by_translator.items():
+        # h o g reads h only on img g: compose one member per class, the
+        # last in universe order, whose points off img g compose must drop
         literal: dict = {}            # pairs of h o g -> bitset of those h
-        for i, h in enumerate(universe):
+        by_image = classes(g.image)
+        for bits, h in by_image.values():
             hg = h.compose(g).pairs
-            literal[hg] = literal.get(hg, 0) | 1 << i
-        yield g, [(f, fprime, literal.get(f.pairs, 0),
-                   meet((n, f(m)) for m, n in g.pairs),
-                   meet(f.pairs + tuple((n, 0) for n in fprime)))
-                  for f, fprime in specs]
+            literal[hg] = literal.get(hg, 0) | bits
+        yield g, len(by_image), [
+            (f, fprime, literal.get(f.pairs, 0), classes(s)[tuple(map(f, s))][0])
+            for f, fprime, s in specs]
 
 
 # ---------------------------------------------------------------------------

@@ -23,9 +23,9 @@ from .semigroups import (INF, CyclicGroup, FreeWords, IntegerGroup, NatInfinity,
                          is_cancellative_window,
                          is_finitely_left_divisible_window,
                          is_weakly_cancellative_window, length)
-from .verdicts import (DISTINCT, FAIL, FOUND, NOT_APPLICABLE, NOT_WAP, PASS,
-                       UNDETERMINED, VACUOUS, WAP_CONSISTENT, Verdict, failed,
-                       passed)
+from .verdicts import (DISTINCT, FAIL, FOUND, NOT_APPLICABLE,
+                       NOT_FOUND_AT_HORIZON, NOT_WAP, PASS, UNDETERMINED,
+                       VACUOUS, WAP_CONSISTENT, Verdict, failed, passed)
 from .wap import (LimitFunctional, arens_box, arens_diamond, counterexample_x,
                   indicator_of_evens, random_c0_plus_const,
                   subsequence_pair_family, telescoping_check, wap_test)
@@ -58,9 +58,16 @@ def _wrap(expected_status: str, inner: Verdict) -> Verdict:
 
 def _relay(inner: Verdict, **context) -> Verdict:
     """The inner verdict's status and detail, its witness nested under
-    "inner" after the keys that locate it."""
-    return Verdict(inner.status, witness={**context, "inner": inner.witness},
-                   detail=inner.detail)
+    "inner" after the keys that locate it.  Any other status than PASS,
+    FAIL or UNDETERMINED is named in the detail and read as UNDETERMINED
+    when the search ran out of horizon, as FAIL otherwise."""
+    status, detail = inner.status, inner.detail
+    if status not in (PASS, FAIL, UNDETERMINED):
+        status = UNDETERMINED if status == NOT_FOUND_AT_HORIZON else FAIL
+        detail = f"inner verdict is {inner.status}" + (
+            f": {detail}" if detail else "")
+    return Verdict(status, witness={**context, "inner": inner.witness},
+                   detail=detail)
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +75,7 @@ def _relay(inner: Verdict, **context) -> Verdict:
 
 
 @_suite("lemma-technical", a_max=(4, 1, 5), alpha_max=(3, 1, 4),
-       beta_max=(8, 1, 10), max_exp=(12, 2, 14))
+       beta_max=(8, 1, 10), max_exp=(12, 4, 14))
 def _suite_lemma_technical(p: dict, seed: int) -> list:
     a_max = p["a_max"]
     alpha_max = p["alpha_max"]
@@ -315,7 +322,7 @@ def _suite_star_condition(p: dict, seed: int) -> list:
 
 
 @_suite("remark4-continuum", masks=(20, 2, 30),
-       horizon=(12, 4, MAX_INDEX_BOUND))
+       horizon=(12, 10, MAX_INDEX_BOUND))
 def _suite_remark4_continuum(p: dict, seed: int) -> list:
     n_masks = p["masks"]
     horizon = p["horizon"]
@@ -363,18 +370,9 @@ def _suite_good_corr(p: dict, seed: int) -> list:
         res = topologies.good_corr_check(topologies.DiscreteTopology(S), 3, seq)
         return _wrap(VACUOUS, res)
 
-    def one_point_found():
-        S = NatInfinity()
-        seq = list(range(1, 11))
-        res = topologies.good_corr_check(topologies.OnePointTopology(S), 1, seq)
-        if res.status != FOUND or res.witness["limit"] is not INF:
-            return failed(witness={"inner": to_jsonable(res)})
-        return passed(witness={"inner": res.witness})
-
-    def one_point_constant():
-        S = NatInfinity()
-        seq = [INF, 1, INF, 2, INF, 3]
-        res = topologies.good_corr_check(topologies.OnePointTopology(S), 2, seq)
+    def one_point(s, seq):
+        res = topologies.good_corr_check(
+            topologies.OnePointTopology(NatInfinity()), s, seq)
         if res.status != FOUND or res.witness["limit"] is not INF:
             return failed(witness={"inner": to_jsonable(res)})
         return passed(witness={"inner": res.witness})
@@ -401,8 +399,9 @@ def _suite_good_corr(p: dict, seed: int) -> list:
 
     return [("discrete-found", discrete_found),
             ("discrete-vacuous", discrete_vacuous),
-            ("one-point-found", one_point_found),
-            ("one-point-constant", one_point_constant),
+            ("one-point-found", lambda: one_point(1, list(range(1, 11)))),
+            ("one-point-constant",
+             lambda: one_point(2, [INF, 1, INF, 2, INF, 3])),
             ("sigma-found", sigma_found),
             ("sigma-vacuous", sigma_vacuous)]
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from semitop import cli, jsonio, suites, verdicts
+from semitop import cli, jsonio, suites, topologies, verdicts
 from semitop.cli import main
 from semitop.jsonio import SuiteError, read_params
 from semitop.suites import SUITE_PARAMS, run_suite
@@ -177,9 +177,30 @@ def test_associativity_failure_keeps_its_witness(monkeypatch):
     assert check["witness"] == {"instance": "zplus_2", "inner": [1, 2, 3]}
 
 
+@pytest.mark.parametrize("status,code,overall", [
+    (verdicts.VACUOUS, 1, "FAIL"),
+    (verdicts.NOT_FOUND_AT_HORIZON, 2, "UNDETERMINED")])
+def test_relayed_status_never_reads_as_pass(status, code, overall,
+                                            monkeypatch, capsys):
+    # discrete-found expects FOUND and relays any other inner verdict
+    real = topologies.good_corr_check
+
+    def fake(topology, s, seq):
+        if isinstance(topology, topologies.DiscreteTopology) and s == 5:
+            return verdicts.Verdict(status, detail="faked")
+        return real(topology, s, seq)
+
+    monkeypatch.setattr(topologies, "good_corr_check", fake)
+    got, doc = run(capsys, "--suite", "good-corr")
+    assert (got, doc["overall"]) == (code, overall)
+    check = next(c for c in doc["checks"] if c["id"] == "discrete-found")
+    assert (check["status"], check["detail"]) == (
+        overall, f"inner verdict is {status}: faked")
+
+
 def test_suite_with_params(capsys):
     code, doc = run(capsys, "--suite", "remark4-continuum",
-                    "--params", '{"masks": 4, "horizon": 6}')
+                    "--params", '{"masks": 4, "horizon": 10}')
     assert code == 0
     pairwise = next(c for c in doc["checks"]
                     if c["id"] == "mask-family-pairwise-distinct")

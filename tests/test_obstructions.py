@@ -71,7 +71,8 @@ def test_open_set_identity_sweep_small():
     assert v.witness["specs_checked"] == 152
     assert v.witness["cross_checked"] == 152
     assert v.witness["translators"] == 39
-    assert v.witness["compositions"] == 39 * 73
+    # one composition per translator and class of h restricted to img g
+    assert v.witness["compositions"] == 1431
 
 
 def test_open_set_identity_sweep_catches_translator_without_fprime_leg(
@@ -98,27 +99,73 @@ def test_open_set_identity_sweep_catches_wrong_composition(monkeypatch):
     monkeypatch.setattr(PartialMap, "compose", lambda self, other: self)
     v = open_set_identity_sweep(2, 3)
     assert v.status == FAIL
-    assert v.detail == "key reduction disagrees with literal composition"
 
 
-@pytest.mark.parametrize("max_domain,max_value", [(2, 3), (3, 4)])
+class _ShortImage(PartialMap):
+    """A translator that reports its image without its largest point."""
+
+    @property
+    def image(self) -> tuple:
+        return super().image[:-1]
+
+
+def test_open_set_identity_sweep_catches_classes_missing_an_image_point(
+        monkeypatch):
+    # negative control: classing h on img g minus one point merges maps
+    # whose composites with g differ, so the literal side goes wrong while
+    # the identity itself still holds for the same spec
+    real_build_g = obstructions.build_g
+    monkeypatch.setattr(obstructions, "build_g", lambda f, fprime:
+                        _ShortImage(real_build_g(f, fprime).pairs))
+    v = open_set_identity_sweep(3, 4)
+    assert v.status == FAIL
+    w = v.witness
+    f, g, h = (PartialMap(w[k]) for k in ("f", "g", "mismatch_h"))
+    assert (h.compose(g) == f) != w["in_preimage"]
+    assert open_set_identity(f, w["fprime"], enumerate_partial_maps(3, 4),
+                             g=g).status == PASS
+
+
+def _columns(universe, max_domain):
+    """(n, v) -> bitset of the h with h(n) = v, for n up to max_domain."""
+    columns: dict = {}
+    for i, h in enumerate(universe):
+        for n in range(1, max_domain + 1):
+            columns[(n, h(n))] = columns.get((n, h(n)), 0) | 1 << i
+    return columns
+
+
+@pytest.mark.parametrize("max_domain,max_value", [(2, 3), (3, 4), (4, 6)])
 def test_sweep_sets_match_direct_check(max_domain, max_value):
+    # differential oracle: the class-based literal preimage equals the one
+    # from composing every h with g, and the keyed preimage, the AND of
+    # columns B[g(m)][f(m)]; at small sizes also the o_member set
     universe = enumerate_partial_maps(max_domain, max_value)
-    specs = 0
-    for g, rows in _sweep_sets(universe, max_domain):
-        for f, fprime, direct, keyed, basic in rows:
+    full = (1 << len(universe)) - 1
+    columns = _columns(universe, max_domain)
+    small = len(universe) < 100
+    specs = compositions = 0
+    for g, composed, rows in _sweep_sets(universe, max_domain):
+        assert composed == len({tuple(map(h, g.image)) for h in universe})
+        compositions += composed
+        direct: dict = {}
+        for i, h in enumerate(universe):
+            hg = h.compose(g).pairs
+            direct[hg] = direct.get(hg, 0) | 1 << i
+        for f, fprime, literal, basic in rows:
             specs += 1
             assert g == build_g(f, fprime)
-            assert direct == keyed == basic
-            spec = OpenSetSpec(f, frozenset(fprime))
-            members = {i for i in range(len(universe)) if direct >> i & 1}
-            assert members == {i for i, h in enumerate(universe)
-                               if o_member(spec, h)}
-            oracle = open_set_identity(f, fprime, universe, g=g)
-            assert oracle.status == "PASS"
-            assert oracle.witness["set_size"] == len(members)
-    assert specs == open_set_identity_sweep(
-        max_domain, max_value).witness["specs_checked"]
+            keyed = full
+            for m, n in g.pairs:      # h(n) = 0 for every h past max_domain
+                keyed &= columns.get((n, f(m)), full if f(m) == 0 else 0)
+            assert literal == direct.get(f.pairs, 0) == keyed == basic
+            if small:
+                spec = OpenSetSpec(f, frozenset(fprime))
+                assert literal == sum(1 << i for i, h in enumerate(universe)
+                                      if o_member(spec, h))
+    sweep = open_set_identity_sweep(max_domain, max_value).witness
+    assert (specs, compositions) == (sweep["specs_checked"],
+                                     sweep["compositions"])
 
 
 def test_fn_threshold():
