@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import Iterable, Optional, Sequence
 
-from .semigroups import PartialMap
+from .semigroups import PartialMap, positive_int
 from .verdicts import Verdict, failed, passed
 
 ZERO_MAP = PartialMap()
@@ -36,10 +36,8 @@ class OpenSetSpec:
     fprime: frozenset
 
     def __post_init__(self):
-        fp = frozenset(int(n) for n in self.fprime)
-        if any(n < 1 for n in fp):
-            raise ValueError("fprime must contain positive integers")
-        if fp & set(self.f.domain):
+        fp = frozenset(positive_int(n, "an fprime point") for n in self.fprime)
+        if not fp.isdisjoint(self.f.domain):
             raise ValueError("fprime must be disjoint from the domain of f")
         object.__setattr__(self, "fprime", fp)
 
@@ -64,13 +62,14 @@ def build_g(f: PartialMap, fprime: Iterable) -> PartialMap:
     """The right translator realizing the basic set as a preimage.
 
     Identity on the domain of f, plus fresh points (least naturals not
-    already in play) mapped bijectively onto fprime.
+    already in play) mapped bijectively onto fprime.  The spec checks that
+    fprime is disjoint from dom f and the fresh points avoid both, so the
+    pairs are injective by construction.
     """
-    fprime = sorted(set(int(n) for n in fprime))
-    OpenSetSpec(f, frozenset(fprime))            # validates disjointness
+    fprime = sorted(OpenSetSpec(f, fprime).fprime)
     fresh = _fresh_points(f, fprime, len(fprime))
-    pairs = [(n, n) for n in f.domain] + list(zip(fresh, fprime))
-    return PartialMap(pairs)
+    return PartialMap._trusted(tuple(sorted(
+        [(n, n) for n in f.domain] + list(zip(fresh, fprime)))))
 
 
 def enumerate_partial_maps(max_domain: int, max_value: int) -> list:
@@ -90,10 +89,9 @@ def open_set_identity(f: PartialMap, fprime: Iterable, universe: Sequence,
                       g: Optional[PartialMap] = None) -> Verdict:
     """Direct check of {h : h o g = f} = {h : h in the basic set} over a
     given universe, using actual compositions on the left side."""
-    fprime = frozenset(int(n) for n in fprime)
     spec = OpenSetSpec(f, fprime)
     if g is None:
-        g = build_g(f, fprime)
+        g = build_g(f, spec.fprime)
     left = {i for i, h in enumerate(universe) if h.compose(g) == f}
     right = {i for i, h in enumerate(universe) if o_member(spec, h)}
     if left == right:
@@ -182,21 +180,26 @@ def fn_threshold(f: PartialMap) -> int:
 
 
 def build_fn(f: PartialMap, n0: int, n: int) -> PartialMap:
-    """f extended by n0 able to point at n; rejects non-injective choices."""
-    if not isinstance(n0, int) or n0 < 1:
-        raise ValueError("n0 must be a positive integer")
-    if n0 in f.domain:
-        raise ValueError("n0 must lie outside the domain of f")
-    if not isinstance(n, int) or n < 1 or n in f.image:
-        raise ValueError(
-            f"n = {n!r} breaks injectivity; any n >= {fn_threshold(f)} "
-            f"(and any positive n outside the image) works")
-    return PartialMap(f.pairs + ((n0, n),))
+    """f_n: f plus the pair n0 -> n, built by ``PartialMap.extend``."""
+    try:
+        return f.extend(n0, n)
+    except ValueError as exc:
+        raise ValueError(f"{exc}; with n0 outside the domain of f, any "
+                         f"n >= {fn_threshold(f)} works") from None
+
+
+def _outside_domain(f: PartialMap, n0: int, what: str = "n0") -> None:
+    if positive_int(n0, what) in f.domain:
+        raise ValueError(f"{what} must lie outside the domain of f")
 
 
 def valid_ns(f: PartialMap, n_range: Iterable) -> list:
+    """The n of n_range that give an injective f_n: ints below 1 are
+    skipped, entries that are not ints raise."""
     img = set(f.image)
-    return [n for n in n_range if isinstance(n, int) and n >= 1 and n not in img]
+    return [n for n in n_range
+            if (n >= 1 if type(n) is int else positive_int(n, "n"))
+            and n not in img]
 
 
 def verify_fnp(f: PartialMap, n0: int, n_range: Iterable,
@@ -204,11 +207,8 @@ def verify_fnp(f: PartialMap, n0: int, n_range: Iterable,
     """f_n o p = f for every valid n, with p the identity on the domain
     of f.  The sabotage flag widens p to also fix n0, which must break
     the identity (negative control)."""
-    dom = list(f.domain)
-    if sabotage:
-        if n0 in dom:
-            raise ValueError("n0 must lie outside the domain of f")
-        dom = dom + [n0]
+    _outside_domain(f, n0)
+    dom = f.domain + ((n0,) if sabotage else ())
     p = PartialMap([(k, k) for k in dom])
     ns = valid_ns(f, n_range)
     for n in ns:
@@ -231,12 +231,9 @@ def verify_annihilation(f: PartialMap, n0: int, g: PartialMap, k0: int,
     one-point map k0 -> g(k0), nonzero; while h2 o f_n o h1 is zero for
     every valid n except the single predicted case k0 = n0, n = g(n0).
     """
-    F = set(f.domain)
-    if not isinstance(n0, int) or n0 < 1 or n0 in F:
-        raise ValueError("n0 must be a positive integer outside the domain of f")
-    if not isinstance(k0, int) or k0 < 1 or k0 in F:
-        raise ValueError("k0 must be a positive integer outside the domain of f")
-    if any(g(k) != f(k) for k in F):
+    _outside_domain(f, n0)
+    _outside_domain(f, k0, "k0")
+    if any(g(k) != f(k) for k in f.domain):
         raise ValueError("g must agree with f on the domain of f")
     if g(k0) == 0:
         raise ValueError("g must be nonzero at k0")

@@ -106,6 +106,14 @@ class ReesElement:
 REES_ZERO = ReesElement.zero()
 
 
+def positive_int(x: Any, what: str = "a domain point or value") -> int:
+    """x itself when it is an exact positive int; bools, floats and every
+    other type raise instead of being coerced."""
+    if type(x) is not int or x < 1:
+        raise ValueError(f"{what} must be a positive integer, got {x!r}")
+    return x
+
+
 class PartialMap:
     """Injective partial self-map of the positive integers.
 
@@ -118,13 +126,7 @@ class PartialMap:
 
     def __init__(self, mapping: Any = ()):
         items = mapping.items() if isinstance(mapping, dict) else mapping
-        pairs = []
-        for n, v in items:
-            n, v = int(n), int(v)
-            if n < 1 or v < 1:
-                raise ValueError("domain points and values must be positive")
-            pairs.append((n, v))
-        pairs.sort()
+        pairs = sorted((positive_int(n), positive_int(v)) for n, v in items)
         m = dict(pairs)
         if len(m) != len(pairs):
             raise ValueError("duplicate domain point")
@@ -159,6 +161,16 @@ class PartialMap:
     @property
     def is_zero(self) -> bool:
         return not self._pairs
+
+    def extend(self, n: int, v: int) -> "PartialMap":
+        """This map plus the pair n -> v, checked against ``_map`` only."""
+        if positive_int(n) in self._map:
+            raise ValueError(f"{n} is already in the domain")
+        if positive_int(v) in self._map.values():
+            raise ValueError(f"value {v} breaks injectivity")
+        i = bisect_left(self._pairs, (n,))
+        return PartialMap._trusted(
+            self._pairs[:i] + ((n, v),) + self._pairs[i:])
 
     def compose(self, other: "PartialMap") -> "PartialMap":
         """self after other: n maps to self(other(n)).  Both are injective

@@ -662,7 +662,7 @@ def _suite_section4(p: dict, seed: int) -> list:
             k0 = rng.choice(outside) if rng.random() < 0.5 else n0
             free_vals = [v for v in range(1, max_value + 4)
                          if v not in f.image]
-            g = PartialMap(f.pairs + ((k0, rng.choice(free_vals)),))
+            g = f.extend(k0, rng.choice(free_vals))
             res = obstructions.verify_annihilation(f, n0, g, k0,
                                                    range(1, n_max + 1))
             if res.status != PASS:

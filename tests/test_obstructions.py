@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
@@ -45,6 +47,45 @@ def test_build_g_uses_least_fresh_points():
     # identity on dom f, then 5,6 (the least naturals not in {1,2,3,4})
     # carrying F' = {1, 4}
     assert dict(g.pairs) == {2: 2, 5: 1, 6: 4}
+
+
+def test_build_g_matches_validated_construction():
+    # build_g skips re-validation; for every f of the (3,4) universe and
+    # every F' inside {1..5} off dom f, the validating constructor on its
+    # pairs is the oracle
+    for f in enumerate_partial_maps(3, 4):
+        complement = [n for n in range(1, 6) if n not in f.domain]
+        for r in range(len(complement) + 1):
+            for fprime in combinations(complement, r):
+                g = build_g(f, fprime)
+                oracle = PartialMap(g.pairs)
+                assert g.pairs == oracle.pairs
+                assert hash(g) == hash(oracle) and g == oracle
+                assert all(g(k) == oracle(k) for k in range(12))
+                assert sorted(g.image) == sorted(f.domain + fprime)
+
+
+# one row per entry point: each takes a non-int, a bool or a float where a
+# positive integer belongs and must raise instead of coercing it
+NOT_INTS = [
+    ("PartialMap", lambda x: PartialMap([(1, 2), (x, 3)])),
+    ("PartialMap-value", lambda x: PartialMap({1: x})),
+    ("extend", lambda x: F1.extend(x, 3)),
+    ("extend-value", lambda x: F1.extend(3, x)),
+    ("OpenSetSpec", lambda x: OpenSetSpec(F1, {x})),
+    ("build_g", lambda x: build_g(F1, [x])),
+    ("build_fn-n0", lambda x: build_fn(F1, x, 3)),
+    ("build_fn-n", lambda x: build_fn(F1, 3, x)),
+    ("valid_ns", lambda x: valid_ns(F1, [x, 3])),
+]
+
+
+@pytest.mark.parametrize("value", [True, False, 1.9, 3.0, "3", None])
+@pytest.mark.parametrize("entry", [thunk for _, thunk in NOT_INTS],
+                         ids=[name for name, _ in NOT_INTS])
+def test_entry_points_take_exact_integers_only(entry, value):
+    with pytest.raises(ValueError):
+        entry(value)
 
 
 def test_open_set_identity_small():

@@ -37,6 +37,12 @@ DIGESTS = {
         "a0de9a5f15fb274e9b884e3b0880c3681b3d7581885e6500a005b6707cdb1064",
 }
 
+# suites pinned at non-default params, keyed (suite, params JSON)
+PARAM_DIGESTS = {
+    ("section4-no-predual", '{"max_domain": 4, "max_value": 6}'):
+        "c0a12f4153a66fe2b3330a21b2e0cbc16f1da88196faf846734cff3a01b16a09",
+}
+
 
 def _strip_timing(doc):
     if isinstance(doc, dict):
@@ -51,3 +57,11 @@ def _strip_timing(doc):
 def test_report_digest(suite):
     canon = json.dumps(_strip_timing(run_suite(suite)), sort_keys=True)
     assert hashlib.sha256(canon.encode()).hexdigest() == DIGESTS[suite]
+
+
+@pytest.mark.parametrize("suite,params", sorted(PARAM_DIGESTS))
+def test_report_digest_at_params(suite, params):
+    report = run_suite(suite, json.loads(params))
+    canon = json.dumps(_strip_timing(report), sort_keys=True)
+    assert (hashlib.sha256(canon.encode()).hexdigest()
+            == PARAM_DIGESTS[(suite, params)])

@@ -187,6 +187,27 @@ def test_compose_matches_validated_construction(a, b):
     assert all(ab(n) == a(b(n)) for n in range(12))
 
 
+points = st.integers(-1, 12) | st.sampled_from([True, False, 2.0, 2.5, "3",
+                                                None])
+
+
+@given(injective_maps, points, points)
+def test_extend_matches_validated_construction(f, n, v):
+    # extend builds its result without re-validating f; the validating
+    # constructor on f's pairs plus (n, v) is the oracle
+    try:
+        oracle = PartialMap(f.pairs + ((n, v),))
+    except ValueError:
+        with pytest.raises(ValueError):
+            f.extend(n, v)
+        return
+    fv = f.extend(n, v)
+    assert fv.pairs == oracle.pairs
+    assert hash(fv) == hash(oracle)
+    assert fv == oracle
+    assert all(fv(k) == oracle(k) for k in range(14))
+
+
 # -- the validation boundary: product checks, op is the bare law ----------
 
 # every instance a suite builds, with one malformed operand for each
