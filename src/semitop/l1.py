@@ -1,8 +1,9 @@
 """Finitely supported l1 vectors over a semigroup instance, exactly.
 
-Coefficients are rationals (fractions.Fraction); there is no floating
-point anywhere in this module.  A vector carries the instance it lives
-over, and operations between vectors over different instances raise.
+Coefficients are integer numerators over one common denominator; only
+`coeff`, `terms` and the pairings hand out fractions.Fraction values, and
+there is no floating point anywhere.  A vector carries the instance it
+lives over, and operations between vectors over different instances raise.
 
 Bounded functions (the dual side) come in two deliberately limited forms:
 a finitely modified constant ("c0_plus_const", exact everywhere) and a
@@ -13,6 +14,7 @@ represent a general bounded sequence; that restriction is the point.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Any, Optional
 
 from .semigroups import NatMax, SemigroupInstance
@@ -24,60 +26,69 @@ def _frac(x: Any) -> Fraction:
         return x
     if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
     raise TypeError(f"{x!r} is not an exact rational")
 
 
-class L1Vector:
-    """A finitely supported element of l1(S) with exact coefficients."""
+def _over_common_den(fracs: list) -> tuple:
+    """(integer numerators, common denominator) of a list of Fractions."""
+    den = lcm(*(c.denominator for c in fracs))
+    return [c.numerator * (den // c.denominator) for c in fracs], den
 
-    __slots__ = ("instance", "_coeffs")
+
+class L1Vector:
+    """A finitely supported element of l1(S): `_num` maps the support to
+    nonzero ints over `_den` > 0, and gcd(_den, *_num.values()) == 1."""
+
+    __slots__ = ("instance", "_num", "_den")
 
     def __init__(self, instance: SemigroupInstance, coeffs: Any = ()):
-        items = coeffs.items() if isinstance(coeffs, dict) else coeffs
+        items = list(coeffs.items() if isinstance(coeffs, dict) else coeffs)
+        nums, den = _over_common_den([_frac(c) for _, c in items])
         acc: dict = {}
-        for elem, c in items:
+        for (elem, _), n in zip(items, nums):
             instance.validate(elem)
-            c = _frac(c)
-            if c:
-                prev = acc.get(elem)
-                acc[elem] = c if prev is None else prev + c
-        self.instance = instance
-        self._coeffs = {e: c for e, c in acc.items() if c}
+            acc[elem] = acc.get(elem, 0) + n
+        self._set(instance, acc, den)
 
     @classmethod
-    def _trusted(cls, instance: SemigroupInstance, coeffs: dict) -> "L1Vector":
-        """Skip validation; keys must be elements of the instance and
-        values Fractions.  Zero coefficients are still dropped."""
-        obj = object.__new__(cls)
-        obj.instance = instance
-        obj._coeffs = {e: c for e, c in coeffs.items() if c}
-        return obj
+    def _make(cls, instance: SemigroupInstance, num: dict, den: int) -> "L1Vector":
+        """Skip validation: keys are elements, values ints, den > 0."""
+        return object.__new__(cls)._set(instance, num, den)
+
+    def _set(self, instance: SemigroupInstance, num: dict, den: int) -> "L1Vector":
+        """Store num / den in lowest terms, dropping zero numerators."""
+        num = {e: n for e, n in num.items() if n}
+        g = gcd(den, *num.values())
+        self.instance, self._den = instance, den // g
+        self._num = num if g == 1 else {e: n // g for e, n in num.items()}
+        return self
 
     @classmethod
     def delta(cls, instance: SemigroupInstance, elem: Any, coeff: Any = 1) -> "L1Vector":
-        return cls(instance, [(elem, coeff)])
+        instance.validate(elem)
+        c = _frac(coeff)
+        return cls._make(instance, {elem: c.numerator}, c.denominator)
 
     @classmethod
     def zero(cls, instance: SemigroupInstance) -> "L1Vector":
         return cls(instance)
 
     def coeff(self, elem: Any) -> Fraction:
-        return self._coeffs.get(elem, Fraction(0))
+        return Fraction(self._num.get(elem, 0), self._den)
 
     def terms(self) -> list:
-        return sorted(self._coeffs.items(), key=lambda kv: repr(kv[0]))
+        return sorted(((e, Fraction(n, self._den)) for e, n in self._num.items()),
+                      key=lambda kv: repr(kv[0]))
 
     def support(self) -> list:
         return [e for e, _ in self.terms()]
 
     def norm(self) -> Fraction:
-        return sum((abs(c) for c in self._coeffs.values()), Fraction(0))
+        return Fraction(sum(abs(n) for n in self._num.values()), self._den)
 
     @property
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._num
 
     def _check_mate(self, other: "L1Vector") -> None:
         if not isinstance(other, L1Vector):
@@ -89,20 +100,25 @@ class L1Vector:
 
     def __add__(self, other: "L1Vector") -> "L1Vector":
         self._check_mate(other)
-        out = dict(self._coeffs)
-        for e, c in other._coeffs.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return L1Vector(self.instance, out)
+        den = lcm(self._den, other._den)
+        ms, mo = den // self._den, den // other._den
+        out = {e: n * ms for e, n in self._num.items()}
+        for e, n in other._num.items():
+            out[e] = out.get(e, 0) + n * mo
+        return L1Vector._make(self.instance, out, den)
 
     def __neg__(self) -> "L1Vector":
-        return L1Vector(self.instance, {e: -c for e, c in self._coeffs.items()})
+        return L1Vector._make(self.instance,
+                              {e: -n for e, n in self._num.items()}, self._den)
 
     def __sub__(self, other: "L1Vector") -> "L1Vector":
         return self + (-other)
 
     def scale(self, c: Any) -> "L1Vector":
         c = _frac(c)
-        return L1Vector(self.instance, {e: c * v for e, v in self._coeffs.items()})
+        return L1Vector._make(self.instance,
+                              {e: n * c.numerator for e, n in self._num.items()},
+                              self._den * c.denominator)
 
     def __rmul__(self, c: Any) -> "L1Vector":
         return self.scale(c)
@@ -115,11 +131,11 @@ class L1Vector:
     def __eq__(self, other: Any) -> bool:
         return (isinstance(other, L1Vector)
                 and self.instance.key == other.instance.key
-                and self._coeffs == other._coeffs)
+                and self._den == other._den and self._num == other._num)
 
     def __hash__(self):
-        return hash((self.instance.key, tuple(sorted(
-            ((repr(e), c) for e, c in self._coeffs.items())))))
+        return hash((self.instance.key, self._den, tuple(sorted(
+            ((repr(e), n) for e, n in self._num.items())))))
 
     def __repr__(self) -> str:
         if self.is_zero:
@@ -133,12 +149,11 @@ def convolve(a: L1Vector, b: L1Vector) -> L1Vector:
     a._check_mate(b)
     S = a.instance
     out: dict = {}
-    for s, cs in a._coeffs.items():
-        for t, ct in b._coeffs.items():
+    for s, cs in a._num.items():
+        for t, ct in b._num.items():
             st = S.op(s, t)
-            prev = out.get(st)
-            out[st] = cs * ct if prev is None else prev + cs * ct
-    return L1Vector._trusted(S, out)
+            out[st] = out.get(st, 0) + cs * ct
+    return L1Vector._make(S, out, a._den * b._den)
 
 
 class ProductInstance(SemigroupInstance):
@@ -166,18 +181,19 @@ class ProductInstance(SemigroupInstance):
 def coproduct(a: L1Vector) -> L1Vector:
     """Diagonal coproduct: delta_s maps to delta_(s,s), extended linearly."""
     square = ProductInstance(a.instance, a.instance)
-    return L1Vector(square, [((e, e), c) for e, c in a._coeffs.items()])
+    return L1Vector._make(square, {(e, e): n for e, n in a._num.items()}, a._den)
 
 
 class BoundedFunction:
     """An exactly representable bounded function on an instance.
 
     tag "c0_plus_const": const + finitely many modifications, defined on
-    every element.  tag "sampled": values at the integers 1..horizon only;
+    every element; `_ints` holds (mod numerators, const numerator, den) over
+    one denominator.  tag "sampled": values at the integers 1..horizon only;
     evaluation beyond the horizon raises HorizonExceeded.
     """
 
-    __slots__ = ("tag", "mod", "const", "values")
+    __slots__ = ("tag", "mod", "const", "values", "_ints")
 
     def __init__(self, tag: str, mod: Optional[dict] = None,
                  const: Any = 0, values: Any = ()):
@@ -193,12 +209,15 @@ class BoundedFunction:
                     cleaned[e] = v
             self.mod = cleaned
             self.values = ()
+            nums, den = _over_common_den([self.const, *cleaned.values()])
+            self._ints = (dict(zip(cleaned, nums[1:])), nums[0], den)
         else:
             self.values = tuple(_frac(v) for v in values)
             if not self.values:
                 raise ValueError("sampled function needs at least one value")
             self.mod = {}
             self.const = Fraction(0)
+            self._ints = None
 
     @classmethod
     def c0_plus_const(cls, mod: Optional[dict] = None, const: Any = 0) -> "BoundedFunction":
@@ -242,23 +261,24 @@ class BoundedFunction:
 
 def pairing(a: L1Vector, f: BoundedFunction) -> Fraction:
     """<f, a> = sum of a_s f(s), exact."""
-    total = Fraction(0)
-    for e, c in a._coeffs.items():
-        total += c * f.evaluate(e)
-    return total
+    if f._ints is None:
+        return sum((n * f.evaluate(e) for e, n in a._num.items()),
+                   Fraction(0)) / a._den
+    mod, const, den = f._ints
+    return Fraction(sum(n * (const + mod.get(e, 0)) for e, n in a._num.items()),
+                    a._den * den)
 
 
 def pairing_vectors(x: L1Vector, b: L1Vector) -> Fraction:
     """Pairing of a finitely supported functional x against a vector b."""
     x._check_mate(b)
-    total = Fraction(0)
-    for e, c in b._coeffs.items():
-        total += c * x.coeff(e)
-    return total
+    xs = x._num
+    return Fraction(sum(n * xs.get(e, 0) for e, n in b._num.items()),
+                    x._den * b._den)
 
 
 def _coeff_sum(a: L1Vector) -> Fraction:
-    return sum(a._coeffs.values(), Fraction(0))
+    return Fraction(sum(a._num.values()), a._den)
 
 
 def max_action_formula(s: int, a: L1Vector) -> L1Vector:
@@ -269,7 +289,6 @@ def max_action_formula(s: int, a: L1Vector) -> L1Vector:
     if not isinstance(S, NatMax):
         raise TypeError("the closed form is specific to (N, max)")
     S.validate(s)
-    low = sum((c for t, c in a._coeffs.items() if t <= s), Fraction(0))
-    out = {t: c for t, c in a._coeffs.items() if t > s}
-    out[s] = out.get(s, Fraction(0)) + low
-    return L1Vector(S, out)
+    out = {t: n for t, n in a._num.items() if t > s}
+    out[s] = out.get(s, 0) + sum(n for t, n in a._num.items() if t <= s)
+    return L1Vector._make(S, out, a._den)

@@ -508,6 +508,11 @@ def base_property_check(T: TopologyInstance, u1: BasicNbhd, u2: BasicNbhd) -> Ve
         g2 = (max(pts2[p]) + 1) if pts2[p] else u2.alpha
         enclosed = BasicNbhd(p[0], p[1], max(g1, g2))
         for q in T.basic_points(enclosed):
+            # a point of both tables has a representation in each within
+            # the bound, so only the others need `member` to decide
+            if q in pts1 and q in pts2:
+                checked += 1
+                continue
             r1 = T.member(u1, q)
             r2 = T.member(u2, q)
             if r1.status == UNDETERMINED or r2.status == UNDETERMINED:

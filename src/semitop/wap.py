@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 from .l1 import (BoundedFunction, L1Vector, convolve, pairing, pairing_vectors,
                  _coeff_sum)
-from .semigroups import NatMax
+from .semigroups import NatMax, positive_int
 from .verdicts import (NOT_WAP, WAP_CONSISTENT, Verdict, failed, not_applicable,
                        passed, undetermined)
 
@@ -34,11 +34,12 @@ class LimitFunctional:
     horizon: int
 
     def __post_init__(self):
-        pts = tuple(int(p) for p in self.along)
+        positive_int(self.horizon, "the horizon")
+        pts = tuple(positive_int(p, "a subsequence index") for p in self.along)
         if not pts:
             raise ValueError("the subsequence must be nonempty")
-        if any(p < 1 for p in pts) or any(a >= b for a, b in zip(pts, pts[1:])):
-            raise ValueError("indices must be strictly increasing positive integers")
+        if any(a >= b for a, b in zip(pts, pts[1:])):
+            raise ValueError("indices must be strictly increasing")
         if pts[-1] > self.horizon:
             raise ValueError("subsequence exceeds its own horizon")
         object.__setattr__(self, "along", pts)

@@ -1,11 +1,12 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from semitop.l1 import (BoundedFunction, L1Vector, convolve, coproduct,
-                        max_action_formula, pairing, pairing_vectors)
+from semitop.l1 import (BoundedFunction, L1Vector, _coeff_sum, _frac, convolve,
+                        coproduct, max_action_formula, pairing, pairing_vectors)
 from semitop import suites
 from semitop.jsonio import read_params
 from semitop.semigroups import FreeWords, NatMax, NatMul
@@ -189,3 +190,110 @@ def test_mixed_instances_rejected():
     b = _d(NatMul(), 1)
     with pytest.raises(TypeError):
         convolve(a, b)
+
+
+@pytest.mark.parametrize("bad", ["1e3", "1/2", "1e100000000", 0.5, True, None])
+def test_only_ints_and_fractions_are_coefficients(bad):
+    with pytest.raises(TypeError):
+        _frac(bad)
+    with pytest.raises(TypeError):
+        L1Vector.delta(NatMax(), 1, bad)
+    with pytest.raises(TypeError):
+        BoundedFunction.c0_plus_const({}, bad)
+
+
+# -- the integer-numerator form against a dict-of-Fractions reference ---
+
+
+def _canonical(v):
+    """The stored form: nonzero int numerators over a positive int
+    denominator, in lowest terms."""
+    nums = list(v._num.values())
+    return (type(v._den) is int and v._den > 0
+            and all(type(n) is int and n for n in nums)
+            and gcd(v._den, *nums) == 1)
+
+
+def _ref(terms):
+    out = {}
+    for e, c in terms:
+        out[e] = out.get(e, F(0)) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_terms(ref):
+    return sorted(ref.items(), key=lambda kv: repr(kv[0]))
+
+
+def _agrees(v, ref):
+    return (_canonical(v) and v.terms() == _ref_terms(ref)
+            and all(isinstance(c, F) for _, c in v.terms()))
+
+
+_fracs = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+def _instance(kind):
+    if kind == "nat_max":
+        return NatMax(), st.integers(1, 6)
+    return FreeWords("ab"), st.text(alphabet="ab", min_size=1, max_size=2)
+
+
+@given(st.sampled_from(["nat_max", "free_ab"]), st.data())
+def test_integer_form_matches_fraction_reference(kind, data):
+    S, elems = _instance(kind)
+    terms = st.lists(st.tuples(elems, _fracs), max_size=5)
+    ta, tb = data.draw(terms), data.draw(terms)
+    a, b = L1Vector(S, ta), L1Vector(S, tb)
+    ra, rb = _ref(ta), _ref(tb)
+    assert _agrees(a, ra) and _agrees(b, rb)
+    assert _agrees(a + b, _ref(list(ra.items()) + list(rb.items())))
+    assert _agrees(a - b, _ref(list(ra.items()) + [(e, -c) for e, c in rb.items()]))
+    assert _agrees(-a, {e: -c for e, c in ra.items()})
+    c = data.draw(_fracs)
+    assert _agrees(a.scale(c), _ref([(e, c * v) for e, v in ra.items()]))
+    assert _agrees(convolve(a, b), _ref([(S.op(s, t), cs * ct)
+                                         for s, cs in ra.items()
+                                         for t, ct in rb.items()]))
+    assert a.norm() == sum((abs(v) for v in ra.values()), F(0))
+    assert _coeff_sum(a) == sum(ra.values(), F(0))
+    for e in data.draw(st.lists(elems, max_size=4)):
+        assert a.coeff(e) == ra.get(e, F(0)) and isinstance(a.coeff(e), F)
+    assert pairing_vectors(a, b) == sum(
+        (c * ra.get(e, F(0)) for e, c in rb.items()), F(0))
+    assert (a == b) == (ra == rb)
+    # the same vector built another way: equal, and hashes equal
+    again = L1Vector(S, list(reversed(ta))) + b - b
+    assert again == a and hash(again) == hash(a)
+
+
+@given(st.sampled_from(["nat_max", "free_ab"]), st.data())
+def test_pairing_matches_fraction_reference(kind, data):
+    S, elems = _instance(kind)
+    terms = data.draw(st.lists(st.tuples(elems, _fracs), max_size=5))
+    a, ra = L1Vector(S, terms), _ref(terms)
+    mod = data.draw(st.dictionaries(elems, _fracs, max_size=4))
+    const = data.draw(_fracs)
+    f = BoundedFunction.c0_plus_const(mod, const)
+    want = sum((c * (const + mod.get(e, F(0))) for e, c in ra.items()), F(0))
+    got = pairing(a, f)
+    assert got == want and isinstance(got, F)
+    if kind != "nat_max":
+        return
+    values = data.draw(st.lists(_fracs, min_size=1, max_size=8))
+    g = BoundedFunction.sampled(values)
+    if all(e <= len(values) for e in ra):
+        assert pairing(a, g) == sum((c * values[e - 1] for e, c in ra.items()), F(0))
+    else:
+        with pytest.raises(HorizonExceeded):
+            pairing(a, g)
+
+
+def test_integer_form_is_canonical():
+    S = NatMax()
+    half = _d(S, 1, F(1, 2)) + _d(S, 1, F(1, 2))
+    assert half == _d(S, 1) and hash(half) == hash(_d(S, 1))
+    assert (half._num, half._den) == ({1: 1}, 1)
+    gone = _d(S, 2, F(1, 3)) + _d(S, 2, F(-1, 3))
+    assert gone.is_zero and gone._den == 1 and gone == L1Vector.zero(S)
+    assert L1Vector(S, [(1, F(2, 6)), (2, F(4, 6))])._den == 3

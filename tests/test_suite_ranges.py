@@ -34,6 +34,9 @@ def test_every_suite_passes_at_its_lower_bounds(suite):
     # below horizon 10 the 30-mask family with pairwise symmetric
     # difference at least horizon // 3 was not found for every seed
     ("remark4-continuum", {"horizon": 10, "masks": 30}),
+    # the top corners of index_bound and s_max
+    ("gen-con-one", {"index_bound": 8}),
+    ("unique-l1s", {"s_max": 200}),
 ])
 def test_regression_points_pass(suite, params):
     report = run_suite(suite, params)

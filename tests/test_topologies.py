@@ -376,6 +376,50 @@ def test_base_property_check_disjoint_pair_is_trivially_fine():
     assert v.witness["common_points"] == 0
 
 
+def _gen_con_one_family(T, a_max):
+    """The basic sets `gen-con-one`'s base-property check pairs up."""
+    w = T.weights
+    centers = [0] + [sign * w.value(i) for i in T.mask for sign in (1, -1)]
+    return [BasicNbhd(a, s, alpha) for a in range(a_max + 1) for s in centers
+            for alpha in range(1, w.index_bound + 1)]
+
+
+def test_basic_point_tables_agree_with_member_at_enclosed_points():
+    # base_property_check counts a point of both tables as a member of
+    # both sets without asking `member`; this is the oracle for that
+    T = Tz(4)
+    seen = 0
+    for u1, u2 in combinations(_gen_con_one_family(T, 3), 2):
+        pts1, pts2 = T.basic_points(u1), T.basic_points(u2)
+        for p in sorted(pts1.keys() & pts2.keys()):
+            g1 = max(pts1[p]) + 1 if pts1[p] else u1.alpha
+            g2 = max(pts2[p]) + 1 if pts2[p] else u2.alpha
+            for q in T.basic_points(BasicNbhd(p[0], p[1], max(g1, g2))):
+                for u, pts in ((u1, pts1), (u2, pts2)):
+                    assert (q in pts) == (T.member(u, q).status == PASS)
+                    seen += 1
+    assert seen > 1000
+
+
+def test_base_property_check_fails_on_a_table_point_outside_the_set(monkeypatch):
+    T = Tz(6)
+    # the stray point sits in every table but u1's, so it is in no
+    # table pair that vouches for it and only `member` can reject it
+    u1, u2 = BasicNbhd(2, 0, 1), BasicNbhd(2, 0, 2)
+    stray = (0, 1)          # 1 is no sum of two weights
+    assert T.member(u1, stray).status == FAIL
+    table = TopologyInstance.basic_points
+
+    def padded(self, nbhd):
+        out = table(self, nbhd)
+        return out if nbhd == u1 else {**out, stray: ()}
+
+    monkeypatch.setattr(TopologyInstance, "basic_points", padded)
+    v = base_property_check(T, u1, u2)
+    assert v.status == FAIL
+    assert v.witness["escaping"] == stray
+
+
 def test_hausdorff_witness_same_s():
     T = Tz(6)
     v = hausdorff_witness(T, (0, 0), (2, 0))

@@ -35,6 +35,17 @@ def test_limit_functional_validation():
         LimitFunctional((2, 11), 10)
 
 
+@pytest.mark.parametrize("along,horizon", [
+    ((1.9, 3.2), 5),        # once truncated to (1, 3)
+    ((True, 3), 5),         # once read as (1, 3)
+    (("1", 3), 5),
+    ((1, 3), 5.5),
+])
+def test_limit_functional_takes_only_exact_ints(along, horizon):
+    with pytest.raises(ValueError):
+        LimitFunctional(along, horizon)
+
+
 def test_eval_limit_constant_plus_c0_is_exact():
     f = BoundedFunction.c0_plus_const({5: F(100)}, F(2, 3))
     phi = LimitFunctional.evens(50)
