@@ -21,6 +21,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterable
 
+from .semigroups import positive_int
 from .verdicts import Verdict, failed, passed
 
 
@@ -31,9 +32,7 @@ class DyadicPoint:
     exponents: tuple
 
     def __init__(self, exponents: Iterable = ()):
-        exps = tuple(int(m) for m in exponents)
-        if any(m < 1 for m in exps):
-            raise ValueError("exponents must be positive")
+        exps = tuple(positive_int(m, "an exponent") for m in exponents)
         if any(a >= b for a, b in zip(exps, exps[1:])):
             raise ValueError("exponents must be strictly increasing")
         object.__setattr__(self, "exponents", exps)

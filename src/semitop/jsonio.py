@@ -186,7 +186,7 @@ def topology_from_json(d: dict) -> topologies.TopologyInstance:
 
 def s1_point_to_json(p: tuple) -> dict:
     a, s = p
-    return {"a": int(a), "s": to_jsonable(s)}
+    return {"a": a, "s": to_jsonable(s)}
 
 
 def s1_point_from_json(d: dict) -> tuple:

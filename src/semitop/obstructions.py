@@ -19,13 +19,11 @@ Composition convention, fixed once: (h g)(n) = h(g(n)), i.e. hg = h o g.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
-from .semigroups import PartialMap, positive_int
+from .semigroups import PartialMap, enumerate_partial_maps, positive_int
 from .verdicts import Verdict, failed, passed
-
-ZERO_MAP = PartialMap()
 
 
 @dataclass(frozen=True)
@@ -70,19 +68,6 @@ def build_g(f: PartialMap, fprime: Iterable) -> PartialMap:
     fresh = _fresh_points(f, fprime, len(fprime))
     return PartialMap._trusted(tuple(sorted(
         [(n, n) for n in f.domain] + list(zip(fresh, fprime)))))
-
-
-def enumerate_partial_maps(max_domain: int, max_value: int) -> list:
-    """Every injective partial map with domain inside {1..max_domain} and
-    values inside {1..max_value}, the zero map included."""
-    universe = [ZERO_MAP]
-    base = range(1, max_domain + 1)
-    vals = range(1, max_value + 1)
-    for k in range(1, max_domain + 1):
-        for dom in combinations(base, k):
-            for img in permutations(vals, k):
-                universe.append(PartialMap(zip(dom, img)))
-    return universe
 
 
 def open_set_identity(f: PartialMap, fprime: Iterable, universe: Sequence,

@@ -35,16 +35,21 @@ class _Infinity:
 INF = _Infinity()
 
 
+def positive_int(x: Any, what: str = "a domain point or value") -> int:
+    """x itself when it is an exact positive int; bools, floats and every
+    other type raise instead of being coerced."""
+    if type(x) is not int or x < 1:
+        raise ValueError(f"{what} must be a positive integer, got {x!r}")
+    return x
+
+
 # ---------------------------------------------------------------------------
 # groups used as Rees matrix entries
 
 
 class CyclicGroup:
     def __init__(self, modulus: int):
-        modulus = int(modulus)
-        if modulus < 1:
-            raise ValueError("modulus must be positive")
-        self.modulus = modulus
+        self.modulus = modulus = positive_int(modulus, "the modulus")
         self.name = f"Z{modulus}"
         self.identity = 0
 
@@ -104,14 +109,6 @@ class ReesElement:
 
 
 REES_ZERO = ReesElement.zero()
-
-
-def positive_int(x: Any, what: str = "a domain point or value") -> int:
-    """x itself when it is an exact positive int; bools, floats and every
-    other type raise instead of being coerced."""
-    if type(x) is not int or x < 1:
-        raise ValueError(f"{what} must be a positive integer, got {x!r}")
-    return x
 
 
 class PartialMap:
@@ -250,10 +247,7 @@ class ZPlusK(SemigroupInstance):
     """(Z_+)^k under coordinatewise addition, graded by coordinate sum."""
 
     def __init__(self, k: int):
-        k = int(k)
-        if k < 1:
-            raise ValueError("k must be positive")
-        self.k = k
+        self.k = k = positive_int(k, "k")
         self.name = f"zplus_{k}"
         self.generators = tuple(
             tuple(1 if i == j else 0 for i in range(k)) for j in range(k)
@@ -381,9 +375,8 @@ class ReesMatrix(SemigroupInstance):
     """
 
     def __init__(self, group: Any, n_rows: int, n_cols: int, sandwich: Iterable):
-        n_rows, n_cols = int(n_rows), int(n_cols)
-        if n_rows < 1 or n_cols < 1:
-            raise ValueError("index sets must be nonempty")
+        n_rows = positive_int(n_rows, "the row count")
+        n_cols = positive_int(n_cols, "the column count")
         P = tuple(tuple(row) for row in sandwich)
         if len(P) != n_cols or any(len(row) != n_rows for row in P):
             raise ValueError("sandwich array must have shape |J| x |I|")
@@ -439,18 +432,27 @@ class PartialMaps(SemigroupInstance):
             raise TypeError(f"{x!r} is not a PartialMap")
 
     def elements(self):
+        """The zero map, then for each bound b the maps whose largest point
+        is b, in (size, pairs) order."""
         yield PartialMap()
         for bound in count(1):
-            batch = []
-            pts = range(1, bound + 1)
-            for size in range(1, bound + 1):
-                for dom in combinations(pts, size):
-                    for img in permutations(pts, size):
-                        if max(max(dom), max(img)) != bound:
-                            continue
-                        batch.append(PartialMap(zip(dom, img)))
-            batch.sort(key=lambda f: (len(f.pairs), f.pairs))
-            yield from batch
+            yield from sorted(
+                (f for f in enumerate_partial_maps(bound, bound)
+                 if bound in f.domain or bound in f.image),
+                key=lambda f: (len(f.pairs), f.pairs))
+
+
+def enumerate_partial_maps(max_domain: int, max_value: int) -> list:
+    """Every injective partial map with domain inside {1..max_domain} and
+    values inside {1..max_value}, the zero map included."""
+    universe = [PartialMap()]
+    base = range(1, max_domain + 1)
+    vals = range(1, max_value + 1)
+    for k in range(1, max_domain + 1):
+        for dom in combinations(base, k):
+            for img in permutations(vals, k):
+                universe.append(PartialMap(zip(dom, img)))
+    return universe
 
 
 # ---------------------------------------------------------------------------

@@ -796,19 +796,19 @@ def run_suite(name: str, params: dict = None, seed: int = 0) -> dict:
                          f"{sorted(SUITES)}")
     params = dict(params or {})
     checks = SUITES[name](read_params(params, SUITE_PARAMS[name]), seed)
-    t0 = time.perf_counter()
+    t0 = time.perf_counter_ns()
     out_checks = []
     statuses = []
     for cid, thunk in checks:
-        t1 = time.perf_counter()
+        t1 = time.perf_counter_ns()
         verdict = thunk()
-        elapsed = time.perf_counter() - t1
+        elapsed_ns = time.perf_counter_ns() - t1
         statuses.append(verdict.status)
         out_checks.append({"id": cid, "status": verdict.status,
                            "witness": to_jsonable(verdict.witness),
                            "detail": verdict.detail,
-                           "elapsed_ms": int(elapsed * 1000)})
-    total = time.perf_counter() - t0
+                           "elapsed_ms": elapsed_ns // 1_000_000})
+    total_ns = time.perf_counter_ns() - t0
     if any(s == FAIL for s in statuses):
         overall = FAIL
     elif any(s == UNDETERMINED for s in statuses):
@@ -818,4 +818,4 @@ def run_suite(name: str, params: dict = None, seed: int = 0) -> dict:
     return {"schema_version": SCHEMA_VERSION, "suite": name,
             "params": to_jsonable(params), "seed": seed,
             "checks": out_checks, "overall": overall,
-            "elapsed_ms": int(total * 1000)}
+            "elapsed_ms": total_ns // 1_000_000}

@@ -17,11 +17,12 @@ bound, which is never collapsed into a FAIL.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product as iproduct, takewhile
 from typing import Any, Iterable, Optional, Sequence
 
+from .semigroups import positive_int
 from .verdicts import (DISTINCT, FAIL, FOUND, NOT_FOUND_AT_HORIZON, UNDETERMINED,
                        VACUOUS, Verdict, failed, not_applicable, passed,
                        undetermined)
@@ -47,9 +48,7 @@ def _odd_primes(n: int) -> list:
 
 
 def _prime_factors(n: int) -> dict:
-    n = int(n)
-    if n < 1:
-        raise ValueError("positive integers only")
+    n = positive_int(n, "n")
     out: dict = {}
     d = 2
     while d * d <= n:
@@ -68,9 +67,7 @@ class WeightSequence:
     __slots__ = ("kind", "index_bound", "values")
 
     def __init__(self, kind: str, index_bound: int, values: Optional[Sequence] = None):
-        index_bound = int(index_bound)
-        if index_bound < 1:
-            raise ValueError("index bound must be positive")
+        index_bound = positive_int(index_bound, "the index bound")
         if kind == "double_exp":
             values = tuple(2 ** (2 ** n) for n in range(1, index_bound + 1))
         elif kind == "odd_primes":
@@ -78,14 +75,12 @@ class WeightSequence:
         elif kind == "explicit":
             if not values:
                 raise ValueError("explicit weights need values")
-            values = tuple(int(v) for v in values)
+            values = tuple(positive_int(v, "a weight") for v in values)
             index_bound = len(values)
         else:
             raise ValueError(f"unknown weight kind {kind!r}")
         if any(a >= b for a, b in zip(values, values[1:])):
             raise ValueError("weights must be strictly increasing")
-        if any(v < 1 for v in values):
-            raise ValueError("weights must be positive")
         self.kind = kind
         self.index_bound = index_bound
         self.values = values
@@ -141,11 +136,11 @@ class TopologyInstance:
             raise ValueError("odd prime weights go with the odd_nat base")
         if weights.kind in ("double_exp", "explicit") and base == "odd_nat":
             raise ValueError("additive weights go with the additive bases")
-        mask = tuple(sorted(set(int(i) for i in mask))) if mask is not None \
-            else full_mask(weights.index_bound)
+        mask = tuple(sorted({positive_int(i, "a mask index") for i in mask})) \
+            if mask is not None else full_mask(weights.index_bound)
         if not mask:
             raise ValueError("mask must be nonempty")
-        if mask[0] < 1 or mask[-1] > weights.index_bound:
+        if mask[-1] > weights.index_bound:
             raise ValueError("mask indices must lie within the index bound")
         self.base = base
         self.weights = weights
@@ -322,19 +317,6 @@ class TopologyInstance:
             return failed()
         return rep
 
-    def member_bruteforce(self, nbhd: BasicNbhd, point: Any) -> Verdict[tuple]:
-        """Oracle membership by exhaustive subset enumeration."""
-        x, u = self.require_point(point)
-        k = nbhd.a - x
-        if k < 0 or k > nbhd.a:
-            return failed(detail="first coordinate out of range")
-        idxs = [i for i in self.mask if i >= nbhd.alpha]
-        diff = self.g_diff(u, nbhd.s)
-        for combo in combinations(idxs, k):
-            if self.weight_total(combo) == diff:
-                return passed(combo)
-        return failed()
-
     def basic_points(self, nbhd: BasicNbhd) -> dict:
         """All members whose representation stays within the index bound,
         memoised as {point: indices}: points in `combinations` order of
@@ -452,48 +434,7 @@ def _as_int(u: Any) -> Optional[int]:
 
 
 # ---------------------------------------------------------------------------
-# base facts: inclusion, filter property, separation, continuity
-
-
-def base_inclusion(T: TopologyInstance, inner: BasicNbhd, outer: BasicNbhd) -> Verdict:
-    """Whether U(inner) sits inside U(outer), decided by the top-index rule
-    and confirmed point-by-point at the truncation.
-
-    The center of the inner set must belong to the outer set; its
-    representation's top index m gives the rule: inclusion holds exactly
-    when inner.alpha > m (or inner.alpha >= outer.alpha for the center
-    itself).  Failures come with an explicit escaping point.
-    """
-    center = (inner.a, inner.s)
-    res = T.member(outer, center)
-    if res.status == UNDETERMINED:
-        return undetermined("center membership undetermined at the index bound")
-    if not res:
-        raise ValueError("inner center lies outside the outer set")
-    threshold = (max(res.witness) + 1) if res.witness else outer.alpha
-    claim = inner.alpha >= threshold
-    escaping = None
-    saw_undetermined = False
-    for point in T.basic_points(inner):
-        m = T.member(outer, point)
-        if m.status == UNDETERMINED:
-            saw_undetermined = True
-        elif not m:
-            escaping = point
-            break
-    if claim:
-        if escaping is not None:
-            return failed(witness={"escaping_point": escaping},
-                          detail="rule predicted inclusion but a point escaped")
-        if saw_undetermined:
-            return undetermined("membership undetermined for some inner point")
-        return passed(witness={"top_index_rule": threshold},
-                      detail=f"inclusion verified on the truncation (alpha >= {threshold})")
-    if escaping is None:
-        return undetermined(
-            "rule predicts an escaping point but none lies within the truncation")
-    return failed(witness={"escaping_point": escaping, "needed_alpha": threshold},
-                  detail="inner level too small; explicit escaping point found")
+# base facts: filter property, separation, continuity
 
 
 def base_property_check(T: TopologyInstance, u1: BasicNbhd, u2: BasicNbhd) -> Verdict:
@@ -639,9 +580,7 @@ def check_convergence(T: TopologyInstance, sequence: Sequence, limit: tuple,
     UNDETERMINED.
     """
     b, t = T.require_point(limit)
-    alpha_max = int(alpha_max)
-    if alpha_max < 1:
-        raise ValueError("alpha_max must be positive")
+    alpha_max = positive_int(alpha_max, "alpha_max")
     reps = []
     for n, term in enumerate(sequence, start=1):
         res = T.member(BasicNbhd(b, t, 1), term)
@@ -837,8 +776,8 @@ def verify_star_star(T: TopologyInstance, t: Any, s_window: int = 10_000) -> Ver
 
 def mask_family(count: int, horizon: int, seed: int = 0) -> list:
     """Deterministic family of masks with pairwise large symmetric difference."""
-    count = int(count)
-    horizon = int(horizon)
+    count = positive_int(count, "count")
+    horizon = positive_int(horizon, "horizon")
     min_symdiff = max(2, horizon // 3)
     rng = random.Random(seed)
     masks: list = []
@@ -865,7 +804,7 @@ def distinguish_topologies(weights: WeightSequence, mask1: Iterable, mask2: Iter
     naturals for prime weights and Z otherwise.  The verdict is flagged
     strong when the symmetric difference is large relative to the horizon.
     """
-    horizon = min(int(horizon), weights.index_bound)
+    horizon = min(positive_int(horizon, "horizon"), weights.index_bound)
     base = "odd_nat" if weights.kind == "odd_primes" else "z"
     m1 = set(mask1) & set(range(1, horizon + 1))
     m2 = set(mask2) & set(range(1, horizon + 1))

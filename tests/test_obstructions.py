@@ -5,7 +5,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from semitop import obstructions
-from semitop.obstructions import (ZERO_MAP, OpenSetSpec, _sweep_sets,
+from semitop.obstructions import (OpenSetSpec, _sweep_sets,
                                   build_fn, build_g, enumerate_partial_maps,
                                   fn_threshold, o_member, open_set_identity,
                                   open_set_identity_sweep, proof_skeleton,
@@ -39,7 +39,7 @@ def test_o_member():
     assert o_member(spec, PartialMap([(1, 2), (2, 4)]))
     assert not o_member(spec, PartialMap([(1, 2), (3, 1)]))  # not zero on F'
     assert not o_member(spec, PartialMap([(1, 3)]))          # disagrees on F
-    assert not o_member(spec, ZERO_MAP)
+    assert not o_member(spec, PartialMap())
 
 
 def test_build_g_uses_least_fresh_points():
@@ -210,7 +210,7 @@ def test_sweep_sets_match_direct_check(max_domain, max_value):
 
 
 def test_fn_threshold():
-    assert fn_threshold(ZERO_MAP) == 1
+    assert fn_threshold(PartialMap()) == 1
     assert fn_threshold(PartialMap([(1, 5), (2, 3)])) == 6
 
 
@@ -229,7 +229,7 @@ def test_build_fn():
 
 def test_valid_ns():
     assert valid_ns(F1, range(1, 6)) == [1, 3, 4, 5]
-    assert valid_ns(ZERO_MAP, range(1, 4)) == [1, 2, 3]
+    assert valid_ns(PartialMap(), range(1, 4)) == [1, 2, 3]
     assert valid_ns(F1, [2]) == []
 
 

@@ -1,7 +1,11 @@
+from itertools import combinations, count, islice, permutations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semitop import topologies
+from semitop.dyadic import DyadicPoint
 from semitop.semigroups import (INF, CyclicGroup, FreeWords, IntegerGroup,
                                 NatInfinity, NatMax, NatMul, PartialMap,
                                 PartialMaps, ReesElement, ReesMatrix, ZPlusK,
@@ -9,6 +13,9 @@ from semitop.semigroups import (INF, CyclicGroup, FreeWords, IntegerGroup,
                                 is_cancellative_window,
                                 is_finitely_left_divisible_window,
                                 is_weakly_cancellative_window, length)
+from semitop.topologies import (TopologyInstance, WeightSequence,
+                                check_convergence, distinguish_topologies,
+                                mask_family)
 from semitop.verdicts import FAIL, PASS, UNDETERMINED, passed
 
 
@@ -302,3 +309,56 @@ def test_weak_cancellativity_calls_op_only():
     S.op, S.validate = counted_op, counted_validate
     assert is_weakly_cancellative_window(S, 200).status == PASS
     assert calls == {"op": 2 * 200 ** 2, "validate": 0}
+
+
+def _graded_partial_maps():
+    # the graded loop PartialMaps.elements replaced: for each bound, every
+    # (domain, image) pair on 1..bound whose largest point is the bound
+    yield PartialMap()
+    for bound in count(1):
+        batch = []
+        pts = range(1, bound + 1)
+        for size in range(1, bound + 1):
+            for dom in combinations(pts, size):
+                for img in permutations(pts, size):
+                    if max(max(dom), max(img)) == bound:
+                        batch.append(PartialMap(zip(dom, img)))
+        batch.sort(key=lambda f: (len(f.pairs), f.pairs))
+        yield from batch
+
+
+def test_partial_maps_enumeration_order_is_pinned():
+    # associativity-windows reads a prefix of this order
+    assert PartialMaps().window(400) == list(islice(_graded_partial_maps(), 400))
+
+
+# one row per entry point outside the partial maps that takes a positive
+# integer: each must raise rather than truncate a float, read a bool as 0
+# or 1, or parse a string
+_Z4 = TopologyInstance("z", WeightSequence.double_exp(4))
+NOT_INTS = [
+    ("WeightSequence-index_bound", lambda x: WeightSequence("double_exp", x)),
+    ("WeightSequence-values", lambda x: WeightSequence.explicit([1, x])),
+    ("TopologyInstance-mask", lambda x: TopologyInstance(
+        "z", WeightSequence.double_exp(4), [1, x])),
+    ("check_convergence-alpha_max",
+     lambda x: check_convergence(_Z4, [(1, 0)], (1, 0), x)),
+    ("mask_family-count", lambda x: mask_family(x, 12)),
+    ("mask_family-horizon", lambda x: mask_family(3, x)),
+    ("distinguish_topologies-horizon", lambda x: distinguish_topologies(
+        WeightSequence.double_exp(4), [1], [2], x)),
+    ("_prime_factors", lambda x: topologies._prime_factors(x)),
+    ("DyadicPoint", lambda x: DyadicPoint([x, 5])),
+    ("CyclicGroup", CyclicGroup),
+    ("ZPlusK", ZPlusK),
+    ("ReesMatrix-rows", lambda x: ReesMatrix(IntegerGroup(), x, 1, [[0] * 3])),
+    ("ReesMatrix-cols", lambda x: ReesMatrix(IntegerGroup(), 1, x, [[0]] * 3)),
+]
+
+
+@pytest.mark.parametrize("value", [True, False, 1.9, 3.0, "3", None])
+@pytest.mark.parametrize("entry", [thunk for _, thunk in NOT_INTS],
+                         ids=[name for name, _ in NOT_INTS])
+def test_entry_points_take_exact_integers_only(entry, value):
+    with pytest.raises(ValueError):
+        entry(value)

@@ -41,10 +41,8 @@ PINNED = {
 # Exports whose identifier no module under src/ uses, the package's
 # __init__.py aside, each with the reason it stays.
 UNCALLED = {
-    "L1Vector.norm",                       # tests pin ||a*b|| <= ||a|| ||b||
-    "TopologyInstance.member_bruteforce",  # the oracle of member in tests
-    "base_inclusion",                      # no suite runs it yet
-    "coproduct",                           # tests pin it as a homomorphism
+    "L1Vector.norm",   # tests pin ||a*b|| <= ||a|| ||b||
+    "coproduct",       # tests pin it as a homomorphism
 }
 
 
@@ -74,9 +72,8 @@ def test_defaulted_parameters_are_pinned():
 
 def test_scan_reaches_the_public_api():
     names = {name for name, _ in _public_callables()}
-    assert {"TopologyInstance.member_bruteforce",
-            "TopologyInstance.basic_points", "WeightSequence.explicit",
-            "interval_identity_sweep", "open_set_identity_sweep",
+    assert {"TopologyInstance.member", "TopologyInstance.basic_points",
+            "WeightSequence.explicit", "interval_identity_sweep", "open_set_identity_sweep",
             "is_weakly_cancellative_window", "undetermined"} <= names
 
 
@@ -111,6 +108,28 @@ def test_no_module_raises_arithmetic_error():
                 if isinstance(exc, ast.Name) and exc.id == "ArithmeticError":
                     raised.add(path.name)
     assert not raised
+
+
+def _int_calls(tree) -> set:
+    return {node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name) and node.func.id == "int"}
+
+
+def test_only_the_json_codec_calls_int():
+    # int() truncates a float, reads a bool as 0 or 1 and parses a string;
+    # an integer argument goes through semigroups.positive_int instead, and
+    # only the codec that reads and writes decimal strings may call int
+    codec = {("jsonio", "int_from"), ("jsonio", "int_to_str")}
+    stray = []
+    for path in sorted(Path(semitop.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        calls = _int_calls(tree)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.FunctionDef)
+                    and (path.stem, node.name) in codec):
+                calls -= _int_calls(node)
+        stray += [f"{path.name}:{call.lineno}" for call in calls]
+    assert not stray
 
 
 def _instance_classes(cls=semitop.SemigroupInstance):
