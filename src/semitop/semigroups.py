@@ -57,7 +57,7 @@ class CyclicGroup:
         return (x + y) % self.modulus
 
     def validate(self, x: Any) -> None:
-        if not isinstance(x, int) or not 0 <= x < self.modulus:
+        if type(x) is not int or not 0 <= x < self.modulus:
             raise TypeError(f"{x!r} is not an element of {self.name}")
 
     def elements(self) -> Iterator[int]:

@@ -126,7 +126,7 @@ def _random_center(T: topologies.TopologyInstance, rng: random.Random,
                    max_terms: int = 2):
     idxs = rng.sample(T.mask, rng.randint(0, min(max_terms, len(T.mask))))
     total = T.weight_total(idxs)
-    if T.base == "z" and rng.random() < 0.5:
+    if T.in_S(-total) and rng.random() < 0.5:
         return -total
     return total
 
@@ -190,10 +190,7 @@ def _suite_gen_con_one(p: dict, seed: int) -> list:
         for i in range(triples):
             alpha = rng.randint(1, min(4, bound))
             center = (rng.randint(0, a_max), _random_center(T, rng))
-            shift = (rng.randint(0, 2), abs(_random_center(T, rng))
-                     if T.base != "odd_nat" else _random_center(T, rng))
-            if not T.in_S(shift[1]):
-                shift = (shift[0], T.s_identity)
+            shift = (rng.randint(0, 2), abs(_random_center(T, rng)))
             res = topologies.separate_continuity_identity(T, shift, center, alpha)
             if res.status != PASS:
                 return _relay(res, case=i, shift=shift, center=center,
@@ -228,10 +225,7 @@ def _suite_gen_con_two(p: dict, seed: int) -> list:
             start = rng.randint(1, 3)
             terms = [(c - 1, T.s_op(v, T.weights.value(j)))
                      for j in range(start, bound + 1)]
-            shift = (rng.randint(0, 2), abs(_random_center(T, rng, 1))
-                     if T.base == "z" else _random_center(T, rng, 1))
-            if not T.in_S(shift[1]):
-                shift = (shift[0], T.s_identity)
+            shift = (rng.randint(0, 2), abs(_random_center(T, rng, 1)))
             explicit = (i % 2 == 0)
             shifted_limit = (c + shift[0], T.s_op(v, shift[1])) if explicit else None
             res = topologies.convergence_transfer(
@@ -542,7 +536,7 @@ def _suite_unique_l1s(p: dict, seed: int) -> list:
             res = telescoping_check(a, x, top + 3)
             if res.status == PASS:
                 held += 1
-            elif "hypothesis fails" in res.detail:
+            elif res.status == NOT_APPLICABLE:
                 hypothesis_failed += 1
             else:
                 return failed(witness={"trial": i, "inner": res})
@@ -809,9 +803,11 @@ def run_suite(name: str, params: dict = None, seed: int = 0) -> dict:
                            "detail": verdict.detail,
                            "elapsed_ms": elapsed_ns // 1_000_000})
     total_ns = time.perf_counter_ns() - t0
-    if any(s == FAIL for s in statuses):
+    # a check reports PASS, FAIL or UNDETERMINED; any other status is a
+    # broken check and never reads as a pass
+    if any(s not in (PASS, UNDETERMINED) for s in statuses):
         overall = FAIL
-    elif any(s == UNDETERMINED for s in statuses):
+    elif UNDETERMINED in statuses:
         overall = UNDETERMINED
     else:
         overall = PASS

@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import combinations, product as iproduct, takewhile
 from typing import Any, Iterable, Optional, Sequence
 
-from .semigroups import positive_int
+from .semigroups import INF, positive_int
 from .verdicts import (DISTINCT, FAIL, FOUND, NOT_FOUND_AT_HORIZON, UNDETERMINED,
                        VACUOUS, Verdict, failed, not_applicable, passed,
                        undetermined)
@@ -119,10 +119,9 @@ class BasicNbhd:
     alpha: int
 
     def __post_init__(self):
-        if self.a < 0:
-            raise ValueError("a must be a nonnegative integer")
-        if self.alpha < 1:
-            raise ValueError("alpha must be a positive index")
+        if type(self.a) is not int or self.a < 0:
+            raise ValueError(f"a must be a nonnegative integer, got {self.a!r}")
+        positive_int(self.alpha, "alpha")
 
 
 class TopologyInstance:
@@ -165,8 +164,7 @@ class TopologyInstance:
         return 1 if self.multiplicative else 0
 
     def in_S(self, u: Any) -> bool:
-        u = _as_int(u)
-        if u is None:
+        if type(u) is not int:
             return False
         if self.base == "zplus":
             return u >= 0
@@ -191,13 +189,12 @@ class TopologyInstance:
         return total
 
     def require_point(self, point: Any) -> tuple:
-        """``point`` as (x, u) with integer u; TypeError unless it is a
+        """``point`` as (x, u) with exact ints; TypeError unless it is a
         point of Z+ x S."""
         if isinstance(point, tuple) and len(point) == 2:
             x, u = point
-            if (isinstance(x, int) and not isinstance(x, bool) and x >= 0
-                    and self.in_S(u)):
-                return (x, _as_int(u))
+            if type(x) is int and x >= 0 and self.in_S(u):
+                return (x, u)
         raise TypeError(f"{point!r} is not a point of Z+ x S for base {self.base}")
 
     def unshift(self, u: int, t: int) -> Optional[int]:
@@ -212,23 +209,24 @@ class TopologyInstance:
 
     # -- representations ----------------------------------------------
 
-    def find_representation(self, diff: Any, min_index: int = 1) -> Verdict[tuple]:
-        """The unique way of writing diff as a combination of distinct
-        masked weights with indices >= min_index, when one exists.
+    def find_representation(self, diff: int, min_index: int = 1) -> Verdict[tuple]:
+        """The unique way of writing diff, an exact int, as a combination of
+        distinct masked weights with indices >= min_index, when one exists.
 
         PASS carries the sorted index tuple as witness.  FAIL is
         definitive; UNDETERMINED means the answer could involve masked
         indices beyond the declared index bound.
         """
+        if type(diff) is not int:
+            raise TypeError(f"{diff!r} is not an exact int")
         if self.weights.kind == "double_exp":
             return self._rep_double_exp(diff, min_index)
         if self.weights.kind == "odd_primes":
             return self._rep_odd_primes(diff, min_index)
         return self._rep_explicit(diff, min_index)
 
-    def _rep_double_exp(self, diff: Any, min_index: int) -> Verdict[tuple]:
-        diff = _as_int(diff)
-        if diff is None or diff < 0:
+    def _rep_double_exp(self, diff: int, min_index: int) -> Verdict[tuple]:
+        if diff < 0:
             return failed(detail="not a nonnegative integer")
         if diff == 0:
             return passed(())
@@ -253,11 +251,8 @@ class TopologyInstance:
             return undetermined("weight index beyond the bound")
         return passed(tuple(sorted(indices)))
 
-    def _rep_odd_primes(self, diff: Any, min_index: int) -> Verdict[tuple]:
-        if isinstance(diff, Fraction) and diff.denominator != 1:
-            return failed(detail="not an integer")
-        n = _as_int(diff)
-        if n is None or n < 1:
+    def _rep_odd_primes(self, n: int, min_index: int) -> Verdict[tuple]:
+        if n < 1:
             return failed(detail="not a positive integer")
         if n == 1:
             return passed(())
@@ -278,11 +273,8 @@ class TopologyInstance:
             return failed(detail="even cofactor is never a weight")
         return undetermined("odd cofactor beyond the bound")
 
-    def _rep_explicit(self, diff: Any, min_index: int) -> Verdict[tuple]:
+    def _rep_explicit(self, diff: int, min_index: int) -> Verdict[tuple]:
         # explicit sequences are complete finite lists, so always settled
-        diff = _as_int(diff)
-        if diff is None:
-            return failed(detail="not an integer")
         idxs = [i for i in self.mask if i >= min_index]
         if len(idxs) > MAX_INDEX_BOUND:
             raise ValueError("explicit representation search limited to "
@@ -304,13 +296,15 @@ class TopologyInstance:
         """Whether point lies in U(nbhd): PASS with the representation
         indices as witness, FAIL with the reason as detail, or
         UNDETERMINED at the index bound."""
-        if not self.in_S(nbhd.s):
-            raise TypeError(f"neighborhood center {nbhd.s!r} is outside S")
+        self.require_point((nbhd.a, nbhd.s))
         x, u = self.require_point(point)
         k = nbhd.a - x
-        if k < 0 or k > nbhd.a:
+        if k < 0:
             return failed(detail="first coordinate out of range")
-        rep = self.find_representation(self.g_diff(u, nbhd.s), nbhd.alpha)
+        diff = self.unshift(u, nbhd.s)
+        if diff is None:
+            return failed()
+        rep = self.find_representation(diff, nbhd.alpha)
         if rep.status == UNDETERMINED:
             return undetermined("representation undetermined at the index bound")
         if not rep or len(rep.witness) != k:
@@ -323,6 +317,7 @@ class TopologyInstance:
         their first representation, each keyed to its last."""
         out = self._basic_points.get(nbhd)
         if out is None:
+            self.require_point((nbhd.a, nbhd.s))
             out = self._basic_points[nbhd] = {
                 (nbhd.a - len(combo), self.s_op(nbhd.s, total)): combo
                 for combo, total in self._subset_sum_table(nbhd.alpha, nbhd.a)}
@@ -352,9 +347,12 @@ class TopologyInstance:
 
     def _two_sided_uncached(self, diff: Any) -> Verdict[tuple]:
         if self.multiplicative:
-            frac = diff if isinstance(diff, Fraction) else Fraction(_as_int(diff), 1)
-            plus = self._rep_odd_primes(frac.numerator, 1)
-            minus = self._rep_odd_primes(frac.denominator, 1)
+            if type(diff) is int:
+                diff = Fraction(diff)
+            elif type(diff) is not Fraction:
+                raise TypeError(f"{diff!r} is not an exact rational")
+            plus = self._rep_odd_primes(diff.numerator, 1)
+            minus = self._rep_odd_primes(diff.denominator, 1)
             for part in (plus, minus):
                 if part.status == FAIL:
                     return part
@@ -362,8 +360,7 @@ class TopologyInstance:
                 if part.status == UNDETERMINED:
                     return part
             return passed((plus.witness, minus.witness))
-        diff = _as_int(diff)
-        if diff is None:
+        if type(diff) is not int:
             return failed(detail="not an integer")
         if len(self.mask) > MAX_INDEX_BOUND:
             raise ValueError(
@@ -421,16 +418,6 @@ class TopologyInstance:
 
 def _signed_sum(signs: tuple, values: Sequence) -> int:
     return sum(sign * v for sign, v in zip(signs, values) if sign)
-
-
-def _as_int(u: Any) -> Optional[int]:
-    if isinstance(u, bool):
-        return None
-    if isinstance(u, int):
-        return u
-    if isinstance(u, Fraction):
-        return u.numerator if u.denominator == 1 else None
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -739,15 +726,11 @@ def verify_star_star(T: TopologyInstance, t: Any, s_window: int = 10_000) -> Ver
     """
     if T.base == "zplus":
         return not_applicable("no division data is claimed for the zplus base")
+    if not T.in_S(t):
+        raise TypeError(f"{t!r} is not in S for base {T.base}")
     if T.base == "z":
-        t = _as_int(t)
-        if t is None:
-            raise TypeError("t must be an integer for the z base")
         return passed(witness={"alpha_t": 1},
                       detail="S is the whole group; every index works")
-    t = _as_int(t)
-    if t is None or not T.in_S(t):
-        raise TypeError(f"{t!r} is not an odd natural")
     factors = _prime_factors(t) if t > 1 else {}
     p_max = max(factors) if factors else 1
     alpha_t = None
@@ -816,7 +799,7 @@ def distinguish_topologies(weights: WeightSequence, mask1: Iterable, mask2: Iter
     witnesses = []
     for j in sym:
         owner, other = (t_two, t_one) if j in m2 else (t_one, t_two)
-        ident = 1 if base == "odd_nat" else 0
+        ident = owner.s_identity
         point = (0, weights.value(j))
         inside = True
         for alpha in range(1, min(j, horizon) + 1):
@@ -867,7 +850,6 @@ def _subseq_constant(seq: Sequence):
 
 
 def _subseq_onepoint(seq: Sequence):
-    from .semigroups import INF
     const = _subseq_constant(seq)
     if const is not None:
         return const
@@ -959,14 +941,14 @@ def good_corr_check(topology: Any, s: Any, sequence: Sequence) -> Verdict:
 def odd_pair_to_natural(point: tuple) -> int:
     """(k, n) with n odd becomes 2^k * n."""
     k, n = point
-    if not (isinstance(k, int) and k >= 0 and isinstance(n, int) and n >= 1
+    if not (type(k) is int and k >= 0 and type(n) is int and n >= 1
             and n % 2 == 1):
         raise TypeError(f"{point!r} is not a point of Z+ x (odd naturals)")
     return (2 ** k) * n
 
 
 def natural_to_odd_pair(m: int) -> tuple:
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
+    if type(m) is not int or m < 1:
         raise TypeError(f"{m!r} is not a positive integer")
     k = 0
     while m % 2 == 0:

@@ -22,8 +22,8 @@ from typing import Optional, Sequence
 from .l1 import (BoundedFunction, L1Vector, convolve, pairing, pairing_vectors,
                  _coeff_sum)
 from .semigroups import NatMax, positive_int
-from .verdicts import (NOT_WAP, WAP_CONSISTENT, Verdict, failed, not_applicable,
-                       passed, undetermined)
+from .verdicts import (NOT_APPLICABLE, NOT_WAP, WAP_CONSISTENT, Verdict, failed,
+                       not_applicable, passed, undetermined)
 
 
 @dataclass(frozen=True)
@@ -225,12 +225,13 @@ def telescoping_check(a: L1Vector, x: BoundedFunction, s_max: int) -> Verdict:
     """Invariance hypothesis, telescoped identity, and vanishing conclusion.
 
     Hypothesis (checked first): <a, x> = <delta_s * a, x> for every
-    s <= s_max.  Under it the partial sums telescope,
-    sum_{n<=s} a_n x(n) = x(s) * sum_{n<=s} a_n for each s <= s_max, and
-    once s_max clears the support of a and of x's vanishing part the
-    conclusion is that a pairs to zero against the vanishing part of x
-    (equivalently, <a, x> equals the constant of x times the total mass
-    of a).
+    s <= s_max; where it fails the verdict is NOT_APPLICABLE, with the
+    first such s and both pairings as witness.  Under it the partial sums
+    telescope, sum_{n<=s} a_n x(n) = x(s) * sum_{n<=s} a_n for each
+    s <= s_max, and once s_max clears the support of a and of x's
+    vanishing part the conclusion is that a pairs to zero against the
+    vanishing part of x (equivalently, <a, x> equals the constant of x
+    times the total mass of a).
     """
     S = a.instance
     if not isinstance(S, NatMax):
@@ -243,8 +244,8 @@ def telescoping_check(a: L1Vector, x: BoundedFunction, s_max: int) -> Verdict:
     for s in range(1, s_max + 1):
         moved = pairing(convolve(L1Vector.delta(S, s), a), x)
         if moved != base:
-            return failed(witness={"s": s, "lhs": base, "rhs": moved},
-                          detail=f"hypothesis fails at s = {s}")
+            return Verdict(NOT_APPLICABLE, {"s": s, "lhs": base, "rhs": moved},
+                           f"hypothesis fails at s = {s}")
     items = sorted(a.terms())
     head = mass = Fraction(0)
     i = 0

@@ -198,6 +198,21 @@ def test_relayed_status_never_reads_as_pass(status, code, overall,
         overall, f"inner verdict is {status}: faked")
 
 
+@pytest.mark.parametrize("statuses", [
+    (verdicts.NOT_WAP,), (verdicts.VACUOUS,), (verdicts.NOT_WAP, verdicts.VACUOUS),
+    (verdicts.UNDETERMINED, verdicts.FOUND)])
+def test_a_status_outside_the_suite_contract_reads_as_fail(statuses,
+                                                           monkeypatch, capsys):
+    # a check reports PASS, FAIL or UNDETERMINED; anything else that reaches
+    # the report is a broken check, never a pass
+    checks = [(f"check-{i}", lambda s=s: verdicts.Verdict(s, detail="faked"))
+              for i, s in enumerate(statuses)]
+    monkeypatch.setitem(suites.SUITES, "star-condition", lambda p, seed: checks)
+    got, doc = run(capsys, "--suite", "star-condition")
+    assert (got, doc["overall"]) == (1, "FAIL")
+    assert [c["status"] for c in doc["checks"]] == list(statuses)
+
+
 def test_suite_with_params(capsys):
     code, doc = run(capsys, "--suite", "remark4-continuum",
                     "--params", '{"masks": 4, "horizon": 10}')

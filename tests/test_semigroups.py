@@ -339,6 +339,7 @@ _Z4 = TopologyInstance("z", WeightSequence.double_exp(4))
 NOT_INTS = [
     ("WeightSequence-index_bound", lambda x: WeightSequence("double_exp", x)),
     ("WeightSequence-values", lambda x: WeightSequence.explicit([1, x])),
+    ("BasicNbhd-alpha", lambda x: topologies.BasicNbhd(1, 0, x)),
     ("TopologyInstance-mask", lambda x: TopologyInstance(
         "z", WeightSequence.double_exp(4), [1, x])),
     ("check_convergence-alpha_max",
@@ -354,6 +355,12 @@ NOT_INTS = [
     ("ReesMatrix-rows", lambda x: ReesMatrix(IntegerGroup(), x, 1, [[0] * 3])),
     ("ReesMatrix-cols", lambda x: ReesMatrix(IntegerGroup(), 1, x, [[0]] * 3)),
 ]
+
+
+@pytest.mark.parametrize("value", [True, False, 1.0])
+def test_cyclic_group_elements_are_exact_ints(value):
+    with pytest.raises(TypeError):
+        CyclicGroup(3).validate(value)
 
 
 @pytest.mark.parametrize("value", [True, False, 1.9, 3.0, "3", None])

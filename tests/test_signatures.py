@@ -132,6 +132,20 @@ def test_only_the_json_codec_calls_int():
     assert not stray
 
 
+def test_only_topologies_reads_the_base_name():
+    # the arithmetic of S (identity, law, division, membership) belongs to
+    # TopologyInstance; a caller that branches on the base's name decides
+    # a fact of S a second time
+    reads = []
+    for path in sorted(Path(semitop.__file__).parent.glob("*.py")):
+        if path.name == "topologies.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        reads += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "base"]
+    assert not reads
+
+
 def _instance_classes(cls=semitop.SemigroupInstance):
     for sub in cls.__subclasses__():
         if sub.__module__.startswith("semitop."):

@@ -85,10 +85,10 @@ def test_rep_respects_mask():
 
 def test_rep_odd_primes():
     T = Todd(6)
-    assert T.find_representation(Fraction(15)).witness == (1, 2)
-    assert T.find_representation(Fraction(9)).status == FAIL    # 3 twice
-    assert T.find_representation(Fraction(6)).status == FAIL    # even part
-    assert T.find_representation(Fraction(19)).status == UNDETERMINED
+    assert T.find_representation(15).witness == (1, 2)
+    assert T.find_representation(9).status == FAIL    # 3 twice
+    assert T.find_representation(6).status == FAIL    # even part
+    assert T.find_representation(19).status == UNDETERMINED
 
 
 def test_rep_explicit_always_settled():
@@ -172,6 +172,32 @@ def test_member_basic():
     assert T.member(U, (0, 20)).status == PASS          # 4 + 16
     assert T.member(U, (0, 16)).status == FAIL          # needs k = 2
     assert T.member(U, (3, 0)).status == FAIL
+
+
+@pytest.mark.parametrize("T,center", [(Todd(4), 2), (Tz(4), 0.5)],
+                         ids=["even-center-on-odd-naturals", "float-center-on-z"])
+def test_a_center_outside_S_is_a_type_error(T, center):
+    # (0, 6) and (0, 10) would read as points of U(1, 2, alpha) otherwise
+    u1, u2 = BasicNbhd(1, center, 1), BasicNbhd(1, center, 2)
+    for call in (lambda: T.basic_points(u1),
+                 lambda: base_property_check(T, u1, u2),
+                 lambda: T.member(u1, (0, 3))):
+        with pytest.raises(TypeError):
+            call()
+
+
+@pytest.mark.parametrize("a", [1.0, True, "1", -1])
+def test_basic_nbhd_first_coordinate_is_an_exact_int(a):
+    # alpha goes through positive_int, pinned in test_semigroups' NOT_INTS
+    with pytest.raises(ValueError):
+        BasicNbhd(a, 0, 1)
+
+
+@pytest.mark.parametrize("T,diff", [(Todd(6), Fraction(15)), (Tz(6), Fraction(20)),
+                                    (Tz(6), 20.0), (Tz(6), True)])
+def test_find_representation_takes_exact_ints_only(T, diff):
+    with pytest.raises(TypeError):
+        T.find_representation(diff)
 
 
 def test_member_alpha_floor():
@@ -747,6 +773,15 @@ def test_odd_pair_encoding_examples():
     assert natural_to_odd_pair(40) == (3, 5)
     with pytest.raises(TypeError):
         odd_pair_to_natural((1, 4))
+
+
+@pytest.mark.parametrize("value", [True, False, 1.0])
+def test_odd_pair_encoding_takes_exact_ints_only(value):
+    for point in ((value, 3), (1, value)):
+        with pytest.raises(TypeError):
+            odd_pair_to_natural(point)
+    with pytest.raises(TypeError):
+        natural_to_odd_pair(value)
 
 
 @given(st.integers(0, 8), st.integers(0, 60), st.integers(0, 8),

@@ -282,7 +282,7 @@ def test_telescoping_hypothesis_can_fail():
     a = _d(1)
     x = BoundedFunction.c0_plus_const({1: F(1)}, F(0))
     v = telescoping_check(a, x, 5)
-    assert v.status == "FAIL"
+    assert v.status == NOT_APPLICABLE
     assert "hypothesis" in v.detail
 
 
@@ -309,8 +309,8 @@ def _telescoping_check_oracle(a, x, s_max):
     for s in range(1, s_max + 1):
         moved = pairing(convolve(L1Vector.delta(S, s), a), x)
         if moved != base:
-            return failed(witness={"s": s, "lhs": base, "rhs": moved},
-                          detail=f"hypothesis fails at s = {s}")
+            return Verdict(NOT_APPLICABLE, {"s": s, "lhs": base, "rhs": moved},
+                           f"hypothesis fails at s = {s}")
     supp = a.support()
     for s in range(1, s_max + 1):
         head = sum((c * x.evaluate(t) for t, c in a.terms() if t <= s), F(0))
@@ -379,7 +379,7 @@ def test_telescoping_hypothesis_is_decided_by_the_convolution(monkeypatch):
 
     monkeypatch.setattr(wap, "convolve", moving)
     v = telescoping_check(a, x, 6)
-    assert v.status == "FAIL"
+    assert v.status == NOT_APPLICABLE
     assert "hypothesis" in v.detail
 
 
@@ -471,7 +471,7 @@ def test_telescoping_random_never_contradicts(seed):
     # "should be unreachable" branch must never fire
     if a.is_zero:
         assert v.status == PASS and "vacuous" in v.detail
-    elif v.status == "FAIL":
+    elif v.status == NOT_APPLICABLE:
         assert "hypothesis" in v.detail
     else:
         assert v.witness["vanishing_part_pairing"] == 0
