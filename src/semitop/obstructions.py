@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .semigroups import PartialMap, enumerate_partial_maps, positive_int
@@ -47,13 +48,8 @@ def o_member(spec: OpenSetSpec, h: PartialMap) -> bool:
 
 def _fresh_points(f: PartialMap, fprime: Iterable, count: int) -> list:
     taken = set(f.domain) | set(f.image) | set(fprime)
-    out = []
-    n = 1
-    while len(out) < count:
-        if n not in taken:
-            out.append(n)
-        n += 1
-    return out
+    return [n for n in range(1, len(taken) + count + 1)
+            if n not in taken][:count]
 
 
 def build_g(f: PartialMap, fprime: Iterable) -> PartialMap:
@@ -122,55 +118,56 @@ def _sweep_sets(universe: Sequence, max_domain: int):
     rows (f, F', literal preimage, basic set) for the specs it serves, each
     set a bitset of universe indices read off the maps classed by their
     values on a support.  The basic set is the class of f's values on
-    dom f and F'."""
-    index: dict = {}                  # support -> values -> (bitset, last h)
+    dom f and F'.  Each h is held as its values on 1..max_domain (0 where
+    undefined), a range that holds dom f, F' and so img g."""
+    base = range(1, max_domain + 1)
+    values = [tuple(map(h, base)) for h in universe]
+    index: dict = {}        # support -> (key of a value tuple, classes)
 
-    def classes(support: tuple) -> dict:
+    def classes(support: tuple) -> tuple:
         if support not in index:
-            by_values = index[support] = {}
-            for i, h in enumerate(universe):
-                key = tuple(map(h, support))
-                by_values[key] = (by_values.get(key, (0,))[0] | 1 << i, h)
+            key = itemgetter(*(n - 1 for n in support)) if support \
+                else lambda v: ()
+            by_key: dict = {}       # key -> (bitset, values of the last h)
+            for i, v in enumerate(values):
+                k = key(v)
+                by_key[k] = (by_key.get(k, (0,))[0] | 1 << i, v)
+            index[support] = key, by_key
         return index[support]
 
     by_translator: dict = {}
-    base = range(1, max_domain + 1)
-    for f in universe:
-        complement = [n for n in base if n not in f.domain]
+    for f, v in zip(universe, values):
+        dom = f.domain
+        complement = [n for n in base if n not in dom]
         for r in range(len(complement) + 1):
             for fprime in combinations(complement, r):
                 by_translator.setdefault(build_g(f, fprime), []).append(
-                    (f, fprime, tuple(sorted(f.domain + fprime))))
+                    (f, fprime, tuple(sorted(dom + fprime)), v))
     for g, specs in by_translator.items():
         # h o g reads h only on img g: compose one member per class, the
-        # last in universe order, whose points off img g compose must drop
-        literal: dict = {}            # pairs of h o g -> bitset of those h
-        by_image = classes(g.image)
-        for bits, h in by_image.values():
-            hg = h.compose(g).pairs
-            literal[hg] = literal.get(hg, 0) | bits
-        yield g, len(by_image), [
-            (f, fprime, literal.get(f.pairs, 0), classes(s)[tuple(map(f, s))][0])
-            for f, fprime, s in specs]
+        # last in universe order, whose points off img g the composition drops
+        by_image = classes(g.image)[1]
+        literal = _compose_classes(by_image.values(), g.pairs)
+        rows = []
+        for f, fprime, support, v in specs:
+            key, by_key = classes(support)
+            rows.append((f, fprime, literal.get(f.pairs, 0), by_key[key(v)][0]))
+        yield g, len(by_image), rows
+
+
+def _compose_classes(classes: Iterable, g_pairs: tuple) -> dict:
+    """Each composite h o g, the pairs n -> h(g(n)) for the n of dom g
+    where h is defined at g(n), mapped to the union of the bitsets of the
+    (bitset, values of h) classes that compose to it."""
+    literal: dict = {}
+    for bits, v in classes:
+        hg = tuple([(n, w) for n, m in g_pairs if (w := v[m - 1])])
+        literal[hg] = literal.get(hg, 0) | bits
+    return literal
 
 
 # ---------------------------------------------------------------------------
 # the one-parameter family f_n and its interactions
-
-
-def fn_threshold(f: PartialMap) -> int:
-    """Least bound so that every n at or above it gives a valid extension."""
-    img = f.image
-    return (max(img) + 1) if img else 1
-
-
-def build_fn(f: PartialMap, n0: int, n: int) -> PartialMap:
-    """f_n: f plus the pair n0 -> n, built by ``PartialMap.extend``."""
-    try:
-        return f.extend(n0, n)
-    except ValueError as exc:
-        raise ValueError(f"{exc}; with n0 outside the domain of f, any "
-                         f"n >= {fn_threshold(f)} works") from None
 
 
 def _outside_domain(f: PartialMap, n0: int, what: str = "n0") -> None:
@@ -196,13 +193,15 @@ def verify_fnp(f: PartialMap, n0: int, n_range: Iterable,
     dom = f.domain + ((n0,) if sabotage else ())
     p = PartialMap([(k, k) for k in dom])
     ns = valid_ns(f, n_range)
+    # f_n is f plus n0 -> n, held as a dict: _outside_domain keeps n0 off
+    # dom f and valid_ns keeps n off img f, so every f_n is injective
+    fn, p_pairs = dict(f.pairs), p.pairs
     for n in ns:
-        fn = build_fn(f, n0, n)
-        composite = fn.compose(p)
-        if composite != f:
+        fn[n0] = n
+        composite = tuple([(k, w) for k, v in p_pairs if (w := fn.get(v))])
+        if composite != f.pairs:
             return failed(witness={"n": n, "p": p.pairs,
-                                   "composite": composite.pairs,
-                                   "f": f.pairs})
+                                   "composite": composite, "f": f.pairs})
     return passed(witness={"ns_checked": len(ns), "p": p.pairs},
                   detail="composition returns f for every valid n"
                          if ns else "vacuous: no valid n in range")
@@ -231,14 +230,16 @@ def verify_annihilation(f: PartialMap, n0: int, g: PartialMap, k0: int,
                              "one-point map")
     ns = valid_ns(f, n_range)
     nonzero_at = []
+    fn, h1_pairs = dict(f.pairs), h1.pairs    # f_n as in verify_fnp
     for n in ns:
-        fn = build_fn(f, n0, n)
-        comp = h2.compose(fn).compose(h1)
+        fn[n0] = n
+        comp = tuple([(k, w) for k, v in h1_pairs
+                      if (w := h2(fn.get(v, 0)))])
         predicted_nonzero = (k0 == n0 and n == g(k0))
-        if comp.is_zero == predicted_nonzero:
-            return failed(witness={"n": n, "composite": comp.pairs,
+        if bool(comp) != predicted_nonzero:
+            return failed(witness={"n": n, "composite": comp,
                                    "predicted_nonzero": predicted_nonzero})
-        if not comp.is_zero:
+        if comp:
             nonzero_at.append(n)
     return passed(witness={"ns_checked": len(ns),
                            "alive": alive.pairs,

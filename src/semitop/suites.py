@@ -600,7 +600,7 @@ def _random_partial_map(rng: random.Random, max_domain: int,
     return PartialMap(zip(sorted(dom), img))
 
 
-@_suite("section4-no-predual", max_domain=(5, 2, 5), max_value=(6, 2, 6),
+@_suite("section4-no-predual", max_domain=(5, 2, 5), max_value=(6, 2, 7),
        fnp_trials=(1000, 10, 5000), n_max=(50, 5, 200))
 def _suite_section4(p: dict, seed: int) -> list:
     max_domain = p["max_domain"]

@@ -339,7 +339,12 @@ class TopologyInstance:
     def two_sided_representation(self, diff: Any) -> Verdict[tuple]:
         """diff as the weight combination over `plus` combined with the
         inverse of the one over `minus`: PASS with (plus, minus) as
-        witness, FAIL, or UNDETERMINED at the index bound."""
+        witness, FAIL, or UNDETERMINED at the index bound.  diff is an
+        exact int (or a Fraction on the odd naturals), checked before the
+        cache, which would take True or 1.0 for the int 1."""
+        if type(diff) is not int and not (type(diff) is Fraction
+                                          and self.multiplicative):
+            raise TypeError(f"{diff!r} is not an exact difference in S")
         out = self._two_sided_cache.get(diff)
         if out is None:
             out = self._two_sided_cache[diff] = self._two_sided_uncached(diff)
@@ -347,10 +352,7 @@ class TopologyInstance:
 
     def _two_sided_uncached(self, diff: Any) -> Verdict[tuple]:
         if self.multiplicative:
-            if type(diff) is int:
-                diff = Fraction(diff)
-            elif type(diff) is not Fraction:
-                raise TypeError(f"{diff!r} is not an exact rational")
+            diff = Fraction(diff)
             plus = self._rep_odd_primes(diff.numerator, 1)
             minus = self._rep_odd_primes(diff.denominator, 1)
             for part in (plus, minus):
@@ -360,8 +362,6 @@ class TopologyInstance:
                 if part.status == UNDETERMINED:
                     return part
             return passed((plus.witness, minus.witness))
-        if type(diff) is not int:
-            return failed(detail="not an integer")
         if len(self.mask) > MAX_INDEX_BOUND:
             raise ValueError(
                 f"two-sided search limited to {MAX_INDEX_BOUND} masked indices")

@@ -2,6 +2,8 @@
 
 from itertools import combinations
 
+from semitop.obstructions import _outside_domain, valid_ns
+from semitop.semigroups import PartialMap
 from semitop.verdicts import failed, passed
 
 
@@ -18,3 +20,57 @@ def member_bruteforce(T, nbhd, point):
         if T.weight_total(combo) == diff:
             return passed(combo)
     return failed()
+
+
+def fn_threshold(f):
+    """Least bound so that every n at or above it gives a valid extension."""
+    img = f.image
+    return (max(img) + 1) if img else 1
+
+
+def build_fn(f, n0, n):
+    """f_n: f plus the pair n0 -> n, built by ``PartialMap.extend``."""
+    try:
+        return f.extend(n0, n)
+    except ValueError as exc:
+        raise ValueError(f"{exc}; with n0 outside the domain of f, any "
+                         f"n >= {fn_threshold(f)} works") from None
+
+
+def verify_fnp_oracle(f, n0, n_range, sabotage=False):
+    """``verify_fnp`` with each f_n built by ``build_fn`` and composed by
+    ``PartialMap.compose``."""
+    _outside_domain(f, n0)
+    dom = f.domain + ((n0,) if sabotage else ())
+    p = PartialMap([(k, k) for k in dom])
+    ns = valid_ns(f, n_range)
+    for n in ns:
+        composite = build_fn(f, n0, n).compose(p)
+        if composite != f:
+            return failed(witness={"n": n, "p": p.pairs,
+                                   "composite": composite.pairs,
+                                   "f": f.pairs})
+    return passed(witness={"ns_checked": len(ns), "p": p.pairs},
+                  detail="composition returns f for every valid n"
+                         if ns else "vacuous: no valid n in range")
+
+
+def verify_annihilation_oracle(f, n0, g, k0, n_range):
+    """``verify_annihilation`` with each f_n built by ``build_fn`` and
+    compressed by ``PartialMap.compose``; the preconditions are left to
+    the kernel, which is run first."""
+    h1 = PartialMap([(k0, k0)])
+    h2 = PartialMap([(g(k0), g(k0))])
+    alive = h2.compose(g).compose(h1)
+    ns = valid_ns(f, n_range)
+    nonzero_at = []
+    for n in ns:
+        comp = h2.compose(build_fn(f, n0, n)).compose(h1)
+        predicted_nonzero = (k0 == n0 and n == g(k0))
+        if comp.is_zero == predicted_nonzero:
+            return failed(witness={"n": n, "composite": comp.pairs,
+                                   "predicted_nonzero": predicted_nonzero})
+        if not comp.is_zero:
+            nonzero_at.append(n)
+    return passed(witness={"ns_checked": len(ns), "alive": alive.pairs,
+                           "nonzero_at": nonzero_at})

@@ -4,12 +4,14 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from oracles import (build_fn, fn_threshold, verify_annihilation_oracle,
+                     verify_fnp_oracle)
 from semitop import obstructions
-from semitop.obstructions import (OpenSetSpec, _sweep_sets,
-                                  build_fn, build_g, enumerate_partial_maps,
-                                  fn_threshold, o_member, open_set_identity,
-                                  open_set_identity_sweep, proof_skeleton,
-                                  valid_ns, verify_annihilation, verify_fnp)
+from semitop.obstructions import (OpenSetSpec, _sweep_sets, build_g,
+                                  enumerate_partial_maps, o_member,
+                                  open_set_identity, open_set_identity_sweep,
+                                  proof_skeleton, valid_ns,
+                                  verify_annihilation, verify_fnp)
 from semitop.jsonio import read_params
 from semitop.semigroups import PartialMap
 from semitop.suites import SUITE_PARAMS, SUITES
@@ -137,9 +139,22 @@ def test_open_set_identity_sweep_catches_translator_without_fprime_leg(
 
 
 def test_open_set_identity_sweep_catches_wrong_composition(monkeypatch):
-    monkeypatch.setattr(PartialMap, "compose", lambda self, other: self)
+    # negative control: the value-tuple composition handed the identity on
+    # {1, 2} in place of g's pairs composes each class to h itself, not to
+    # h o g; the sweep must fail on a spec whose identity the direct check
+    # confirms, with a mismatch that PartialMap.compose contradicts
+    real = obstructions._compose_classes
+    monkeypatch.setattr(obstructions, "_compose_classes",
+                        lambda classes, g_pairs: real(classes,
+                                                      ((1, 1), (2, 2))))
     v = open_set_identity_sweep(2, 3)
     assert v.status == FAIL
+    w = v.witness
+    f, g, h = (PartialMap(w[k]) for k in ("f", "g", "mismatch_h"))
+    assert g == build_g(f, w["fprime"])
+    assert (h.compose(g) == f) != w["in_preimage"]
+    assert open_set_identity(f, w["fprime"], enumerate_partial_maps(2, 3),
+                             g=g).status == PASS
 
 
 class _ShortImage(PartialMap):
@@ -338,3 +353,44 @@ def test_open_set_identity_property(vals, fprime):
     universe = enumerate_partial_maps(3, 4)
     v = open_set_identity(f, fprime, universe)
     assert v.status == "PASS"
+
+
+@st.composite
+def _partial_maps(draw, points=st.integers(1, 7), values=st.integers(1, 9)):
+    vals = draw(st.lists(values, max_size=4, unique=True))
+    dom = draw(st.lists(points, min_size=len(vals), max_size=len(vals),
+                        unique=True))
+    return PartialMap(zip(dom, vals))
+
+
+# n ranges with repeats, non-positive entries and entries on img f
+_N_RANGES = st.one_of(
+    st.builds(range, st.integers(-2, 3), st.integers(0, 40)),
+    st.lists(st.integers(-2, 12), max_size=12))
+
+
+@given(_partial_maps(), st.integers(1, 8), _N_RANGES, st.booleans())
+def test_verify_fnp_matches_extend_and_compose_oracle(f, n0, ns, sabotage):
+    # differential oracle: each f_n built by extend and composed by
+    # PartialMap.compose gives the same verdict, FAIL witnesses included;
+    # an n0 inside dom f is rejected by both
+    if n0 in f.domain:
+        for check in (verify_fnp, verify_fnp_oracle):
+            with pytest.raises(ValueError):
+                check(f, n0, ns, sabotage)
+        return
+    assert verify_fnp(f, n0, ns, sabotage) == verify_fnp_oracle(
+        f, n0, ns, sabotage)
+
+
+@given(_partial_maps(), st.integers(1, 8), st.integers(1, 8),
+       st.integers(1, 12), _N_RANGES)
+def test_verify_annihilation_matches_extend_and_compose_oracle(
+        f, n0, k0, gk0, ns):
+    assume(n0 not in f.domain and k0 not in f.domain
+           and gk0 not in f.image)
+    g = f.extend(k0, gk0)
+    v = verify_annihilation(f, n0, g, k0, ns)
+    assert v == verify_annihilation_oracle(f, n0, g, k0, ns)
+    assert v.witness["nonzero_at"] == [
+        n for n in valid_ns(f, ns) if k0 == n0 and n == gk0]

@@ -200,6 +200,22 @@ def test_find_representation_takes_exact_ints_only(T, diff):
         T.find_representation(diff)
 
 
+@pytest.mark.parametrize("T,diff", [
+    (Tz(6), 0.5), (Tz(6), Fraction(1, 2)), (Tz(6), True), (Tz(6), Fraction(4)),
+    (Todd(6), 0.5), (Todd(6), True)], ids=[
+    "z-float", "z-half", "z-bool", "z-integral-fraction", "odd-float",
+    "odd-bool"])
+def test_two_sided_representation_takes_exact_differences_only(T, diff):
+    # both bases raise, the cache warm or cold: True and Fraction(4) hash
+    # like the ints 1 and 4, and must not be read as them
+    for warm in (False, True):
+        if warm:
+            T.two_sided_representation(1)
+            T.two_sided_representation(4)
+        with pytest.raises(TypeError):
+            T.two_sided_representation(diff)
+
+
 def test_member_alpha_floor():
     T = Tz(6)
     assert T.member(BasicNbhd(2, 0, 3), (1, 16)).status == FAIL
