@@ -3,7 +3,9 @@
 The order of iteration matters exactly when the function is not weakly
 almost periodic.  The indicator of the even numbers is the canonical
 offender: evaluating f(max(s, t)) with t escaping first sees only odd
-values near infinity, the other order only even ones.
+values near infinity, the other order only even ones.  `wap_test` FAILs
+such a function with the disagreeing pair as witness, and PASSes one whose
+determined iterated limits all agree.
 """
 
 import json
@@ -17,20 +19,23 @@ from semitop import (BoundedFunction, LimitFunctional, arens_box,
 omega = LimitFunctional.evens(200)
 upsilon = LimitFunctional.odds(200)
 
-report = {}
+# what each status of wap_test says about f
+MEANING = {"PASS": "weakly almost periodic, or consistent with it",
+           "FAIL": "not weakly almost periodic: two iterated limits differ",
+           "UNDETERMINED": "no pair of iterated limits stabilized"}
 
-f = indicator_of_evens(200)
-report["indicator_of_evens"] = {
-    "box": str(arens_box(omega, upsilon, f)),
-    "diamond": str(arens_diamond(omega, upsilon, f)),
-    "verdict": wap_test(f, subsequence_pair_family(20, 200)).status,
-}
 
-g = BoundedFunction.c0_plus_const({3: Fraction(5, 2)}, Fraction(1, 3))
-report["bump_plus_constant"] = {
-    "box": str(arens_box(omega, upsilon, g)),
-    "diamond": str(arens_diamond(omega, upsilon, g)),
-    "verdict": wap_test(g, subsequence_pair_family(20, 200)).status,
+def row(f):
+    status = wap_test(f, subsequence_pair_family(20, 200)).status
+    return {"box": str(arens_box(omega, upsilon, f)),
+            "diamond": str(arens_diamond(omega, upsilon, f)),
+            "verdict": status, "meaning": MEANING[status]}
+
+
+report = {
+    "indicator_of_evens": row(indicator_of_evens(200)),
+    "bump_plus_constant": row(BoundedFunction.c0_plus_const(
+        {3: Fraction(5, 2)}, Fraction(1, 3))),
 }
 
 print(json.dumps(report, indent=2))

@@ -7,13 +7,12 @@ Two modes share one executable:
 * ``semitop member|converge|distinguish|waptest --params JSON`` answers a
   single query described entirely by the params payload.
 
-Exit codes follow the status of the one `Verdict` type: 0 when everything
-determined passed, 1 when any determined failure (or a negative answer to
-a query) is present, 2 when something was left undetermined at the given
-horizon, 3 for usage errors such as an unknown suite or key, malformed
-JSON, a parameter that is not an integer in its declared range, a point
-or sequence term that is not a point of Z+ x S for the topology's base, or
-an ``--out`` path that cannot be written.
+Exit codes follow the status of the one `Verdict` type: 0 for PASS or
+NOT_APPLICABLE, 1 for FAIL, 2 for UNDETERMINED at the given horizon, 3 for
+usage errors such as an unknown suite or key, malformed JSON, a parameter
+that is not an integer in its declared range, a decimal string of too many
+digits, a point or sequence term that is not a point of Z+ x S for the
+topology's base, or an ``--out`` path that cannot be written.
 """
 
 from __future__ import annotations
@@ -25,9 +24,7 @@ import sys
 from . import jsonio, topologies
 from .jsonio import MAX_INDEX_BOUND, SuiteError
 from .suites import SUITE_PARAMS, SUITES, run_suite
-from .verdicts import (DISTINCT, FAIL, FOUND, NOT_APPLICABLE,
-                       NOT_FOUND_AT_HORIZON, NOT_WAP, PASS, UNDETERMINED,
-                       VACUOUS, WAP_CONSISTENT)
+from .verdicts import FAIL, NOT_APPLICABLE, PASS, UNDETERMINED
 from .wap import subsequence_pair_family, wap_test
 
 _EXIT_OK = 0
@@ -35,22 +32,27 @@ _EXIT_FAIL = 1
 _EXIT_UNDETERMINED = 2
 _EXIT_USAGE = 3
 
-_STATUS_EXIT = {
-    PASS: _EXIT_OK, FOUND: _EXIT_OK, DISTINCT: _EXIT_OK, VACUOUS: _EXIT_OK,
-    NOT_APPLICABLE: _EXIT_OK, WAP_CONSISTENT: _EXIT_OK,
-    FAIL: _EXIT_FAIL, NOT_WAP: _EXIT_FAIL,
-    UNDETERMINED: _EXIT_UNDETERMINED,
-    NOT_FOUND_AT_HORIZON: _EXIT_UNDETERMINED,
-}
+_STATUS_EXIT = {PASS: _EXIT_OK, NOT_APPLICABLE: _EXIT_OK, FAIL: _EXIT_FAIL,
+                UNDETERMINED: _EXIT_UNDETERMINED}
 
-# The member command reports membership as true, false or null.
+# How three commands name their answers in the payload's status; a status
+# without a name is written as it is.
 _MEMBER_STATUS = {PASS: True, FAIL: False, UNDETERMINED: None}
+_DISTINGUISH_STATUS = {PASS: "DISTINCT"}
+_WAPTEST_STATUS = {PASS: "WAP-consistent", FAIL: "NOT-WAP"}
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(_EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _answer(res, names: dict) -> tuple:
+    """The verdict's payload with its status named as in ``names``."""
+    payload = jsonio.to_jsonable(res)
+    payload["status"] = names.get(res.status, res.status)
+    return payload, _STATUS_EXIT[res.status]
 
 
 def _member(params: dict, seed: int) -> tuple:
@@ -83,23 +85,24 @@ def _distinguish(params: dict, seed: int) -> tuple:
     horizon = params["horizon"] or weights.index_bound
     res = topologies.distinguish_topologies(weights, params["mask1"],
                                             params["mask2"], horizon)
-    return jsonio.to_jsonable(res), _STATUS_EXIT[res.status]
+    return _answer(res, _DISTINGUISH_STATUS)
 
 
 def _waptest(params: dict, seed: int) -> tuple:
     f = jsonio.bounded_function_from_json(params["function"])
-    horizon = params["horizon"]
+    count, horizon = params["count"], params["horizon"]
     if "pairs" in params:
+        if count is not None or horizon is not None:
+            raise SuiteError("'pairs' takes no 'count' or 'horizon'")
         pairs = [(jsonio.limit_functional_from_json(a),
                   jsonio.limit_functional_from_json(b))
                  for a, b in params["pairs"]]
-    else:
-        pairs = subsequence_pair_family(params["count"], horizon, seed=seed)
-    res = wap_test(f, pairs)
-    return jsonio.to_jsonable(res), _STATUS_EXIT[res.status]
+    else:   # by default 20 seeded pairs over the first 200 indices
+        pairs = subsequence_pair_family(count or 20, horizon or 200, seed=seed)
+    return _answer(wap_test(f, pairs), _WAPTEST_STATUS)
 
 
-def _like(suite: str, key: str, default: int) -> tuple:
+def _like(suite: str, key: str, default) -> tuple:
     """A query key bounded like the same quantity in a suite."""
     _, lo, hi = SUITE_PARAMS[suite][key]
     return default, lo, hi
@@ -115,8 +118,8 @@ _COMMANDS = {
         "mask2": (list, 1, MAX_INDEX_BOUND),
         "horizon": (None, 1, MAX_INDEX_BOUND)}),
     "waptest": (_waptest, {"function": None, "pairs": None,
-                           "horizon": _like("nmax-wap", "horizon", 200),
-                           "count": _like("nmax-wap", "pairs", 20)}),
+                           "horizon": _like("nmax-wap", "horizon", None),
+                           "count": _like("nmax-wap", "pairs", None)}),
 }
 
 

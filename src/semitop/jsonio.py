@@ -3,7 +3,8 @@
 Conventions: rationals travel as exact "p/q" strings; integers that can be
 astronomically large (weight values, semigroup elements) travel as
 decimal strings, and every parser here accepts either a JSON number or
-a decimal string (an optional sign and digits, of any length); small
+a decimal string (an optional sign and at most MAX_DECIMAL_DIGITS digits,
+on each side of a "p/q"); small
 structural indices (mask entries, levels, map pairs) stay plain numbers.
 The adjoined infinity is the string "INF" and the absorbing matrix zero is
 the string "0".  Suite params and query payloads go through `read_params`,
@@ -22,13 +23,16 @@ from typing import Any
 from . import dyadic, topologies, wap
 from .semigroups import INF, PartialMap, ReesElement
 from .l1 import BoundedFunction, L1Vector
-from .topologies import MAX_INDEX_BOUND
+from .topologies import MAX_DECIMAL_DIGITS, MAX_INDEX_BOUND
 from .verdicts import Verdict
 
 SCHEMA_VERSION = "1"
 
-_DECIMAL = re.compile(r"[+-]?[0-9]+")
-_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+# Converting n digits takes time quadratic in n, so the patterns bound n,
+# and a string they refuse is not repeated in the message.
+_DIGITS = f"[0-9]{{1,{MAX_DECIMAL_DIGITS}}}"
+_DECIMAL = re.compile(f"[+-]?{_DIGITS}")
+_RATIONAL = re.compile(f"[+-]?{_DIGITS}(/{_DIGITS})?")
 
 
 class SuiteError(ValueError):
@@ -50,7 +54,8 @@ def frac_from(j: Any) -> Fraction:
     if not isinstance(j, str):
         return Fraction(int_from(j))
     if not _RATIONAL.fullmatch(j):
-        raise ValueError(f"{j!r} is not an exact rational encoding")
+        raise ValueError(f"not a rational \"p\" or \"p/q\" of at most "
+                         f"{MAX_DECIMAL_DIGITS} digits each")
     p, _, q = j.partition("/")
     p, q = int_from(p), int_from(q or "1")
     if q == 0:
@@ -65,7 +70,8 @@ def int_from(j: Any) -> int:
         return j
     if isinstance(j, str):
         if not _DECIMAL.fullmatch(j):
-            raise ValueError(f"{j!r} is not a decimal integer")
+            raise ValueError(f"not a decimal integer of at most "
+                             f"{MAX_DECIMAL_DIGITS} digits")
         try:
             return int(j)
         except ValueError:
@@ -89,10 +95,11 @@ def read_int(j: Any, key: str, lo: int, hi: int) -> int:
     try:
         v = int_from(j)
     except (TypeError, ValueError):
-        raise SuiteError(f"parameter {key!r} must be an integer") from None
+        raise SuiteError(f"parameter {key!r} must be an integer of at most "
+                         f"{MAX_DECIMAL_DIGITS} digits") from None
     if not lo <= v <= hi:
-        raise SuiteError(f"parameter {key!r} = {int_to_str(v)} outside the "
-                         f"safe range [{lo}, {hi}]")
+        raise SuiteError(f"parameter {key!r} outside the safe range "
+                         f"[{lo}, {hi}]")
     return v
 
 

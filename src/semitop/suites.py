@@ -23,9 +23,8 @@ from .semigroups import (INF, CyclicGroup, FreeWords, IntegerGroup, NatInfinity,
                          is_cancellative_window,
                          is_finitely_left_divisible_window,
                          is_weakly_cancellative_window, length)
-from .verdicts import (DISTINCT, FAIL, FOUND, NOT_APPLICABLE,
-                       NOT_FOUND_AT_HORIZON, NOT_WAP, PASS, UNDETERMINED,
-                       VACUOUS, WAP_CONSISTENT, Verdict, failed, passed)
+from .verdicts import (FAIL, NOT_APPLICABLE, PASS, UNDETERMINED, Verdict,
+                       failed, passed)
 from .wap import (LimitFunctional, arens_box, arens_diamond, counterexample_x,
                   indicator_of_evens, random_c0_plus_const,
                   subsequence_pair_family, telescoping_check, wap_test)
@@ -59,15 +58,12 @@ def _wrap(expected_status: str, inner: Verdict) -> Verdict:
 def _relay(inner: Verdict, **context) -> Verdict:
     """The inner verdict's status and detail, its witness nested under
     "inner" after the keys that locate it.  Any other status than PASS,
-    FAIL or UNDETERMINED is named in the detail and read as UNDETERMINED
-    when the search ran out of horizon, as FAIL otherwise."""
-    status, detail = inner.status, inner.detail
-    if status not in (PASS, FAIL, UNDETERMINED):
-        status = UNDETERMINED if status == NOT_FOUND_AT_HORIZON else FAIL
-        detail = f"inner verdict is {inner.status}" + (
-            f": {detail}" if detail else "")
-    return Verdict(status, witness={**context, "inner": inner.witness},
-                   detail=detail)
+    FAIL or UNDETERMINED is named in the detail and read as FAIL."""
+    witness = {**context, "inner": inner.witness}
+    if inner.status in (PASS, FAIL, UNDETERMINED):
+        return Verdict(inner.status, witness, inner.detail)
+    return failed(witness, f"inner verdict is {inner.status}" + (
+        f": {inner.detail}" if inner.detail else ""))
 
 
 # ---------------------------------------------------------------------------
@@ -322,14 +318,17 @@ def _suite_remark4_continuum(p: dict, seed: int) -> list:
     horizon = p["horizon"]
 
     def pairwise_distinct():
-        masks = topologies.mask_family(n_masks, horizon, seed=seed)
+        family = topologies.mask_family(n_masks, horizon, seed=seed)
+        if not family:
+            return _relay(family)
+        masks = family.witness
         w = topologies.WeightSequence.double_exp(horizon)
         strong = 0
         checked = 0
         sample = None
         for m1, m2 in combinations(masks, 2):
             res = topologies.distinguish_topologies(w, m1, m2, horizon)
-            if res.status != DISTINCT:
+            if not res:
                 return _relay(res, mask1=list(m1), mask2=list(m2))
             checked += 1
             strong += bool(res.witness["strong"])
@@ -353,28 +352,26 @@ def _suite_good_corr(p: dict, seed: int) -> list:
     def discrete_found():
         S = NatMul()
         seq = [2, 3, 2, 3, 2, 3, 2, 3]
-        res = topologies.good_corr_check(topologies.DiscreteTopology(S), 5, seq)
-        if res.status != FOUND:
-            return _relay(res)
-        return passed(witness={"inner": res.witness})
+        return _relay(topologies.good_corr_check(topologies.DiscreteTopology(S),
+                                                 5, seq))
 
     def discrete_vacuous():
         S = NatMul()
         seq = [2, 4, 8, 16, 32, 64]
         res = topologies.good_corr_check(topologies.DiscreteTopology(S), 3, seq)
-        return _wrap(VACUOUS, res)
+        return _wrap(NOT_APPLICABLE, res)
 
     def one_point(s, seq):
         res = topologies.good_corr_check(
             topologies.OnePointTopology(NatInfinity()), s, seq)
-        if res.status != FOUND or res.witness["limit"] is not INF:
+        if not res or res.witness["limit"] is not INF:
             return failed(witness={"inner": to_jsonable(res)})
         return passed(witness={"inner": res.witness})
 
     def sigma_found():
         seq = [(0, Todd.weights.value(j)) for j in range(1, bound + 1)]
         res = topologies.good_corr_check(Todd, (0, 3), seq)
-        if res.status != FOUND:
+        if not res:
             return _relay(res)
         sub = [seq[i - 1] for i in res.witness["term_indices"]]
         if res.witness["limit"] != (1, 1):
@@ -389,7 +386,7 @@ def _suite_good_corr(p: dict, seed: int) -> list:
     def sigma_vacuous():
         seq = [(0, 3), (1, 35), (0, 11), (2, 99), (1, 17), (0, 45)]
         res = topologies.good_corr_check(Todd, (0, 3), seq)
-        return _wrap(VACUOUS, res)
+        return _wrap(NOT_APPLICABLE, res)
 
     return [("discrete-found", discrete_found),
             ("discrete-vacuous", discrete_vacuous),
@@ -413,7 +410,7 @@ def _suite_nmax_wap(p: dict, seed: int) -> list:
         for i in range(n_funcs):
             f = random_c0_plus_const(rng)
             v = wap_test(f, pairs)
-            if v.status != WAP_CONSISTENT:
+            if not v:
                 return failed(witness={"function": f, "verdict": v})
         return passed(witness={"functions": n_funcs, "pairs": n_pairs})
 
@@ -421,9 +418,9 @@ def _suite_nmax_wap(p: dict, seed: int) -> list:
         f = indicator_of_evens(horizon)
         pairs = subsequence_pair_family(n_pairs, horizon, seed=seed)
         v = wap_test(f, pairs)
-        if v.status != NOT_WAP:
+        if v.status != FAIL:
             return failed(witness={"verdict": v},
-                          detail="expected a NOT-WAP certificate")
+                          detail="expected a pair of disagreeing limits")
         if not (v.witness["box"] == 0 and v.witness["diamond"] == 1):
             return failed(witness={"verdict": v},
                           detail="witness values differ from the derived pair")

@@ -23,9 +23,8 @@ from itertools import combinations, product as iproduct, takewhile
 from typing import Any, Iterable, Optional, Sequence
 
 from .semigroups import INF, positive_int
-from .verdicts import (DISTINCT, FAIL, FOUND, NOT_FOUND_AT_HORIZON, UNDETERMINED,
-                       VACUOUS, Verdict, failed, not_applicable, passed,
-                       undetermined)
+from .verdicts import (FAIL, UNDETERMINED, Verdict, failed, not_applicable,
+                       passed, undetermined)
 
 _BASES = ("zplus", "z", "odd_nat")
 
@@ -33,6 +32,10 @@ _BASES = ("zplus", "z", "odd_nat")
 # 2^65536 is still cheap, and each further index doubles its size.  It also
 # caps the masked indices a two-sided representation search takes.
 MAX_INDEX_BOUND = 16
+
+# The most digits a decimal string in a query may hold: w_16 has 19,729
+# (2^16 log10 2), and 3/5 of 2^16 is about twice that.
+MAX_DECIMAL_DIGITS = 2 ** MAX_INDEX_BOUND * 3 // 5
 
 
 def _odd_primes(n: int) -> list:
@@ -614,15 +617,14 @@ def find_limit(T: TopologyInstance, sequence: Sequence,
     """Best-effort limit search over unshift candidates.
 
     PASS is the first certifying candidate's convergence verdict, whose
-    certificate carries the limit; a miss is NOT_FOUND_AT_HORIZON, never
-    evidence of divergence.
+    certificate carries the limit; a miss is UNDETERMINED, never evidence
+    of divergence.
     """
     for cand in _limit_candidates(T, sequence):
         res = check_convergence(T, sequence, cand, alpha_max)
         if res:
             return res
-    return Verdict(NOT_FOUND_AT_HORIZON,
-                   detail="no limit found among the unshift candidates")
+    return undetermined("no limit found among the unshift candidates")
 
 
 def convergence_transfer(T: TopologyInstance, sequence: Sequence, shift: tuple,
@@ -757,23 +759,24 @@ def verify_star_star(T: TopologyInstance, t: Any, s_window: int = 10_000) -> Ver
 # distinguishing masked topologies
 
 
-def mask_family(count: int, horizon: int, seed: int = 0) -> list:
-    """Deterministic family of masks with pairwise large symmetric difference."""
+def mask_family(count: int, horizon: int, seed: int = 0) -> Verdict[list]:
+    """Deterministic family of masks with pairwise large symmetric difference:
+    PASS with the masks, or UNDETERMINED if 200,000 draws do not complete it."""
     count = positive_int(count, "count")
     horizon = positive_int(horizon, "horizon")
     min_symdiff = max(2, horizon // 3)
+    if horizon - 1 < min_symdiff:
+        return undetermined(f"no mask size fits horizon {horizon}")
     rng = random.Random(seed)
     masks: list = []
-    attempts = 0
-    while len(masks) < count:
-        attempts += 1
-        if attempts > 200_000:
-            raise RuntimeError("could not build the requested mask family")
+    for _ in range(200_000):
         size = rng.randint(min_symdiff, horizon - 1)
         cand = tuple(sorted(rng.sample(range(1, horizon + 1), size)))
         if all(len(set(cand) ^ set(m)) >= min_symdiff for m in masks):
             masks.append(cand)
-    return masks
+            if len(masks) == count:
+                return passed(witness=masks)
+    return undetermined(f"200000 draws gave {len(masks)} of {count} masks")
 
 
 def distinguish_topologies(weights: WeightSequence, mask1: Iterable, mask2: Iterable,
@@ -784,8 +787,9 @@ def distinguish_topologies(weights: WeightSequence, mask1: Iterable, mask2: Iter
     (0, w_index): it belongs to the level-alpha basic sets around the base
     point (1, identity) for the owning mask (alpha up to the index), and to
     none of them (alpha up to the horizon) for the other mask, over the odd
-    naturals for prime weights and Z otherwise.  The verdict is flagged
-    strong when the symmetric difference is large relative to the horizon.
+    naturals for prime weights and Z otherwise.  PASS is flagged strong when
+    the symmetric difference is large relative to the horizon; masks that
+    agree within the horizon are UNDETERMINED.
     """
     horizon = min(positive_int(horizon, "horizon"), weights.index_bound)
     base = "odd_nat" if weights.kind == "odd_primes" else "z"
@@ -816,10 +820,9 @@ def distinguish_topologies(weights: WeightSequence, mask1: Iterable, mask2: Iter
         witnesses.append({"index": j, "point": point,
                           "member_of": "mask2" if j in m2 else "mask1"})
     strong = len(sym) >= max(2, horizon // 3)
-    return Verdict(DISTINCT,
-                   witness={"symmetric_difference": sym, "strong": strong,
-                            "witnesses": witnesses},
-                   detail=f"{len(sym)} separating indices within horizon {horizon}")
+    return passed(witness={"symmetric_difference": sym, "strong": strong,
+                           "witnesses": witnesses},
+                  detail=f"{len(sym)} separating indices within horizon {horizon}")
 
 
 # ---------------------------------------------------------------------------
@@ -893,9 +896,9 @@ def good_corr_check(topology: Any, s: Any, sequence: Sequence) -> Verdict:
 
     Hypothesis: one of the two translates of the sequence by s has a
     convergent subsequence (in the given topology, at prefix scale).  When
-    the hypothesis is unmet the check is vacuous.  Otherwise the sequence
-    itself is searched; a miss is reported as not-found-at-horizon, never
-    as a refutation.
+    the hypothesis is unmet the check is NOT_APPLICABLE.  Otherwise the
+    sequence itself is searched: a find is PASS, and a miss UNDETERMINED,
+    never a refutation.
     """
     if isinstance(topology, (DiscreteTopology, OnePointTopology)):
         S = topology.instance
@@ -905,33 +908,30 @@ def good_corr_check(topology: Any, s: Any, sequence: Sequence) -> Verdict:
                   else _subseq_onepoint)
         hyp = finder(right) or finder(left)
         if hyp is None:
-            return Verdict(VACUOUS, detail="hypothesis unmet in the prefix: "
-                           "neither translate has a convergent subsequence")
+            return not_applicable("hypothesis unmet in the prefix: neither "
+                                  "translate has a convergent subsequence")
         got = finder(list(sequence))
         if got is None:
-            return Verdict(NOT_FOUND_AT_HORIZON,
-                           witness={"hypothesis": hyp},
+            return Verdict(UNDETERMINED, witness={"hypothesis": hyp},
                            detail="no convergent subsequence found in the prefix")
         value, idxs = got
-        return Verdict(FOUND, witness={"limit": value, "term_indices": idxs,
-                                       "hypothesis": hyp})
+        return passed(witness={"limit": value, "term_indices": idxs,
+                               "hypothesis": hyp})
     T = topology
     sp = T.require_point(s)
     shifted = [(p[0] + sp[0], T.s_op(p[1], sp[1]))
                for p in map(T.require_point, sequence)]
     hyp = _subseq_sigma(T, shifted)
     if hyp is None:
-        return Verdict(VACUOUS, detail="hypothesis unmet in the prefix: "
-                       "no convergent subsequence of the translate was found")
+        return not_applicable("hypothesis unmet in the prefix: no convergent "
+                              "subsequence of the translate was found")
     got = _subseq_sigma(T, list(sequence))
     if got is None:
-        return Verdict(NOT_FOUND_AT_HORIZON,
-                       witness={"hypothesis_limit": hyp[0]},
+        return Verdict(UNDETERMINED, witness={"hypothesis_limit": hyp[0]},
                        detail="no convergent subsequence found in the prefix")
     cand, idxs, cert = got
-    return Verdict(FOUND, witness={"limit": cand, "term_indices": idxs,
-                                   "certificate": cert,
-                                   "hypothesis_limit": hyp[0]})
+    return passed(witness={"limit": cand, "term_indices": idxs,
+                           "certificate": cert, "hypothesis_limit": hyp[0]})
 
 
 # ---------------------------------------------------------------------------

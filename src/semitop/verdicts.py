@@ -1,10 +1,11 @@
 """The one verdict type for window- and truncation-relative checks.
 
 Checkers in this package, and the membership and representation
-primitives, return a `Verdict` instead of a bare boolean, and every status
-string is defined here.  Most searches inspect a finite window or
-truncation of an infinite object, so "could not decide within the
-truncation" is a real outcome and must never be conflated with a pass.
+primitives, return a `Verdict` instead of a bare boolean, with one of the
+four statuses defined here; NOT_APPLICABLE marks an unmet hypothesis.  Most
+searches inspect a finite window or truncation of an infinite object, so
+"could not decide within the truncation" is a real outcome and must never
+be conflated with a pass.
 """
 
 from __future__ import annotations
@@ -16,16 +17,6 @@ PASS = "PASS"
 FAIL = "FAIL"
 UNDETERMINED = "UNDETERMINED"
 NOT_APPLICABLE = "NOT_APPLICABLE"
-
-# Statuses used by search-flavoured checks.
-FOUND = "FOUND"
-NOT_FOUND_AT_HORIZON = "NOT_FOUND_AT_HORIZON"
-VACUOUS = "VACUOUS"
-DISTINCT = "DISTINCT"
-
-# Statuses of the double-limit test for weak almost periodicity.
-WAP_CONSISTENT = "WAP-consistent"
-NOT_WAP = "NOT-WAP"
 
 W = TypeVar("W")
 

@@ -22,8 +22,8 @@ from typing import Optional, Sequence
 from .l1 import (BoundedFunction, L1Vector, convolve, pairing, pairing_vectors,
                  _coeff_sum)
 from .semigroups import NatMax, positive_int
-from .verdicts import (NOT_APPLICABLE, NOT_WAP, WAP_CONSISTENT, Verdict, failed,
-                       not_applicable, passed, undetermined)
+from .verdicts import (NOT_APPLICABLE, Verdict, failed, not_applicable, passed,
+                       undetermined)
 
 
 @dataclass(frozen=True)
@@ -159,12 +159,12 @@ def arens_diamond(omega: LimitFunctional, upsilon: LimitFunctional,
 def wap_test(f: BoundedFunction, pairs: Sequence) -> Verdict[dict]:
     """Double-limit test over a family of subsequence pairs.
 
-    The status is WAP-consistent, NOT-WAP or UNDETERMINED.
     A determined, unequal (box, diamond) pair is a genuine counterexample
-    and certifies NOT-WAP.  Agreement everywhere is only consistency for
-    sampled functions; finitely modified constants are certified members
-    outright (they sit inside the vanishing-plus-constant class, which is
-    exactly the weakly-almost-periodic part over (N, max)).
+    and a FAIL: f is not weakly almost periodic.  PASS, agreement on every
+    determined pair, is only consistency for sampled functions; finitely
+    modified constants pass outright (they sit inside the vanishing-plus-
+    constant class, exactly the weakly-almost-periodic part over (N, max)).
+    UNDETERMINED means no pair stabilized.
     """
     pairs = list(pairs)
     determined = 0
@@ -175,19 +175,16 @@ def wap_test(f: BoundedFunction, pairs: Sequence) -> Verdict[dict]:
             continue
         determined += 1
         if box != diamond:
-            return Verdict(NOT_WAP, witness={
-                "omega": omega, "upsilon": upsilon,
-                "box": box, "diamond": diamond},
-                detail="iterated limits disagree exactly")
+            return failed(witness={"omega": omega, "upsilon": upsilon,
+                                   "box": box, "diamond": diamond},
+                          detail="iterated limits disagree exactly")
     if f.tag == "c0_plus_const":
-        return Verdict(WAP_CONSISTENT,
-                       witness={"pairs": len(pairs), "determined": determined},
-                       detail="membership certified: vanishing part plus a constant")
+        return passed(witness={"pairs": len(pairs), "determined": determined},
+                      detail="membership certified: vanishing part plus a constant")
     if determined == 0:
         return undetermined("no pair stabilized")
-    return Verdict(WAP_CONSISTENT,
-                   witness={"pairs": len(pairs), "determined": determined},
-                   detail="all determined pairs agree (consistency only)")
+    return passed(witness={"pairs": len(pairs), "determined": determined},
+                  detail="all determined pairs agree (consistency only)")
 
 
 def indicator_of_evens(horizon: int) -> BoundedFunction:

@@ -2,9 +2,11 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
+from reports import strip_timing
 
 from semitop import cli, jsonio, suites, topologies, verdicts
 from semitop.cli import main
@@ -77,7 +79,7 @@ def test_converge_not_found_has_the_verdict_shape(capsys):
     code, doc = run(capsys, "converge", "--params", json.dumps(params))
     assert code == 2
     assert doc == {"schema_version": "1", "command": "converge", "seed": 0,
-                   "status": "NOT_FOUND_AT_HORIZON", "witness": None,
+                   "status": "UNDETERMINED", "witness": None,
                    "detail": "no limit found among the unshift candidates"}
 
 
@@ -139,6 +141,54 @@ def test_waptest_pairs_with_different_horizons_are_undetermined(capsys):
     assert doc["status"] == "UNDETERMINED"
 
 
+# distinguish names PASS "DISTINCT", and waptest names PASS "WAP-consistent"
+# and FAIL "NOT-WAP".  One payload per answer, pinned byte for byte with its
+# exit code.
+_PAIR = [[{"along": [2, 4, 6, 8], "horizon": 8},
+          {"along": [1, 3, 5, 7], "horizon": 8}]]
+PINNED_ANSWERS = [
+    ("distinguish", {"weights": {"kind": "double_exp", "index_bound": 6},
+                     "mask1": [1, 2, 3], "mask2": [1, 2, 5], "horizon": 6},
+     0, {"status": "DISTINCT",
+         "witness": {"symmetric_difference": [3, 5], "strong": True,
+                     "witnesses": [
+                         {"index": 3, "point": [0, 256], "member_of": "mask1"},
+                         {"index": 5, "point": [0, 4294967296],
+                          "member_of": "mask2"}]},
+         "detail": "2 separating indices within horizon 6"}),
+    ("distinguish", {"weights": {"kind": "double_exp", "index_bound": 6},
+                     "mask1": [1, 2, 3], "mask2": [1, 2, 3, 6], "horizon": 5},
+     2, {"status": "UNDETERMINED", "witness": None,
+         "detail": "masks agree within the horizon"}),
+    ("waptest", {"function": {"tag": "c0_plus_const", "const": "1/2",
+                              "mod": [{"elem": 3, "value": "2"}]},
+                 "count": 2, "horizon": 20},
+     0, {"status": "WAP-consistent", "witness": {"pairs": 2, "determined": 2},
+         "detail": "membership certified: vanishing part plus a constant"}),
+    ("waptest", {"function": {"tag": "sampled", "values": ["0", "1"] * 4},
+                 "pairs": _PAIR},
+     1, {"status": "NOT-WAP",
+         "witness": {"omega": {"along": [2, 4, 6, 8], "horizon": 8},
+                     "upsilon": {"along": [1, 3, 5, 7], "horizon": 8},
+                     "box": "0", "diamond": "1"},
+         "detail": "iterated limits disagree exactly"}),
+    ("waptest", {"function": {"tag": "sampled",
+                              "values": [str(n) for n in range(1, 9)]},
+                 "pairs": _PAIR},
+     2, {"status": "UNDETERMINED", "witness": None,
+         "detail": "no pair stabilized"}),
+]
+
+
+@pytest.mark.parametrize("command,params,code,answer", PINNED_ANSWERS,
+                         ids=lambda v: v if isinstance(v, str) else "")
+def test_named_answers_are_pinned(command, params, code, answer, capsys):
+    assert main([command, "--params", json.dumps(params)]) == code
+    head = {"schema_version": "1", "command": command, "seed": 0}
+    assert capsys.readouterr().out == json.dumps({**head, **answer},
+                                                 indent=2) + "\n"
+
+
 def test_suite_run_and_out_file(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(["--suite", "star-condition", "--seed", "7",
@@ -178,11 +228,11 @@ def test_associativity_failure_keeps_its_witness(monkeypatch):
 
 
 @pytest.mark.parametrize("status,code,overall", [
-    (verdicts.VACUOUS, 1, "FAIL"),
-    (verdicts.NOT_FOUND_AT_HORIZON, 2, "UNDETERMINED")])
+    (verdicts.NOT_APPLICABLE, 1, "FAIL"),
+    ("MADE-UP", 1, "FAIL")])
 def test_relayed_status_never_reads_as_pass(status, code, overall,
                                             monkeypatch, capsys):
-    # discrete-found expects FOUND and relays any other inner verdict
+    # discrete-found expects PASS and relays any other inner verdict
     real = topologies.good_corr_check
 
     def fake(topology, s, seq):
@@ -199,8 +249,8 @@ def test_relayed_status_never_reads_as_pass(status, code, overall,
 
 
 @pytest.mark.parametrize("statuses", [
-    (verdicts.NOT_WAP,), (verdicts.VACUOUS,), (verdicts.NOT_WAP, verdicts.VACUOUS),
-    (verdicts.UNDETERMINED, verdicts.FOUND)])
+    (verdicts.NOT_APPLICABLE,), ("MADE-UP",),
+    (verdicts.NOT_APPLICABLE, "MADE-UP"), (verdicts.UNDETERMINED, "MADE-UP")])
 def test_a_status_outside_the_suite_contract_reads_as_fail(statuses,
                                                            monkeypatch, capsys):
     # a check reports PASS, FAIL or UNDETERMINED; anything else that reaches
@@ -289,6 +339,11 @@ def test_suite_with_params(capsys):
         "point": {"a": 0, "s": [0, 4]}})],
     ["waptest", "--params",                   # "p" or "p/q" only, no exponent
      '{"function": {"tag": "c0_plus_const", "const": "1e3"}}'],
+    *(["waptest", "--params", json.dumps({    # pairs come with no family keys
+        "function": {"tag": "sampled", "values": ["0", "1"] * 4},
+        "pairs": _PAIR, **family})]
+      for family in ({"count": 200}, {"horizon": 2000},
+                     {"count": 200, "horizon": 2000})),
 ])
 def test_usage_errors(argv, capsys):
     code, _ = run(capsys, *argv)
@@ -399,20 +454,30 @@ def test_waptest_reads_a_rational_past_the_digit_limit(capsys):
     assert doc["witness"]["diamond"] == f"{big}/3"
 
 
+@pytest.mark.parametrize("head,params", [
+    (["member"], dict(VALID_QUERIES["member"],
+                      point={"a": 1, "s": "9" * 400_000})),
+    (["member"], dict(VALID_QUERIES["member"],
+                      point={"a": 1, "s": "x" * 400_000})),
+    (["waptest"], {"function": {"tag": "c0_plus_const",
+                                "const": "9" * 200_000 + "/" + "7" * 200_000}}),
+    (["--suite", "good-corr"], {"index_bound": "9" * 400_000}),
+], ids=["member-digits", "member-letters", "waptest-rational", "good-corr"])
+def test_decimal_strings_past_the_length_limit(head, params, capsys):
+    # converting a decimal string takes time quadratic in its length, so an
+    # over-long one is a usage error before it is converted or echoed
+    t0 = time.perf_counter()
+    assert main(head + ["--params", json.dumps(params)]) == 3
+    assert time.perf_counter() - t0 < 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err) < 300
+
+
 def test_every_status_has_an_exit_code():
     statuses = {v for k, v in vars(verdicts).items()
                 if k.isupper() and isinstance(v, str)}
     assert all(isinstance(k, str) for k in cli._STATUS_EXIT)
     assert set(cli._STATUS_EXIT) == statuses
-
-
-def _strip_timing(doc):
-    if isinstance(doc, dict):
-        return {k: _strip_timing(v) for k, v in doc.items()
-                if k != "elapsed_ms"}
-    if isinstance(doc, list):
-        return [_strip_timing(v) for v in doc]
-    return doc
 
 
 def test_reports_are_deterministic(capsys):
@@ -426,11 +491,11 @@ def test_reports_are_deterministic(capsys):
                           capture_output=True, text=True, env=env,
                           timeout=120)
     assert code1 == code2 == proc.returncode == 0
-    report = _strip_timing(first)
-    assert report == _strip_timing(second)
-    assert report == _strip_timing(json.loads(proc.stdout))
+    report = strip_timing(first)
+    assert report == strip_timing(second)
+    assert report == strip_timing(json.loads(proc.stdout))
     _, other_seed = run(capsys, "--suite", "remark4-continuum", "--seed", "6")
-    assert _strip_timing(other_seed) != report
+    assert strip_timing(other_seed) != report
 
 
 def test_unknown_flag_exits_3():

@@ -56,6 +56,20 @@ def test_int_encodings_past_the_digit_limit():
     assert jsonio.to_jsonable(w16) == text
 
 
+def test_decimal_digit_limit_covers_the_largest_weight():
+    w16 = jsonio.int_to_str(2 ** 2 ** jsonio.MAX_INDEX_BOUND)
+    assert 1.9 * len(w16) < jsonio.MAX_DECIMAL_DIGITS < 2.1 * len(w16)
+    limit = "9" * jsonio.MAX_DECIMAL_DIGITS
+    assert jsonio.int_from(limit) == 10 ** jsonio.MAX_DECIMAL_DIGITS - 1
+    assert jsonio.int_from("-" + limit) == 1 - 10 ** jsonio.MAX_DECIMAL_DIGITS
+    assert jsonio.frac_from(f"-{limit}/{limit}") == -1
+    for text in ("9" + limit, f"{limit}9/1", f"1/9{limit}"):
+        with pytest.raises(ValueError):
+            jsonio.frac_from(text)
+    with pytest.raises(ValueError):
+        jsonio.int_from("9" + limit)
+
+
 def test_zero_denominator_is_a_value_error():
     with pytest.raises(ValueError):
         jsonio.frac_from("1/0")

@@ -9,6 +9,7 @@ import hashlib
 import json
 
 import pytest
+from reports import strip_timing
 
 from semitop.suites import run_suite
 
@@ -26,7 +27,7 @@ DIGESTS = {
     "remark4-continuum":
         "d6107ad7919ff3d3ebab89b802a01beef94b87063e94246c70980f79d86d9bc8",
     "good-corr":
-        "bdc4f80436de3dbcad8b23ab8f2e07c54c54c36b6d7cf7334f858496b6600a28",
+        "c5a9a823cba328e6e0d4211b75baff59e2728d67c97f51e75576d444d9aadbc4",
     "nmax-wap":
         "4b3ad3f3f013465ea6835fc03d53e539cde0e98556f6e2814831c10feacb0ad6",
     "unique-l1s":
@@ -44,24 +45,15 @@ PARAM_DIGESTS = {
 }
 
 
-def _strip_timing(doc):
-    if isinstance(doc, dict):
-        return {k: _strip_timing(v) for k, v in doc.items()
-                if k != "elapsed_ms"}
-    if isinstance(doc, list):
-        return [_strip_timing(v) for v in doc]
-    return doc
-
-
 @pytest.mark.parametrize("suite", sorted(DIGESTS))
 def test_report_digest(suite):
-    canon = json.dumps(_strip_timing(run_suite(suite)), sort_keys=True)
+    canon = json.dumps(strip_timing(run_suite(suite)), sort_keys=True)
     assert hashlib.sha256(canon.encode()).hexdigest() == DIGESTS[suite]
 
 
 @pytest.mark.parametrize("suite,params", sorted(PARAM_DIGESTS))
 def test_report_digest_at_params(suite, params):
     report = run_suite(suite, json.loads(params))
-    canon = json.dumps(_strip_timing(report), sort_keys=True)
+    canon = json.dumps(strip_timing(report), sort_keys=True)
     assert (hashlib.sha256(canon.encode()).hexdigest()
             == PARAM_DIGESTS[(suite, params)])

@@ -8,9 +8,11 @@ adding or removing either must show up here as a deliberate edit.
 
 import ast
 import inspect
+import re
 from pathlib import Path
 
 import semitop
+from semitop import verdicts
 
 # Exported functions, classes (their constructors) and the public methods
 # of exported classes that take a default, with the defaulted names.
@@ -108,6 +110,47 @@ def test_no_module_raises_arithmetic_error():
                 if isinstance(exc, ast.Name) and exc.id == "ArithmeticError":
                     raised.add(path.name)
     assert not raised
+
+
+STATUSES = ("PASS", "FAIL", "UNDETERMINED", "NOT_APPLICABLE")
+
+
+def _status_argument(call):
+    if call.args:
+        return call.args[0]
+    return next((kw.value for kw in call.keywords if kw.arg == "status"), None)
+
+
+def test_verdicts_have_four_statuses():
+    # every verdict is PASS, FAIL, UNDETERMINED or NOT_APPLICABLE; a second
+    # name for one of them would read as falsy where it means yes, or need
+    # an exit code of its own
+    assert {k: v for k, v in vars(verdicts).items()
+            if k.isupper() and isinstance(v, str)} == {s: s for s in STATUSES}
+    stray = []
+    for path in sorted(Path(semitop.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "Verdict"):
+                continue
+            # a status constant, or the status of a verdict being relayed
+            arg = _status_argument(node)
+            if not (isinstance(arg, ast.Name) and arg.id in STATUSES
+                    or isinstance(arg, ast.Attribute) and arg.attr == "status"):
+                stray.append(f"{path.name}:{node.lineno}")
+    assert not stray
+
+
+def test_retired_status_names_are_cli_answers_only():
+    # the distinguish and waptest commands still answer in these words
+    retired = re.compile(r"(?<![\w-])(FOUND|NOT_FOUND_AT_HORIZON|VACUOUS|"
+                         r"DISTINCT|WAP-consistent|NOT-WAP)(?![\w-])")
+    seen = sorted((path.name, m) for path in Path(semitop.__file__).parent
+                  .glob("*.py")
+                  for m in retired.findall(path.read_text(encoding="utf-8")))
+    assert seen == [("cli.py", "DISTINCT"), ("cli.py", "NOT-WAP"),
+                    ("cli.py", "WAP-consistent")]
 
 
 def _int_calls(tree) -> set:

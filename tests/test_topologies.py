@@ -20,9 +20,8 @@ from semitop.topologies import (BasicNbhd, ConvergenceCertificate,
                                 separate_continuity_identity, verify_star,
                                 verify_star_star)
 from semitop.topologies import _limit_candidates
-from semitop.verdicts import (DISTINCT, FAIL, FOUND, NOT_APPLICABLE,
-                              NOT_FOUND_AT_HORIZON, PASS, UNDETERMINED,
-                              VACUOUS, Verdict)
+from semitop.verdicts import (FAIL, NOT_APPLICABLE, PASS, UNDETERMINED,
+                              Verdict)
 
 from oracles import member_bruteforce
 
@@ -593,7 +592,7 @@ def test_find_limit_not_found_at_horizon():
     # no unshift candidate holds the last term, and a constant prefix
     # would always certify to its own last term
     v = find_limit(Tz(6), [(0, 0)] * 5 + [(0, 1000)], 3)
-    assert v.status == NOT_FOUND_AT_HORIZON
+    assert v.status == UNDETERMINED
     assert v.witness is None and v.detail
 
 
@@ -733,7 +732,7 @@ def test_verify_star_star_undetermined_when_bound_too_low():
 def test_distinguish_two_masks():
     w = WeightSequence.double_exp(8)
     v = distinguish_topologies(w, [1, 2, 3, 4], [1, 2, 7, 8], 8)
-    assert v.status == DISTINCT
+    assert v.status == PASS
     sym = v.witness["symmetric_difference"]
     assert sorted(sym) == [3, 4, 7, 8]
     for rec in v.witness["witnesses"]:
@@ -741,7 +740,9 @@ def test_distinguish_two_masks():
 
 
 def test_mask_family_pairwise_symmetric_difference():
-    masks = mask_family(8, 12, seed=5)
+    family = mask_family(8, 12, seed=5)
+    assert family.status == PASS
+    masks = family.witness
     assert len(masks) == 8
     floor = max(2, 12 // 3)
     for m1, m2 in combinations(masks, 2):
@@ -750,7 +751,17 @@ def test_mask_family_pairwise_symmetric_difference():
 
 def test_mask_family_deterministic():
     assert mask_family(6, 10, seed=1) == mask_family(6, 10, seed=1)
-    assert mask_family(6, 10, seed=1) != mask_family(6, 10, seed=2)
+    assert (mask_family(6, 10, seed=1).witness
+            != mask_family(6, 10, seed=2).witness)
+
+
+@pytest.mark.parametrize("count,horizon", [(30, 4), (1, 2)])
+def test_mask_family_that_cannot_be_completed_is_undetermined(count, horizon):
+    # at horizon 4 the masks of size 2 or 3 are the only candidates, and
+    # just 10 of them exist; at horizon 2 no size fits at all
+    v = mask_family(count, horizon)
+    assert v.status == UNDETERMINED and v.witness is None
+    assert v.detail
 
 
 # -- convergent-subsequence correspondence ------------------------------
@@ -759,23 +770,23 @@ def test_mask_family_deterministic():
 def test_good_corr_discrete():
     S = NatMul()
     found = good_corr_check(DiscreteTopology(S), 5, [2, 3, 2, 3, 2])
-    assert found.status == FOUND
+    assert found.status == PASS
     assert found.witness["limit"] in (2, 3)
     vac = good_corr_check(DiscreteTopology(S), 5, [2, 4, 8, 16])
-    assert vac.status == VACUOUS
+    assert vac.status == NOT_APPLICABLE
 
 
 def test_good_corr_one_point():
     S = NatInfinity()
     v = good_corr_check(OnePointTopology(S), 1, list(range(1, 8)))
-    assert v.status == FOUND and v.witness["limit"] is INF
+    assert v.status == PASS and v.witness["limit"] is INF
 
 
 def test_good_corr_sigma_instance():
     T = Todd(8)
     seq = [(0, T.weights.value(j)) for j in range(1, 9)]
     v = good_corr_check(T, (0, 3), seq)
-    assert v.status == FOUND
+    assert v.status == PASS
     assert v.witness["limit"] == (1, 1)
     sub = [seq[i - 1] for i in v.witness["term_indices"]]
     assert v.witness["certificate"].revalidate(T, sub)

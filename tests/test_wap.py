@@ -10,9 +10,8 @@ from semitop import wap
 from semitop.l1 import (BoundedFunction, L1Vector, _coeff_sum, convolve,
                         pairing, pairing_vectors)
 from semitop.semigroups import NatMax
-from semitop.verdicts import (FAIL, NOT_APPLICABLE, NOT_WAP, PASS,
-                              UNDETERMINED, WAP_CONSISTENT, Verdict, failed,
-                              passed)
+from semitop.verdicts import (FAIL, NOT_APPLICABLE, PASS, UNDETERMINED,
+                              Verdict, failed, passed)
 from semitop.wap import (LimitFunctional, SharpnessWitness, arens_box,
                          arens_diamond, counterexample_x, eval_limit,
                          indicator_of_evens, random_c0_plus_const,
@@ -95,14 +94,14 @@ def test_wap_test_certifies_c0_plus_const():
     pairs = subsequence_pair_family(10, 200, seed=1)
     f = BoundedFunction.c0_plus_const({2: F(1, 2)}, F(-3))
     v = wap_test(f, pairs)
-    assert v.status == WAP_CONSISTENT
+    assert v.status == PASS
     assert "certified" in v.detail
 
 
 def test_wap_test_flags_indicator():
     pairs = subsequence_pair_family(10, 200, seed=1)
     v = wap_test(indicator_of_evens(200), pairs)
-    assert v.status == NOT_WAP
+    assert v.status == FAIL
     assert v.witness["box"] == 0
     assert v.witness["diamond"] == 1
 
@@ -111,7 +110,7 @@ def test_wap_test_sample_shorter_than_pair_horizon():
     # subsequences reaching past the sampled prefix must clamp, not raise
     pairs = subsequence_pair_family(10, 200, seed=1)
     v = wap_test(indicator_of_evens(40), pairs)
-    assert v.status == NOT_WAP
+    assert v.status == FAIL
     assert eval_limit(LimitFunctional.arithmetic(50, 1, 200),
                       indicator_of_evens(40)) is None
 
@@ -119,8 +118,8 @@ def test_wap_test_sample_shorter_than_pair_horizon():
 def test_wap_test_returns_verdict_for_every_status():
     pairs = subsequence_pair_family(10, 200, seed=1)
     never_stable = BoundedFunction.sampled([F(n) for n in range(1, 201)])
-    for f, status in ((BoundedFunction.c0_plus_const({}, F(1)), WAP_CONSISTENT),
-                      (indicator_of_evens(200), NOT_WAP),
+    for f, status in ((BoundedFunction.c0_plus_const({}, F(1)), PASS),
+                      (indicator_of_evens(200), FAIL),
                       (never_stable, UNDETERMINED)):
         v = wap_test(f, pairs)
         assert isinstance(v, Verdict) and v.status == status
@@ -143,7 +142,7 @@ def test_wap_test_never_raises_on_explicit_pairs(runs, pairs):
     # reach determined but disagreeing iterated limits and collapses
     f = BoundedFunction.sampled([F(v) for v, n in runs for _ in range(n)])
     v = wap_test(f, pairs)
-    assert v.status in (WAP_CONSISTENT, NOT_WAP, UNDETERMINED)
+    assert v.status in (PASS, FAIL, UNDETERMINED)
 
 
 # The double loop that `_iterated_max_limit` replaced: every f(max(s, t))
