@@ -8,19 +8,19 @@ points keep the family separated from its would-be accumulation point.
 
 import json
 
-from semitop import (PartialMap, build_g, open_set_identity, proof_skeleton,
-                     verify_annihilation, verify_fnp)
+from semitop import (PartialMap, build_g, open_set_identity_sweep,
+                     proof_skeleton, verify_annihilation, verify_fnp)
 from semitop.jsonio import to_jsonable
-from semitop.obstructions import enumerate_partial_maps
 
 f = PartialMap([(1, 2)])
-universe = enumerate_partial_maps(3, 4)
-print(f"universe: all {len(universe)} injective partial maps on small domains")
+sweep = open_set_identity_sweep(3, 4)
+print(f"universe: all {sweep.witness['universe']} injective partial maps "
+      "on small domains")
 
 g = build_g(f, {3})
-print("\nstep 1: {h : h o g = f} with g =", dict(g.pairs))
-print("  equals the basic set around f:",
-      open_set_identity(f, {3}, universe).status)
+print("\nstep 1: {h : h o g = f} with g =", dict(g.pairs), "for F' = {3}")
+print(f"  equals the basic set around f, for all "
+      f"{sweep.witness['specs_checked']} specs (f, F'):", sweep.status)
 
 print("\nstep 2: the family f_n translates back onto f for every valid n:")
 print(" ", verify_fnp(f, n0=3, n_range=range(1, 21)).detail)

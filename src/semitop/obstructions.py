@@ -18,70 +18,31 @@ Composition convention, fixed once: (h g)(n) = h(g(n)), i.e. hg = h o g.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from operator import itemgetter
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .semigroups import PartialMap, enumerate_partial_maps, positive_int
 from .verdicts import Verdict, failed, passed
-
-
-@dataclass(frozen=True)
-class OpenSetSpec:
-    """Maps agreeing with f on its domain and vanishing on fprime."""
-
-    f: PartialMap
-    fprime: frozenset
-
-    def __post_init__(self):
-        fp = frozenset(positive_int(n, "an fprime point") for n in self.fprime)
-        if not fp.isdisjoint(self.f.domain):
-            raise ValueError("fprime must be disjoint from the domain of f")
-        object.__setattr__(self, "fprime", fp)
-
-
-def o_member(spec: OpenSetSpec, h: PartialMap) -> bool:
-    return (all(h(n) == spec.f(n) for n in spec.f.domain)
-            and all(h(n) == 0 for n in spec.fprime))
-
-
-def _fresh_points(f: PartialMap, fprime: Iterable, count: int) -> list:
-    taken = set(f.domain) | set(f.image) | set(fprime)
-    return [n for n in range(1, len(taken) + count + 1)
-            if n not in taken][:count]
 
 
 def build_g(f: PartialMap, fprime: Iterable) -> PartialMap:
     """The right translator realizing the basic set as a preimage.
 
     Identity on the domain of f, plus fresh points (least naturals not
-    already in play) mapped bijectively onto fprime.  The spec checks that
-    fprime is disjoint from dom f and the fresh points avoid both, so the
-    pairs are injective by construction.
+    already in play) mapped bijectively onto fprime.  fprime must hold
+    positive ints off dom f, and the fresh points avoid both, so the pairs
+    are injective by construction.
     """
-    fprime = sorted(OpenSetSpec(f, fprime).fprime)
-    fresh = _fresh_points(f, fprime, len(fprime))
+    dom = f.domain
+    fprime = sorted({positive_int(n, "an fprime point") for n in fprime})
+    if not set(dom).isdisjoint(fprime):
+        raise ValueError("fprime must be disjoint from the domain of f")
+    taken = set(dom).union(f.image, fprime)
+    fresh = [n for n in range(1, len(taken) + len(fprime) + 1)
+             if n not in taken][:len(fprime)]
     return PartialMap._trusted(tuple(sorted(
-        [(n, n) for n in f.domain] + list(zip(fresh, fprime)))))
-
-
-def open_set_identity(f: PartialMap, fprime: Iterable, universe: Sequence,
-                      g: Optional[PartialMap] = None) -> Verdict:
-    """Direct check of {h : h o g = f} = {h : h in the basic set} over a
-    given universe, using actual compositions on the left side."""
-    spec = OpenSetSpec(f, fprime)
-    if g is None:
-        g = build_g(f, spec.fprime)
-    left = {i for i, h in enumerate(universe) if h.compose(g) == f}
-    right = {i for i, h in enumerate(universe) if o_member(spec, h)}
-    if left == right:
-        return passed(witness={"set_size": len(left), "g": g.pairs})
-    diff = sorted(left ^ right)[:3]
-    return failed(witness={
-        "g": g.pairs,
-        "only_in": [("preimage" if i in left else "basic_set",
-                     universe[i].pairs) for i in diff]})
+        [(n, n) for n in dom] + list(zip(fresh, fprime)))))
 
 
 def open_set_identity_sweep(max_domain: int, max_value: int) -> Verdict:
@@ -90,8 +51,9 @@ def open_set_identity_sweep(max_domain: int, max_value: int) -> Verdict:
 
     Each spec (f, F') gives the identity's two sides as sets of maps h:
     the literal preimage {h : h o g = f} for g = build_g(f, F'), and the
-    basic set.  The witness counts the specs, the distinct translators and
-    the compositions performed.
+    basic set.  The witness gives the universe size and counts the specs,
+    the distinct translators and the compositions performed; a FAIL gives
+    the universe size and the first spec whose two sides differ.
     """
     universe = enumerate_partial_maps(max_domain, max_value)
     translators = specs_checked = compositions = 0
@@ -103,7 +65,8 @@ def open_set_identity_sweep(max_domain: int, max_value: int) -> Verdict:
             if literal != basic:
                 bad = ((literal ^ basic) & -(literal ^ basic)).bit_length() - 1
                 return failed(witness={
-                    "f": f.pairs, "fprime": list(fprime), "g": g.pairs,
+                    "universe": len(universe), "f": f.pairs,
+                    "fprime": list(fprime), "g": g.pairs,
                     "mismatch_h": universe[bad].pairs,
                     "in_preimage": bool(literal >> bad & 1)})
     return passed(witness={"universe": len(universe),
@@ -252,12 +215,11 @@ def proof_skeleton() -> Verdict:
     Each step records an identity, its role in the contradiction, and a
     verdict from an actual run.  The topological glue (convergence and
     separation) is narrated, not re-proved; only the algebra is checked.
-    PASS when every step passes; the universe size and steps are the witness.
+    PASS when every step passes; the sweep's universe size and the steps
+    are the witness.
     """
-    universe = enumerate_partial_maps(3, 4)
+    step1 = open_set_identity_sweep(3, 4)
     f = PartialMap([(1, 2)])
-    fprime = (3,)
-    step1 = open_set_identity(f, fprime, universe)
     step2 = verify_fnp(f, n0=3, n_range=range(1, 21))
     g = PartialMap([(1, 2), (4, 3)])
     step3 = verify_annihilation(f, n0=3, g=g, k0=4, n_range=range(1, 21))
@@ -285,4 +247,5 @@ def proof_skeleton() -> Verdict:
          "verdict": step3},
     ]
     verdict = passed if all(s["verdict"] for s in steps) else failed
-    return verdict({"universe_size": len(universe), "steps": steps})
+    return verdict({"universe_size": step1.witness["universe"],
+                    "steps": steps})

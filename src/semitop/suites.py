@@ -203,7 +203,9 @@ def _suite_gen_con_one(p: dict, seed: int) -> list:
              lambda: separate_continuity(Todd, "odd"))]
 
 
-@_suite("gen-con-two", index_bound=(12, 4, 14), cases=(25, 5, 100),
+# index_bound reaches alpha_max's top: each prefix ends at w_index_bound,
+# so it certifies no level past index_bound
+@_suite("gen-con-two", index_bound=(12, 6, 14), cases=(25, 5, 100),
        alpha_max=(4, 1, 6))
 def _suite_gen_con_two(p: dict, seed: int) -> list:
     bound = p["index_bound"]

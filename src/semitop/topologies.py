@@ -20,6 +20,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product as iproduct, takewhile
+from math import comb
 from typing import Any, Iterable, Optional, Sequence
 
 from .semigroups import INF, positive_int
@@ -618,8 +619,10 @@ def find_limit(T: TopologyInstance, sequence: Sequence,
 
     PASS is the first certifying candidate's convergence verdict, whose
     certificate carries the limit; a miss is UNDETERMINED, never evidence
-    of divergence.
+    of divergence.  An empty sequence raises, as in check_convergence.
     """
+    if not sequence:
+        raise ValueError("empty sequence")
     for cand in _limit_candidates(T, sequence):
         res = check_convergence(T, sequence, cand, alpha_max)
         if res:
@@ -761,12 +764,19 @@ def verify_star_star(T: TopologyInstance, t: Any, s_window: int = 10_000) -> Ver
 
 def mask_family(count: int, horizon: int, seed: int = 0) -> Verdict[list]:
     """Deterministic family of masks with pairwise large symmetric difference:
-    PASS with the masks, or UNDETERMINED if 200,000 draws do not complete it."""
+    PASS with the masks, or UNDETERMINED, at once when fewer than `count`
+    masks of the allowed sizes exist, else if 200,000 draws do not
+    complete it."""
     count = positive_int(count, "count")
     horizon = positive_int(horizon, "horizon")
     min_symdiff = max(2, horizon // 3)
     if horizon - 1 < min_symdiff:
         return undetermined(f"no mask size fits horizon {horizon}")
+    available = sum(comb(horizon, k) for k in range(min_symdiff, horizon))
+    if count > available:
+        return undetermined(f"only {available} masks of sizes {min_symdiff}"
+                            f"-{horizon - 1} exist within horizon {horizon}, "
+                            f"fewer than {count}")
     rng = random.Random(seed)
     masks: list = []
     for _ in range(200_000):

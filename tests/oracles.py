@@ -1,9 +1,10 @@
 """Brute-force oracles that the tests hold the production paths to."""
 
+from dataclasses import dataclass
 from itertools import combinations
 
-from semitop.obstructions import _outside_domain, valid_ns
-from semitop.semigroups import PartialMap
+from semitop.obstructions import _outside_domain, build_g, valid_ns
+from semitop.semigroups import PartialMap, positive_int
 from semitop.verdicts import failed, passed
 
 
@@ -74,3 +75,42 @@ def verify_annihilation_oracle(f, n0, g, k0, n_range):
             nonzero_at.append(n)
     return passed(witness={"ns_checked": len(ns), "alive": alive.pairs,
                            "nonzero_at": nonzero_at})
+
+
+@dataclass(frozen=True)
+class OpenSetSpec:
+    """Maps agreeing with f on its domain and vanishing on fprime."""
+
+    f: PartialMap
+    fprime: frozenset
+
+    def __post_init__(self):
+        fp = frozenset(positive_int(n, "an fprime point") for n in self.fprime)
+        if not fp.isdisjoint(self.f.domain):
+            raise ValueError("fprime must be disjoint from the domain of f")
+        object.__setattr__(self, "fprime", fp)
+
+
+def o_member(spec, h):
+    """h lies in the basic set of spec, read off h's values one by one."""
+    return (all(h(n) == spec.f(n) for n in spec.f.domain)
+            and all(h(n) == 0 for n in spec.fprime))
+
+
+def open_set_identity(f, fprime, universe, g=None):
+    """One spec of ``open_set_identity_sweep``, checked literally:
+    {h : h o g = f} against the basic set, composing every h of the
+    universe by ``PartialMap.compose``.  ``g`` replaces ``build_g(f, F')``
+    for the negative controls."""
+    spec = OpenSetSpec(f, fprime)
+    if g is None:
+        g = build_g(f, spec.fprime)
+    left = {i for i, h in enumerate(universe) if h.compose(g) == f}
+    right = {i for i, h in enumerate(universe) if o_member(spec, h)}
+    if left == right:
+        return passed(witness={"set_size": len(left), "g": g.pairs})
+    diff = sorted(left ^ right)[:3]
+    return failed(witness={
+        "g": g.pairs,
+        "only_in": [("preimage" if i in left else "basic_set",
+                     universe[i].pairs) for i in diff]})

@@ -334,6 +334,9 @@ def test_suite_with_params(capsys):
         "sequence": [{"a": -4, "s": 7}] + [{"a": 0, "s": p}
                                            for p in (3, 5, 7, 11, 13, 17)]})]
       for limit in ({}, {"limit": {"a": 1, "s": 1}})),
+    *(["converge", "--params", json.dumps({    # an empty sequence
+        "topology": Z_TOP, "sequence": [], **limit})]
+      for limit in ({}, {"limit": {"a": 1, "s": 0}})),
     ["member", "--params", json.dumps({       # no base has vector coordinates
         "topology": Z_TOP, "nbhd": {"a": 1, "s": 0, "alpha": 1},
         "point": {"a": 0, "s": [0, 4]}})],

@@ -1,17 +1,18 @@
+import re
 from itertools import combinations
 
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from oracles import (build_fn, fn_threshold, verify_annihilation_oracle,
+from oracles import (OpenSetSpec, build_fn, fn_threshold, o_member,
+                     open_set_identity, verify_annihilation_oracle,
                      verify_fnp_oracle)
 from semitop import obstructions
-from semitop.obstructions import (OpenSetSpec, _sweep_sets, build_g,
-                                  enumerate_partial_maps, o_member,
-                                  open_set_identity, open_set_identity_sweep,
-                                  proof_skeleton, valid_ns,
-                                  verify_annihilation, verify_fnp)
+from semitop.obstructions import (_sweep_sets, build_g,
+                                  enumerate_partial_maps,
+                                  open_set_identity_sweep, proof_skeleton,
+                                  valid_ns, verify_annihilation, verify_fnp)
 from semitop.jsonio import read_params
 from semitop.semigroups import PartialMap
 from semitop.suites import SUITE_PARAMS, SUITES
@@ -44,6 +45,22 @@ def test_o_member():
     assert not o_member(spec, PartialMap())
 
 
+@pytest.mark.parametrize("fprime", [
+    {3, 4}, (), [4, 4], {1}, {1, 3}, {0}, {-2, 3}, [3, 2.0], ["3"]])
+def test_build_g_validates_like_the_spec(fprime):
+    # build_g checks (f, F') itself: it raises exactly the ValueError the
+    # spec oracle raises, and otherwise carries the spec's F'
+    f = PartialMap([(1, 2), (2, 5)])
+    try:
+        spec = OpenSetSpec(f, fprime)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            build_g(f, fprime)
+        return
+    g = build_g(f, fprime)
+    assert sorted(g.image) == sorted(f.domain + tuple(spec.fprime))
+
+
 def test_build_g_uses_least_fresh_points():
     g = build_g(PartialMap([(2, 3)]), {1, 4})
     # identity on dom f, then 5,6 (the least naturals not in {1,2,3,4})
@@ -52,9 +69,9 @@ def test_build_g_uses_least_fresh_points():
 
 
 def test_build_g_matches_validated_construction():
-    # build_g skips re-validation; for every f of the (3,4) universe and
-    # every F' inside {1..5} off dom f, the validating constructor on its
-    # pairs is the oracle
+    # build_g builds g without re-validating its pairs; for every f of the
+    # (3,4) universe and every F' inside {1..5} off dom f, the validating
+    # constructor on its pairs is the oracle
     for f in enumerate_partial_maps(3, 4):
         complement = [n for n in range(1, 6) if n not in f.domain]
         for r in range(len(complement) + 1):
@@ -316,6 +333,9 @@ def test_proof_skeleton():
         "two-point-compressions-separate",
     ]
     assert all(s["verdict"].status == PASS for s in sk.witness["steps"])
+    # step 1 is the sweep over every f and F' of the 73-map universe
+    assert sk.witness["steps"][0]["verdict"] == open_set_identity_sweep(3, 4)
+    assert sk.witness["steps"][0]["verdict"].witness["specs_checked"] == 152
 
 
 def test_proof_skeleton_check_fails_on_a_wrong_step(monkeypatch):
@@ -330,6 +350,23 @@ def test_proof_skeleton_check_fails_on_a_wrong_step(monkeypatch):
     assert v.status == FAIL
     assert [s["verdict"].status for s in v.witness["steps"]] == [
         PASS, FAIL, PASS]
+
+
+def test_proof_skeleton_check_fails_on_a_wrong_sweep(monkeypatch):
+    # negative control: the sweep's composition handed the identity on
+    # {1, 2} in place of g's pairs must sink the translation-preimage step
+    # and with it the check, the other two steps untouched
+    real = obstructions._compose_classes
+    monkeypatch.setattr(obstructions, "_compose_classes",
+                        lambda classes, g_pairs: real(classes,
+                                                      ((1, 1), (2, 2))))
+    name = "section4-no-predual"
+    checks = SUITES[name](read_params({}, SUITE_PARAMS[name]), 0)
+    v = dict(checks)["proof-skeleton"]()
+    assert v.status == FAIL
+    assert v.witness["universe_size"] == 73
+    assert [s["verdict"].status for s in v.witness["steps"]] == [
+        FAIL, PASS, PASS]
 
 
 @given(st.lists(st.integers(1, 8), min_size=0, max_size=4, unique=True),

@@ -41,7 +41,7 @@ DIGESTS = {
 # suites pinned at non-default params, keyed (suite, params JSON)
 PARAM_DIGESTS = {
     ("section4-no-predual", '{"max_domain": 4, "max_value": 6}'):
-        "c0a12f4153a66fe2b3330a21b2e0cbc16f1da88196faf846734cff3a01b16a09",
+        "cf4ad1938a33f27273683d1ca81271fdc493c3a245a9389c00aab28e75b3f196",
 }
 
 

@@ -30,7 +30,6 @@ PINNED = {
     "convergence_transfer": ("shifted_limit",),
     "failed": ("witness", "detail"),
     "mask_family": ("seed",),
-    "open_set_identity": ("g",),
     "passed": ("witness", "detail"),
     "random_c0_plus_const": ("support_max",),
     "run_suite": ("params", "seed"),
@@ -110,6 +109,32 @@ def test_no_module_raises_arithmetic_error():
                 if isinstance(exc, ast.Name) and exc.id == "ArithmeticError":
                     raised.add(path.name)
     assert not raised
+
+
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def test_oracles_stay_out_of_src():
+    # a brute-force oracle is what a test holds a production path to; a
+    # module under src/ that defines one, at any depth, or imports one
+    # runs a second path
+    oracles = {node.name for node in ast.parse(
+        (Path(__file__).parent / "oracles.py").read_text(encoding="utf-8")
+    ).body if isinstance(node, _DEFS)}
+    assert {"member_bruteforce", "open_set_identity", "o_member",
+            "OpenSetSpec"} <= oracles
+    stray = []
+    for path in sorted(Path(semitop.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {name for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    for alias in node.names
+                    for name in (alias.name, alias.asname)}
+        defined = {node.name for node in ast.walk(tree)
+                   if isinstance(node, _DEFS)}
+        stray += [f"{path.name}: {name}"
+                  for name in sorted((defined | imported) & oracles)]
+    assert not stray
 
 
 STATUSES = ("PASS", "FAIL", "UNDETERMINED", "NOT_APPLICABLE")

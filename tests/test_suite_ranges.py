@@ -1,9 +1,12 @@
 """Every in-range suite parameter gives a true verdict.
 
 `read_params` accepts each key anywhere in its declared (lo, hi) range,
-so a range's lower corner, and each point where a suite once gave a false
-FAIL or a traceback, must report overall PASS.
+so a range's lower corner, seeded points drawn inside the ranges, and
+each point where a suite once gave a false FAIL or a traceback, must
+report overall PASS.
 """
+
+import random
 
 import pytest
 
@@ -17,6 +20,39 @@ def test_every_suite_passes_at_its_lower_bounds(suite):
     assert report["overall"] == "PASS", [
         (c["id"], c["status"], c["detail"]) for c in report["checks"]
         if c["status"] != "PASS"]
+
+
+# Keys whose top corner alone takes about half a second or more; the
+# seeded draws hold them at their lower bound so that the draws stay
+# cheap.  Their top corners are run by hand.
+COSTLY = {
+    "gen-con-one": ("index_bound",),
+    "gen-con-two": ("index_bound",),
+    "nmax-wap": ("horizon",),
+    "rees-cancellativity": ("rees_rank", "infty_rank", "nat_max_rank"),
+    "section4-no-predual": ("max_domain", "max_value"),
+    "star-condition": ("double_exp_bound",),
+    "unique-l1s": ("trials",),
+}
+
+
+def _drawn(suite: str, draw: int) -> tuple:
+    """Params and seed of one seeded draw: each key uniform in its declared
+    range, the costly keys at their lower bound."""
+    rng = random.Random(f"{suite}:{draw}")
+    params = {key: lo if key in COSTLY.get(suite, ()) else rng.randint(lo, hi)
+              for key, (_, lo, hi) in SUITE_PARAMS[suite].items()}
+    return params, rng.randrange(1000)
+
+
+@pytest.mark.parametrize("suite", sorted(SUITE_PARAMS))
+@pytest.mark.parametrize("draw", range(3))
+def test_seeded_in_range_points_pass(suite, draw):
+    params, seed = _drawn(suite, draw)
+    report = run_suite(suite, params, seed)
+    assert report["overall"] == "PASS", (params, seed, [
+        (c["id"], c["status"], c["detail"]) for c in report["checks"]
+        if c["status"] != "PASS"])
 
 
 @pytest.mark.parametrize("suite,params", [
@@ -37,6 +73,10 @@ def test_every_suite_passes_at_its_lower_bounds(suite):
     # the top corners of index_bound and s_max
     ("gen-con-one", {"index_bound": 8}),
     ("unique-l1s", {"s_max": 200}),
+    # alpha_max above index_bound gave a false FAIL, since no prefix term
+    # reaches such a level; the lowest index_bound now meets the highest
+    # alpha_max
+    ("gen-con-two", {"index_bound": 6, "alpha_max": 6}),
 ])
 def test_regression_points_pass(suite, params):
     report = run_suite(suite, params)

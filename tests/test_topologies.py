@@ -755,10 +755,16 @@ def test_mask_family_deterministic():
             != mask_family(6, 10, seed=2).witness)
 
 
-@pytest.mark.parametrize("count,horizon", [(30, 4), (1, 2)])
-def test_mask_family_that_cannot_be_completed_is_undetermined(count, horizon):
+@pytest.mark.parametrize("count,horizon", [(30, 4), (4, 3), (1, 2)])
+def test_mask_family_that_cannot_be_completed_is_undetermined(
+        count, horizon, monkeypatch):
     # at horizon 4 the masks of size 2 or 3 are the only candidates, and
-    # just 10 of them exist; at horizon 2 no size fits at all
+    # just 10 of them exist; at horizon 3 only the 3 masks of size 2; at
+    # horizon 2 no size fits at all.  Each is known before any draw.
+    def no_draws(seed):
+        raise AssertionError("mask_family drew masks it could not use")
+
+    monkeypatch.setattr(topologies.random, "Random", no_draws)
     v = mask_family(count, horizon)
     assert v.status == UNDETERMINED and v.witness is None
     assert v.detail
