@@ -9,7 +9,8 @@ Two modes share one executable:
 
 Exit codes follow the status of the one `Verdict` type: 0 for PASS or
 NOT_APPLICABLE, 1 for FAIL, 2 for UNDETERMINED at the given horizon, 3 for
-usage errors such as an unknown suite or key, malformed JSON, a parameter
+usage errors such as an unknown suite, an undeclared or missing key at any
+depth of the params, malformed JSON, a parameter
 that is not an integer in its declared range, a decimal string of too many
 digits, a point or sequence term that is not a point of Z+ x S for the
 topology's base, or an ``--out`` path that cannot be written.
@@ -22,7 +23,7 @@ import json
 import sys
 
 from . import jsonio, topologies
-from .jsonio import MAX_INDEX_BOUND, SuiteError
+from .jsonio import MAX_INDEX_BOUND, REQUIRED, SuiteError, array_of
 from .suites import SUITE_PARAMS, SUITES, run_suite
 from .verdicts import FAIL, NOT_APPLICABLE, PASS, UNDETERMINED
 from .wap import subsequence_pair_family, wap_test
@@ -56,32 +57,26 @@ def _answer(res, names: dict) -> tuple:
 
 
 def _member(params: dict, seed: int) -> tuple:
-    T = jsonio.topology_from_json(params["topology"])
-    nbhd = jsonio.nbhd_from_json(params["nbhd"])
-    point = jsonio.s1_point_from_json(params["point"])
-    res = T.member(nbhd, point)
+    res = params["topology"].member(params["nbhd"], params["point"])
     payload = {"status": _MEMBER_STATUS[res.status],
                "indices": list(res.witness or ()), "reason": res.detail}
     return payload, _STATUS_EXIT[res.status]
 
 
 def _converge(params: dict, seed: int) -> tuple:
-    T = jsonio.topology_from_json(params["topology"])
-    seq = [jsonio.s1_point_from_json(p) for p in params["sequence"]]
+    T, seq, limit = params["topology"], params["sequence"], params["limit"]
     alpha_max = params["alpha_max"]
-    given = "limit" in params
-    res = (topologies.check_convergence(
-        T, seq, jsonio.s1_point_from_json(params["limit"]), alpha_max)
-        if given else topologies.find_limit(T, seq, alpha_max))
+    res = (topologies.find_limit(T, seq, alpha_max) if limit is None
+           else topologies.check_convergence(T, seq, limit, alpha_max))
     if not res:
         return jsonio.to_jsonable(res), _STATUS_EXIT[res.status]
     cert = jsonio.certificate_to_json(res.witness)
-    found = {} if given else {"limit": cert["limit"]}
+    found = {"limit": cert["limit"]} if limit is None else {}
     return {"status": PASS, **found, "certificate": cert}, _EXIT_OK
 
 
 def _distinguish(params: dict, seed: int) -> tuple:
-    weights = jsonio.weights_from_json(params["weights"])
+    weights = params["weights"]
     horizon = params["horizon"] or weights.index_bound
     res = topologies.distinguish_topologies(weights, params["mask1"],
                                             params["mask2"], horizon)
@@ -89,17 +84,13 @@ def _distinguish(params: dict, seed: int) -> tuple:
 
 
 def _waptest(params: dict, seed: int) -> tuple:
-    f = jsonio.bounded_function_from_json(params["function"])
-    count, horizon = params["count"], params["horizon"]
-    if "pairs" in params:
+    count, horizon, pairs = params["count"], params["horizon"], params["pairs"]
+    if pairs is not None:
         if count is not None or horizon is not None:
             raise SuiteError("'pairs' takes no 'count' or 'horizon'")
-        pairs = [(jsonio.limit_functional_from_json(a),
-                  jsonio.limit_functional_from_json(b))
-                 for a, b in params["pairs"]]
     else:   # by default 20 seeded pairs over the first 200 indices
         pairs = subsequence_pair_family(count or 20, horizon or 200, seed=seed)
-    return _answer(wap_test(f, pairs), _WAPTEST_STATUS)
+    return _answer(wap_test(params["function"], pairs), _WAPTEST_STATUS)
 
 
 def _like(suite: str, key: str, default) -> tuple:
@@ -110,16 +101,24 @@ def _like(suite: str, key: str, default) -> tuple:
 
 # Each command with its top-level keys, declared as for jsonio.read_params.
 _COMMANDS = {
-    "member": (_member, {"topology": None, "nbhd": None, "point": None}),
-    "converge": (_converge, {"topology": None, "sequence": None, "limit": None,
-                             "alpha_max": _like("gen-con-two", "alpha_max", 3)}),
+    "member": (_member, {"topology": (REQUIRED, jsonio.topology_from_json),
+                         "nbhd": (REQUIRED, jsonio.nbhd_from_json),
+                         "point": (REQUIRED, jsonio.s1_point_from_json)}),
+    "converge": (_converge, {
+        "topology": (REQUIRED, jsonio.topology_from_json),
+        "sequence": (REQUIRED, array_of(jsonio.s1_point_from_json)),
+        "limit": (None, jsonio.s1_point_from_json),
+        "alpha_max": _like("gen-con-two", "alpha_max", 3)}),
     "distinguish": (_distinguish, {
-        "weights": None, "mask1": (list, 1, MAX_INDEX_BOUND),
-        "mask2": (list, 1, MAX_INDEX_BOUND),
+        "weights": (REQUIRED, jsonio.weights_from_json),
+        "mask1": (REQUIRED, jsonio.read_mask),
+        "mask2": (REQUIRED, jsonio.read_mask),
         "horizon": (None, 1, MAX_INDEX_BOUND)}),
-    "waptest": (_waptest, {"function": None, "pairs": None,
-                           "horizon": _like("nmax-wap", "horizon", None),
-                           "count": _like("nmax-wap", "pairs", None)}),
+    "waptest": (_waptest, {
+        "function": (REQUIRED, jsonio.bounded_function_from_json),
+        "pairs": (None, array_of(array_of(jsonio.limit_functional_from_json))),
+        "horizon": _like("nmax-wap", "horizon", None),
+        "count": _like("nmax-wap", "pairs", None)}),
 }
 
 
@@ -160,8 +159,6 @@ def main(argv=None) -> int:
         parser.error("exactly one of a command or --suite is required")
     try:
         params = json.loads(args.params)
-        if not isinstance(params, dict):
-            raise SuiteError("--params must be a JSON object")
     except ValueError as exc:
         print(f"semitop: error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
@@ -170,8 +167,8 @@ def main(argv=None) -> int:
         handler, keys = _COMMANDS[args.command]
         try:
             result, code = handler(jsonio.read_params(params, keys), args.seed)
-        except (KeyError, TypeError, ValueError) as exc:
-            print(f"semitop: error: bad query parameters: {exc!r}",
+        except (TypeError, ValueError) as exc:
+            print(f"semitop: error: bad query parameters: {exc}",
                   file=sys.stderr)
             return _EXIT_USAGE
         payload = {"schema_version": jsonio.SCHEMA_VERSION,

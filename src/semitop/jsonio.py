@@ -7,9 +7,10 @@ a decimal string (an optional sign and at most MAX_DECIMAL_DIGITS digits,
 on each side of a "p/q"); small
 structural indices (mask entries, levels, map pairs) stay plain numbers.
 The adjoined infinity is the string "INF" and the absorbing matrix zero is
-the string "0".  Suite params and query payloads go through `read_params`,
-which rejects undeclared keys and reads every integer that sizes the work
-into its declared range before anything is computed from it.
+the string "0".  `read_params` is the one reader of a JSON object, at any
+depth: it refuses an undeclared or missing key, and reads every integer
+that sizes the work into its declared range before anything is computed
+from it.  Each `*_from_json` reader is a table of keys and a one-line build.
 """
 
 from __future__ import annotations
@@ -21,10 +22,9 @@ from fractions import Fraction
 from typing import Any
 
 from . import dyadic, topologies, wap
-from .semigroups import INF, PartialMap, ReesElement
+from .semigroups import INF, PartialMap, ReesElement, positive_int
 from .l1 import BoundedFunction, L1Vector
 from .topologies import MAX_DECIMAL_DIGITS, MAX_INDEX_BOUND
-from .verdicts import Verdict
 
 SCHEMA_VERSION = "1"
 
@@ -64,9 +64,7 @@ def frac_from(j: Any) -> Fraction:
 
 
 def int_from(j: Any) -> int:
-    if isinstance(j, bool):
-        raise TypeError("booleans are not integers")
-    if isinstance(j, int):
+    if type(j) is int:
         return j
     if isinstance(j, str):
         if not _DECIMAL.fullmatch(j):
@@ -87,7 +85,10 @@ def int_to_str(n: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# bounded parameters
+# the one reader of JSON objects
+
+
+REQUIRED = object()     # the default of a key that must be present
 
 
 def read_int(j: Any, key: str, lo: int, hi: int) -> int:
@@ -103,45 +104,66 @@ def read_int(j: Any, key: str, lo: int, hi: int) -> int:
     return v
 
 
-def _array(j: Any, key: str) -> list:
-    if not isinstance(j, list):
-        raise SuiteError(f"parameter {key!r} must be a JSON array")
-    return j
+def read_params(params: Any, keys: dict) -> dict:
+    """The JSON object ``params`` read against the declarations ``keys``.
 
-
-def read_ints(j: Any, key: str, lo: int, hi: int) -> list:
-    """``j`` as a JSON array of integers in [lo, hi]."""
-    return [read_int(v, key, lo, hi) for v in _array(j, key)]
-
-
-def read_params(params: dict, keys: dict) -> dict:
-    """``params`` with its integers read against their declarations.
-
-    ``keys`` declares every key the caller accepts: None for a value that
-    its own reader parses, else (default, lo, hi) for an integer in
-    [lo, hi] that reads as ``default`` when absent, or, when ``default``
-    is ``list``, for a required JSON array of such integers.  Any other
-    key is a SuiteError.
+    Each declared key is (default, lo, hi) for an integer in [lo, hi], or
+    (default, reader) for a value that ``reader`` builds from its JSON;
+    an absent key reads as its default.  A missing REQUIRED key, any
+    undeclared key, and a ``params`` that is not an object are SuiteErrors.
     """
-    unknown = sorted(set(params) - set(keys))
+    if not isinstance(params, dict):
+        raise SuiteError("expected a JSON object")
+    unknown = params.keys() - keys.keys()
     if unknown:
-        raise SuiteError(f"unknown parameter {unknown[0]!r}; expected one "
+        raise SuiteError(f"unknown parameter {min(unknown)!r}; expected one "
                          f"of {sorted(keys)}")
-    out = dict(params)
+    out = {}
     for key, spec in keys.items():
-        if spec is None:
-            continue
-        default, lo, hi = spec
-        if default is list:
-            out[key] = read_ints(params[key], key, lo, hi)
+        if key in params:
+            out[key] = (spec[1](params[key]) if len(spec) == 2
+                        else read_int(params[key], key, spec[1], spec[2]))
+        elif spec[0] is REQUIRED:
+            raise SuiteError(f"missing parameter {key!r}")
         else:
-            out[key] = (read_int(params[key], key, lo, hi) if key in params
-                        else default)
+            out[key] = spec[0]
     return out
 
 
-# ---------------------------------------------------------------------------
-# bounded functions
+def array_of(reader):
+    """A reader of a JSON array whose entries ``reader`` reads."""
+    def read(j: Any) -> list:
+        if not isinstance(j, list):
+            raise SuiteError("expected a JSON array")
+        return [reader(v) for v in j]
+    return read
+
+
+def _verbatim(j: Any) -> Any:
+    # a tag, base or kind word, whose constructor checks the vocabulary
+    return j
+
+
+read_mask = array_of(lambda j: read_int(j, "mask", 1, MAX_INDEX_BOUND))
+
+# Each object of a query is a key table, named as the arguments of the
+# class it builds, and a one-line build.
+
+_MOD_ENTRY = {"elem": (REQUIRED, lambda j: positive_int(int_from(j), "elem")),
+              "value": (REQUIRED, frac_from)}
+
+
+def mod_entry_from_json(d: Any) -> tuple:
+    return tuple(read_params(d, _MOD_ENTRY).values())     # (elem, value)
+
+
+_FUNCTION = {"tag": (REQUIRED, _verbatim), "const": (0, frac_from),
+             "mod": (None, array_of(mod_entry_from_json)),
+             "values": ((), array_of(frac_from))}
+
+
+def bounded_function_from_json(d: Any) -> BoundedFunction:
+    return BoundedFunction(**read_params(d, _FUNCTION))
 
 
 def bounded_function_to_json(f: BoundedFunction) -> dict:
@@ -152,43 +174,29 @@ def bounded_function_to_json(f: BoundedFunction) -> dict:
                     for e, v in sorted(f.mod.items(), key=lambda kv: repr(kv[0]))]}
 
 
-def bounded_function_from_json(d: dict) -> BoundedFunction:
-    if d["tag"] == "sampled":
-        return BoundedFunction.sampled(
-            [frac_from(v) for v in _array(d["values"], "values")])
-    if d["tag"] != "c0_plus_const":
-        raise SuiteError(f"function tag must be 'sampled' or 'c0_plus_const', "
-                         f"not {d['tag']!r}")
-    mod = {}
-    for m in d.get("mod", []):
-        elem = int_from(m["elem"])
-        if elem < 1:
-            raise SuiteError(f"mod elem {int_to_str(elem)} is not positive")
-        mod[elem] = frac_from(m["value"])
-    return BoundedFunction.c0_plus_const(mod, frac_from(d.get("const", 0)))
+_WEIGHTS = {"kind": (REQUIRED, _verbatim),
+            "index_bound": (None, 1, MAX_INDEX_BOUND),
+            "values": (None, array_of(int_from))}
 
 
-# ---------------------------------------------------------------------------
-# topologies, neighborhoods, points, certificates
+def weights_from_json(d: Any) -> topologies.WeightSequence:
+    return topologies.WeightSequence(**read_params(d, _WEIGHTS))
 
 
-def weights_from_json(d: dict) -> topologies.WeightSequence:
-    kind = d["kind"]
-    if kind == "explicit":
-        values = _array(d["values"], "values")
-        if not 1 <= len(values) <= MAX_INDEX_BOUND:
-            raise SuiteError(f"explicit weights take 1 to {MAX_INDEX_BOUND} "
-                             f"values, not {len(values)}")
-        return topologies.WeightSequence.explicit([int_from(v) for v in values])
-    return topologies.WeightSequence(
-        kind, read_int(d["index_bound"], "index_bound", 1, MAX_INDEX_BOUND))
+_TOPOLOGY = {"base": (REQUIRED, _verbatim),
+             "weights": (REQUIRED, weights_from_json),
+             "mask": (None, read_mask)}
 
 
-def topology_from_json(d: dict) -> topologies.TopologyInstance:
-    mask = (read_ints(d["mask"], "mask", 1, MAX_INDEX_BOUND) if "mask" in d
-            else None)
-    return topologies.TopologyInstance(d["base"], weights_from_json(d["weights"]),
-                                       mask)
+def topology_from_json(d: Any) -> topologies.TopologyInstance:
+    return topologies.TopologyInstance(**read_params(d, _TOPOLOGY))
+
+
+_POINT = {"a": (REQUIRED, int_from), "s": (REQUIRED, int_from)}
+
+
+def s1_point_from_json(d: Any) -> tuple:
+    return tuple(read_params(d, _POINT).values())          # (a, s)
 
 
 def s1_point_to_json(p: tuple) -> dict:
@@ -196,12 +204,19 @@ def s1_point_to_json(p: tuple) -> dict:
     return {"a": a, "s": to_jsonable(s)}
 
 
-def s1_point_from_json(d: dict) -> tuple:
-    return (int_from(d["a"]), int_from(d["s"]))
+_NBHD = {**_POINT, "alpha": (REQUIRED, int_from)}
 
 
-def nbhd_from_json(d: dict) -> topologies.BasicNbhd:
-    return topologies.BasicNbhd(*s1_point_from_json(d), int_from(d["alpha"]))
+def nbhd_from_json(d: Any) -> topologies.BasicNbhd:
+    return topologies.BasicNbhd(**read_params(d, _NBHD))
+
+
+_LIMIT_FUNCTIONAL = {"along": (REQUIRED, array_of(int_from)),
+                     "horizon": (REQUIRED, int_from)}
+
+
+def limit_functional_from_json(d: Any) -> wap.LimitFunctional:
+    return wap.LimitFunctional(**read_params(d, _LIMIT_FUNCTIONAL))
 
 
 def certificate_to_json(cert: topologies.ConvergenceCertificate) -> dict:
@@ -217,12 +232,6 @@ def dyadic_point_to_json(p: dyadic.DyadicPoint) -> dict:
     return {"exponents": list(p.exponents), "value": frac_to_str(p.value)}
 
 
-def limit_functional_from_json(d: dict) -> wap.LimitFunctional:
-    along = _array(d["along"], "along")
-    return wap.LimitFunctional(tuple(int_from(p) for p in along),
-                               int_from(d["horizon"]))
-
-
 # ---------------------------------------------------------------------------
 # generic conversion for report payloads
 
@@ -232,7 +241,7 @@ _BIG = 1 << 53
 
 def to_jsonable(obj: Any) -> Any:
     """Best-effort conversion of verdicts and witnesses to JSON values."""
-    if obj is None or isinstance(obj, (bool, str)):
+    if obj is None or type(obj) is bool or isinstance(obj, str):
         return obj
     if isinstance(obj, int):
         return obj if abs(obj) < _BIG else int_to_str(obj)
@@ -242,9 +251,6 @@ def to_jsonable(obj: Any) -> Any:
         return frac_to_str(obj)
     if obj is INF:
         return "INF"
-    if isinstance(obj, Verdict):
-        return {"status": obj.status, "witness": to_jsonable(obj.witness),
-                "detail": obj.detail}
     if isinstance(obj, topologies.ConvergenceCertificate):
         return certificate_to_json(obj)
     if isinstance(obj, PartialMap):

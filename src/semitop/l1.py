@@ -24,7 +24,7 @@ from .verdicts import HorizonExceeded
 def _frac(x: Any) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int) and not isinstance(x, bool):
+    if type(x) is int:
         return Fraction(x)
     raise TypeError(f"{x!r} is not an exact rational")
 
@@ -203,7 +203,7 @@ class BoundedFunction:
         if tag == "c0_plus_const":
             self.const = _frac(const)
             cleaned = {}
-            for e, v in (mod or {}).items():
+            for e, v in dict(mod or ()).items():
                 v = _frac(v)
                 if v:
                     cleaned[e] = v
@@ -237,7 +237,7 @@ class BoundedFunction:
         if self.tag == "c0_plus_const":
             m = self.mod.get(elem)
             return self.const if m is None else self.const + m
-        if not isinstance(elem, int) or isinstance(elem, bool) or elem < 1:
+        if type(elem) is not int or elem < 1:
             raise TypeError("sampled functions are defined on positive integers")
         if elem > len(self.values):
             raise HorizonExceeded(

@@ -72,7 +72,7 @@ class IntegerGroup:
         return x + y
 
     def validate(self, x: Any) -> None:
-        if not isinstance(x, int) or isinstance(x, bool):
+        if type(x) is not int:
             raise TypeError(f"{x!r} is not an integer")
 
     def elements(self) -> Iterator[int]:
@@ -258,7 +258,7 @@ class ZPlusK(SemigroupInstance):
 
     def validate(self, x):
         if not (isinstance(x, tuple) and len(x) == self.k
-                and all(isinstance(c, int) and not isinstance(c, bool) and c >= 0 for c in x)):
+                and all(type(c) is int and c >= 0 for c in x)):
             raise TypeError(f"{x!r} is not an element of {self.name}")
 
     def elements(self):
@@ -293,7 +293,7 @@ class _PositiveIntegers(SemigroupInstance):
     """The positive integers in their natural order; subclasses fix the law."""
 
     def validate(self, x):
-        if not isinstance(x, int) or isinstance(x, bool) or x < 1:
+        if type(x) is not int or x < 1:
             raise TypeError(f"{x!r} is not a positive integer")
 
     def elements(self):
@@ -332,7 +332,7 @@ class NatInfinity(SemigroupInstance):
     def validate(self, x):
         if x is INF:
             return
-        if not isinstance(x, int) or isinstance(x, bool) or x < 1:
+        if type(x) is not int or x < 1:
             raise TypeError(f"{x!r} is not a positive integer or INF")
 
     def elements(self):
@@ -350,7 +350,7 @@ class ZPlusTimesZ(SemigroupInstance):
 
     def validate(self, x):
         if not (isinstance(x, tuple) and len(x) == 2
-                and all(isinstance(c, int) and not isinstance(c, bool) for c in x)
+                and all(type(c) is int for c in x)
                 and x[0] >= 0):
             raise TypeError(f"{x!r} is not an element of {self.name}")
 

@@ -787,7 +787,7 @@ def run_suite(name: str, params: dict = None, seed: int = 0) -> dict:
     if name not in SUITES:
         raise SuiteError(f"unknown suite {name!r}; choose from "
                          f"{sorted(SUITES)}")
-    params = dict(params or {})
+    params = {} if params is None else params
     checks = SUITES[name](read_params(params, SUITE_PARAMS[name]), seed)
     t0 = time.perf_counter_ns()
     out_checks = []

@@ -29,9 +29,9 @@ from .verdicts import (FAIL, UNDETERMINED, Verdict, failed, not_applicable,
 
 _BASES = ("zplus", "z", "odd_nat")
 
-# The largest weight index bound any suite or query may ask for: w_16 =
-# 2^65536 is still cheap, and each further index doubles its size.  It also
-# caps the masked indices a two-sided representation search takes.
+# The largest weight index bound a WeightSequence takes: w_16 = 2^65536 is
+# still cheap, and each further index doubles its size.  So it also caps the
+# masked indices of every representation search.
 MAX_INDEX_BOUND = 16
 
 # The most digits a decimal string in a query may hold: w_16 has 19,729
@@ -70,19 +70,22 @@ class WeightSequence:
 
     __slots__ = ("kind", "index_bound", "values")
 
-    def __init__(self, kind: str, index_bound: int, values: Optional[Sequence] = None):
-        index_bound = positive_int(index_bound, "the index bound")
+    def __init__(self, kind: str, index_bound: Optional[int],
+                 values: Optional[Sequence] = None):
+        if kind == "explicit":      # as many indices as values
+            values = tuple(values or ())
+            index_bound = len(values)
+        elif kind not in ("double_exp", "odd_primes"):
+            raise ValueError(f"unknown weight kind {kind!r}")
+        if type(index_bound) is not int or not 1 <= index_bound <= MAX_INDEX_BOUND:
+            raise ValueError(f"weights take 1 to {MAX_INDEX_BOUND} indices, "
+                             f"not {index_bound!r}")
         if kind == "double_exp":
             values = tuple(2 ** (2 ** n) for n in range(1, index_bound + 1))
         elif kind == "odd_primes":
             values = tuple(_odd_primes(index_bound))
-        elif kind == "explicit":
-            if not values:
-                raise ValueError("explicit weights need values")
-            values = tuple(positive_int(v, "a weight") for v in values)
-            index_bound = len(values)
         else:
-            raise ValueError(f"unknown weight kind {kind!r}")
+            values = tuple(positive_int(v, "a weight") for v in values)
         if any(a >= b for a, b in zip(values, values[1:])):
             raise ValueError("weights must be strictly increasing")
         self.kind = kind
@@ -99,7 +102,7 @@ class WeightSequence:
 
     @classmethod
     def explicit(cls, values: Sequence) -> "WeightSequence":
-        return cls("explicit", len(tuple(values)), values)
+        return cls("explicit", None, values)
 
     def value(self, i: int) -> int:
         if not 1 <= i <= self.index_bound:
@@ -280,9 +283,6 @@ class TopologyInstance:
     def _rep_explicit(self, diff: int, min_index: int) -> Verdict[tuple]:
         # explicit sequences are complete finite lists, so always settled
         idxs = [i for i in self.mask if i >= min_index]
-        if len(idxs) > MAX_INDEX_BOUND:
-            raise ValueError("explicit representation search limited to "
-                             f"{MAX_INDEX_BOUND} indices")
         found = [combo for combo, total
                  in self._subset_sum_table(min_index, len(idxs)) if total == diff]
         if not found:
@@ -366,9 +366,6 @@ class TopologyInstance:
                 if part.status == UNDETERMINED:
                     return part
             return passed((plus.witness, minus.witness))
-        if len(self.mask) > MAX_INDEX_BOUND:
-            raise ValueError(
-                f"two-sided search limited to {MAX_INDEX_BOUND} masked indices")
         if self.weights.kind == "explicit":
             signs = self._signed_explicit(diff)
             if signs is None:

@@ -104,9 +104,7 @@ def _iterated_max_limit(outer: LimitFunctional, inner: LimitFunctional,
         # f(max(s, .)) is f modified on the finite prefix [1, s], so the
         # inner limit is f's constant for every s, and so is the outer.
         return f.const
-    horizon = min(outer.horizon, inner.horizon)
-    if f.tag == "sampled":
-        horizon = min(horizon, f.horizon)
+    horizon = min(outer.horizon, inner.horizon, f.horizon)
     outer_pts = [s for s in outer.along if s <= horizon // 2]
     inner_pts = [t for t in inner.along if t <= horizon]
     if not outer_pts or not inner_pts:

@@ -10,7 +10,7 @@ from reports import strip_timing
 
 from semitop import cli, jsonio, suites, topologies, verdicts
 from semitop.cli import main
-from semitop.jsonio import SuiteError, read_params
+from semitop.jsonio import MAX_INDEX_BOUND, SuiteError, read_params
 from semitop.suites import SUITE_PARAMS, run_suite
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -368,12 +368,13 @@ VALID_QUERIES = {
 
 
 def _past_bounds(keys):
+    # a (default, reader) spec reads a nested value, whose own bounds the
+    # usage-error rows cover, except that a mask's entries are set here
     for key, spec in keys.items():
-        if spec is None:
-            continue
-        default, lo, hi = spec
-        for bad in (lo - 1, hi + 1):
-            yield key, ([bad] if default is list else bad)
+        if len(spec) == 3:
+            yield from ((key, bad) for bad in (spec[1] - 1, spec[2] + 1))
+        elif spec[1] is jsonio.read_mask:
+            yield from ((key, [bad]) for bad in (0, MAX_INDEX_BOUND + 1))
 
 
 @pytest.mark.parametrize("command,key,bad", [
@@ -405,6 +406,86 @@ def test_suite_keys_rejected_past_bounds(suite, key, bad, capsys):
         run_suite(suite, {key: bad})
     assert run(capsys, "--suite", suite, "--params",
                json.dumps({key: bad}))[0] == 3
+
+
+
+# The full mask answers this query true and the mask [2] false, so a
+# misspelt "mask" that was ignored would change the answer, not refuse it.
+MAKS = {"topology": {"base": "z", "weights": {"kind": "double_exp",
+                                              "index_bound": 5}, "maks": [2]},
+        "nbhd": {"a": 1, "s": 0, "alpha": 1}, "point": {"a": 0, "s": 4}}
+_FUNCTION = {"tag": "c0_plus_const", "const": "1",
+             "mod": [{"elem": 3, "value": "1/2"}]}
+
+
+def _with(doc, path: tuple, key: str):
+    """``doc`` with ``key`` set to 0 in the object at ``path``."""
+    if not path:
+        return dict(doc, **{key: 0})
+    out = list(doc) if isinstance(doc, list) else dict(doc)
+    out[path[0]] = _with(doc[path[0]], path[1:], key)
+    return out
+
+
+def _without(doc: dict, path: tuple, key: str) -> dict:
+    """``doc`` without ``key`` in the object at ``path``."""
+    if not path:
+        return {k: v for k, v in doc.items() if k != key}
+    return dict(doc, **{path[0]: _without(doc[path[0]], path[1:], key)})
+
+
+# one undeclared key at each depth of a query: the object at the path
+UNDECLARED = [
+    ("topology", "member", VALID_QUERIES["member"], ("topology",)),
+    ("weights", "member", VALID_QUERIES["member"], ("topology", "weights")),
+    ("nbhd", "member", VALID_QUERIES["member"], ("nbhd",)),
+    ("point", "member", VALID_QUERIES["member"], ("point",)),
+    ("limit", "converge", VALID_QUERIES["converge"], ("limit",)),
+    ("sequence-term", "converge", VALID_QUERIES["converge"], ("sequence", 2)),
+    ("distinguish-weights", "distinguish", VALID_QUERIES["distinguish"],
+     ("weights",)),
+    ("function", "waptest", {"function": _FUNCTION}, ("function",)),
+    ("mod-entry", "waptest", {"function": _FUNCTION}, ("function", "mod", 0)),
+    ("pair-functional", "waptest",
+     {"function": {"tag": "sampled", "values": ["0", "1"] * 4},
+      "pairs": _PAIR}, ("pairs", 0, 1)),
+]
+
+
+@pytest.mark.parametrize("command,params,path",
+                         [row[1:] for row in UNDECLARED],
+                         ids=[row[0] for row in UNDECLARED])
+def test_an_undeclared_key_at_any_depth_is_a_usage_error(command, params,
+                                                          path, capsys):
+    assert run(capsys, command, "--params", json.dumps(params))[0] in (0, 1, 2)
+    bad = _with(params, path, "extra")
+    assert main([command, "--params", json.dumps(bad)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unknown parameter 'extra'" in captured.err
+
+
+def test_a_misspelt_mask_is_a_usage_error(capsys):
+    topology = {k: v for k, v in MAKS["topology"].items() if k != "maks"}
+    for mask, code in ((None, 0), ([2], 1)):
+        top = topology if mask is None else dict(topology, mask=mask)
+        assert run(capsys, "member", "--params",
+                   json.dumps(dict(MAKS, topology=top)))[0] == code
+    assert main(["member", "--params", json.dumps(MAKS)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unknown parameter 'maks'" in captured.err
+
+
+@pytest.mark.parametrize("path,key", [
+    ((), "nbhd"), (("nbhd",), "alpha"), (("topology", "weights"), "kind")],
+    ids=["nbhd", "alpha", "kind"])
+def test_a_missing_key_at_any_depth_is_named(path, key, capsys):
+    params = _without(VALID_QUERIES["member"], path, key)
+    assert main(["member", "--params", json.dumps(params)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"missing parameter '{key}'" in captured.err
 
 
 def test_past_int_str_digit_limit(capsys):

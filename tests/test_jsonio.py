@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from semitop import jsonio
 from semitop.dyadic import DyadicPoint
-from semitop.jsonio import SuiteError
+from semitop.jsonio import SuiteError, read_params
 from semitop.l1 import BoundedFunction, L1Vector
 from semitop.semigroups import (INF, REES_ZERO, CyclicGroup, NatInfinity,
                                 NatMax, PartialMap, PartialMaps, ReesElement,
@@ -112,6 +112,53 @@ def test_read_int_reads_in_range_or_raises_usage_error(j, lo, width):
     assert v == (j if isinstance(j, int) else int(j))
 
 
+
+def test_read_params_reads_nested_objects():
+    keys = {"n": (2, 1, 9), "p": (jsonio.REQUIRED, jsonio.s1_point_from_json),
+            "xs": (None, jsonio.array_of(jsonio.int_from))}
+    assert read_params({"p": {"a": 1, "s": "5"}}, keys) == {
+        "n": 2, "p": (1, 5), "xs": None}
+    assert read_params({"p": {"a": 0, "s": 0}, "n": "9", "xs": ["3", 4]},
+                       keys) == {"n": 9, "p": (0, 0), "xs": [3, 4]}
+    with pytest.raises(SuiteError, match="missing parameter 'p'"):
+        read_params({"n": 3}, keys)
+    with pytest.raises(SuiteError, match="missing parameter 's'"):
+        read_params({"p": {"a": 1}}, keys)
+    with pytest.raises(SuiteError, match="unknown parameter 'b'"):
+        read_params({"p": {"a": 1, "s": 0, "b": 2}}, keys)
+    with pytest.raises(SuiteError, match="JSON array"):
+        read_params({"p": {"a": 1, "s": 0}, "xs": "34"}, keys)
+    for not_an_object in ([], [["p", 1]], "p", 1, None):
+        with pytest.raises(SuiteError, match="JSON object"):
+            read_params(not_an_object, keys)
+
+
+# A valid document for every reader of a JSON object in jsonio.  Each
+# reader must refuse the document with one undeclared key added; a reader
+# that reads its dict by hand, not through read_params, fails here, and a
+# new reader without a document here fails too.
+VALID_DOCS = {
+    "bounded_function_from_json": {"tag": "sampled", "values": ["0", "1"]},
+    "mod_entry_from_json": {"elem": 3, "value": "1/2"},
+    "weights_from_json": {"kind": "double_exp", "index_bound": 4},
+    "topology_from_json": {"base": "z", "mask": [1, 3],
+                           "weights": {"kind": "double_exp", "index_bound": 4}},
+    "s1_point_from_json": {"a": 1, "s": "2"},
+    "nbhd_from_json": {"a": 1, "s": 2, "alpha": 1},
+    "limit_functional_from_json": {"along": [2, 4], "horizon": 4},
+}
+
+
+@pytest.mark.parametrize("name", sorted(
+    name for name, fn in vars(jsonio).items()
+    if name.endswith("_from_json") and callable(fn)))
+def test_every_reader_refuses_an_undeclared_key(name):
+    reader = getattr(jsonio, name)
+    doc = VALID_DOCS[name]
+    reader(doc)
+    with pytest.raises(SuiteError, match="unknown parameter 'extra'"):
+        reader(dict(doc, extra=0))
+
 @pytest.mark.parametrize("S,elem,doc", [
     (ZPlusTimesZ(), (0, 3), [0, 3]),
     (NatMax(), 6, 6),
@@ -168,8 +215,8 @@ def test_explicit_weights_rejected_past_bounds():
     values = [2 ** i for i in range(17)]
     w = jsonio.weights_from_json({"kind": "explicit", "values": values[:16]})
     assert w.index_bound == 16
-    for bad in ([], values):
-        with pytest.raises(SuiteError):
+    for bad in ([], values):        # refused by WeightSequence itself
+        with pytest.raises(ValueError, match="take 1 to 16 indices"):
             jsonio.weights_from_json({"kind": "explicit", "values": bad})
 
 

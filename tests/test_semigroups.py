@@ -1,11 +1,13 @@
+from enum import IntEnum
 from itertools import combinations, count, islice, permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semitop import topologies
+from semitop import jsonio, topologies
 from semitop.dyadic import DyadicPoint
+from semitop.l1 import BoundedFunction, L1Vector
 from semitop.semigroups import (INF, CyclicGroup, FreeWords, IntegerGroup,
                                 NatInfinity, NatMax, NatMul, PartialMap,
                                 PartialMaps, ReesElement, ReesMatrix, ZPlusK,
@@ -369,3 +371,33 @@ def test_cyclic_group_elements_are_exact_ints(value):
 def test_entry_points_take_exact_integers_only(entry, value):
     with pytest.raises(ValueError):
         entry(value)
+
+
+class _Two(IntEnum):
+    TWO = 2
+
+
+# An exact int is `type(x) is int` everywhere: an int subclass such as an
+# IntEnum member is refused like a bool, by every element check alike.
+INT_SUBCLASS_USES = [
+    ("IntegerGroup", lambda x: IntegerGroup().validate(x)),
+    ("NatMul", lambda x: NatMul().validate(x)),
+    ("NatMax", lambda x: NatMax().validate(x)),
+    ("NatInfinity", lambda x: NatInfinity().validate(x)),
+    ("ZPlusK", lambda x: ZPlusK(2).validate((x, 0))),
+    ("ZPlusTimesZ", lambda x: ZPlusTimesZ().validate((0, x))),
+    ("L1Vector-coeff", lambda x: L1Vector(NatMax(), [(1, x)])),
+    ("BoundedFunction-evaluate",
+     lambda x: BoundedFunction.sampled([0, 1]).evaluate(x)),
+    ("int_from", jsonio.int_from),
+    ("BasicNbhd-alpha", lambda x: topologies.BasicNbhd(1, 0, x)),
+    ("require_point", lambda x: _Z4.require_point((x, 0))),
+]
+
+
+@pytest.mark.parametrize("use", [use for _, use in INT_SUBCLASS_USES],
+                         ids=[name for name, _ in INT_SUBCLASS_USES])
+def test_an_int_subclass_is_not_an_exact_int(use):
+    use(2)                              # the plain int 2 is accepted
+    with pytest.raises((TypeError, ValueError)):
+        use(_Two.TWO)

@@ -200,6 +200,24 @@ def test_only_the_json_codec_calls_int():
     assert not stray
 
 
+
+def test_no_isinstance_bool_exclusion():
+    # one integer rule: an exact int is `type(x) is int`, which refuses a
+    # bool and every other int subclass, where isinstance(x, int) with a
+    # bool excluded lets an IntEnum member through
+    found = []
+    for path in sorted(Path(semitop.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.Call) and len(node.args) == 2
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "isinstance"):
+                continue
+            types = node.args[1]
+            names = types.elts if isinstance(types, ast.Tuple) else [types]
+            if any(isinstance(n, ast.Name) and n.id == "bool" for n in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found
+
 def test_only_topologies_reads_the_base_name():
     # the arithmetic of S (identity, law, division, membership) belongs to
     # TopologyInstance; a caller that branches on the base's name decides

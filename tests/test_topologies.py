@@ -43,15 +43,24 @@ def test_double_exp_values():
 
 
 def test_odd_prime_values():
-    w = WeightSequence.odd_primes(20)
-    assert [w.value(i) for i in range(1, 21)] == [
-        3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
-        71, 73]
+    w = WeightSequence.odd_primes(16)
+    assert [w.value(i) for i in range(1, 17)] == [
+        3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
 
 
 def test_explicit_weights_must_increase():
     with pytest.raises(ValueError):
         WeightSequence.explicit([3, 2])
+
+
+@pytest.mark.parametrize("kind", ["double_exp", "odd_primes", "explicit"])
+def test_weights_past_the_bound_are_refused_before_any_weight(kind,
+                                                              monkeypatch):
+    # no prime is searched for and no explicit value is read
+    monkeypatch.setattr(topologies, "_odd_primes", None)
+    values = ["not a weight"] * 17 if kind == "explicit" else None
+    with pytest.raises(ValueError, match="take 1 to 16 indices, not 17"):
+        WeightSequence(kind, 17, values)
 
 
 # -- representations ---------------------------------------------------
@@ -382,7 +391,7 @@ def test_two_sided_search_takes_every_index_up_to_the_bound():
     w = T.weights.value
     v = T.two_sided_representation(w(16) - w(9) + w(1))
     assert (v.status, v.witness) == (PASS, ((1, 16), (9,)))
-    with pytest.raises(ValueError, match="limited to 16 masked indices"):
+    with pytest.raises(ValueError, match="take 1 to 16 indices, not 17"):
         Tz(17).two_sided_representation(3)
 
 
