@@ -10,7 +10,8 @@ Two modes share one executable:
 Exit codes follow the status of the one `Verdict` type: 0 for PASS or
 NOT_APPLICABLE, 1 for FAIL, 2 for UNDETERMINED at the given horizon, 3 for
 usage errors such as an unknown suite, an undeclared or missing key at any
-depth of the params, malformed JSON, a parameter
+depth of the params (a key the weights' kind or the function's tag does
+not use is undeclared), malformed JSON, a parameter
 that is not an integer in its declared range, a decimal string of too many
 digits, a point or sequence term that is not a point of Z+ x S for the
 topology's base, or an ``--out`` path that cannot be written.

@@ -10,7 +10,10 @@ The adjoined infinity is the string "INF" and the absorbing matrix zero is
 the string "0".  `read_params` is the one reader of a JSON object, at any
 depth: it refuses an undeclared or missing key, and reads every integer
 that sizes the work into its declared range before anything is computed
-from it.  Each `*_from_json` reader is a table of keys and a one-line build.
+from it; an error in a nested object names the keys it was read under.
+Each `*_from_json` reader is a table of keys and a one-line build, with
+a table per kind of weights and per tag of function, so a key that the
+kind or tag does not use is undeclared too.
 """
 
 from __future__ import annotations
@@ -37,7 +40,14 @@ _RATIONAL = re.compile(f"[+-]?{_DIGITS}(/{_DIGITS})?")
 
 class SuiteError(ValueError):
     """A usage error: unknown suite or key, or a malformed or out-of-range
-    parameter."""
+    parameter.  ``path`` holds the keys of the nested objects it was read
+    under, outermost first, and the message starts with them."""
+
+    path: tuple = ()
+
+    def __str__(self) -> str:
+        text = super().__str__()
+        return f"{'.'.join(self.path)}: {text}" if self.path else text
 
 
 # Python refuses int <-> decimal str conversions past a process-wide digit
@@ -110,7 +120,8 @@ def read_params(params: Any, keys: dict) -> dict:
     Each declared key is (default, lo, hi) for an integer in [lo, hi], or
     (default, reader) for a value that ``reader`` builds from its JSON;
     an absent key reads as its default.  A missing REQUIRED key, any
-    undeclared key, and a ``params`` that is not an object are SuiteErrors.
+    undeclared key, and a ``params`` that is not an object are SuiteErrors;
+    one raised by a reader is re-raised with the reader's key on its path.
     """
     if not isinstance(params, dict):
         raise SuiteError("expected a JSON object")
@@ -121,13 +132,31 @@ def read_params(params: Any, keys: dict) -> dict:
     out = {}
     for key, spec in keys.items():
         if key in params:
-            out[key] = (spec[1](params[key]) if len(spec) == 2
-                        else read_int(params[key], key, spec[1], spec[2]))
+            try:
+                out[key] = (spec[1](params[key]) if len(spec) == 2
+                            else read_int(params[key], key, spec[1], spec[2]))
+            except SuiteError as exc:
+                if len(spec) == 2:      # read_int names its key itself
+                    exc.path = (key, *exc.path)
+                raise
         elif spec[0] is REQUIRED:
             raise SuiteError(f"missing parameter {key!r}")
         else:
             out[key] = spec[0]
     return out
+
+
+def read_tagged(params: Any, tag: str, tables: dict) -> dict:
+    """``params`` read by read_params against the table in ``tables`` that
+    its ``tag`` key names, so a key its tag does not use is undeclared."""
+    if not isinstance(params, dict):
+        raise SuiteError("expected a JSON object")
+    if tag not in params:
+        raise SuiteError(f"missing parameter {tag!r}")
+    word = params[tag]
+    if not isinstance(word, str) or word not in tables:
+        raise SuiteError(f"parameter {tag!r} must be one of {sorted(tables)}")
+    return read_params(params, tables[word])
 
 
 def array_of(reader):
@@ -144,10 +173,11 @@ def _verbatim(j: Any) -> Any:
     return j
 
 
-read_mask = array_of(lambda j: read_int(j, "mask", 1, MAX_INDEX_BOUND))
+read_mask = array_of(lambda j: read_int(j, "mask entry", 1, MAX_INDEX_BOUND))
 
 # Each object of a query is a key table, named as the arguments of the
-# class it builds, and a one-line build.
+# class it builds, and a one-line build.  Weights and functions have a
+# table per kind or tag.
 
 _MOD_ENTRY = {"elem": (REQUIRED, lambda j: positive_int(int_from(j), "elem")),
               "value": (REQUIRED, frac_from)}
@@ -157,13 +187,15 @@ def mod_entry_from_json(d: Any) -> tuple:
     return tuple(read_params(d, _MOD_ENTRY).values())     # (elem, value)
 
 
-_FUNCTION = {"tag": (REQUIRED, _verbatim), "const": (0, frac_from),
-             "mod": (None, array_of(mod_entry_from_json)),
-             "values": ((), array_of(frac_from))}
+_FUNCTION = {
+    "c0_plus_const": {"tag": (REQUIRED, _verbatim), "const": (0, frac_from),
+                      "mod": (None, array_of(mod_entry_from_json))},
+    "sampled": {"tag": (REQUIRED, _verbatim),
+                "values": (REQUIRED, array_of(frac_from))}}
 
 
 def bounded_function_from_json(d: Any) -> BoundedFunction:
-    return BoundedFunction(**read_params(d, _FUNCTION))
+    return BoundedFunction(**read_tagged(d, "tag", _FUNCTION))
 
 
 def bounded_function_to_json(f: BoundedFunction) -> dict:
@@ -174,13 +206,17 @@ def bounded_function_to_json(f: BoundedFunction) -> dict:
                     for e, v in sorted(f.mod.items(), key=lambda kv: repr(kv[0]))]}
 
 
-_WEIGHTS = {"kind": (REQUIRED, _verbatim),
-            "index_bound": (None, 1, MAX_INDEX_BOUND),
-            "values": (None, array_of(int_from))}
+_BOUNDED = {"kind": (REQUIRED, _verbatim),
+            "index_bound": (REQUIRED, 1, MAX_INDEX_BOUND)}
+_WEIGHTS = {"double_exp": _BOUNDED, "odd_primes": _BOUNDED,
+            "explicit": {"kind": (REQUIRED, _verbatim),
+                         "values": (REQUIRED, array_of(int_from))}}
 
 
 def weights_from_json(d: Any) -> topologies.WeightSequence:
-    return topologies.WeightSequence(**read_params(d, _WEIGHTS))
+    w = read_tagged(d, "kind", _WEIGHTS)    # explicit weights: no index_bound
+    return topologies.WeightSequence(w["kind"], w.get("index_bound"),
+                                     w.get("values"))
 
 
 _TOPOLOGY = {"base": (REQUIRED, _verbatim),

@@ -18,7 +18,7 @@ Composition convention, fixed once: (h g)(n) = h(g(n)), i.e. hg = h o g.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, repeat
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -89,8 +89,7 @@ def _sweep_sets(universe: Sequence, max_domain: int):
 
     def classes(support: tuple) -> tuple:
         if support not in index:
-            key = itemgetter(*(n - 1 for n in support)) if support \
-                else lambda v: ()
+            key = _values_at([n - 1 for n in support])
             by_key: dict = {}       # key -> (bitset, values of the last h)
             for i, v in enumerate(values):
                 k = key(v)
@@ -111,20 +110,37 @@ def _sweep_sets(universe: Sequence, max_domain: int):
         # last in universe order, whose points off img g the composition drops
         by_image = classes(g.image)[1]
         literal = _compose_classes(by_image.values(), g.pairs)
+        dom_g = g.domain
         rows = []
         for f, fprime, support, v in specs:
             key, by_key = classes(support)
-            rows.append((f, fprime, literal.get(f.pairs, 0), by_key[key(v)][0]))
+            # f as a composite: its values on dom g, or None, which no
+            # composite matches, when f is defined off dom g
+            f_key = (tuple(map(f, dom_g))
+                     if set(f.domain).issubset(dom_g) else None)
+            rows.append((f, fprime, literal.get(f_key, 0), by_key[key(v)][0]))
         yield g, len(by_image), rows
 
 
+def _values_at(positions: list):
+    """A getter of the entries of a value tuple at ``positions``, as a
+    tuple for any number of them (a lone itemgetter index gives a scalar)."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    if positions:
+        (i,) = positions
+        return lambda v: (v[i],)
+    return lambda v: ()
+
+
 def _compose_classes(classes: Iterable, g_pairs: tuple) -> dict:
-    """Each composite h o g, the pairs n -> h(g(n)) for the n of dom g
-    where h is defined at g(n), mapped to the union of the bitsets of the
-    (bitset, values of h) classes that compose to it."""
+    """Each composite h o g, keyed by its values h(g(n)) on dom g in g's
+    pair order (0 where h is undefined at g(n)), mapped to the union of
+    the bitsets of the (bitset, values of h) classes that compose to it."""
+    compose = _values_at([m - 1 for _, m in g_pairs])
     literal: dict = {}
     for bits, v in classes:
-        hg = tuple([(n, w) for n, m in g_pairs if (w := v[m - 1])])
+        hg = compose(v)
         literal[hg] = literal.get(hg, 0) | bits
     return literal
 
@@ -157,13 +173,19 @@ def verify_fnp(f: PartialMap, n0: int, n_range: Iterable,
     p = PartialMap([(k, k) for k in dom])
     ns = valid_ns(f, n_range)
     # f_n is f plus n0 -> n, held as a dict: _outside_domain keeps n0 off
-    # dom f and valid_ns keeps n off img f, so every f_n is injective
-    fn, p_pairs = dict(f.pairs), p.pairs
+    # dom f and valid_ns keeps n off img f, so every f_n is injective.  The
+    # composite is read as its values on dom p, which holds dom f, so it
+    # equals f exactly when those values are f's.
+    fn, p_pairs, zeros = dict(f.pairs), p.pairs, repeat(0)
+    p_values = [v for _, v in p_pairs]
+    f_values = tuple(map(f, p.domain))
     for n in ns:
         fn[n0] = n
-        composite = tuple([(k, w) for k, v in p_pairs if (w := fn.get(v))])
-        if composite != f.pairs:
-            return failed(witness={"n": n, "p": p.pairs,
+        values = tuple(map(fn.get, p_values, zeros))
+        if values != f_values:
+            composite = tuple([(k, w) for (k, _), w in zip(p_pairs, values)
+                               if w])
+            return failed(witness={"n": n, "p": p_pairs,
                                    "composite": composite, "f": f.pairs})
     return passed(witness={"ns_checked": len(ns), "p": p.pairs},
                   detail="composition returns f for every valid n"
@@ -193,11 +215,13 @@ def verify_annihilation(f: PartialMap, n0: int, g: PartialMap, k0: int,
                              "one-point map")
     ns = valid_ns(f, n_range)
     nonzero_at = []
-    fn, h1_pairs = dict(f.pairs), h1.pairs    # f_n as in verify_fnp
+    # f_n as in verify_fnp; h1 has one pair, so its composite is built as
+    # pairs, which costs less than a value tuple and an any() at that size
+    fn, h1_pairs, h2_at = dict(f.pairs), h1.pairs, dict(h2.pairs).get
     for n in ns:
         fn[n0] = n
         comp = tuple([(k, w) for k, v in h1_pairs
-                      if (w := h2(fn.get(v, 0)))])
+                      if (w := h2_at(fn.get(v, 0), 0))])
         predicted_nonzero = (k0 == n0 and n == g(k0))
         if bool(comp) != predicted_nonzero:
             return failed(witness={"n": n, "composite": comp,

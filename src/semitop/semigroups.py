@@ -149,11 +149,11 @@ class PartialMap:
 
     @property
     def domain(self) -> tuple:
-        return tuple(n for n, _ in self._pairs)
+        return tuple(self._map)     # _map holds the sorted pairs in order
 
     @property
     def image(self) -> tuple:
-        return tuple(sorted(v for _, v in self._pairs))
+        return tuple(sorted(self._map.values()))
 
     @property
     def is_zero(self) -> bool:

@@ -418,12 +418,12 @@ _FUNCTION = {"tag": "c0_plus_const", "const": "1",
              "mod": [{"elem": 3, "value": "1/2"}]}
 
 
-def _with(doc, path: tuple, key: str):
-    """``doc`` with ``key`` set to 0 in the object at ``path``."""
+def _with(doc, path: tuple, key: str, value=0):
+    """``doc`` with ``key`` set to ``value`` in the object at ``path``."""
     if not path:
-        return dict(doc, **{key: 0})
+        return dict(doc, **{key: value})
     out = list(doc) if isinstance(doc, list) else dict(doc)
-    out[path[0]] = _with(doc[path[0]], path[1:], key)
+    out[path[0]] = _with(doc[path[0]], path[1:], key, value)
     return out
 
 
@@ -463,6 +463,57 @@ def test_an_undeclared_key_at_any_depth_is_a_usage_error(command, params,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "unknown parameter 'extra'" in captured.err
+
+
+# A key that the weights' kind or the function's tag does not use, with a
+# value that would be valid where the key is used: the query answers
+# without it and is a usage error with it.
+EXPLICIT_TOP = {"base": "z",
+                "weights": {"kind": "explicit", "values": [2, 8, 32, 128]}}
+SAMPLED = {"function": {"tag": "sampled", "values": ["0", "1"] * 4}}
+UNUSED_KEYS = [
+    ("values-on-double_exp", "distinguish", VALID_QUERIES["distinguish"],
+     ("weights",), "values", ["4", "16"]),
+    ("values-on-odd_primes", "member",
+     {"topology": ODD_TOP, "nbhd": {"a": 1, "s": 1, "alpha": 1},
+      "point": {"a": 0, "s": 3}}, ("topology", "weights"), "values", [3, 5]),
+    ("index_bound-on-explicit", "member",
+     {"topology": EXPLICIT_TOP, "nbhd": {"a": 1, "s": 0, "alpha": 1},
+      "point": {"a": 0, "s": 8}}, ("topology", "weights"), "index_bound", 4),
+    ("const-on-sampled", "waptest", SAMPLED, ("function",), "const", "1"),
+    ("mod-on-sampled", "waptest", SAMPLED, ("function",), "mod",
+     [{"elem": 3, "value": "1"}]),
+]
+
+
+@pytest.mark.parametrize("command,params,path,key,value",
+                         [row[1:] for row in UNUSED_KEYS],
+                         ids=[row[0] for row in UNUSED_KEYS])
+def test_a_key_the_kind_or_tag_does_not_use_is_a_usage_error(
+        command, params, path, key, value, capsys):
+    assert run(capsys, command, "--params", json.dumps(params))[0] in (0, 1, 2)
+    bad = _with(params, path, key, value)
+    assert main([command, "--params", json.dumps(bad)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unknown parameter {key!r}" in captured.err
+
+
+@pytest.mark.parametrize("command,params,message", [
+    ("distinguish", dict(VALID_QUERIES["distinguish"], mask2=[1, 17]),
+     "mask2: parameter 'mask entry' outside the safe range [1, 16]"),
+    ("waptest", {"function": {"tag": "sampled", "values": "0101"}},
+     "function.values: expected a JSON array"),
+    ("member", dict(VALID_QUERIES["member"], topology={
+        "base": "z", "weights": {"kind": "explicit", "values": "12"}}),
+     "topology.weights.values: expected a JSON array"),
+], ids=["depth-1", "depth-2", "depth-3"])
+def test_a_nested_error_names_where_it_failed(command, params, message,
+                                              capsys):
+    assert main([command, "--params", json.dumps(params)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"semitop: error: bad query parameters: {message}\n"
 
 
 def test_a_misspelt_mask_is_a_usage_error(capsys):

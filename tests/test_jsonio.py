@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -133,6 +134,51 @@ def test_read_params_reads_nested_objects():
             read_params(not_an_object, keys)
 
 
+# A nested reader's error carries the keys it was read under, outermost
+# first, and its message starts with them; an error at the top has none.
+NESTED_ERRORS = [
+    (jsonio.topology_from_json,
+     {"base": "z", "weights": {"kind": "double_exp", "index_bound": 4},
+      "mask": [1, 17]},
+     ("mask",), "parameter 'mask entry' outside the safe range [1, 16]"),
+    (jsonio.topology_from_json,
+     {"base": "z", "weights": {"kind": "double_exp", "index_bound": 17}},
+     ("weights",), "parameter 'index_bound' outside the safe range [1, 16]"),
+    (jsonio.topology_from_json,
+     {"base": "z", "weights": {"kind": "explicit", "values": "12"}},
+     ("weights", "values"), "expected a JSON array"),
+    (jsonio.bounded_function_from_json,
+     {"tag": "c0_plus_const", "mod": [{"elem": 3}]},
+     ("mod",), "missing parameter 'value'"),
+    (jsonio.weights_from_json, {"kind": "double_exp", "values": [4, 16]},
+     (), "unknown parameter 'values'; expected one of ['index_bound', 'kind']"),
+]
+
+
+@pytest.mark.parametrize("reader,doc,path,message", NESTED_ERRORS,
+                         ids=["mask", "index_bound", "values", "mod-entry",
+                              "top"])
+def test_a_nested_error_names_its_path(reader, doc, path, message):
+    with pytest.raises(SuiteError) as info:
+        reader(doc)
+    assert info.value.path == path
+    assert str(info.value) == (f"{'.'.join(path)}: {message}" if path
+                               else message)
+
+
+@pytest.mark.parametrize("doc,message", [
+    ({"index_bound": 4}, "missing parameter 'kind'"),
+    ({"kind": "double", "index_bound": 4}, "parameter 'kind' must be one of"),
+    ({"kind": ["explicit"], "values": [2]}, "parameter 'kind' must be one of"),
+    ([["kind", "explicit"]], "expected a JSON object"),
+    ({"kind": "double_exp"}, "missing parameter 'index_bound'"),
+    ({"kind": "explicit"}, "missing parameter 'values'"),
+])
+def test_weights_table_follows_the_kind(doc, message):
+    with pytest.raises(SuiteError, match=re.escape(message)):
+        jsonio.weights_from_json(doc)
+
+
 # A valid document for every reader of a JSON object in jsonio.  Each
 # reader must refuse the document with one undeclared key added; a reader
 # that reads its dict by hand, not through read_params, fails here, and a
@@ -204,8 +250,7 @@ def test_weights_round_trip():
         assert (w.kind, w.index_bound, w.value(3)) == (
             doc["kind"], doc["index_bound"], w3)
     huge = 2 ** 100
-    doc = {"kind": "explicit", "index_bound": 3,
-           "values": ["2", "8", jsonio.int_to_str(huge)]}
+    doc = {"kind": "explicit", "values": ["2", "8", jsonio.int_to_str(huge)]}
     w = jsonio.weights_from_json(doc)
     assert w.value(3) == huge
     assert (w.index_bound, w.values) == (3, (2, 8, huge))

@@ -174,6 +174,31 @@ def test_open_set_identity_sweep_catches_wrong_composition(monkeypatch):
                              g=g).status == PASS
 
 
+def test_open_set_identity_sweep_catches_translator_missing_a_domain_point(
+        monkeypatch):
+    # negative control: a translator without the pair (n, n) for the largest
+    # n of dom f composes no h to f, since every h o g is undefined at n; the
+    # sweep must fail on a spec whose basic set holds f, and its literal side
+    # must still agree with PartialMap.compose, so f's key must not ignore
+    # the points of dom f off dom g
+    real_build_g = obstructions.build_g
+
+    def dropped(f, fprime):
+        g = real_build_g(f, fprime)
+        return PartialMap([(n, m) for n, m in g.pairs
+                           if not f.domain or n != f.domain[-1]])
+
+    monkeypatch.setattr(obstructions, "build_g", dropped)
+    v = open_set_identity_sweep(3, 4)
+    assert v.status == FAIL
+    w = v.witness
+    f, g, h = (PartialMap(w[k]) for k in ("f", "g", "mismatch_h"))
+    assert not set(f.domain).issubset(g.domain)
+    assert w["in_preimage"] is False
+    assert (h.compose(g) == f) == w["in_preimage"]
+    assert o_member(OpenSetSpec(f, frozenset(w["fprime"])), h)
+
+
 class _ShortImage(PartialMap):
     """A translator that reports its image without its largest point."""
 
@@ -197,6 +222,33 @@ def test_open_set_identity_sweep_catches_classes_missing_an_image_point(
     assert (h.compose(g) == f) != w["in_preimage"]
     assert open_set_identity(f, w["fprime"], enumerate_partial_maps(3, 4),
                              g=g).status == PASS
+
+
+# the empty translator, a one-pair translator (whose key a lone itemgetter
+# index would give as a scalar) and a two-pair translator
+@pytest.mark.parametrize("g_pairs", [(), ((2, 3),), ((1, 3), (4, 2))],
+                         ids=["empty", "one-pair", "two-pair"])
+def test_compose_classes_matches_compose(g_pairs):
+    # each h of the (3,4) universe in a class of its own: its key is its
+    # composite with g read on dom g, which PartialMap.compose confirms
+    universe = enumerate_partial_maps(3, 4)
+    g = PartialMap(g_pairs)
+    literal = obstructions._compose_classes(
+        [(1 << i, tuple(map(h, range(1, 4)))) for i, h in enumerate(universe)],
+        g.pairs)
+    seen = 0
+    for key, bits in literal.items():
+        assert type(key) is tuple and len(key) == len(g_pairs)
+        assert not bits & seen
+        seen |= bits
+        for i, h in enumerate(universe):
+            if bits >> i & 1:
+                hg = h.compose(g)
+                assert key == tuple(map(hg, g.domain))
+                assert hg.pairs == tuple(
+                    (n, w) for n, w in zip(g.domain, key) if w)
+    assert seen == (1 << len(universe)) - 1
+    assert len(literal) == len({h.compose(g) for h in universe})
 
 
 def _columns(universe, max_domain):
@@ -431,3 +483,14 @@ def test_verify_annihilation_matches_extend_and_compose_oracle(
     assert v == verify_annihilation_oracle(f, n0, g, k0, ns)
     assert v.witness["nonzero_at"] == [
         n for n in valid_ns(f, ns) if k0 == n0 and n == gk0]
+
+
+@given(_partial_maps(), _partial_maps(), st.integers(1, 9), st.integers(1, 12))
+def test_domain_and_image_are_the_sorted_projections_of_pairs(f, g, n, v):
+    # on maps built checked, composed and extended alike
+    maps = [f, g, f.compose(g)]
+    if n not in f.domain and v not in f.image:
+        maps.append(f.extend(n, v))
+    for m in maps:
+        assert m.domain == tuple(sorted(n for n, _ in m.pairs))
+        assert m.image == tuple(sorted(v for _, v in m.pairs))
