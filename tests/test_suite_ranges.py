@@ -6,10 +6,12 @@ each point where a suite once gave a false FAIL or a traceback, must
 report overall PASS.
 """
 
+import gc
 import random
 
 import pytest
 
+from semitop import obstructions
 from semitop.suites import SUITE_PARAMS, run_suite
 
 
@@ -20,6 +22,39 @@ def test_every_suite_passes_at_its_lower_bounds(suite):
     assert report["overall"] == "PASS", [
         (c["id"], c["status"], c["detail"]) for c in report["checks"]
         if c["status"] != "PASS"]
+
+
+# The section-4 checks run with the cyclic collector paused, which is
+# sound only while they build no reference cycles.
+@pytest.mark.parametrize("params", [
+    {"max_domain": 2, "max_value": 2, "fnp_trials": 10, "n_max": 5},
+    {"max_domain": 4, "max_value": 6, "fnp_trials": 50}])
+def test_section4_leaves_no_cyclic_garbage(params):
+    gc.collect()
+    gc.disable()
+    try:
+        assert run_suite("section4-no-predual", params)["overall"] == "PASS"
+        assert not gc.isenabled()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_section4_checks_run_with_the_collector_paused(monkeypatch):
+    seen = []
+    sweep = obstructions.open_set_identity_sweep
+
+    def probe(*args):
+        seen.append(gc.isenabled())
+        return sweep(*args)
+    monkeypatch.setattr(obstructions, "open_set_identity_sweep", probe)
+    assert gc.isenabled()
+    report = run_suite("section4-no-predual", {"max_domain": 2,
+                                               "max_value": 2})
+    assert report["overall"] == "PASS"
+    # the suite's sweep, then proof_skeleton's step 1
+    assert seen == [False, False]
+    assert gc.isenabled()
 
 
 # Keys whose top corner alone takes about half a second or more; the
