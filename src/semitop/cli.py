@@ -122,6 +122,22 @@ _COMMANDS = {
         "count": _like("nmax-wap", "pairs", None)}),
 }
 
+# Built once at import: parse_args keeps no state between calls, and error
+# and --help write to the sys.stderr and sys.stdout of the call.
+_PARSER = _Parser(prog="semitop",
+                  description="verification suites and single queries for "
+                              "semigroup convolution algebras")
+_PARSER.add_argument("command", nargs="?", choices=sorted(_COMMANDS),
+                     help="single-query mode; omit to run a suite")
+_PARSER.add_argument("--suite", metavar="NAME",
+                     help="suite to run; one of " + ", ".join(sorted(SUITES)))
+_PARSER.add_argument("--params", metavar="JSON", default="{}",
+                     help="JSON object with suite or query parameters")
+_PARSER.add_argument("--seed", type=int, default=0,
+                     help="seed for every randomized construction")
+_PARSER.add_argument("--out", metavar="PATH",
+                     help="write the JSON report here instead of stdout")
+
 
 def _emit(payload: dict, out_path, code: int) -> int:
     """Write the payload and return ``code``, or the usage exit code when
@@ -141,23 +157,10 @@ def _emit(payload: dict, out_path, code: int) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _Parser(prog="semitop",
-                     description="verification suites and single queries for "
-                                 "semigroup convolution algebras")
-    parser.add_argument("command", nargs="?", choices=sorted(_COMMANDS),
-                        help="single-query mode; omit to run a suite")
-    parser.add_argument("--suite", metavar="NAME",
-                        help="suite to run; one of " + ", ".join(sorted(SUITES)))
-    parser.add_argument("--params", metavar="JSON", default="{}",
-                        help="JSON object with suite or query parameters")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for every randomized construction")
-    parser.add_argument("--out", metavar="PATH",
-                        help="write the JSON report here instead of stdout")
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
 
     if (args.command is None) == (args.suite is None):
-        parser.error("exactly one of a command or --suite is required")
+        _PARSER.error("exactly one of a command or --suite is required")
     try:
         params = json.loads(args.params)
     except ValueError as exc:

@@ -121,7 +121,8 @@ def read_params(params: Any, keys: dict) -> dict:
     (default, reader) for a value that ``reader`` builds from its JSON;
     an absent key reads as its default.  A missing REQUIRED key, any
     undeclared key, and a ``params`` that is not an object are SuiteErrors;
-    one raised by a reader is re-raised with the reader's key on its path.
+    a SuiteError, TypeError or ValueError raised by a reader is re-raised
+    as a SuiteError with the reader's key on its path.
     """
     if not isinstance(params, dict):
         raise SuiteError("expected a JSON object")
@@ -139,6 +140,10 @@ def read_params(params: Any, keys: dict) -> dict:
                 if len(spec) == 2:      # read_int names its key itself
                     exc.path = (key, *exc.path)
                 raise
+            except (TypeError, ValueError) as exc:  # a number's or a build's
+                err = SuiteError(str(exc))
+                err.path = (key,)
+                raise err from exc
         elif spec[0] is REQUIRED:
             raise SuiteError(f"missing parameter {key!r}")
         else:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ from reports import strip_timing
 from semitop import cli, jsonio, suites, topologies, verdicts
 from semitop.cli import main
 from semitop.jsonio import MAX_INDEX_BOUND, SuiteError, read_params
-from semitop.suites import SUITE_PARAMS, run_suite
+from semitop.suites import SUITE_PARAMS, SUITES, run_suite
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -507,7 +508,15 @@ def test_a_key_the_kind_or_tag_does_not_use_is_a_usage_error(
     ("member", dict(VALID_QUERIES["member"], topology={
         "base": "z", "weights": {"kind": "explicit", "values": "12"}}),
      "topology.weights.values: expected a JSON array"),
-], ids=["depth-1", "depth-2", "depth-3"])
+    # a ValueError from a number reader or a constructor names its key too
+    ("waptest", {"function": {"tag": "c0_plus_const", "const": "1e3"}},
+     'function.const: not a rational "p" or "p/q" of at most '
+     f"{topologies.MAX_DECIMAL_DIGITS} digits each"),
+    ("member", dict(VALID_QUERIES["member"], topology={
+        "base": "z", "weights": {"kind": "explicit", "values": [3, 2]}}),
+     "topology.weights: weights must be strictly increasing"),
+], ids=["depth-1", "depth-2", "depth-3", "rational-const",
+        "decreasing-weights"])
 def test_a_nested_error_names_where_it_failed(command, params, message,
                                               capsys):
     assert main([command, "--params", json.dumps(params)]) == 3
@@ -637,6 +646,49 @@ def test_unknown_flag_exits_3():
     with pytest.raises(SystemExit) as exc:
         main(["--frobnicate"])
     assert exc.value.code == 3
+
+
+def _call(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:       # argparse-level usage errors
+        code = exc.code
+    return (code, *capsys.readouterr())
+
+
+def test_one_parser_serves_every_call(monkeypatch, capsys):
+    wap = ["waptest", "--params", json.dumps(VALID_QUERIES["waptest"])]
+    seeded = [*wap, "--seed", "7"]
+    usage = (["--frobnicate"], [], ["member", "--seed", "x"])
+    suite = ["--suite", "star-condition"]
+    before = {tuple(argv): _call(capsys, argv)
+              for argv in (wap, seeded, suite, *usage)}
+    assert before[tuple(seeded)][0] == before[tuple(wap)][0] == 0
+    assert json.loads(before[tuple(seeded)][1])["seed"] == 7
+    assert json.loads(before[tuple(wap)][1])["seed"] == 0
+    assert all(before[tuple(argv)][:2] == (3, "") for argv in usage)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("cli.main built a parser")
+    monkeypatch.setattr(cli._Parser, "__init__", refuse)
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", refuse)
+
+    # a seeded query, a usage error, then the same query without --seed
+    for bad in usage:
+        for argv in (seeded, bad, wap):
+            assert _call(capsys, argv) == before[tuple(argv)]
+    assert _call(capsys, wap)[1] == _call(capsys, wap)[1]
+    code, out, err = _call(capsys, suite)
+    code_before, out_before, err_before = before[tuple(suite)]
+    assert (code, err) == (code_before, err_before) == (0, "")
+    assert strip_timing(json.loads(out)) == strip_timing(json.loads(out_before))
+
+
+def test_help_names_every_command_and_suite(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "1000")    # no suite name wrapped at a hyphen
+    code, out, err = _call(capsys, ["--help"])
+    assert (code, err) == (0, "")
+    assert all(name in out for name in (*cli._COMMANDS, *SUITES))
 
 
 def test_console_script_smoke():

@@ -279,8 +279,9 @@ def test_point_and_nbhd_round_trip():
     p = jsonio.s1_point_from_json({"a": 2, "s": "3"})
     assert p == (2, 3)
     assert jsonio.s1_point_to_json(p) == {"a": 2, "s": 3}
-    # no base has vector coordinates, so a list-valued s is not read
-    with pytest.raises(TypeError):
+    # no base has vector coordinates, so a list-valued s is not read, and
+    # the reader's TypeError comes back as a usage error on the key s
+    with pytest.raises(SuiteError, match="^s: .* is not an integer encoding"):
         jsonio.s1_point_from_json({"a": 1, "s": [0, 3]})
     n = jsonio.nbhd_from_json({"a": 2, "s": 3, "alpha": "4"})
     assert (n.a, n.s, n.alpha) == (2, 3, 4)
