@@ -26,7 +26,7 @@ MEANING = {"PASS": "weakly almost periodic, or consistent with it",
 
 
 def row(f):
-    status = wap_test(f, subsequence_pair_family(20, 200)).status
+    status = wap_test(f, subsequence_pair_family(20, 200, seed=0)).status
     return {"box": str(arens_box(omega, upsilon, f)),
             "diamond": str(arens_diamond(omega, upsilon, f)),
             "verdict": status, "meaning": MEANING[status]}

@@ -44,6 +44,15 @@ _DISTINGUISH_STATUS = {PASS: "DISTINCT"}
 _WAPTEST_STATUS = {PASS: "WAP-consistent", FAIL: "NOT-WAP"}
 
 
+class _HelpFormatter(argparse.HelpFormatter):
+    """Wraps help at spaces only, so no suite name splits at a hyphen."""
+
+    def _split_lines(self, text, width):
+        import textwrap     # only --help needs it, as in argparse itself
+        text = self._whitespace_matcher.sub(" ", text).strip()
+        return textwrap.wrap(text, width, break_on_hyphens=False)
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -124,7 +133,7 @@ _COMMANDS = {
 
 # Built once at import: parse_args keeps no state between calls, and error
 # and --help write to the sys.stderr and sys.stdout of the call.
-_PARSER = _Parser(prog="semitop",
+_PARSER = _Parser(prog="semitop", formatter_class=_HelpFormatter,
                   description="verification suites and single queries for "
                               "semigroup convolution algebras")
 _PARSER.add_argument("command", nargs="?", choices=sorted(_COMMANDS),

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product as iproduct, takewhile
 from math import comb
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from .semigroups import INF, positive_int
 from .verdicts import (FAIL, UNDETERMINED, Verdict, failed, not_applicable,
@@ -216,7 +216,7 @@ class TopologyInstance:
 
     # -- representations ----------------------------------------------
 
-    def find_representation(self, diff: int, min_index: int = 1) -> Verdict[tuple]:
+    def find_representation(self, diff: int, min_index: int) -> Verdict[tuple]:
         """The unique way of writing diff, an exact int, as a combination of
         distinct masked weights with indices >= min_index, when one exists.
 
@@ -283,16 +283,37 @@ class TopologyInstance:
     def _rep_explicit(self, diff: int, min_index: int) -> Verdict[tuple]:
         # explicit sequences are complete finite lists, so always settled
         idxs = [i for i in self.mask if i >= min_index]
-        found = [combo for combo, total
-                 in self._subset_sum_table(min_index, len(idxs)) if total == diff]
+        found = sorted((tuple(i for c, i in zip(vec, idxs) if c)
+                        for vec in self._explicit_matches(diff, idxs, (0, 1))),
+                       key=lambda combo: (len(combo), combo))
         if not found:
             return failed(detail="no combination of the weights")
         if len(found) > 1:
-            # the weights themselves lack unique representability: bad input
+            # the weights lack unique representability: bad input, named
+            # by index sets, since diff may have too many digits to print
             raise ValueError(
-                f"ambiguous representation of {diff!r}: {found[:2]} (weights lack "
+                f"ambiguous representation: {found[:2]} (weights lack "
                 f"unique representability)")
         return passed(found[0])
+
+    def _explicit_matches(self, diff: int, idxs: Sequence,
+                          coeffs: tuple) -> Iterator[tuple]:
+        """Every coefficient vector over idxs, in `product(coeffs)` order,
+        whose weighted sum of the weights at idxs is diff: meet in the
+        middle, the upper half's vectors tabled by their sum."""
+        values = [self.weights.value(i) for i in idxs]
+        half = len(values) // 2
+
+        def sums(part):
+            for vec in iproduct(coeffs, repeat=len(part)):
+                yield vec, sum(c * v for c, v in zip(vec, part) if c)
+
+        upper: dict = {}
+        for vec, total in sums(values[half:]):
+            upper.setdefault(total, []).append(vec)
+        for vec, total in sums(values[:half]):
+            for rest in upper.get(diff - total, ()):
+                yield vec + rest
 
     # -- membership ----------------------------------------------------
 
@@ -367,7 +388,7 @@ class TopologyInstance:
                     return part
             return passed((plus.witness, minus.witness))
         if self.weights.kind == "explicit":
-            signs = self._signed_explicit(diff)
+            signs = next(self._explicit_matches(diff, self.mask, (-1, 0, 1)), None)
             if signs is None:
                 return failed(detail="no signed combination of the weights")
         else:
@@ -399,26 +420,6 @@ class TopologyInstance:
                 signs[pos] = 1 if d > 0 else -1
                 d -= signs[pos] * values[pos]
         return tuple(signs) if d == 0 else None
-
-    def _signed_explicit(self, diff: int) -> Optional[tuple]:
-        """The first signs over the mask, in `product((-1, 0, 1))` order,
-        whose signed weight sum is diff, or None: meet in the middle over
-        the two halves of the mask, the first signs of the upper half for
-        each of its sums tabled in that order."""
-        values = [self.weights.value(i) for i in self.mask]
-        half = len(values) // 2
-        upper: dict = {}
-        for signs in iproduct((-1, 0, 1), repeat=len(values) - half):
-            upper.setdefault(_signed_sum(signs, values[half:]), signs)
-        for signs in iproduct((-1, 0, 1), repeat=half):
-            rest = upper.get(diff - _signed_sum(signs, values[:half]))
-            if rest is not None:
-                return signs + rest
-        return None
-
-
-def _signed_sum(signs: tuple, values: Sequence) -> int:
-    return sum(sign * v for sign, v in zip(signs, values) if sign)
 
 
 # ---------------------------------------------------------------------------
@@ -759,7 +760,7 @@ def verify_star_star(T: TopologyInstance, t: Any, s_window: int = 10_000) -> Ver
 # distinguishing masked topologies
 
 
-def mask_family(count: int, horizon: int, seed: int = 0) -> Verdict[list]:
+def mask_family(count: int, horizon: int, seed: int) -> Verdict[list]:
     """Deterministic family of masks with pairwise large symmetric difference:
     PASS with the masks, or UNDETERMINED, at once when fewer than `count`
     masks of the allowed sizes exist, else if 200,000 draws do not

@@ -190,7 +190,7 @@ def indicator_of_evens(horizon: int) -> BoundedFunction:
         [Fraction(1) if n % 2 == 0 else Fraction(0) for n in range(1, horizon + 1)])
 
 
-def subsequence_pair_family(count: int, horizon: int, seed: int = 0) -> list:
+def subsequence_pair_family(count: int, horizon: int, seed: int) -> list:
     """Deterministic family of subsequence pairs, led by evens/odds."""
     rng = random.Random(seed)
     pairs = [(LimitFunctional.evens(horizon), LimitFunctional.odds(horizon))]

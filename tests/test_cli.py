@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -598,6 +599,39 @@ def test_waptest_reads_a_rational_past_the_digit_limit(capsys):
     assert doc["witness"]["diamond"] == f"{big}/3"
 
 
+def _explicit_member(values, s, a):
+    """A member query of the point (0, s) in U(a, 0, 1) under explicit
+    weights, each written as a decimal string."""
+    return ["member", "--params", json.dumps({
+        "topology": {"base": "z", "weights": {
+            "kind": "explicit", "values": [jsonio.int_to_str(v) for v in values]}},
+        "nbhd": {"a": a, "s": 0, "alpha": 1},
+        "point": {"a": 0, "s": jsonio.int_to_str(s)}})]
+
+
+def test_an_ambiguous_weight_list_past_the_digit_limit_is_named(capsys):
+    # w_1 + w_2 = w_3 has 5,001 digits, too many to print as an int
+    w = [(i + 1) * 10 ** 5000 for i in range(4)]
+    code, out, err = _call(capsys, _explicit_member(w, w[0] + w[1], 2))
+    assert (code, out) == (3, "")
+    assert "ambiguous representation" in err
+
+
+def test_an_explicit_member_query_searches_in_small_memory(capsys):
+    # 16 weights of 500 digits: a table of all 2^16 subset sums holds
+    # about 26 MB, the meet in the middle's table of 2^8 sums about 0.1 MB
+    w = [10 ** 499 + 2 ** k for k in range(16)]
+    argv = _explicit_member(w, w[0] + w[2] + w[15], 3)
+    tracemalloc.start()
+    try:
+        code, out, _ = _call(capsys, argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and json.loads(out)["indices"] == [1, 3, 16]
+    assert peak < 2 * 2 ** 20
+
+
 @pytest.mark.parametrize("head,params", [
     (["member"], dict(VALID_QUERIES["member"],
                       point={"a": 1, "s": "9" * 400_000})),
@@ -685,7 +719,7 @@ def test_one_parser_serves_every_call(monkeypatch, capsys):
 
 
 def test_help_names_every_command_and_suite(monkeypatch, capsys):
-    monkeypatch.setenv("COLUMNS", "1000")    # no suite name wrapped at a hyphen
+    monkeypatch.setenv("COLUMNS", "80")    # no suite name wrapped at a hyphen
     code, out, err = _call(capsys, ["--help"])
     assert (code, err) == (0, "")
     assert all(name in out for name in (*cli._COMMANDS, *SUITES))

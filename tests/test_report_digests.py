@@ -29,7 +29,7 @@ DIGESTS = {
     "good-corr":
         "c5a9a823cba328e6e0d4211b75baff59e2728d67c97f51e75576d444d9aadbc4",
     "nmax-wap":
-        "4b3ad3f3f013465ea6835fc03d53e539cde0e98556f6e2814831c10feacb0ad6",
+        "96aca06cd0c6d67a59eabe1647844fa0c8c51b324122725b5dd5065d6a174726",
     "unique-l1s":
         "0baf98942851af0825567410c0eebfce7c11d5275704b8896a5eb817964f5fb4",
     "rees-cancellativity":

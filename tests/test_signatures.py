@@ -24,16 +24,13 @@ PINNED = {
     "L1Vector.delta": ("coeff",),
     "PartialMap": ("mapping",),
     "TopologyInstance": ("mask",),
-    "TopologyInstance.find_representation": ("min_index",),
     "Verdict": ("witness", "detail"),
     "WeightSequence": ("values",),
     "convergence_transfer": ("shifted_limit",),
     "failed": ("witness", "detail"),
-    "mask_family": ("seed",),
     "passed": ("witness", "detail"),
     "random_c0_plus_const": ("support_max",),
     "run_suite": ("params", "seed"),
-    "subsequence_pair_family": ("seed",),
     "verify_fnp": ("sabotage",),
     "verify_star_star": ("s_window",),
 }

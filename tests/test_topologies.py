@@ -68,42 +68,42 @@ def test_weights_past_the_bound_are_refused_before_any_weight(kind,
 
 def test_rep_double_exp_found():
     T = Tz(6)
-    rep = T.find_representation(16 + 256)
+    rep = T.find_representation(16 + 256, 1)
     assert rep.status == PASS and rep.witness == (2, 3)
 
 
 def test_rep_double_exp_none_cases():
     T = Tz(6)
-    assert T.find_representation(5).status == FAIL           # 4 + 1
-    assert T.find_representation(8).status == FAIL           # 2^3 alone
+    assert T.find_representation(5, 1).status == FAIL        # 4 + 1
+    assert T.find_representation(8, 1).status == FAIL        # 2^3 alone
     assert T.find_representation(4, min_index=2).status == FAIL
 
 
 def test_rep_double_exp_undetermined_beyond_bound():
     T = Tz(3)
     huge = 2 ** (2 ** 9)
-    assert T.find_representation(huge).status == UNDETERMINED
+    assert T.find_representation(huge, 1).status == UNDETERMINED
 
 
 def test_rep_respects_mask():
     T = Tz(6, mask=[1, 3, 5])
-    assert T.find_representation(16).status == FAIL
-    assert T.find_representation(4 + 256).witness == (1, 3)
+    assert T.find_representation(16, 1).status == FAIL
+    assert T.find_representation(4 + 256, 1).witness == (1, 3)
 
 
 def test_rep_odd_primes():
     T = Todd(6)
-    assert T.find_representation(15).witness == (1, 2)
-    assert T.find_representation(9).status == FAIL    # 3 twice
-    assert T.find_representation(6).status == FAIL    # even part
-    assert T.find_representation(19).status == UNDETERMINED
+    assert T.find_representation(15, 1).witness == (1, 2)
+    assert T.find_representation(9, 1).status == FAIL    # 3 twice
+    assert T.find_representation(6, 1).status == FAIL    # even part
+    assert T.find_representation(19, 1).status == UNDETERMINED
 
 
 def test_rep_explicit_always_settled():
     T = TopologyInstance("z", WeightSequence.explicit([10, 20, 40]))
-    assert T.find_representation(30).witness == (1, 2)
-    assert T.find_representation(31).status == FAIL
-    assert T.find_representation(10 ** 9).status == FAIL
+    assert T.find_representation(30, 1).witness == (1, 2)
+    assert T.find_representation(31, 1).status == FAIL
+    assert T.find_representation(10 ** 9, 1).status == FAIL
     assert T.find_representation(30, 2).status == FAIL   # w_1 is below the level
 
 
@@ -136,14 +136,24 @@ def test_rep_explicit_matches_subset_loop(values, data):
                                          else (FAIL, None))
 
 
+def test_ambiguity_is_named_by_index_sets_past_the_digit_limit():
+    # w_1 + w_2 = w_3 has 5,001 digits, past the int-to-str limit, so the
+    # message names the two index sets and never the value
+    w = [(i + 1) * 10 ** 5000 for i in range(4)]
+    T = TopologyInstance("z", WeightSequence.explicit(w))
+    with pytest.raises(ValueError, match=re.escape(
+            "ambiguous representation: [(3,), (1, 2)]")):
+        T.find_representation(w[0] + w[1], 1)
+
+
 def test_primitives_return_verdicts():
     # every status of the representation and membership primitives
     # arrives as a Verdict; PASS carries the index tuple as witness
     T, odd = Tz(3), Todd(6)
     cases = [
-        (T.find_representation(4 + 16), PASS, (1, 2)),
-        (T.find_representation(5), FAIL, None),
-        (T.find_representation(2 ** (2 ** 9)), UNDETERMINED, None),
+        (T.find_representation(4 + 16, 1), PASS, (1, 2)),
+        (T.find_representation(5, 1), FAIL, None),
+        (T.find_representation(2 ** (2 ** 9), 1), UNDETERMINED, None),
         (T.member(BasicNbhd(2, 0, 1), (0, 20)), PASS, (1, 2)),
         (T.member(BasicNbhd(2, 0, 1), (3, 0)), FAIL, None),
         (odd.member(BasicNbhd(1, 1, 1), (0, 19)), UNDETERMINED, None),
@@ -205,7 +215,7 @@ def test_basic_nbhd_first_coordinate_is_an_exact_int(a):
                                     (Tz(6), 20.0), (Tz(6), True)])
 def test_find_representation_takes_exact_ints_only(T, diff):
     with pytest.raises(TypeError):
-        T.find_representation(diff)
+        T.find_representation(diff, 1)
 
 
 @pytest.mark.parametrize("T,diff", [
@@ -774,7 +784,7 @@ def test_mask_family_that_cannot_be_completed_is_undetermined(
         raise AssertionError("mask_family drew masks it could not use")
 
     monkeypatch.setattr(topologies.random, "Random", no_draws)
-    v = mask_family(count, horizon)
+    v = mask_family(count, horizon, seed=0)
     assert v.status == UNDETERMINED and v.witness is None
     assert v.detail
 
