@@ -38,12 +38,16 @@ found = find_limit(T, seq, alpha_max=3)
 assert found
 print("\nrecovered limit:", found.witness.limit)
 
-# translating every term by a fixed (b, t) moves the limit the same way
+# translating every term by a fixed (b, t) moves the limit the same way:
+# find the shifted sequence's limit, then divide the shift back out of it
 shift = (1 + args.seed % 2, 3)
-res = convergence_transfer(T, seq, shift, alpha_max=3)
+shifted = [(p[0] + shift[0], p[1] + shift[1]) for p in seq]
+shifted_found = find_limit(T, shifted, alpha_max=3)
+assert shifted_found
+res = convergence_transfer(T, seq, shift, 3, shifted_found.witness.limit)
 print("\nshift by", shift, "->", res.status)
+print("limit of the shifted sequence:", res.witness["shifted_limit"])
 print("predicted limit of the unshifted sequence:",
       res.witness["predicted_limit"])
 print("shifted certificate revalidates:",
-      res.witness["shifted_certificate"].revalidate(
-          T, [(p[0] + shift[0], p[1] + shift[1]) for p in seq]).status)
+      res.witness["shifted_certificate"].revalidate(T, shifted).status)

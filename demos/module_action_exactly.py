@@ -14,7 +14,7 @@ from semitop import (L1Vector, NatMax, convolve, counterexample_x,
 S = NatMax()
 d = lambda n, c=1: L1Vector.delta(S, n, Fraction(c))
 
-a = d(1) - 2 * d(3) + d(7, 5)
+a = d(1) - d(3, 2) + d(7, 5)
 print("a =", a)
 
 for s in (2, 3, 8):

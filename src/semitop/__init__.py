@@ -5,8 +5,8 @@ obstruction calculus, all behind re-validatable verdict objects."""
 
 from .dyadic import (DyadicPoint, XSpace, basic_neighborhood,
                      interval_identity_sweep, psi, verify_interval_identity)
-from .l1 import (BoundedFunction, L1Vector, ProductInstance, convolve,
-                 coproduct, max_action_formula, pairing, pairing_vectors)
+from .l1 import (BoundedFunction, L1Vector, convolve, max_action_formula,
+                 pairing, pairing_vectors)
 from .obstructions import (build_g, enumerate_partial_maps,
                            open_set_identity_sweep, proof_skeleton, valid_ns,
                            verify_annihilation, verify_fnp)

@@ -24,7 +24,8 @@ import json
 import sys
 
 from . import jsonio, topologies
-from .jsonio import MAX_INDEX_BOUND, REQUIRED, SuiteError, array_of
+from .jsonio import (MAX_INDEX_BOUND, REQUIRED, SuiteError, array_of,
+                     pair_of)
 from .suites import SUITE_PARAMS, SUITES, run_suite
 from .verdicts import FAIL, NOT_APPLICABLE, PASS, UNDETERMINED
 from .wap import subsequence_pair_family, wap_test
@@ -126,7 +127,7 @@ _COMMANDS = {
         "horizon": (None, 1, MAX_INDEX_BOUND)}),
     "waptest": (_waptest, {
         "function": (REQUIRED, jsonio.bounded_function_from_json),
-        "pairs": (None, array_of(array_of(jsonio.limit_functional_from_json))),
+        "pairs": (None, array_of(pair_of(jsonio.limit_functional_from_json))),
         "horizon": _like("nmax-wap", "horizon", None),
         "count": _like("nmax-wap", "pairs", None)}),
 }

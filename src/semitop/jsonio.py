@@ -173,6 +173,15 @@ def array_of(reader):
     return read
 
 
+def pair_of(reader):
+    """A reader of a JSON array of exactly two entries that ``reader`` reads."""
+    def read(j: Any) -> tuple:
+        if not (isinstance(j, list) and len(j) == 2):
+            raise SuiteError("expected a JSON array of two entries")
+        return reader(j[0]), reader(j[1])
+    return read
+
+
 def _verbatim(j: Any) -> Any:
     # a tag, base or kind word, whose constructor checks the vocabulary
     return j

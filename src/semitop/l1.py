@@ -69,10 +69,6 @@ class L1Vector:
         c = _frac(coeff)
         return cls._make(instance, {elem: c.numerator}, c.denominator)
 
-    @classmethod
-    def zero(cls, instance: SemigroupInstance) -> "L1Vector":
-        return cls(instance)
-
     def coeff(self, elem: Any) -> Fraction:
         return Fraction(self._num.get(elem, 0), self._den)
 
@@ -82,9 +78,6 @@ class L1Vector:
 
     def support(self) -> list:
         return [e for e, _ in self.terms()]
-
-    def norm(self) -> Fraction:
-        return Fraction(sum(abs(n) for n in self._num.values()), self._den)
 
     @property
     def is_zero(self) -> bool:
@@ -114,20 +107,6 @@ class L1Vector:
     def __sub__(self, other: "L1Vector") -> "L1Vector":
         return self + (-other)
 
-    def scale(self, c: Any) -> "L1Vector":
-        c = _frac(c)
-        return L1Vector._make(self.instance,
-                              {e: n * c.numerator for e, n in self._num.items()},
-                              self._den * c.denominator)
-
-    def __rmul__(self, c: Any) -> "L1Vector":
-        return self.scale(c)
-
-    def __mul__(self, other: Any) -> "L1Vector":
-        if isinstance(other, L1Vector):
-            return convolve(self, other)
-        return self.scale(other)
-
     def __eq__(self, other: Any) -> bool:
         return (isinstance(other, L1Vector)
                 and self.instance.key == other.instance.key
@@ -154,34 +133,6 @@ def convolve(a: L1Vector, b: L1Vector) -> L1Vector:
             st = S.op(s, t)
             out[st] = out.get(st, 0) + cs * ct
     return L1Vector._make(S, out, a._den * b._den)
-
-
-class ProductInstance(SemigroupInstance):
-    """Cartesian square (or product) of instances with the coordinate law."""
-
-    def __init__(self, left: SemigroupInstance, right: SemigroupInstance):
-        self.left = left
-        self.right = right
-        self.name = f"({left.name})x({right.name})"
-
-    @property
-    def key(self) -> str:
-        return f"({self.left.key})x({self.right.key})"
-
-    def op(self, x, y):
-        return (self.left.op(x[0], y[0]), self.right.op(x[1], y[1]))
-
-    def validate(self, x):
-        if not (isinstance(x, tuple) and len(x) == 2):
-            raise TypeError(f"{x!r} is not a pair")
-        self.left.validate(x[0])
-        self.right.validate(x[1])
-
-
-def coproduct(a: L1Vector) -> L1Vector:
-    """Diagonal coproduct: delta_s maps to delta_(s,s), extended linearly."""
-    square = ProductInstance(a.instance, a.instance)
-    return L1Vector._make(square, {(e, e): n for e, n in a._num.items()}, a._den)
 
 
 class BoundedFunction:

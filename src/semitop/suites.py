@@ -226,10 +226,8 @@ def _suite_gen_con_two(p: dict, seed: int) -> list:
             terms = [(c - 1, T.s_op(v, T.weights.value(j)))
                      for j in range(start, bound + 1)]
             shift = (rng.randint(0, 2), abs(_random_center(T, rng, 1)))
-            explicit = (i % 2 == 0)
-            shifted_limit = (c + shift[0], T.s_op(v, shift[1])) if explicit else None
             res = topologies.convergence_transfer(
-                T, terms, shift, alpha_max, shifted_limit=shifted_limit)
+                T, terms, shift, alpha_max, (c + shift[0], T.s_op(v, shift[1])))
             if not res:
                 return _relay(res, case=i, shift=shift)
             w = res.witness
@@ -576,11 +574,12 @@ def _suite_unique_l1s(p: dict, seed: int) -> list:
 def _collector_paused():
     """Pause the cyclic garbage collector, restoring its state on exit.
 
-    Only for checks that build no reference cycles (tests/test_suite_ranges.py
-    holds the section-4 checks to that): reference counting alone frees
-    their garbage, and the collector would only re-scan their live data.
-    Left running in the section-4 checks, it made a full pass (5-17 ms)
-    every few suite runs, at whichever allocation crossed its threshold."""
+    run_suite runs every check under it.  That is sound while no check
+    builds reference cycles (tests/test_suite_ranges.py holds every suite
+    to that): reference counting alone frees their garbage, and the
+    collector would only re-scan their live data.  Left running in the
+    section-4 checks, it made a full pass (5-17 ms) every few suite runs,
+    at whichever allocation crossed its threshold."""
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -677,13 +676,12 @@ def _suite_section4(p: dict, seed: int) -> list:
                           detail="the mutated compression should kill g")
         return passed(detail="mutated construction fails as designed")
 
-    checks = [("open-set-identity-sweep", sweep),
-              ("fnp-random", fnp_random),
-              ("fnp-negative-control", fnp_negative),
-              ("annihilation-cases", annihilation_cases),
-              ("annihilation-negative-control", annihilation_negative),
-              ("proof-skeleton", obstructions.proof_skeleton)]
-    return [(cid, _collector_paused()(thunk)) for cid, thunk in checks]
+    return [("open-set-identity-sweep", sweep),
+            ("fnp-random", fnp_random),
+            ("fnp-negative-control", fnp_negative),
+            ("annihilation-cases", annihilation_cases),
+            ("annihilation-negative-control", annihilation_negative),
+            ("proof-skeleton", obstructions.proof_skeleton)]
 
 
 @_suite("rees-cancellativity", rees_rank=(201, 10, 500),
@@ -794,7 +792,8 @@ def run_suite(name: str, params: dict = None, seed: int = 0) -> dict:
     statuses = []
     for cid, thunk in checks:
         t1 = time.perf_counter_ns()
-        verdict = thunk()
+        with _collector_paused():
+            verdict = thunk()
         elapsed_ns = time.perf_counter_ns() - t1
         statuses.append(verdict.status)
         out_checks.append({"id": cid, "status": verdict.status,

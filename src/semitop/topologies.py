@@ -629,13 +629,14 @@ def find_limit(T: TopologyInstance, sequence: Sequence,
 
 
 def convergence_transfer(T: TopologyInstance, sequence: Sequence, shift: tuple,
-                         alpha_max: int,
-                         shifted_limit: Optional[tuple] = None) -> Verdict[dict]:
+                         alpha_max: int, shifted_limit: tuple) -> Verdict[dict]:
     """Convergence of a sequence inferred from convergence of its shift.
 
-    The shifted sequence (terms combined with `shift`) is certified to its
-    limit (b, t); the predicted limit of the original sequence divides the
-    shift back out, and must land inside Z_+ x S, which is where the
+    The shifted sequence (terms combined with `shift`) is certified to
+    `shifted_limit` (b, t), a point the caller supplies: its limit is not
+    searched for here, so a wrong one is a FAIL or UNDETERMINED from that
+    certification.  The predicted limit of the original sequence divides
+    the shift back out, and must land inside Z_+ x S, which is where the
     division condition on the base enters.  The original prefix is then
     certified to the predicted limit directly.
 
@@ -648,16 +649,10 @@ def convergence_transfer(T: TopologyInstance, sequence: Sequence, shift: tuple,
         return not_applicable("no division data is claimed for the zplus base")
     a, s = T.require_point(shift)
     shifted = [(p[0] + a, T.s_op(p[1], s)) for p in map(T.require_point, sequence)]
-    if shifted_limit is None:
-        res = find_limit(T, shifted, alpha_max)
-        if not res:
-            return undetermined(
-                "no limit of the shifted sequence found at this horizon")
-    else:
-        res = check_convergence(T, shifted, shifted_limit, alpha_max)
-        if not res:
-            return Verdict(res.status, res.witness,
-                           "shifted sequence failed to certify: " + res.detail)
+    res = check_convergence(T, shifted, shifted_limit, alpha_max)
+    if not res:
+        return Verdict(res.status, res.witness,
+                       "shifted sequence failed to certify: " + res.detail)
     shifted_cert = res.witness
     b, t = shifted_cert.limit
     back = T.unshift(t, s)

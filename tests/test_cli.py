@@ -526,6 +526,17 @@ def test_a_nested_error_names_where_it_failed(command, params, message,
     assert captured.err == f"semitop: error: bad query parameters: {message}\n"
 
 
+@pytest.mark.parametrize("size", [0, 1, 3])
+def test_a_pair_of_other_than_two_functionals_names_pairs(size, capsys):
+    # a pair is read whole before any limit is computed
+    params = dict(SAMPLED, pairs=[_PAIR[0][:1] * size])
+    assert main(["waptest", "--params", json.dumps(params)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("semitop: error: bad query parameters: pairs: "
+                            "expected a JSON array of two entries\n")
+
+
 def test_a_misspelt_mask_is_a_usage_error(capsys):
     topology = {k: v for k, v in MAKS["topology"].items() if k != "maks"}
     for mask, code in ((None, 0), ([2], 1)):

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from semitop.l1 import (BoundedFunction, L1Vector, _coeff_sum, _frac, convolve,
-                        coproduct, max_action_formula, pairing, pairing_vectors)
+                        max_action_formula, pairing, pairing_vectors)
 from semitop import suites
 from semitop.jsonio import read_params
 from semitop.semigroups import FreeWords, NatMax, NatMul
@@ -19,12 +19,17 @@ def _d(S, e, c=1):
     return L1Vector.delta(S, e, F(c))
 
 
+def _norm(a):
+    """The l1 norm, summed over the terms."""
+    return sum((abs(c) for _, c in a.terms()), F(0))
+
+
 def test_vector_arithmetic_and_norm():
     S = NatMax()
     a = _d(S, 1, 2) + _d(S, 3, F(-1, 2))
     assert a.coeff(1) == 2
     assert a.coeff(2) == 0
-    assert a.norm() == F(5, 2)
+    assert _norm(a) == F(5, 2)
     assert (a - a).is_zero
 
 
@@ -40,7 +45,7 @@ def test_convolution_nat_mul():
     a = _d(S, 2) + _d(S, 3)
     b = _d(S, 5)
     c = convolve(a, b)
-    assert c.coeff(10) == 1 and c.coeff(15) == 1 and c.norm() == 2
+    assert c.coeff(10) == 1 and c.coeff(15) == 1 and _norm(c) == 2
 
 
 def test_convolution_nat_max_collapses():
@@ -64,24 +69,6 @@ def test_convolution_is_bilinear():
     S = NatMul()
     a, b, c = _d(S, 2), _d(S, 3), _d(S, 5)
     assert convolve(a + b, c) == convolve(a, c) + convolve(b, c)
-
-
-def test_coproduct_sends_delta_to_diagonal():
-    S = FreeWords("ab")
-    a = _d(S, "a", 3) + _d(S, "b", F(1, 4))
-    g = coproduct(a)
-    assert g.coeff(("a", "a")) == 3
-    assert g.coeff(("b", "b")) == F(1, 4)
-    assert g.coeff(("a", "b")) == 0
-    assert g.norm() == a.norm()
-
-
-def test_coproduct_is_multiplicative_on_deltas():
-    S = NatMul()
-    x, y = _d(S, 2), _d(S, 7)
-    lhs = coproduct(convolve(x, y))
-    rhs = convolve(coproduct(x), coproduct(y))
-    assert lhs == rhs
 
 
 def test_bounded_function_modes():
@@ -151,7 +138,7 @@ def test_convolution_norm_submultiplicative(t1, t2):
     S = NatMul()
     a = L1Vector(S, [(e, F(c)) for e, c in t1])
     b = L1Vector(S, [(e, F(c)) for e, c in t2])
-    assert convolve(a, b).norm() <= a.norm() * b.norm()
+    assert _norm(convolve(a, b)) <= _norm(a) * _norm(b)
 
 
 def _convolve_validating(a, b):
@@ -250,12 +237,9 @@ def test_integer_form_matches_fraction_reference(kind, data):
     assert _agrees(a + b, _ref(list(ra.items()) + list(rb.items())))
     assert _agrees(a - b, _ref(list(ra.items()) + [(e, -c) for e, c in rb.items()]))
     assert _agrees(-a, {e: -c for e, c in ra.items()})
-    c = data.draw(_fracs)
-    assert _agrees(a.scale(c), _ref([(e, c * v) for e, v in ra.items()]))
     assert _agrees(convolve(a, b), _ref([(S.op(s, t), cs * ct)
                                          for s, cs in ra.items()
                                          for t, ct in rb.items()]))
-    assert a.norm() == sum((abs(v) for v in ra.values()), F(0))
     assert _coeff_sum(a) == sum(ra.values(), F(0))
     for e in data.draw(st.lists(elems, max_size=4)):
         assert a.coeff(e) == ra.get(e, F(0)) and isinstance(a.coeff(e), F)
@@ -295,5 +279,5 @@ def test_integer_form_is_canonical():
     assert half == _d(S, 1) and hash(half) == hash(_d(S, 1))
     assert (half._num, half._den) == ({1: 1}, 1)
     gone = _d(S, 2, F(1, 3)) + _d(S, 2, F(-1, 3))
-    assert gone.is_zero and gone._den == 1 and gone == L1Vector.zero(S)
+    assert gone.is_zero and gone._den == 1 and gone == L1Vector(S)
     assert L1Vector(S, [(1, F(2, 6)), (2, F(4, 6))])._den == 3

@@ -26,7 +26,6 @@ PINNED = {
     "TopologyInstance": ("mask",),
     "Verdict": ("witness", "detail"),
     "WeightSequence": ("values",),
-    "convergence_transfer": ("shifted_limit",),
     "failed": ("witness", "detail"),
     "passed": ("witness", "detail"),
     "random_c0_plus_const": ("support_max",),
@@ -36,12 +35,9 @@ PINNED = {
 }
 
 
-# Exports whose identifier no module under src/ uses, the package's
-# __init__.py aside, each with the reason it stays.
-UNCALLED = {
-    "L1Vector.norm",   # tests pin ||a*b|| <= ||a|| ||b||
-    "coproduct",       # tests pin it as a homomorphism
-}
+# Exports that no module under src/ calls, the package's __init__.py
+# aside, each with the reason it stays.
+UNCALLED = set()
 
 
 def _defaulted(fn) -> tuple:
@@ -75,23 +71,67 @@ def test_scan_reaches_the_public_api():
             "is_weakly_cancellative_window", "undetermined"} <= names
 
 
-def _identifiers_used_in_src() -> set:
-    used = set()
-    for path in Path(semitop.__file__).parent.glob("*.py"):
-        if path.name == "__init__.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-    return used
+def _src_trees():
+    for path in sorted(Path(semitop.__file__).parent.glob("*.py")):
+        if path.name != "__init__.py":
+            yield ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _uses(node, cls=None, method=None):
+    """(identifier, receiver, class, method) for each name and attribute
+    under ``node``.  The receiver of an attribute is the bare name it is
+    read from, or "" for any other expression; a name has receiver None.
+    Class and method are the class body and the method of it that the use
+    sits in."""
+    if isinstance(node, ast.ClassDef):
+        cls, method = node.name, None
+    elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if cls is not None and method is None:
+            method = node.name
+    elif isinstance(node, ast.Name):
+        yield node.id, None, cls, method
+    elif isinstance(node, ast.Attribute):
+        receiver = node.value.id if isinstance(node.value, ast.Name) else ""
+        yield node.attr, receiver, cls, method
+    for child in ast.iter_child_nodes(node):
+        yield from _uses(child, cls, method)
+
+
+def _uncalled_exports() -> set:
+    """Exports that no use under src/ reaches.  A function or class counts
+    as called when its name is used anywhere.  A method Cls.m counts when
+    some attribute read .m comes neither from another class defined in
+    src/ (``ReesElement.zero()`` is not ``L1Vector.zero``) nor from inside
+    Cls's body, except from a public method of Cls that counts itself."""
+    trees = list(_src_trees())
+    others = {node.name for tree in trees for node in ast.walk(tree)
+              if isinstance(node, ast.ClassDef)}
+    uses = [use for tree in trees for use in _uses(tree)]
+    names = {name for name, _ in _public_callables()}
+    used = {ident for ident, _, _, _ in uses}
+    called = {name for name in names if "." not in name and name in used}
+    grew = True
+    while grew:
+        grew = False
+        for name in sorted(names - called):
+            if "." not in name:
+                continue
+            owner, attr = name.split(".")
+            for ident, receiver, cls, method in uses:
+                if (ident != attr or receiver is None
+                        or receiver in others - {owner}):
+                    continue
+                if cls == owner and (method is None or method.startswith("_")
+                                     or f"{owner}.{method}" not in called):
+                    continue
+                called.add(name)
+                grew = True
+                break
+    return names - called
 
 
 def test_exports_nothing_under_src_calls_are_pinned():
-    used = _identifiers_used_in_src()
-    assert {name for name, _ in _public_callables()
-            if name.rsplit(".", 1)[-1] not in used} == UNCALLED
+    assert _uncalled_exports() == UNCALLED
 
 
 def test_no_module_raises_arithmetic_error():
@@ -242,7 +282,7 @@ def test_instances_declare_only_their_law():
     classes = set(_instance_classes())
     assert {cls.__name__ for cls in classes} >= {
         "ZPlusK", "FreeWords", "NatMul", "NatMax", "NatInfinity",
-        "ZPlusTimesZ", "ReesMatrix", "PartialMaps", "ProductInstance"}
+        "ZPlusTimesZ", "ReesMatrix", "PartialMaps"}
     assert not [cls for cls in classes if "product" in vars(cls)]
     assert not [cls for cls in classes
                 if not cls.__name__.startswith("_") and "op" not in vars(cls)]

@@ -11,50 +11,60 @@ import random
 
 import pytest
 
-from semitop import obstructions
+from semitop import obstructions, topologies
 from semitop.suites import SUITE_PARAMS, run_suite
 
 
-@pytest.mark.parametrize("suite", sorted(SUITE_PARAMS))
-def test_every_suite_passes_at_its_lower_bounds(suite):
-    params = {key: lo for key, (_, lo, _) in SUITE_PARAMS[suite].items()}
-    report = run_suite(suite, params)
+# run_suite runs every check with the cyclic collector paused, which is
+# sound only while no check builds reference cycles: each suite at its
+# lower bounds, and section 4 at (4, 6), leaves no cyclic garbage.
+LOWER_BOUNDS = [(suite, {key: lo for key, (_, lo, _) in keys.items()})
+                for suite, keys in sorted(SUITE_PARAMS.items())]
+
+
+@pytest.mark.parametrize("suite,params", [
+    *LOWER_BOUNDS,
+    ("section4-no-predual", {"max_domain": 4, "max_value": 6,
+                             "fnp_trials": 50})],
+    ids=[*(suite for suite, _ in LOWER_BOUNDS), "section4-no-predual-4-6"])
+def test_every_suite_passes_at_its_lower_bounds(suite, params):
+    gc.collect()
+    gc.disable()
+    try:
+        report = run_suite(suite, params)
+        assert not gc.isenabled()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
     assert report["overall"] == "PASS", [
         (c["id"], c["status"], c["detail"]) for c in report["checks"]
         if c["status"] != "PASS"]
 
 
-# The section-4 checks run with the cyclic collector paused, which is
-# sound only while they build no reference cycles.
-@pytest.mark.parametrize("params", [
-    {"max_domain": 2, "max_value": 2, "fnp_trials": 10, "n_max": 5},
-    {"max_domain": 4, "max_value": 6, "fnp_trials": 50}])
-def test_section4_leaves_no_cyclic_garbage(params):
-    gc.collect()
-    gc.disable()
-    try:
-        assert run_suite("section4-no-predual", params)["overall"] == "PASS"
-        assert not gc.isenabled()
-        assert gc.collect() == 0
-    finally:
-        gc.enable()
-
-
 def test_section4_checks_run_with_the_collector_paused(monkeypatch):
+    # a section-4 check and a check of another suite alike
     seen = []
-    sweep = obstructions.open_set_identity_sweep
 
-    def probe(*args):
-        seen.append(gc.isenabled())
-        return sweep(*args)
-    monkeypatch.setattr(obstructions, "open_set_identity_sweep", probe)
+    def probe(module, name):
+        real = getattr(module, name)
+
+        def probed(*args):
+            seen.append((name, gc.isenabled()))
+            return real(*args)
+        monkeypatch.setattr(module, name, probed)
+    probe(obstructions, "open_set_identity_sweep")
+    probe(topologies, "verify_star")
     assert gc.isenabled()
-    report = run_suite("section4-no-predual", {"max_domain": 2,
-                                               "max_value": 2})
-    assert report["overall"] == "PASS"
-    # the suite's sweep, then proof_skeleton's step 1
-    assert seen == [False, False]
-    assert gc.isenabled()
+    for suite, params in (("section4-no-predual", {"max_domain": 2,
+                                                   "max_value": 2}),
+                          ("star-condition", {"double_exp_bound": 2,
+                                              "odd_primes_bound": 2})):
+        assert run_suite(suite, params)["overall"] == "PASS"
+        assert gc.isenabled()
+    # the suite's sweep, then proof_skeleton's step 1; then star-condition's
+    # two weight sequences and its negative control
+    assert seen == [("open_set_identity_sweep", False)] * 2 + [
+        ("verify_star", False)] * 3
 
 
 # Keys whose top corner alone takes about half a second or more; the

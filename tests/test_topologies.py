@@ -675,13 +675,24 @@ def test_convergence_transfer_z():
     T = Tz(8)
     seq = seq_to_limit(T, 2, 4, start=2)
     shift = (1, 16)
-    res = convergence_transfer(T, seq, shift, 3)
+    res = convergence_transfer(T, seq, shift, 3, (3, 20))
     assert res.status == PASS
     assert res.witness["predicted_limit"] == (2, 4)
     assert res.witness["certificate"].revalidate(T, seq)
     shifted = [(p[0] + 1, p[1] + 16) for p in seq]
     assert res.witness["shifted_certificate"].revalidate(T, shifted)
     assert res.witness["division"].status == PASS
+
+
+@pytest.mark.parametrize("shifted_limit", [(3, 21), (2, 20), (4, 20)])
+def test_convergence_transfer_fails_on_a_wrong_shifted_limit(shifted_limit):
+    # the limit is given, not searched for, so a wrong one must not pass
+    T = Tz(8)
+    seq = seq_to_limit(T, 2, 4, start=2)
+    res = convergence_transfer(T, seq, (1, 16), 3, shifted_limit)
+    assert res.status == FAIL
+    assert res.detail.startswith("shifted sequence failed to certify")
+    assert "predicted_limit" not in res.witness
 
 
 def test_convergence_transfer_memoises_division_per_shift(monkeypatch):
@@ -696,7 +707,7 @@ def test_convergence_transfer_memoises_division_per_shift(monkeypatch):
     T = Tz(8)
     seq = seq_to_limit(T, 2, 4, start=2)
     for _ in range(3):
-        res = convergence_transfer(T, seq, (1, 16), 3)
+        res = convergence_transfer(T, seq, (1, 16), 3, (3, 20))
         assert res.witness["division"].status == UNDETERMINED
     assert calls == [16]
 
@@ -704,15 +715,14 @@ def test_convergence_transfer_memoises_division_per_shift(monkeypatch):
 def test_convergence_transfer_odd_instance():
     T = Todd(8)
     seq = seq_to_limit(T, 1, 1, start=1)
-    res = convergence_transfer(T, seq, (0, 3), 3,
-                               shifted_limit=(1, 3))
+    res = convergence_transfer(T, seq, (0, 3), 3, (1, 3))
     assert res.status == PASS
     assert res.witness["predicted_limit"] == (1, 1)
 
 
 def test_convergence_transfer_zplus_not_applicable():
     T = TopologyInstance("zplus", WeightSequence.double_exp(4))
-    res = convergence_transfer(T, [(0, 4)], (0, 0), 2)
+    res = convergence_transfer(T, [(0, 4)], (0, 0), 2, (0, 4))
     assert res.status == NOT_APPLICABLE
 
 
