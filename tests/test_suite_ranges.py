@@ -15,19 +15,9 @@ from semitop import obstructions, topologies
 from semitop.suites import SUITE_PARAMS, run_suite
 
 
-# run_suite runs every check with the cyclic collector paused, which is
-# sound only while no check builds reference cycles: each suite at its
-# lower bounds, and section 4 at (4, 6), leaves no cyclic garbage.
-LOWER_BOUNDS = [(suite, {key: lo for key, (_, lo, _) in keys.items()})
-                for suite, keys in sorted(SUITE_PARAMS.items())]
-
-
-@pytest.mark.parametrize("suite,params", [
-    *LOWER_BOUNDS,
-    ("section4-no-predual", {"max_domain": 4, "max_value": 6,
-                             "fnp_trials": 50})],
-    ids=[*(suite for suite, _ in LOWER_BOUNDS), "section4-no-predual-4-6"])
-def test_every_suite_passes_at_its_lower_bounds(suite, params):
+def _run_without_collector(suite, params):
+    """run_suite with the cyclic collector off; it must leave no cyclic
+    garbage, since run_suite pauses the collector around every check."""
     gc.collect()
     gc.disable()
     try:
@@ -36,9 +26,24 @@ def test_every_suite_passes_at_its_lower_bounds(suite, params):
         assert gc.collect() == 0
     finally:
         gc.enable()
+    return report
+
+
+@pytest.mark.parametrize("suite", sorted(SUITE_PARAMS))
+def test_every_suite_passes_at_its_lower_bounds(suite):
+    params = {key: lo for key, (_, lo, _) in SUITE_PARAMS[suite].items()}
+    report = _run_without_collector(suite, params)
     assert report["overall"] == "PASS", [
         (c["id"], c["status"], c["detail"]) for c in report["checks"]
         if c["status"] != "PASS"]
+
+
+@pytest.mark.parametrize("params", [
+    {"max_domain": 2, "max_value": 2, "fnp_trials": 10, "n_max": 5},
+    {"max_domain": 4, "max_value": 6, "fnp_trials": 50}])
+def test_section4_leaves_no_cyclic_garbage(params):
+    report = _run_without_collector("section4-no-predual", params)
+    assert report["overall"] == "PASS"
 
 
 def test_section4_checks_run_with_the_collector_paused(monkeypatch):
