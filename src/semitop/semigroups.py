@@ -35,11 +35,20 @@ class _Infinity:
 INF = _Infinity()
 
 
+def _quoted(x: Any) -> str:
+    """repr(x) for a rejection message, or a stand-in when x holds an int
+    past Python's limit on int-to-str conversion."""
+    try:
+        return repr(x)
+    except ValueError:
+        return "a value too long to print"
+
+
 def positive_int(x: Any, what: str = "a domain point or value") -> int:
     """x itself when it is an exact positive int; bools, floats and every
     other type raise instead of being coerced."""
     if type(x) is not int or x < 1:
-        raise ValueError(f"{what} must be a positive integer, got {x!r}")
+        raise ValueError(f"{what} must be a positive integer, got {_quoted(x)}")
     return x
 
 

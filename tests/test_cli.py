@@ -628,6 +628,27 @@ def test_an_ambiguous_weight_list_past_the_digit_limit_is_named(capsys):
     assert "ambiguous representation" in err
 
 
+_HUGE = "1" + "0" * 5000        # past the 4,300 digits str(int) converts
+
+
+@pytest.mark.parametrize("edit,message", [
+    ({"point": {"a": -1, "s": _HUGE}}, "is not a point of Z+ x S"),
+    ({"nbhd": {"a": "-" + _HUGE, "s": 0, "alpha": 1}},
+     "a must be a nonnegative integer"),
+    ({"nbhd": {"a": 1, "s": 0, "alpha": "-" + _HUGE}},
+     "alpha must be a positive integer"),
+    ({"topology": {"base": "z", "weights": {"kind": "explicit",
+                                            "values": [1, "-" + _HUGE]}}},
+     "a weight must be a positive integer"),
+], ids=["point", "nbhd-a", "nbhd-alpha", "explicit-weight"])
+def test_a_rejected_value_past_the_digit_limit_is_named(edit, message, capsys):
+    # the rejection message must not itself fail to print the value
+    params = dict(VALID_QUERIES["member"], **edit)
+    code, out, err = _call(capsys, ["member", "--params", json.dumps(params)])
+    assert (code, out) == (3, "")
+    assert message in err and "Exceeds the limit" not in err
+
+
 def test_an_explicit_member_query_searches_in_small_memory(capsys):
     # 16 weights of 500 digits: a table of all 2^16 subset sums holds
     # about 26 MB, the meet in the middle's table of 2^8 sums about 0.1 MB

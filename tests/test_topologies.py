@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semitop import topologies
+from semitop.jsonio import read_params
 from semitop.semigroups import INF, NatInfinity, NatMul
+from semitop.suites import SUITE_PARAMS, SUITES
 from semitop.topologies import (BasicNbhd, ConvergenceCertificate,
                                 DiscreteTopology, OnePointTopology,
                                 TopologyInstance, WeightSequence,
@@ -435,8 +437,8 @@ def _gen_con_one_family(T, a_max):
 
 
 def test_basic_point_tables_agree_with_member_at_enclosed_points():
-    # base_property_check counts a point of both tables as a member of
-    # both sets without asking `member`; this is the oracle for that
+    # the tables that propose each enclosed point say it is in a set
+    # exactly when `member` does: the two computations agree
     T = Tz(4)
     seen = 0
     for u1, u2 in combinations(_gen_con_one_family(T, 3), 2):
@@ -468,6 +470,74 @@ def test_base_property_check_fails_on_a_table_point_outside_the_set(monkeypatch)
     v = base_property_check(T, u1, u2)
     assert v.status == FAIL
     assert v.witness["escaping"] == stray
+
+
+def test_base_property_check_fails_when_member_rejects_a_common_point(
+        monkeypatch):
+    # (2, 0) lies in both tables; only `member` can reject it
+    T = Tz(6)
+    u1, u2 = BasicNbhd(2, 0, 1), BasicNbhd(2, 0, 2)
+    member = TopologyInstance.member
+
+    def sabotaged(self, nbhd, point):
+        if (nbhd, point) == (u1, (2, 0)):
+            return Verdict(FAIL)
+        return member(self, nbhd, point)
+
+    monkeypatch.setattr(TopologyInstance, "member", sabotaged)
+    v = base_property_check(T, u1, u2)
+    assert v.status == FAIL
+    assert v.witness["escaping"] == (2, 0)
+
+
+def test_base_property_check_refuses_colliding_explicit_weights():
+    # 1 + 2 = 3: the enclosed point (0, 3) of U(1, 0, 2) has two
+    # representations in U(1, 0, 1), so `member` refuses it as bad input
+    T = TopologyInstance("z", WeightSequence.explicit([1, 2, 3, 4, 5, 6]))
+    with pytest.raises(ValueError, match="ambiguous representation"):
+        base_property_check(T, BasicNbhd(1, 0, 1), BasicNbhd(1, 0, 2))
+
+
+def _base_property_family(**params):
+    """gen-con-one's base-property check at params, not yet run."""
+    checks = SUITES["gen-con-one"](
+        read_params(params, SUITE_PARAMS["gen-con-one"]), 0)
+    return dict(checks)["base-property-family"]
+
+
+def test_base_property_family_skips_only_pairs_without_common_points():
+    T = Tz(4)
+    family = _gen_con_one_family(T, 3)
+    intersecting = points = 0
+    for u1, u2 in combinations(family, 2):
+        v = base_property_check(T, u1, u2)
+        assert v.status == PASS
+        if T.basic_points(u1).keys().isdisjoint(T.basic_points(u2).keys()):
+            assert v.witness["common_points"] == 0
+        else:
+            intersecting += 1
+            points += v.witness["common_points"]
+    n = len(family)
+    v = _base_property_family(index_bound=4, a_max=3)()
+    assert v.status == PASS
+    assert v.witness == {"family": n, "pairs": n * (n - 1) // 2,
+                         "intersecting_pairs": intersecting,
+                         "common_points_checked": points}
+
+
+def test_base_property_family_fails_under_a_sabotaged_member(monkeypatch):
+    # every U(1, s, alpha) with alpha <= 3 holds (0, s + w_3), a point of
+    # the tables that this `member` denies
+    member = TopologyInstance.member
+
+    def sabotaged(self, nbhd, point):
+        if nbhd.a == 1 and point == (0, nbhd.s + self.weights.value(3)):
+            return Verdict(FAIL)
+        return member(self, nbhd, point)
+
+    check = _base_property_family(index_bound=4, a_max=3)
+    monkeypatch.setattr(TopologyInstance, "member", sabotaged)
+    assert check().status == FAIL
 
 
 def test_hausdorff_witness_same_s():
