@@ -110,6 +110,17 @@ def _like(suite: str, key: str, default) -> tuple:
     return default, lo, hi
 
 
+def _array_like(suite: str, key: str, reader):
+    """A query array as long as a suite's count of the same things."""
+    _, lo, hi = SUITE_PARAMS[suite][key]
+    return array_of(reader, lo, hi)
+
+
+# The most terms a converge query takes; the suites build prefixes of at
+# most 14 terms (gen-con-two and good-corr at their top index bound).
+_MAX_TERMS = 16
+
+
 # Each command with its top-level keys, declared as for jsonio.read_params.
 _COMMANDS = {
     "member": (_member, {"topology": (REQUIRED, jsonio.topology_from_json),
@@ -117,7 +128,8 @@ _COMMANDS = {
                          "point": (REQUIRED, jsonio.s1_point_from_json)}),
     "converge": (_converge, {
         "topology": (REQUIRED, jsonio.topology_from_json),
-        "sequence": (REQUIRED, array_of(jsonio.s1_point_from_json)),
+        "sequence": (REQUIRED, array_of(jsonio.s1_point_from_json, 1,
+                                        _MAX_TERMS)),
         "limit": (None, jsonio.s1_point_from_json),
         "alpha_max": _like("gen-con-two", "alpha_max", 3)}),
     "distinguish": (_distinguish, {
@@ -127,7 +139,8 @@ _COMMANDS = {
         "horizon": (None, 1, MAX_INDEX_BOUND)}),
     "waptest": (_waptest, {
         "function": (REQUIRED, jsonio.bounded_function_from_json),
-        "pairs": (None, array_of(pair_of(jsonio.limit_functional_from_json))),
+        "pairs": (None, _array_like(
+            "nmax-wap", "pairs", pair_of(jsonio.limit_functional_from_json))),
         "horizon": _like("nmax-wap", "horizon", None),
         "count": _like("nmax-wap", "pairs", None)}),
 }

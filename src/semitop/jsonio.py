@@ -22,7 +22,7 @@ import dataclasses
 import re
 from decimal import Decimal
 from fractions import Fraction
-from typing import Any
+from typing import Any, Optional
 
 from . import dyadic, topologies, wap
 from .semigroups import INF, PartialMap, ReesElement, positive_int
@@ -164,11 +164,14 @@ def read_tagged(params: Any, tag: str, tables: dict) -> dict:
     return read_params(params, tables[word])
 
 
-def array_of(reader):
-    """A reader of a JSON array whose entries ``reader`` reads."""
+def array_of(reader, lo: int = 0, hi: Optional[int] = None):
+    """A reader of a JSON array whose entries ``reader`` reads; with ``hi``,
+    an array of ``lo`` to ``hi`` entries, counted before any is read."""
     def read(j: Any) -> list:
         if not isinstance(j, list):
             raise SuiteError("expected a JSON array")
+        if hi is not None and not lo <= len(j) <= hi:
+            raise SuiteError(f"expected {lo} to {hi} entries, got {len(j)}")
         return [reader(v) for v in j]
     return read
 

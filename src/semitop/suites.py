@@ -174,14 +174,7 @@ def _suite_gen_con_one(p: dict, seed: int) -> list:
                 for sj in (1, -1):
                     uvals.add(si * w.value(i) + sj * w.value(j))
         points = [(x, u) for x in range(0, h_a_max + 1) for u in sorted(uvals)]
-        pairs = 0
-        for p, q in combinations(points, 2):
-            res = topologies.hausdorff_witness(Tz, p, q)
-            pairs += 1
-            if res.status != PASS:
-                return _relay(res, x=p, y=q)
-        return passed(witness={"points": len(points), "pairs": pairs},
-                      detail="disjoint separating sets found for every pair")
+        return topologies.hausdorff_exhaustive(Tz, points)
 
     def separate_continuity(T, tag):
         rng = random.Random(f"{seed}:sep:{tag}")

@@ -154,6 +154,7 @@ class TopologyInstance:
         self.mask = mask
         self._mask_set = frozenset(mask)
         self._two_sided_cache: dict = {}
+        self._member_cache: dict = {}     # (nbhd, point) -> member verdict
         self._subset_sums: dict = {}
         self._basic_points: dict = {}
         self._division: dict = {}     # s -> verify_star_star(self, s)
@@ -322,21 +323,31 @@ class TopologyInstance:
     def member(self, nbhd: BasicNbhd, point: Any) -> Verdict[tuple]:
         """Whether point lies in U(nbhd): PASS with the representation
         indices as witness, FAIL with the reason as detail, or
-        UNDETERMINED at the index bound."""
+        UNDETERMINED at the index bound.  Memoised per (nbhd, point); both
+        are checked before the memo, which would take (True, 0) for the
+        point (1, 0), and a call that raises leaves no entry."""
         self.require_point((nbhd.a, nbhd.s))
-        x, u = self.require_point(point)
+        point = self.require_point(point)
+        out = self._member_cache.get((nbhd, point))
+        if out is not None:
+            return out
+        x, u = point
         k = nbhd.a - x
-        if k < 0:
-            return failed(detail="first coordinate out of range")
         diff = self.unshift(u, nbhd.s)
-        if diff is None:
-            return failed()
-        rep = self.find_representation(diff, nbhd.alpha)
-        if rep.status == UNDETERMINED:
-            return undetermined("representation undetermined at the index bound")
-        if not rep or len(rep.witness) != k:
-            return failed()
-        return rep
+        if k < 0:
+            out = failed(detail="first coordinate out of range")
+        elif diff is None:
+            out = failed()
+        else:
+            rep = self.find_representation(diff, nbhd.alpha)
+            if rep.status == UNDETERMINED:
+                out = undetermined("representation undetermined at the index bound")
+            elif not rep or len(rep.witness) != k:
+                out = failed()
+            else:
+                out = rep
+        self._member_cache[(nbhd, point)] = out
+        return out
 
     def basic_points(self, nbhd: BasicNbhd) -> dict:
         """All members whose representation stays within the index bound,
@@ -453,42 +464,83 @@ def base_property_check(T: TopologyInstance, u1: BasicNbhd, u2: BasicNbhd) -> Ve
     return passed(witness={"common_points": len(common), "enclosed_checked": checked})
 
 
-def hausdorff_witness(T: TopologyInstance, x: tuple, y: tuple) -> Verdict:
-    """Disjoint basic sets around two distinct points.
+def _separation_level(T: TopologyInstance, s: Any, t: Any) -> Optional[tuple]:
+    """(level, two-sided witness or None) for S-coordinates s and t, or
+    None when the representability of their difference is unsettled at
+    the index bound.
 
     Level recipe: equal S-coordinates separate at level 1; otherwise the
     S-difference either has a two-sided weight representation, in which
-    case both levels sit just above its top index, or it has none and
-    level 1 suffices.  Disjointness is then confirmed exhaustively on the
-    truncation.
+    case the level sits just above its top index, or it has none and
+    level 1 suffices.
+    """
+    if s == t:
+        return 1, None
+    rep2 = T.two_sided_representation(T.g_diff(t, s))
+    if rep2.status == UNDETERMINED:
+        return None
+    if rep2:
+        plus, minus = rep2.witness
+        return max(plus + minus) + 1, rep2.witness
+    return 1, None
+
+
+def hausdorff_witness(T: TopologyInstance, x: tuple, y: tuple) -> Verdict:
+    """Disjoint basic sets around two distinct points, both at the level
+    `_separation_level` gives their S-coordinates.  Disjointness is then
+    confirmed exhaustively on the truncation.
     """
     x = T.require_point(x)
     y = T.require_point(y)
     if x == y:
         raise ValueError("points must be distinct")
     (a, s), (b, t) = x, y
-    rep2 = None
-    if s == t:
-        alpha = beta = 1
-    else:
-        rep2 = T.two_sided_representation(T.g_diff(t, s))
-        if rep2.status == UNDETERMINED:
-            return undetermined("representability of the difference is unsettled "
-                                "at the index bound")
-        if rep2:
-            plus, minus = rep2.witness
-            alpha = beta = max(plus + minus) + 1
-        else:
-            alpha = beta = 1
+    level = _separation_level(T, s, t)
+    if level is None:
+        return undetermined("representability of the difference is unsettled "
+                            "at the index bound")
+    alpha, two_sided = level
     ux = BasicNbhd(a, s, alpha)
-    uy = BasicNbhd(b, t, beta)
+    uy = BasicNbhd(b, t, alpha)
     overlap = T.basic_points(ux).keys() & T.basic_points(uy).keys()
-    witness = {"x_nbhd": ux, "y_nbhd": uy,
-               "two_sided": rep2.witness if rep2 else None}
+    witness = {"x_nbhd": ux, "y_nbhd": uy, "two_sided": two_sided}
     if overlap:
         return failed(witness={**witness, "common_point": min(overlap)})
     return passed(witness=witness,
                   detail="truncated basic sets are disjoint")
+
+
+def hausdorff_exhaustive(T: TopologyInstance, points: Sequence) -> Verdict:
+    """`hausdorff_witness` over every pair of `points`, in `combinations`
+    order, deciding each separation level and reading each basic set once.
+
+    PASS counts the points and pairs.  The first pair whose truncated
+    sets are not disjoint at their level, or whose level is unsettled, is
+    handed to `hausdorff_witness`: its status and detail are returned, its
+    witness nested under "inner" after the pair as "x" and "y".
+    """
+    points = [T.require_point(p) for p in points]
+    levels: dict = {}       # S-difference -> _separation_level
+    tables: dict = {}       # (point, level) -> keys of its basic points
+
+    def keys(p, alpha):
+        out = tables.get((p, alpha))
+        if out is None:
+            out = tables[(p, alpha)] = T.basic_points(BasicNbhd(*p, alpha)).keys()
+        return out
+
+    for p, q in combinations(points, 2):
+        diff = T.g_diff(q[1], p[1])
+        if diff not in levels:
+            levels[diff] = _separation_level(T, p[1], q[1])
+        level = levels[diff]
+        if level is None or not keys(p, level[0]).isdisjoint(keys(q, level[0])):
+            res = hausdorff_witness(T, p, q)
+            return Verdict(res.status, {"x": p, "y": q, "inner": res.witness},
+                           res.detail)
+    n = len(points)
+    return passed(witness={"points": n, "pairs": n * (n - 1) // 2},
+                  detail="disjoint separating sets found for every pair")
 
 
 def separate_continuity_identity(T: TopologyInstance, shift: tuple, center: tuple,

@@ -5,7 +5,8 @@ from itertools import combinations
 
 from semitop.obstructions import _outside_domain, build_g, valid_ns
 from semitop.semigroups import PartialMap, positive_int
-from semitop.verdicts import failed, passed
+from semitop.topologies import hausdorff_witness
+from semitop.verdicts import PASS, Verdict, failed, passed
 
 
 def member_bruteforce(T, nbhd, point):
@@ -21,6 +22,21 @@ def member_bruteforce(T, nbhd, point):
         if T.weight_total(combo) == diff:
             return passed(combo)
     return failed()
+
+
+def hausdorff_pairwise(T, points):
+    """``hausdorff_witness`` on every pair of points in turn, the first
+    pair that does not pass located as "x" and "y": the oracle of
+    ``hausdorff_exhaustive``."""
+    pairs = 0
+    for p, q in combinations(points, 2):
+        res = hausdorff_witness(T, p, q)
+        if res.status != PASS:
+            return Verdict(res.status, {"x": p, "y": q, "inner": res.witness},
+                           res.detail)
+        pairs += 1
+    return passed(witness={"points": len(points), "pairs": pairs},
+                  detail="disjoint separating sets found for every pair")
 
 
 def fn_threshold(f):

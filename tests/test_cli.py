@@ -537,6 +537,28 @@ def test_a_pair_of_other_than_two_functionals_names_pairs(size, capsys):
                             "expected a JSON array of two entries\n")
 
 
+# A converge sequence takes 1..16 terms and explicit waptest pairs the
+# 1..200 of nmax-wap's count; the entries here are not points or pairs,
+# so only a length counted before any entry is read names the length.
+@pytest.mark.parametrize("command,params,key,lo,hi", [
+    ("converge", VALID_QUERIES["converge"], "sequence", 1, 16),
+    ("waptest", SAMPLED, "pairs", 1, 200)])
+def test_query_arrays_are_counted_before_they_are_read(command, params, key,
+                                                       lo, hi, capsys):
+    for size in (lo - 1, hi + 1):
+        bad = dict(params, **{key: ["not an entry"] * size})
+        assert main([command, "--params", json.dumps(bad)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("semitop: error: bad query parameters: "
+                                f"{key}: expected {lo} to {hi} entries, "
+                                f"got {size}\n")
+    entry = params[key][0] if key in params else _PAIR[0]
+    for size in (lo, hi):
+        ok = dict(params, **{key: [entry] * size})
+        assert run(capsys, command, "--params", json.dumps(ok))[0] in (0, 1, 2)
+
+
 def test_a_misspelt_mask_is_a_usage_error(capsys):
     topology = {k: v for k, v in MAKS["topology"].items() if k != "maks"}
     for mask, code in ((None, 0), ([2], 1)):

@@ -1,5 +1,6 @@
 import dataclasses
 import re
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product as iproduct
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semitop import topologies
+from semitop import suites, topologies
 from semitop.jsonio import read_params
 from semitop.semigroups import INF, NatInfinity, NatMul
 from semitop.suites import SUITE_PARAMS, SUITES
@@ -17,15 +18,16 @@ from semitop.topologies import (BasicNbhd, ConvergenceCertificate,
                                 base_property_check, check_convergence,
                                 convergence_transfer, distinguish_topologies,
                                 find_limit, good_corr_check,
-                                hausdorff_witness, mask_family,
-                                natural_to_odd_pair, odd_pair_to_natural,
+                                hausdorff_exhaustive, hausdorff_witness,
+                                mask_family, natural_to_odd_pair,
+                                odd_pair_to_natural,
                                 separate_continuity_identity, verify_star,
                                 verify_star_star)
 from semitop.topologies import _limit_candidates
 from semitop.verdicts import (FAIL, NOT_APPLICABLE, PASS, UNDETERMINED,
                               Verdict)
 
-from oracles import member_bruteforce
+from oracles import hausdorff_pairwise, member_bruteforce
 
 
 def Tz(bound=6, mask=None):
@@ -268,6 +270,40 @@ def test_member_matches_bruteforce_everywhere():
     assert checked > 9000
 
 
+def test_member_memo_answers_as_a_fresh_instance():
+    # each question asked twice, the second time in reverse order, of one
+    # instance, and once of a fresh one
+    nbhds = [BasicNbhd(a, s, alpha) for a in range(3) for s in (0, 4, -16)
+             for alpha in (1, 2, 3)]
+    asked = [(u, (x, v)) for u in nbhds for x in range(3)
+             for v in (0, 4, 16, 20, -12, 272, 2 ** 64)]
+    warm = Tz(4)
+    first = [warm.member(u, p) for u, p in asked]
+    assert [warm.member(u, p) for u, p in reversed(asked)] == first[::-1]
+    assert [Tz(4).member(u, p) for u, p in asked] == first
+    assert {v.status for v in first} == {PASS, FAIL, UNDETERMINED}
+
+
+def test_member_memo_checks_its_arguments_first():
+    # True == 1 and hash(True) == hash(1), so only the checks before the
+    # memo tell (True, 0) from a cached (1, 0)
+    T = Tz(4)
+    assert T.member(BasicNbhd(1, 0, 1), (1, 0)).status == PASS
+    assert T.member(BasicNbhd(1, 1, 1), (0, 5)).status == PASS
+    with pytest.raises(TypeError, match="True, 0"):
+        T.member(BasicNbhd(1, 0, 1), (True, 0))
+    with pytest.raises(TypeError, match="1, True"):
+        T.member(BasicNbhd(1, True, 1), (0, 5))
+
+
+def test_member_raises_on_every_ambiguous_call():
+    # 1 + 2 = 3: a raise leaves no memo entry to answer the next call
+    T = TopologyInstance("z", WeightSequence.explicit([1, 2, 3, 4, 5, 6]))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="ambiguous representation"):
+            T.member(BasicNbhd(1, 0, 1), (0, 3))
+
+
 @settings(max_examples=80)
 @given(st.sampled_from(["double_exp", "explicit"]),
        st.integers(0, 3), st.integers(0, 3), st.integers(1, 5),
@@ -474,9 +510,11 @@ def test_base_property_check_fails_on_a_table_point_outside_the_set(monkeypatch)
 
 def test_base_property_check_fails_when_member_rejects_a_common_point(
         monkeypatch):
-    # (2, 0) lies in both tables; only `member` can reject it
+    # (2, 0) lies in both tables; only `member` can reject it, and a
+    # class-level `member` answers ahead of the instance's warm memo
     T = Tz(6)
     u1, u2 = BasicNbhd(2, 0, 1), BasicNbhd(2, 0, 2)
+    assert base_property_check(T, u1, u2).status == PASS
     member = TopologyInstance.member
 
     def sabotaged(self, nbhd, point):
@@ -565,6 +603,129 @@ def test_hausdorff_exhaustive_small():
     pts = [(x, u) for x in (0, 1) for u in vals]
     for p, q in combinations(pts, 2):
         assert hausdorff_witness(T, p, q).status == PASS
+    assert hausdorff_exhaustive(T, pts) == hausdorff_pairwise(T, pts)
+
+
+def _gen_con_one_points(T, h_a_max):
+    """The points `gen-con-one`'s Hausdorff check separates pairwise."""
+    w = T.weights
+    uvals = {0} | {sign * w.value(i) for i in T.mask for sign in (1, -1)}
+    uvals |= {si * w.value(i) + sj * w.value(j)
+              for i, j in combinations(T.mask, 2)
+              for si in (1, -1) for sj in (1, -1)}
+    return [(x, u) for x in range(h_a_max + 1) for u in sorted(uvals)]
+
+
+@pytest.mark.parametrize("bound", [4, 6])
+def test_hausdorff_exhaustive_matches_pairwise_witnesses(bound):
+    T = Tz(bound)
+    points = _gen_con_one_points(T, 2)
+    v = hausdorff_exhaustive(T, points)
+    assert v == hausdorff_pairwise(Tz(bound), points)
+    n = len(points)
+    assert v.witness == {"points": n, "pairs": n * (n - 1) // 2}
+
+
+# Small point sets over each base, the explicit weights 1, 2, 3, 5 among
+# them: 1 + 2 = 3 makes some pairs share a point, and Tz(3)'s bound leaves
+# large differences unsettled, so every status shows up.
+_SMALL = {"z": lambda: Tz(3), "odd_nat": lambda: Todd(4),
+          "explicit": lambda: TopologyInstance(
+              "z", WeightSequence.explicit([1, 2, 3, 5]))}
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(sorted(_SMALL)), data=st.data())
+def test_hausdorff_exhaustive_matches_pairwise_on_drawn_points(kind, data):
+    T = _SMALL[kind]()
+    w = list(T.weights.values)
+    if T.multiplicative:
+        coords = st.sampled_from([1, 3, 9, 15, 35, 77, 105, 1001, 13 * 17])
+    else:
+        coords = st.one_of(st.sampled_from(
+            [0] + w + [-v for v in w] + [w[0] + w[-1], w[1] - w[2]]),
+            st.integers(-300, 300), st.just(2 ** 40))
+    points = data.draw(st.lists(st.tuples(st.integers(0, 2), coords),
+                                min_size=2, max_size=8, unique=True))
+    assert hausdorff_exhaustive(T, points) == hausdorff_pairwise(_SMALL[kind](),
+                                                                 points)
+
+
+def test_hausdorff_exhaustive_fails_on_a_sabotaged_pair(monkeypatch):
+    # one stray point in every basic set around p and around q makes that
+    # pair, and only it, share a point; the sweep must name it with the
+    # witness hausdorff_witness gives it
+    T = Tz(4)
+    points = _gen_con_one_points(T, 2)
+    p, q = (1, 4), (2, -16)
+    assert hausdorff_witness(T, p, q).status == PASS
+    stray = (9, 9)
+    table = TopologyInstance.basic_points
+
+    def padded(self, nbhd):
+        out = table(self, nbhd)
+        return {**out, stray: ()} if (nbhd.a, nbhd.s) in (p, q) else out
+
+    monkeypatch.setattr(TopologyInstance, "basic_points", padded)
+    v = hausdorff_exhaustive(T, points)
+    inner = hausdorff_witness(T, p, q)
+    assert inner.status == FAIL and inner.witness["common_point"] == stray
+    assert v == Verdict(FAIL, {"x": p, "y": q, "inner": inner.witness},
+                        inner.detail)
+    check = dict(SUITES["gen-con-one"](
+        read_params({"index_bound": 4}, SUITE_PARAMS["gen-con-one"]), 0))
+    assert check["hausdorff-exhaustive"]() == v
+
+
+def test_hausdorff_exhaustive_validates_before_it_sweeps():
+    # every point is checked before the first pair, whose repeated point
+    # hausdorff_witness would refuse
+    T = Tz(4)
+    with pytest.raises(TypeError, match="True, 0"):
+        hausdorff_exhaustive(T, [(0, 0), (0, 0), (True, 0)])
+    with pytest.raises(ValueError, match="points must be distinct"):
+        hausdorff_exhaustive(T, [(0, 0), (1, 0), (0, 0)])
+
+
+def test_gen_con_one_decides_each_question_once(monkeypatch):
+    # work counts at default params: base-property-family asks `member`
+    # 34,348 times for 2,358 distinct answers (each answer unshifts its
+    # point once), and hausdorff-exhaustive reads each (point, level) set
+    # once and hands no pair to hausdorff_witness
+    made = []
+    tz = suites._tz
+    monkeypatch.setattr(suites, "_tz", lambda b: made.append(tz(b)) or made[-1])
+    checks = dict(SUITES["gen-con-one"](
+        read_params({}, SUITE_PARAMS["gen-con-one"]), 0))
+    counts = Counter()
+    reads = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    def reading(self, nbhd):
+        reads[nbhd] += 1
+        return table(self, nbhd)
+
+    for name in ("member", "unshift"):
+        monkeypatch.setattr(TopologyInstance, name,
+                            counting(name, getattr(TopologyInstance, name)))
+    assert checks["base-property-family"]().status == PASS
+    assert counts == {"member": 34_348, "unshift": 2_358}
+    assert len(made[0]._member_cache) == 2_358
+
+    counts.clear()
+    table = TopologyInstance.basic_points
+    monkeypatch.setattr(TopologyInstance, "basic_points", reading)
+    monkeypatch.setattr(topologies, "hausdorff_witness",
+                        counting("hausdorff_witness", hausdorff_witness))
+    v = checks["hausdorff-exhaustive"]()
+    assert v.witness == {"points": 219, "pairs": 23_871}
+    assert counts == {}
+    assert len(reads) == 1_293 and set(reads.values()) == {1}
 
 
 def test_hausdorff_witness_past_thirteen_masked_indices():
