@@ -23,9 +23,9 @@ from .topologies import (BasicNbhd, ConvergenceCertificate, DiscreteTopology,
                          base_property_check, check_convergence,
                          convergence_transfer, distinguish_topologies,
                          find_limit, good_corr_check, hausdorff_exhaustive,
-                         hausdorff_witness, mask_family, natural_to_odd_pair,
-                         odd_pair_to_natural, separate_continuity_identity,
-                         verify_star, verify_star_star)
+                         mask_family, natural_to_odd_pair, odd_pair_to_natural,
+                         separate_continuity_identity, verify_star,
+                         verify_star_star)
 from .verdicts import (HorizonExceeded, Verdict, failed, not_applicable,
                        passed, undetermined)
 from .wap import (LimitFunctional, SharpnessWitness, arens_box, arens_diamond,

@@ -153,7 +153,6 @@ class TopologyInstance:
         self.weights = weights
         self.mask = mask
         self._mask_set = frozenset(mask)
-        self._two_sided_cache: dict = {}
         self._member_cache: dict = {}     # (nbhd, point) -> member verdict
         self._subset_sums: dict = {}
         self._basic_points: dict = {}
@@ -378,17 +377,11 @@ class TopologyInstance:
         """diff as the weight combination over `plus` combined with the
         inverse of the one over `minus`: PASS with (plus, minus) as
         witness, FAIL, or UNDETERMINED at the index bound.  diff is an
-        exact int (or a Fraction on the odd naturals), checked before the
-        cache, which would take True or 1.0 for the int 1."""
+        exact int (or a Fraction on the odd naturals); True, 1.0 and an
+        integral Fraction on Z are refused, not read as ints."""
         if type(diff) is not int and not (type(diff) is Fraction
                                           and self.multiplicative):
             raise TypeError(f"{diff!r} is not an exact difference in S")
-        out = self._two_sided_cache.get(diff)
-        if out is None:
-            out = self._two_sided_cache[diff] = self._two_sided_uncached(diff)
-        return out
-
-    def _two_sided_uncached(self, diff: Any) -> Verdict[tuple]:
         if self.multiplicative:
             diff = Fraction(diff)
             plus = self._rep_odd_primes(diff.numerator, 1)
@@ -464,63 +457,27 @@ def base_property_check(T: TopologyInstance, u1: BasicNbhd, u2: BasicNbhd) -> Ve
     return passed(witness={"common_points": len(common), "enclosed_checked": checked})
 
 
-def _separation_level(T: TopologyInstance, s: Any, t: Any) -> Optional[tuple]:
-    """(level, two-sided witness or None) for S-coordinates s and t, or
-    None when the representability of their difference is unsettled at
-    the index bound.
+def hausdorff_exhaustive(T: TopologyInstance, points: Sequence) -> Verdict:
+    """Disjoint basic sets around every pair of `points`, in `combinations`
+    order, deciding each separation level and reading each basic set once.
+    The points must be distinct; disjointness is confirmed exhaustively on
+    the truncation.
 
     Level recipe: equal S-coordinates separate at level 1; otherwise the
     S-difference either has a two-sided weight representation, in which
     case the level sits just above its top index, or it has none and
     level 1 suffices.
-    """
-    if s == t:
-        return 1, None
-    rep2 = T.two_sided_representation(T.g_diff(t, s))
-    if rep2.status == UNDETERMINED:
-        return None
-    if rep2:
-        plus, minus = rep2.witness
-        return max(plus + minus) + 1, rep2.witness
-    return 1, None
 
-
-def hausdorff_witness(T: TopologyInstance, x: tuple, y: tuple) -> Verdict:
-    """Disjoint basic sets around two distinct points, both at the level
-    `_separation_level` gives their S-coordinates.  Disjointness is then
-    confirmed exhaustively on the truncation.
-    """
-    x = T.require_point(x)
-    y = T.require_point(y)
-    if x == y:
-        raise ValueError("points must be distinct")
-    (a, s), (b, t) = x, y
-    level = _separation_level(T, s, t)
-    if level is None:
-        return undetermined("representability of the difference is unsettled "
-                            "at the index bound")
-    alpha, two_sided = level
-    ux = BasicNbhd(a, s, alpha)
-    uy = BasicNbhd(b, t, alpha)
-    overlap = T.basic_points(ux).keys() & T.basic_points(uy).keys()
-    witness = {"x_nbhd": ux, "y_nbhd": uy, "two_sided": two_sided}
-    if overlap:
-        return failed(witness={**witness, "common_point": min(overlap)})
-    return passed(witness=witness,
-                  detail="truncated basic sets are disjoint")
-
-
-def hausdorff_exhaustive(T: TopologyInstance, points: Sequence) -> Verdict:
-    """`hausdorff_witness` over every pair of `points`, in `combinations`
-    order, deciding each separation level and reading each basic set once.
-
-    PASS counts the points and pairs.  The first pair whose truncated
-    sets are not disjoint at their level, or whose level is unsettled, is
-    handed to `hausdorff_witness`: its status and detail are returned, its
-    witness nested under "inner" after the pair as "x" and "y".
+    PASS counts the points and pairs.  The first pair that does not pass
+    is returned as "x" and "y": UNDETERMINED when the representability of
+    its difference is unsettled at the index bound, FAIL when its sets
+    meet, with both sets, the two-sided witness and their least common
+    point nested under "inner".
     """
     points = [T.require_point(p) for p in points]
-    levels: dict = {}       # S-difference -> _separation_level
+    if len(set(points)) < len(points):
+        raise ValueError("points must be distinct")
+    levels: dict = {}       # S-difference -> (level, two-sided witness) or None
     tables: dict = {}       # (point, level) -> keys of its basic points
 
     def keys(p, alpha):
@@ -532,12 +489,28 @@ def hausdorff_exhaustive(T: TopologyInstance, points: Sequence) -> Verdict:
     for p, q in combinations(points, 2):
         diff = T.g_diff(q[1], p[1])
         if diff not in levels:
-            levels[diff] = _separation_level(T, p[1], q[1])
+            if p[1] == q[1]:
+                levels[diff] = (1, None)
+            else:
+                rep2 = T.two_sided_representation(diff)
+                if rep2.status == UNDETERMINED:
+                    levels[diff] = None
+                elif rep2:
+                    plus, minus = rep2.witness
+                    levels[diff] = (max(plus + minus) + 1, rep2.witness)
+                else:
+                    levels[diff] = (1, None)
         level = levels[diff]
-        if level is None or not keys(p, level[0]).isdisjoint(keys(q, level[0])):
-            res = hausdorff_witness(T, p, q)
-            return Verdict(res.status, {"x": p, "y": q, "inner": res.witness},
-                           res.detail)
+        if level is None:
+            return Verdict(UNDETERMINED, {"x": p, "y": q, "inner": None},
+                           "representability of the difference is unsettled "
+                           "at the index bound")
+        alpha, two_sided = level
+        kp, kq = keys(p, alpha), keys(q, alpha)
+        if not kp.isdisjoint(kq):
+            return failed(witness={"x": p, "y": q, "inner": {
+                "x_nbhd": BasicNbhd(*p, alpha), "y_nbhd": BasicNbhd(*q, alpha),
+                "two_sided": two_sided, "common_point": min(kp & kq)}})
     n = len(points)
     return passed(witness={"points": n, "pairs": n * (n - 1) // 2},
                   detail="disjoint separating sets found for every pair")
@@ -806,6 +779,12 @@ def verify_star_star(T: TopologyInstance, t: Any, s_window: int = 10_000) -> Ver
 # distinguishing masked topologies
 
 
+def _strong_symdiff(horizon: int) -> int:
+    """The least symmetric difference of two masks that counts as large
+    within `horizon`: a third of it, and at least 2."""
+    return max(2, horizon // 3)
+
+
 def mask_family(count: int, horizon: int, seed: int) -> Verdict[list]:
     """Deterministic family of masks with pairwise large symmetric difference:
     PASS with the masks, or UNDETERMINED, at once when fewer than `count`
@@ -813,7 +792,7 @@ def mask_family(count: int, horizon: int, seed: int) -> Verdict[list]:
     complete it."""
     count = positive_int(count, "count")
     horizon = positive_int(horizon, "horizon")
-    min_symdiff = max(2, horizon // 3)
+    min_symdiff = _strong_symdiff(horizon)
     if horizon - 1 < min_symdiff:
         return undetermined(f"no mask size fits horizon {horizon}")
     available = sum(comb(horizon, k) for k in range(min_symdiff, horizon))
@@ -873,7 +852,7 @@ def distinguish_topologies(weights: WeightSequence, mask1: Iterable, mask2: Iter
                           detail="witness point failed to separate the masks")
         witnesses.append({"index": j, "point": point,
                           "member_of": "mask2" if j in m2 else "mask1"})
-    strong = len(sym) >= max(2, horizon // 3)
+    strong = len(sym) >= _strong_symdiff(horizon)
     return passed(witness={"symmetric_difference": sym, "strong": strong,
                            "witnesses": witnesses},
                   detail=f"{len(sym)} separating indices within horizon {horizon}")

@@ -5,8 +5,9 @@ from itertools import combinations
 
 from semitop.obstructions import _outside_domain, build_g, valid_ns
 from semitop.semigroups import PartialMap, positive_int
-from semitop.topologies import hausdorff_witness
-from semitop.verdicts import PASS, Verdict, failed, passed
+from semitop.topologies import BasicNbhd
+from semitop.verdicts import (PASS, UNDETERMINED, Verdict, failed, passed,
+                              undetermined)
 
 
 def member_bruteforce(T, nbhd, point):
@@ -22,6 +23,39 @@ def member_bruteforce(T, nbhd, point):
         if T.weight_total(combo) == diff:
             return passed(combo)
     return failed()
+
+
+def hausdorff_witness(T, x, y):
+    """Disjoint basic sets around two distinct points, both at the level
+    their S-coordinates give, each set read afresh: the per-pair oracle
+    of ``hausdorff_exhaustive``.
+
+    Equal S-coordinates separate at level 1.  Otherwise the level sits
+    just above the top index of a two-sided representation of their
+    difference, or is 1 when there is none.
+    """
+    x = T.require_point(x)
+    y = T.require_point(y)
+    if x == y:
+        raise ValueError("points must be distinct")
+    (a, s), (b, t) = x, y
+    alpha, two_sided = 1, None
+    if s != t:
+        rep2 = T.two_sided_representation(T.g_diff(t, s))
+        if rep2.status == UNDETERMINED:
+            return undetermined("representability of the difference is "
+                                "unsettled at the index bound")
+        if rep2:
+            two_sided = rep2.witness
+            alpha = max(two_sided[0] + two_sided[1]) + 1
+    ux = BasicNbhd(a, s, alpha)
+    uy = BasicNbhd(b, t, alpha)
+    overlap = T.basic_points(ux).keys() & T.basic_points(uy).keys()
+    witness = {"x_nbhd": ux, "y_nbhd": uy, "two_sided": two_sided}
+    if overlap:
+        return failed(witness={**witness, "common_point": min(overlap)})
+    return passed(witness=witness,
+                  detail="truncated basic sets are disjoint")
 
 
 def hausdorff_pairwise(T, points):

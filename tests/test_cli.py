@@ -686,6 +686,25 @@ def test_an_explicit_member_query_searches_in_small_memory(capsys):
     assert peak < 2 * 2 ** 20
 
 
+def test_a_converge_at_the_top_of_its_range_stays_in_bounded_memory(capsys):
+    # 16 terms near w_16 = 2^65536 at index_bound 16, no limit given: the
+    # limit search builds up to 697 candidates per term, each about 8 KB;
+    # tracemalloc measured a 72.6 MiB peak (Python 3.11, about 1 s)
+    top = {"base": "z", "weights": {"kind": "double_exp", "index_bound": 16}}
+    seq = [{"a": 0, "s": jsonio.int_to_str(2 ** 65536 + 4 * j)}
+           for j in range(16)]
+    argv = ["converge", "--params", json.dumps({"topology": top,
+                                                "sequence": seq})]
+    tracemalloc.start()
+    try:
+        code, out, _ = _call(capsys, argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and json.loads(out)["status"] == "UNDETERMINED"
+    assert peak < 96 * 2 ** 20
+
+
 @pytest.mark.parametrize("head,params", [
     (["member"], dict(VALID_QUERIES["member"],
                       point={"a": 1, "s": "9" * 400_000})),

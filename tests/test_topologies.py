@@ -18,16 +18,15 @@ from semitop.topologies import (BasicNbhd, ConvergenceCertificate,
                                 base_property_check, check_convergence,
                                 convergence_transfer, distinguish_topologies,
                                 find_limit, good_corr_check,
-                                hausdorff_exhaustive, hausdorff_witness,
-                                mask_family, natural_to_odd_pair,
-                                odd_pair_to_natural,
+                                hausdorff_exhaustive, mask_family,
+                                natural_to_odd_pair, odd_pair_to_natural,
                                 separate_continuity_identity, verify_star,
                                 verify_star_star)
 from semitop.topologies import _limit_candidates
 from semitop.verdicts import (FAIL, NOT_APPLICABLE, PASS, UNDETERMINED,
                               Verdict)
 
-from oracles import hausdorff_pairwise, member_bruteforce
+from oracles import hausdorff_pairwise, hausdorff_witness, member_bruteforce
 
 
 def Tz(bound=6, mask=None):
@@ -228,8 +227,8 @@ def test_find_representation_takes_exact_ints_only(T, diff):
     "z-float", "z-half", "z-bool", "z-integral-fraction", "odd-float",
     "odd-bool"])
 def test_two_sided_representation_takes_exact_differences_only(T, diff):
-    # both bases raise, the cache warm or cold: True and Fraction(4) hash
-    # like the ints 1 and 4, and must not be read as them
+    # both bases raise, whether or not the ints 1 and 4 were asked first:
+    # True and Fraction(4) compare equal to them, and must not be read as them
     for warm in (False, True):
         if warm:
             T.two_sided_representation(1)
@@ -678,20 +677,27 @@ def test_hausdorff_exhaustive_fails_on_a_sabotaged_pair(monkeypatch):
 
 
 def test_hausdorff_exhaustive_validates_before_it_sweeps():
-    # every point is checked before the first pair, whose repeated point
-    # hausdorff_witness would refuse
+    # every point is checked before the first pair, and a repeated point
+    # is refused before any pair is tested
     T = Tz(4)
     with pytest.raises(TypeError, match="True, 0"):
         hausdorff_exhaustive(T, [(0, 0), (0, 0), (True, 0)])
     with pytest.raises(ValueError, match="points must be distinct"):
         hausdorff_exhaustive(T, [(0, 0), (1, 0), (0, 0)])
+    # a first pair unsettled at Tz(3)'s bound, or sharing the point (0, 3)
+    # since 1 + 2 = 3, would end the sweep before the repeated point
+    explicit = TopologyInstance("z", WeightSequence.explicit([1, 2, 3]))
+    for T, points in ((Tz(3), [(0, 0), (0, 2 ** 40), (0, 0)]),
+                      (explicit, [(2, 0), (1, 0), (2, 0)])):
+        with pytest.raises(ValueError, match="points must be distinct"):
+            hausdorff_exhaustive(T, points)
 
 
 def test_gen_con_one_decides_each_question_once(monkeypatch):
     # work counts at default params: base-property-family asks `member`
     # 34,348 times for 2,358 distinct answers (each answer unshifts its
-    # point once), and hausdorff-exhaustive reads each (point, level) set
-    # once and hands no pair to hausdorff_witness
+    # point once), and hausdorff-exhaustive asks each S-difference's
+    # two-sided representation once and reads each (point, level) set once
     made = []
     tz = suites._tz
     monkeypatch.setattr(suites, "_tz", lambda b: made.append(tz(b)) or made[-1])
@@ -720,16 +726,17 @@ def test_gen_con_one_decides_each_question_once(monkeypatch):
     counts.clear()
     table = TopologyInstance.basic_points
     monkeypatch.setattr(TopologyInstance, "basic_points", reading)
-    monkeypatch.setattr(topologies, "hausdorff_witness",
-                        counting("hausdorff_witness", hausdorff_witness))
+    monkeypatch.setattr(TopologyInstance, "two_sided_representation",
+                        counting("two_sided_representation",
+                                 TopologyInstance.two_sided_representation))
     v = checks["hausdorff-exhaustive"]()
     assert v.witness == {"points": 219, "pairs": 23_871}
-    assert counts == {}
+    assert counts == {"two_sided_representation": 1_124}
     assert len(reads) == 1_293 and set(reads.values()) == {1}
 
 
 def test_hausdorff_witness_past_thirteen_masked_indices():
-    v = hausdorff_witness(Tz(14), (0, 0), (1, 5))
+    v = hausdorff_exhaustive(Tz(14), [(0, 0), (1, 5)])
     assert v.status == PASS
 
 
@@ -745,9 +752,9 @@ def test_hausdorff_overlap_past_the_digit_limit():
     # (2, 0) and (1, 0) share the point (0, w_3)
     big = 10 ** 5000
     T = TopologyInstance("z", WeightSequence.explicit([big, 2 * big, 3 * big]))
-    v = hausdorff_witness(T, (2, 0), (1, 0))
+    v = hausdorff_exhaustive(T, [(2, 0), (1, 0)])
     assert v.status == FAIL
-    assert v.witness["common_point"] == (0, 3 * big)
+    assert v.witness["inner"]["common_point"] == (0, 3 * big)
 
 
 def test_separate_continuity_past_the_digit_limit():
