@@ -57,7 +57,8 @@ class L1Vector:
 
     def _set(self, instance: SemigroupInstance, num: dict, den: int) -> "L1Vector":
         """Store num / den in lowest terms, dropping zero numerators."""
-        num = {e: n for e, n in num.items() if n}
+        if 0 in num.values():
+            num = {e: n for e, n in num.items() if n}
         g = gcd(den, *num.values())
         self.instance, self._den = instance, den // g
         self._num = num if g == 1 else {e: n // g for e, n in num.items()}
@@ -66,6 +67,8 @@ class L1Vector:
     @classmethod
     def delta(cls, instance: SemigroupInstance, elem: Any, coeff: Any = 1) -> "L1Vector":
         instance.validate(elem)
+        if type(coeff) is int:
+            return cls._make(instance, {elem: coeff}, 1)
         c = _frac(coeff)
         return cls._make(instance, {elem: c.numerator}, c.denominator)
 
@@ -127,11 +130,13 @@ def convolve(a: L1Vector, b: L1Vector) -> L1Vector:
     """Convolution product: the bilinear extension of delta_s * delta_t = delta_st."""
     a._check_mate(b)
     S = a.instance
+    op = S.op
     out: dict = {}
+    get = out.get
     for s, cs in a._num.items():
         for t, ct in b._num.items():
-            st = S.op(s, t)
-            out[st] = out.get(st, 0) + cs * ct
+            st = op(s, t)
+            out[st] = get(st, 0) + cs * ct
     return L1Vector._make(S, out, a._den * b._den)
 
 
@@ -215,9 +220,15 @@ def pairing(a: L1Vector, f: BoundedFunction) -> Fraction:
     if f._ints is None:
         return sum((n * f.evaluate(e) for e, n in a._num.items()),
                    Fraction(0)) / a._den
+    return Fraction(*_pairing_ints(a, f))
+
+
+def _pairing_ints(a: L1Vector, f: BoundedFunction) -> tuple:
+    """<f, a> for a finitely modified constant f, as (numerator,
+    denominator) with the denominator positive and not reduced."""
     mod, const, den = f._ints
-    return Fraction(sum(n * (const + mod.get(e, 0)) for e, n in a._num.items()),
-                    a._den * den)
+    return (sum(n * (const + mod.get(e, 0)) for e, n in a._num.items()),
+            a._den * den)
 
 
 def pairing_vectors(x: L1Vector, b: L1Vector) -> Fraction:

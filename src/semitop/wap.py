@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .l1 import (BoundedFunction, L1Vector, convolve, pairing, pairing_vectors,
-                 _coeff_sum)
+                 _pairing_ints)
 from .semigroups import NatMax, positive_int
 from .verdicts import (NOT_APPLICABLE, Verdict, failed, not_applicable, passed,
                        undetermined)
@@ -226,46 +226,55 @@ def telescoping_check(a: L1Vector, x: BoundedFunction, s_max: int) -> Verdict:
     s <= s_max, and once s_max clears the support of a and of x's
     vanishing part the conclusion is that a pairs to zero against the
     vanishing part of x (equivalently, <a, x> equals the constant of x
-    times the total mass of a).
+    times the total mass of a).  s_max must be a positive int; anything
+    else, which would check nothing or crash, raises ValueError.
     """
     S = a.instance
     if not isinstance(S, NatMax):
         raise TypeError("the telescoping argument is specific to (N, max)")
     if x.tag != "c0_plus_const":
         raise TypeError("x must be a finitely modified constant")
+    s_max = positive_int(s_max, "s_max")
     if a.is_zero:
         return passed(detail="vacuous: a = 0")
-    base = pairing(a, x)
+    # pairings compare as integers: p / q == r / t iff p t == r q (q, t > 0)
+    base, base_den = _pairing_ints(a, x)
     for s in range(1, s_max + 1):
-        moved = pairing(convolve(L1Vector.delta(S, s), a), x)
-        if moved != base:
-            return Verdict(NOT_APPLICABLE, {"s": s, "lhs": base, "rhs": moved},
+        translate = convolve(L1Vector.delta(S, s), a)
+        moved, moved_den = _pairing_ints(translate, x)
+        if moved * base_den != base * moved_den:
+            return Verdict(NOT_APPLICABLE, {"s": s, "lhs": pairing(a, x),
+                                            "rhs": pairing(translate, x)},
                            f"hypothesis fails at s = {s}")
-    items = sorted(a.terms())
-    head = mass = Fraction(0)
+    # both sides of the identity over the denominator a._den * den
+    mod, const, den = x._ints
+    items = sorted(a._num.items())
+    head = mass = 0
     i = 0
     for s in range(1, s_max + 1):
         while i < len(items) and items[i][0] <= s:
-            t, c = items[i]
-            head += c * x.evaluate(t)
-            mass += c
+            t, n = items[i]
+            head += n * (const + mod.get(t, 0))
+            mass += n
             i += 1
-        if head != x.evaluate(s) * mass:
-            return failed(witness={"s": s, "lhs": head,
-                                   "rhs": x.evaluate(s) * mass},
+        rhs = (const + mod.get(s, 0)) * mass
+        if head != rhs:
+            return failed(witness={"s": s, "lhs": Fraction(head, base_den),
+                                   "rhs": Fraction(rhs, base_den)},
                           detail="telescoped identity failed although the "
                                  "hypothesis held; internal inconsistency")
-    clear = max([t for t, _ in items] + list(x.mod) + [0])
+    clear = max([*a._num, *mod, 0])
     if s_max <= clear:
         return passed(witness={"s_max": s_max},
                       detail="hypothesis and identity verified; s_max does not "
                              "clear the supports, conclusion not evaluated")
-    vanishing_pairing = base - x.const * _coeff_sum(a)
+    vanishing_pairing = base - const * sum(a._num.values())
     if vanishing_pairing != 0:
-        return failed(witness={"vanishing_part_pairing": vanishing_pairing},
+        return failed(witness={"vanishing_part_pairing":
+                               Fraction(vanishing_pairing, base_den)},
                       detail="conclusion failed although the hypothesis held; "
                              "this should be unreachable")
-    return passed(witness={"s_max": s_max, "pairing": base,
+    return passed(witness={"s_max": s_max, "pairing": pairing(a, x),
                            "vanishing_part_pairing": Fraction(0)},
                   detail="hypothesis, identity and vanishing conclusion all hold")
 
@@ -293,33 +302,32 @@ def counterexample_x(a: L1Vector) -> Verdict[SharpnessWitness]:
     S = a.instance
     if not isinstance(S, NatMax):
         raise TypeError("the construction is specific to (N, max)")
-    total = _coeff_sum(a)
-    if total == 0:
+    num, den = a._num, a._den
+    if sum(num.values()) == 0:
         return not_applicable("total mass is zero; no such x exists this way")
-    supp = sorted(a.support())
+    supp = sorted(num)
     if len(supp) == 1:
         s0 = supp[0]
-        s = s0 + 1
+        s, mass = s0 + 1, num[s0]
         x = L1Vector.delta(S, s)
     else:
+        # s is the first point above s1, outside the support, with nonzero
+        # mass at or below it: just above some support point t >= s1.  The
+        # walk stops at the top point at the latest, where mass is the total.
         s0, s1 = supp[0], supp[1]
-        s = None
-        for cand in range(s1 + 1, max(supp) + 2):
-            mass = sum((c for t, c in a.terms() if t <= cand), Fraction(0))
-            if a.coeff(cand) == 0 and mass != 0:
-                s = cand
+        mass = num[s0]
+        for t, nxt in zip(supp[1:], supp[2:] + [None]):
+            mass += num[t]
+            if mass and nxt != t + 1:
                 break
-        if s is None:
-            return failed(witness={"total_mass": total},
-                          detail="no admissible s found; unreachable when "
-                                 "the total mass is nonzero")
+        s = t + 1
         x = (L1Vector.delta(S, s1, a.coeff(s0))
              - L1Vector.delta(S, s0, a.coeff(s1))
              + L1Vector.delta(S, s))
     p0 = pairing_vectors(x, a)
     translated = convolve(L1Vector.delta(S, s), a)
     p1 = pairing_vectors(x, translated)
-    expected = sum((c for t, c in a.terms() if t <= s), Fraction(0))
+    expected = Fraction(mass, den)
     if p0 != 0 or p1 != expected or p1 == 0:
         return failed(witness={"pairing_a": p0, "pairing_translated": p1,
                                "expected": expected},

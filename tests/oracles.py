@@ -1,13 +1,16 @@
 """Brute-force oracles that the tests hold the production paths to."""
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 
+from semitop.l1 import L1Vector, _coeff_sum, convolve, pairing_vectors
 from semitop.obstructions import _outside_domain, build_g, valid_ns
 from semitop.semigroups import PartialMap, positive_int
 from semitop.topologies import BasicNbhd
-from semitop.verdicts import (PASS, UNDETERMINED, Verdict, failed, passed,
-                              undetermined)
+from semitop.verdicts import (PASS, UNDETERMINED, Verdict, failed,
+                              not_applicable, passed, undetermined)
+from semitop.wap import SharpnessWitness
 
 
 def member_bruteforce(T, nbhd, point):
@@ -164,3 +167,40 @@ def open_set_identity(f, fprime, universe, g=None):
         "g": g.pairs,
         "only_in": [("preimage" if i in left else "basic_set",
                      universe[i].pairs) for i in diff]})
+
+
+def counterexample_x_rescanning(a):
+    """The sharpness witness of ``counterexample_x`` built from Fractions,
+    re-summing the terms of a at or below every candidate s: the oracle
+    of its single walk over the support."""
+    S = a.instance
+    total = _coeff_sum(a)
+    if total == 0:
+        return not_applicable("total mass is zero; no such x exists this way")
+    supp = sorted(a.support())
+    if len(supp) == 1:
+        s = supp[0] + 1
+        x = L1Vector.delta(S, s)
+    else:
+        s0, s1 = supp[0], supp[1]
+        s = None
+        for cand in range(s1 + 1, max(supp) + 2):
+            mass = sum((c for t, c in a.terms() if t <= cand), Fraction(0))
+            if a.coeff(cand) == 0 and mass != 0:
+                s = cand
+                break
+        if s is None:
+            return failed(witness={"total_mass": total},
+                          detail="no admissible s found; unreachable when "
+                                 "the total mass is nonzero")
+        x = (L1Vector.delta(S, s1, a.coeff(s0))
+             - L1Vector.delta(S, s0, a.coeff(s1))
+             + L1Vector.delta(S, s))
+    p0 = pairing_vectors(x, a)
+    p1 = pairing_vectors(x, convolve(L1Vector.delta(S, s), a))
+    expected = sum((c for t, c in a.terms() if t <= s), Fraction(0))
+    if p0 != 0 or p1 != expected or p1 == 0:
+        return failed(witness={"pairing_a": p0, "pairing_translated": p1,
+                               "expected": expected},
+                      detail="witness verification failed")
+    return passed(SharpnessWitness(x=x, s=s, pairing_a=p0, pairing_translated=p1))

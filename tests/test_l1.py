@@ -249,6 +249,23 @@ def test_integer_form_matches_fraction_reference(kind, data):
     # the same vector built another way: equal, and hashes equal
     again = L1Vector(S, list(reversed(ta))) + b - b
     assert again == a and hash(again) == hash(a)
+    # delta with an int coefficient skips the Fraction but stays canonical;
+    # a zero coefficient leaves no key
+    for e, n in data.draw(st.lists(st.tuples(elems, st.integers(-4, 4)),
+                                   min_size=1, max_size=3)):
+        d = L1Vector.delta(S, e, n)
+        assert _agrees(d, _ref([(e, F(n))])) and d == L1Vector.delta(S, e, F(n))
+        assert d.is_zero == (n == 0)
+    # a product whose terms cancel drops the cancelled key
+    p, q, gone = {"nat_max": ([(1, 1), (3, 1)], [(1, 1), (2, -1)], 3),
+                  "free_ab": ([("a", 1), ("aa", 1)], [("ab", 1), ("b", -1)],
+                              "aab")}[kind]
+    prod = convolve(L1Vector(S, p), L1Vector(S, q))
+    assert gone not in prod._num and _canonical(prod) and not prod.is_zero
+    # a bool, a float or a string is not an exact rational coefficient
+    for bad in (True, 1.0, "1"):
+        with pytest.raises(TypeError):
+            L1Vector.delta(S, data.draw(elems), bad)
 
 
 @given(st.sampled_from(["nat_max", "free_ab"]), st.data())

@@ -18,6 +18,8 @@ from semitop.wap import (LimitFunctional, SharpnessWitness, arens_box,
                          subsequence_pair_family, telescoping_check, wap_test)
 from semitop.wap import _iterated_max_limit, _stabilized
 
+from oracles import counterexample_x_rescanning
+
 F = Fraction
 S = NatMax()
 
@@ -382,6 +384,37 @@ def test_telescoping_hypothesis_is_decided_by_the_convolution(monkeypatch):
     assert "hypothesis" in v.detail
 
 
+@pytest.mark.parametrize("s_max", [0, -5, True, 2.0, "3"])
+@pytest.mark.parametrize("a", [_d(1), _d(1) - _d(1)])
+def test_telescoping_refuses_an_s_max_that_checks_nothing(a, s_max):
+    # below 1 there is no s to check, so no verdict may read as verified;
+    # a bool, float or string is no count of s at all
+    x = BoundedFunction.c0_plus_const({1: F(1)}, F(0))
+    with pytest.raises(ValueError, match="s_max"):
+        telescoping_check(a, x, s_max)
+
+
+def test_telescoping_convolves_once_for_every_s(monkeypatch):
+    # the hypothesis is decided by delta_s * a for s = 1, 2, ... in turn,
+    # up to s_max or the first s where it fails, with no s skipped
+    calls = []
+
+    def counted(p, q):
+        calls.append((p, q))
+        return convolve(p, q)
+
+    monkeypatch.setattr(wap, "convolve", counted)
+    a = _d(1) - _d(2)
+    x = BoundedFunction.c0_plus_const({1: F(1), 2: F(1)}, F(0))
+    assert telescoping_check(a, x, 6).status == PASS
+    assert calls == [(_d(s), a) for s in range(1, 7)]
+    calls.clear()
+    a = _d(2)
+    v = telescoping_check(a, BoundedFunction.c0_plus_const({2: F(1)}, F(0)), 6)
+    assert v.status == NOT_APPLICABLE and v.witness["s"] == 3
+    assert calls == [(_d(s), a) for s in range(1, 4)]
+
+
 # -- sharpness witness ---------------------------------------------------
 
 
@@ -474,3 +507,32 @@ def test_telescoping_random_never_contradicts(seed):
         assert "hypothesis" in v.detail
     else:
         assert v.witness["vanishing_part_pairing"] == 0
+
+
+# supports whose string order differs from their numeric order (2 < 10 but
+# "10" < "2"), with runs of consecutive points between gaps
+_sharp_points = st.one_of(st.sampled_from([1, 2, 3, 9, 10, 11, 20]),
+                          st.integers(1, 25))
+_sharp_coeffs = st.fractions(-3, 3, max_denominator=4)
+
+
+@st.composite
+def _sharpness_inputs(draw):
+    kind = draw(st.sampled_from(["single", "any", "zero_mass"]))
+    if kind == "single":
+        return L1Vector.delta(S, draw(_sharp_points),
+                              draw(_sharp_coeffs.filter(bool)))
+    a = L1Vector(S, draw(st.lists(st.tuples(_sharp_points, _sharp_coeffs),
+                                  max_size=6)))
+    if kind == "zero_mass":
+        a = a - L1Vector.delta(S, draw(_sharp_points), _coeff_sum(a))
+    return a
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sharpness_inputs())
+def test_counterexample_matches_rescanning_oracle(a):
+    got = counterexample_x(a)
+    want = counterexample_x_rescanning(a)
+    assert (got.status, got.witness, got.detail) == (want.status, want.witness,
+                                                     want.detail)
