@@ -60,8 +60,10 @@ class XSpace:
     max_exp: int
 
     def __post_init__(self):
-        if self.a < 1 or self.alpha < 1 or self.max_exp < self.alpha:
-            raise ValueError("need a >= 1 and 1 <= alpha <= max_exp")
+        for name in ("a", "alpha", "max_exp"):
+            positive_int(getattr(self, name), name)
+        if self.max_exp < self.alpha:
+            raise ValueError("need alpha <= max_exp")
 
     def points(self) -> tuple:
         return _points(self.a, self.alpha, self.max_exp)

@@ -239,10 +239,6 @@ def pairing_vectors(x: L1Vector, b: L1Vector) -> Fraction:
                     x._den * b._den)
 
 
-def _coeff_sum(a: L1Vector) -> Fraction:
-    return Fraction(sum(a._num.values()), a._den)
-
-
 def max_action_formula(s: int, a: L1Vector) -> L1Vector:
     """Closed form of delta_s * a over (N, max): the mass at or below s
     collapses onto delta_s and the rest stays put.  The

@@ -163,14 +163,19 @@ def valid_ns(f: PartialMap, n_range: Iterable) -> list:
             and n not in img]
 
 
-def verify_fnp(f: PartialMap, n0: int, n_range: Iterable,
-               sabotage: bool = False) -> Verdict:
+def verify_fnp(f: PartialMap, n0: int, n_range: Iterable) -> Verdict:
     """f_n o p = f for every valid n, with p the identity on the domain
-    of f.  The sabotage flag widens p to also fix n0, which must break
-    the identity (negative control)."""
+    of f."""
+    return _verify_fnp_through(f, n0, PartialMap([(k, k) for k in f.domain]),
+                               n_range)
+
+
+def _verify_fnp_through(f: PartialMap, n0: int, p: PartialMap,
+                        n_range: Iterable) -> Verdict:
+    """f_n o p = f for every valid n, for a p whose domain holds the
+    domain of f.  A p that also fixes n0 must break the identity, which
+    makes it section 4's negative control."""
     _outside_domain(f, n0)
-    dom = f.domain + ((n0,) if sabotage else ())
-    p = PartialMap([(k, k) for k in dom])
     ns = valid_ns(f, n_range)
     # f_n is f plus n0 -> n, held as a dict: _outside_domain keeps n0 off
     # dom f and valid_ns keeps n off img f, so every f_n is injective.  The

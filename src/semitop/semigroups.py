@@ -235,9 +235,7 @@ class SemigroupInstance:
         raise NotImplementedError
 
     def window(self, rank: int) -> list:
-        if rank < 1:
-            raise ValueError("window rank must be positive")
-        return list(islice(self.elements(), rank))
+        return list(islice(self.elements(), positive_int(rank, "window rank")))
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name}>"

@@ -16,11 +16,9 @@ bound, which is never collapsed into a FAIL.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product as iproduct, takewhile
-from math import comb
 from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from .semigroups import INF, _quoted, positive_int
@@ -785,31 +783,30 @@ def _strong_symdiff(horizon: int) -> int:
     return max(2, horizon // 3)
 
 
-def mask_family(count: int, horizon: int, seed: int) -> Verdict[list]:
-    """Deterministic family of masks with pairwise large symmetric difference:
-    PASS with the masks, or UNDETERMINED, at once when fewer than `count`
-    masks of the allowed sizes exist, else if 200,000 draws do not
-    complete it."""
+def mask_family(count: int, horizon: int) -> Verdict[list]:
+    """PASS with the first `count` subsets of 1..horizon, scanned by size
+    from `_strong_symdiff(horizon)` to horizon - 1 and then in
+    `combinations` order, that each differ from every subset kept before
+    in at least `_strong_symdiff(horizon)` indices; UNDETERMINED when the
+    scan runs out first.  A horizon above MAX_INDEX_BOUND, the most indices
+    of any weight sequence, raises ValueError: at most 2^16 are scanned."""
     count = positive_int(count, "count")
     horizon = positive_int(horizon, "horizon")
+    if horizon > MAX_INDEX_BOUND:
+        raise ValueError(f"horizon must be at most {MAX_INDEX_BOUND}, "
+                         f"got {horizon}")
     min_symdiff = _strong_symdiff(horizon)
-    if horizon - 1 < min_symdiff:
-        return undetermined(f"no mask size fits horizon {horizon}")
-    available = sum(comb(horizon, k) for k in range(min_symdiff, horizon))
-    if count > available:
-        return undetermined(f"only {available} masks of sizes {min_symdiff}"
-                            f"-{horizon - 1} exist within horizon {horizon}, "
-                            f"fewer than {count}")
-    rng = random.Random(seed)
-    masks: list = []
-    for _ in range(200_000):
-        size = rng.randint(min_symdiff, horizon - 1)
-        cand = tuple(sorted(rng.sample(range(1, horizon + 1), size)))
-        if all(len(set(cand) ^ set(m)) >= min_symdiff for m in masks):
-            masks.append(cand)
-            if len(masks) == count:
-                return passed(witness=masks)
-    return undetermined(f"200000 draws gave {len(masks)} of {count} masks")
+    kept: dict = {}  # mask -> its indices as a bitset
+    for size in range(min_symdiff, horizon):
+        for mask in combinations(range(1, horizon + 1), size):
+            bits = sum(1 << i for i in mask)
+            if all((bits ^ b).bit_count() >= min_symdiff for b in kept.values()):
+                kept[mask] = bits
+                if len(kept) == count:
+                    return passed(witness=list(kept))
+    return undetermined(f"the scan kept {len(kept)} of {count} masks "
+                        f"within horizon {horizon} that pairwise differ "
+                        f"in at least {min_symdiff} indices")
 
 
 def distinguish_topologies(weights: WeightSequence, mask1: Iterable, mask2: Iterable,

@@ -221,13 +221,16 @@ def telescoping_check(a: L1Vector, x: BoundedFunction, s_max: int) -> Verdict:
 
     Hypothesis (checked first): <a, x> = <delta_s * a, x> for every
     s <= s_max; where it fails the verdict is NOT_APPLICABLE, with the
-    first such s and both pairings as witness.  Under it the partial sums
-    telescope, sum_{n<=s} a_n x(n) = x(s) * sum_{n<=s} a_n for each
-    s <= s_max, and once s_max clears the support of a and of x's
-    vanishing part the conclusion is that a pairs to zero against the
-    vanishing part of x (equivalently, <a, x> equals the constant of x
-    times the total mass of a).  s_max must be a positive int; anything
-    else, which would check nothing or crash, raises ValueError.
+    first such s and both pairings as witness.  The hypothesis at s is
+    the telescoped identity sum_{n<=s} a_n x(n) = x(s) * sum_{n<=s} a_n,
+    which is then checked for each s <= s_max on running integer sums: a
+    cross-check of `convolve` and `pairing` against those sums, which
+    FAILs only where they disagree.  Once s_max clears the support of a
+    and of x's vanishing part, the identity at s_max is the vanishing
+    conclusion: a pairs to zero against the vanishing part of x
+    (equivalently, <a, x> equals the constant of x times the total mass
+    of a).  s_max must be a positive int; anything else, which would
+    check nothing or crash, raises ValueError.
     """
     S = a.instance
     if not isinstance(S, NatMax):
@@ -263,17 +266,10 @@ def telescoping_check(a: L1Vector, x: BoundedFunction, s_max: int) -> Verdict:
                                    "rhs": Fraction(rhs, base_den)},
                           detail="telescoped identity failed although the "
                                  "hypothesis held; internal inconsistency")
-    clear = max([*a._num, *mod, 0])
-    if s_max <= clear:
+    if s_max <= max([*a._num, *mod, 0]):
         return passed(witness={"s_max": s_max},
                       detail="hypothesis and identity verified; s_max does not "
                              "clear the supports, conclusion not evaluated")
-    vanishing_pairing = base - const * sum(a._num.values())
-    if vanishing_pairing != 0:
-        return failed(witness={"vanishing_part_pairing":
-                               Fraction(vanishing_pairing, base_den)},
-                      detail="conclusion failed although the hypothesis held; "
-                             "this should be unreachable")
     return passed(witness={"s_max": s_max, "pairing": pairing(a, x),
                            "vanishing_part_pairing": Fraction(0)},
                   detail="hypothesis, identity and vanishing conclusion all hold")

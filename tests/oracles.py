@@ -4,13 +4,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from semitop.l1 import L1Vector, _coeff_sum, convolve, pairing_vectors
+from semitop.l1 import L1Vector, convolve, pairing_vectors
 from semitop.obstructions import _outside_domain, build_g, valid_ns
 from semitop.semigroups import PartialMap, positive_int
 from semitop.topologies import BasicNbhd
 from semitop.verdicts import (PASS, UNDETERMINED, Verdict, failed,
                               not_applicable, passed, undetermined)
 from semitop.wap import SharpnessWitness
+
+
+def coeff_sum(a):
+    """The total mass of the vector a, summed from its integer numerators."""
+    return Fraction(sum(a._num.values()), a._den)
 
 
 def member_bruteforce(T, nbhd, point):
@@ -91,12 +96,10 @@ def build_fn(f, n0, n):
                          f"n >= {fn_threshold(f)} works") from None
 
 
-def verify_fnp_oracle(f, n0, n_range, sabotage=False):
-    """``verify_fnp`` with each f_n built by ``build_fn`` and composed by
-    ``PartialMap.compose``."""
+def verify_fnp_oracle(f, n0, p, n_range):
+    """``verify_fnp``'s kernel, for the given p, with each f_n built by
+    ``build_fn`` and composed by ``PartialMap.compose``."""
     _outside_domain(f, n0)
-    dom = f.domain + ((n0,) if sabotage else ())
-    p = PartialMap([(k, k) for k in dom])
     ns = valid_ns(f, n_range)
     for n in ns:
         composite = build_fn(f, n0, n).compose(p)
@@ -174,7 +177,7 @@ def counterexample_x_rescanning(a):
     re-summing the terms of a at or below every candidate s: the oracle
     of its single walk over the support."""
     S = a.instance
-    total = _coeff_sum(a)
+    total = coeff_sum(a)
     if total == 0:
         return not_applicable("total mass is zero; no such x exists this way")
     supp = sorted(a.support())

@@ -732,9 +732,9 @@ def test_every_status_has_an_exit_code():
 
 
 def test_reports_are_deterministic(capsys):
-    # remark4-continuum draws its mask family from the seed, so equal
-    # reports are not equal merely because the suite ignores the seed
-    argv = ["--suite", "remark4-continuum", "--seed", "5"]
+    # gen-con-one draws its separate-continuity triples from the seed, so
+    # equal reports are not equal merely because the suite ignores the seed
+    argv = ["--suite", "gen-con-one", "--seed", "5"]
     code1, first = run(capsys, *argv)
     code2, second = run(capsys, *argv)
     env = dict(os.environ, PYTHONPATH=str(SRC))
@@ -745,8 +745,16 @@ def test_reports_are_deterministic(capsys):
     report = strip_timing(first)
     assert report == strip_timing(second)
     assert report == strip_timing(json.loads(proc.stdout))
-    _, other_seed = run(capsys, "--suite", "remark4-continuum", "--seed", "6")
-    assert strip_timing(other_seed) != report
+    _, other_seed = run(capsys, "--suite", "gen-con-one", "--seed", "6")
+    assert strip_timing(other_seed)["checks"] != report["checks"]
+
+
+def test_remark4_report_does_not_read_the_seed():
+    # its mask family is a fixed scan, not a draw
+    first, second = (strip_timing(run_suite("remark4-continuum", seed=seed))
+                     for seed in (0, 7))
+    assert (first.pop("seed"), second.pop("seed")) == (0, 7)
+    assert first == second
 
 
 def test_unknown_flag_exits_3():

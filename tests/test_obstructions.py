@@ -9,7 +9,7 @@ from oracles import (OpenSetSpec, build_fn, fn_threshold, o_member,
                      open_set_identity, verify_annihilation_oracle,
                      verify_fnp_oracle)
 from semitop import obstructions
-from semitop.obstructions import (_sweep_sets, build_g,
+from semitop.obstructions import (_sweep_sets, _verify_fnp_through, build_g,
                                   enumerate_partial_maps,
                                   open_set_identity_sweep, proof_skeleton,
                                   valid_ns, verify_annihilation, verify_fnp)
@@ -330,8 +330,14 @@ def test_verify_fnp_vacuous():
     assert "vacuous" in v.detail
 
 
+def _widened(f, n0):
+    """The identity on dom f, widened to fix n0 too: the p of section 4's
+    negative control."""
+    return PartialMap([(k, k) for k in f.domain + (n0,)])
+
+
 def test_verify_fnp_sabotage_fails():
-    v = verify_fnp(F1, n0=3, n_range=range(1, 21), sabotage=True)
+    v = _verify_fnp_through(F1, 3, _widened(F1, 3), range(1, 21))
     assert v.status == FAIL
     assert v.witness["n"] == 1
     assert dict(v.witness["composite"]) == {1: 2, 3: 1}
@@ -392,10 +398,9 @@ def test_proof_skeleton():
 
 def test_proof_skeleton_check_fails_on_a_wrong_step(monkeypatch):
     # the family step run with a sabotaged composition must sink the check
-    real = obstructions.verify_fnp
     monkeypatch.setattr(obstructions, "verify_fnp",
-                        lambda f, n0, n_range: real(f, n0, n_range,
-                                                    sabotage=True))
+                        lambda f, n0, n_range: _verify_fnp_through(
+                            f, n0, _widened(f, n0), n_range))
     name = "section4-no-predual"
     checks = SUITES[name](read_params({}, SUITE_PARAMS[name]), 0)
     v = dict(checks)["proof-skeleton"]()
@@ -459,17 +464,25 @@ _N_RANGES = st.one_of(
 
 
 @given(_partial_maps(), st.integers(1, 8), _N_RANGES, st.booleans())
-def test_verify_fnp_matches_extend_and_compose_oracle(f, n0, ns, sabotage):
+def test_verify_fnp_matches_extend_and_compose_oracle(f, n0, ns, widened):
     # differential oracle: each f_n built by extend and composed by
-    # PartialMap.compose gives the same verdict, FAIL witnesses included;
-    # an n0 inside dom f is rejected by both
+    # PartialMap.compose gives the same verdict, FAIL witnesses included,
+    # for p the identity on dom f and for p widened to fix n0 too; an n0
+    # inside dom f is rejected by both
+    p = PartialMap([(k, k) for k in f.domain])
     if n0 in f.domain:
-        for check in (verify_fnp, verify_fnp_oracle):
+        with pytest.raises(ValueError):
+            verify_fnp(f, n0, ns)
+        for check in (_verify_fnp_through, verify_fnp_oracle):
             with pytest.raises(ValueError):
-                check(f, n0, ns, sabotage)
+                check(f, n0, p, ns)
         return
-    assert verify_fnp(f, n0, ns, sabotage) == verify_fnp_oracle(
-        f, n0, ns, sabotage)
+    if widened:
+        p = _widened(f, n0)
+    else:
+        assert verify_fnp(f, n0, ns) == verify_fnp_oracle(f, n0, p, ns)
+    assert _verify_fnp_through(f, n0, p, ns) == verify_fnp_oracle(
+        f, n0, p, ns)
 
 
 @given(_partial_maps(), st.integers(1, 8), st.integers(1, 8),

@@ -25,7 +25,7 @@ DIGESTS = {
     "star-condition":
         "8d207f273c95e16a0cdcb5be0827deea9b61df8865d35633d7eb96df0d5b2e02",
     "remark4-continuum":
-        "d6107ad7919ff3d3ebab89b802a01beef94b87063e94246c70980f79d86d9bc8",
+        "281bf01e5ba6e5081d03c65c81fd12f4ae8e290aa1f899d139de4b23f02d9820",
     "good-corr":
         "c5a9a823cba328e6e0d4211b75baff59e2728d67c97f51e75576d444d9aadbc4",
     "nmax-wap":

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semitop import jsonio, topologies
-from semitop.dyadic import DyadicPoint
+from semitop.dyadic import DyadicPoint, XSpace
 from semitop.l1 import BoundedFunction, L1Vector
 from semitop.semigroups import (INF, CyclicGroup, FreeWords, IntegerGroup,
                                 NatInfinity, NatMax, NatMul, PartialMap,
@@ -346,12 +346,16 @@ NOT_INTS = [
         "z", WeightSequence.double_exp(4), [1, x])),
     ("check_convergence-alpha_max",
      lambda x: check_convergence(_Z4, [(1, 0)], (1, 0), x)),
-    ("mask_family-count", lambda x: mask_family(x, 12, seed=0)),
-    ("mask_family-horizon", lambda x: mask_family(3, x, seed=0)),
+    ("mask_family-count", lambda x: mask_family(x, 12)),
+    ("mask_family-horizon", lambda x: mask_family(3, x)),
     ("distinguish_topologies-horizon", lambda x: distinguish_topologies(
         WeightSequence.double_exp(4), [1], [2], x)),
     ("_prime_factors", lambda x: topologies._prime_factors(x)),
     ("DyadicPoint", lambda x: DyadicPoint([x, 5])),
+    ("XSpace-a", lambda x: XSpace(x, 1, 3)),
+    ("XSpace-alpha", lambda x: XSpace(1, x, 3)),
+    ("XSpace-max_exp", lambda x: XSpace(1, 1, x)),
+    ("window", lambda x: NatMax().window(x)),
     ("CyclicGroup", CyclicGroup),
     ("ZPlusK", ZPlusK),
     ("ReesMatrix-rows", lambda x: ReesMatrix(IntegerGroup(), x, 1, [[0] * 3])),

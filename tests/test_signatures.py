@@ -30,7 +30,6 @@ PINNED = {
     "passed": ("witness", "detail"),
     "random_c0_plus_const": ("support_max",),
     "run_suite": ("params", "seed"),
-    "verify_fnp": ("sabotage",),
     "verify_star_star": ("s_window",),
 }
 
@@ -146,6 +145,24 @@ def test_no_module_raises_arithmetic_error():
                 if isinstance(exc, ast.Name) and exc.id == "ArithmeticError":
                     raised.add(path.name)
     assert not raised
+
+
+def test_only_the_seeded_suites_import_random():
+    # seeded draws belong to the suite builders in suites.py and to wap.py's
+    # random families, which the builders hand the run's seed; a sampler
+    # anywhere else makes a library result hang on a seed of its own
+    importers = set()
+    for path in sorted(Path(semitop.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.split(".")[0] == "random" for m in modules):
+                importers.add(path.name)
+    assert importers == {"suites.py", "wap.py"}
 
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)

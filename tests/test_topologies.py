@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import timeit
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product as iproduct
@@ -12,8 +13,9 @@ from semitop import suites, topologies
 from semitop.jsonio import read_params
 from semitop.semigroups import INF, NatInfinity, NatMul
 from semitop.suites import SUITE_PARAMS, SUITES
-from semitop.topologies import (BasicNbhd, ConvergenceCertificate,
-                                DiscreteTopology, OnePointTopology,
+from semitop.topologies import (MAX_INDEX_BOUND, BasicNbhd,
+                                ConvergenceCertificate, DiscreteTopology,
+                                OnePointTopology,
                                 TopologyInstance, WeightSequence,
                                 base_property_check, check_convergence,
                                 convergence_transfer, distinguish_topologies,
@@ -1007,7 +1009,7 @@ def test_distinguish_two_masks():
 
 
 def test_mask_family_pairwise_symmetric_difference():
-    family = mask_family(8, 12, seed=5)
+    family = mask_family(8, 12)
     assert family.status == PASS
     masks = family.witness
     assert len(masks) == 8
@@ -1017,24 +1019,43 @@ def test_mask_family_pairwise_symmetric_difference():
 
 
 def test_mask_family_deterministic():
-    assert mask_family(6, 10, seed=1) == mask_family(6, 10, seed=1)
-    assert (mask_family(6, 10, seed=1).witness
-            != mask_family(6, 10, seed=2).witness)
+    # the scan runs by size, then in combinations order, and keeps the
+    # first subset of 1..10 that differs from (1, 2, 3) in 3 indices
+    family = mask_family(6, 10)
+    assert family == mask_family(6, 10)
+    assert family.witness == sorted(family.witness, key=lambda m: (len(m), m))
+    assert family.witness[:2] == [(1, 2, 3), (1, 4, 5)]
 
 
-@pytest.mark.parametrize("count,horizon", [(30, 4), (4, 3), (1, 2)])
-def test_mask_family_that_cannot_be_completed_is_undetermined(
-        count, horizon, monkeypatch):
-    # at horizon 4 the masks of size 2 or 3 are the only candidates, and
-    # just 10 of them exist; at horizon 3 only the 3 masks of size 2; at
-    # horizon 2 no size fits at all.  Each is known before any draw.
-    def no_draws(seed):
-        raise AssertionError("mask_family drew masks it could not use")
+def test_mask_family_completes_over_the_suite_range():
+    _, lo_masks, hi_masks = SUITE_PARAMS["remark4-continuum"]["masks"]
+    _, lo_horizon, hi_horizon = SUITE_PARAMS["remark4-continuum"]["horizon"]
+    for horizon in range(lo_horizon, hi_horizon + 1):
+        floor = topologies._strong_symdiff(horizon)
+        for count in range(lo_masks, hi_masks + 1):
+            family = mask_family(count, horizon)
+            assert family.status == PASS and len(family.witness) == count
+            for m1, m2 in combinations(family.witness, 2):
+                assert len(set(m1) ^ set(m2)) >= floor
 
-    monkeypatch.setattr(topologies.random, "Random", no_draws)
-    v = mask_family(count, horizon, seed=0)
+
+@pytest.mark.parametrize("horizon", [0, MAX_INDEX_BOUND + 1])
+def test_mask_family_horizon_is_a_weight_index(horizon):
+    with pytest.raises(ValueError):
+        mask_family(3, horizon)
+
+
+@pytest.mark.parametrize("count,horizon", [(30, 4), (4, 3), (1, 2), (10, 4)])
+def test_mask_family_that_cannot_be_completed_is_undetermined(count, horizon):
+    # at horizon 4 the 6 masks of size 2 pairwise differ in 2 indices and
+    # no mask of size 3 differs that much from all of them; at horizon 3
+    # only the 3 masks of size 2 exist; at horizon 2 no size fits at all.
+    # The scan settles each at once.
+    v = mask_family(count, horizon)
     assert v.status == UNDETERMINED and v.witness is None
     assert v.detail
+    assert min(timeit.repeat(lambda: mask_family(count, horizon),
+                             number=1, repeat=3)) < 0.01
 
 
 # -- convergent-subsequence correspondence ------------------------------
