@@ -146,7 +146,8 @@ class BoundedFunction:
     tag "c0_plus_const": const + finitely many modifications, defined on
     every element; `_ints` holds (mod numerators, const numerator, den) over
     one denominator.  tag "sampled": values at the integers 1..horizon only;
-    evaluation beyond the horizon raises HorizonExceeded.
+    evaluation beyond the horizon raises HorizonExceeded; `_ints` holds
+    (value numerators, den) over one denominator.
     """
 
     __slots__ = ("tag", "mod", "const", "values", "_ints")
@@ -173,7 +174,8 @@ class BoundedFunction:
                 raise ValueError("sampled function needs at least one value")
             self.mod = {}
             self.const = Fraction(0)
-            self._ints = None
+            nums, den = _over_common_den(self.values)
+            self._ints = (tuple(nums), den)
 
     @classmethod
     def c0_plus_const(cls, mod: Optional[dict] = None, const: Any = 0) -> "BoundedFunction":
@@ -217,7 +219,7 @@ class BoundedFunction:
 
 def pairing(a: L1Vector, f: BoundedFunction) -> Fraction:
     """<f, a> = sum of a_s f(s), exact."""
-    if f._ints is None:
+    if f.tag == "sampled":
         return sum((n * f.evaluate(e) for e, n in a._num.items()),
                    Fraction(0)) / a._den
     return Fraction(*_pairing_ints(a, f))

@@ -46,7 +46,18 @@ class LimitFunctional:
 
     @classmethod
     def arithmetic(cls, start: int, step: int, horizon: int) -> "LimitFunctional":
-        return cls(tuple(range(start, horizon + 1, step)), horizon)
+        """start, start + step, ... up to horizon.  Only the three
+        parameters are checked: such a range is strictly increasing,
+        positive and within the horizon by construction."""
+        start = positive_int(start, "the start")
+        step = positive_int(step, "the step")
+        horizon = positive_int(horizon, "the horizon")
+        if start > horizon:
+            raise ValueError("the subsequence must be nonempty")
+        phi = object.__new__(cls)
+        object.__setattr__(phi, "along", tuple(range(start, horizon + 1, step)))
+        object.__setattr__(phi, "horizon", horizon)
+        return phi
 
     @classmethod
     def evens(cls, horizon: int) -> "LimitFunctional":
@@ -57,7 +68,7 @@ class LimitFunctional:
         return cls.arithmetic(1, 2, horizon)
 
 
-def _stabilized(vals: Sequence) -> Optional[Fraction]:
+def _stabilized(vals: Sequence) -> Optional[int]:
     """Value of a final constant run covering at least a quarter of the
     sequence (and at least two terms); None otherwise."""
     if vals and _final_run(vals) >= max(2, len(vals) // 4):
@@ -65,19 +76,24 @@ def _stabilized(vals: Sequence) -> Optional[Fraction]:
     return None
 
 
+def _over(num: Optional[int], den: int) -> Optional[Fraction]:
+    return None if num is None else Fraction(num, den)
+
+
 def eval_limit(phi: LimitFunctional, f: BoundedFunction) -> Optional[Fraction]:
     """Limit of f along phi: exact value, or None for undetermined.
 
     A finitely modified constant has the constant as its limit along any
-    subsequence surrogate.  A sampled function must stabilize exactly.
+    subsequence surrogate.  A sampled function must stabilize exactly; its
+    samples are compared as integer numerators over their common
+    denominator.
     """
     if f.tag == "c0_plus_const":
         return f.const
-    pts = [p for p in phi.along if p <= f.horizon]
-    if not pts:
-        return None
-    vals = [f.evaluate(p) for p in pts]
-    return _stabilized(vals)
+    nums, den = f._ints
+    along = phi.along
+    return _over(_stabilized(
+        [nums[p - 1] for p in along[:bisect_right(along, len(nums))]]), den)
 
 
 def _final_run(vals: Sequence) -> int:
@@ -104,12 +120,13 @@ def _iterated_max_limit(outer: LimitFunctional, inner: LimitFunctional,
         # f(max(s, .)) is f modified on the finite prefix [1, s], so the
         # inner limit is f's constant for every s, and so is the outer.
         return f.const
-    horizon = min(outer.horizon, inner.horizon, f.horizon)
-    outer_pts = [s for s in outer.along if s <= horizon // 2]
-    inner_pts = [t for t in inner.along if t <= horizon]
+    nums, den = f._ints
+    horizon = min(outer.horizon, inner.horizon, len(nums))
+    outer_pts = outer.along[:bisect_right(outer.along, horizon // 2)]
+    inner_pts = inner.along[:bisect_right(inner.along, horizon)]
     if not outer_pts or not inner_pts:
         return None
-    tail = [f.evaluate(t) for t in inner_pts]
+    tail = [nums[t - 1] for t in inner_pts]
     n = len(tail)
     last = tail[-1]
     tail_run = _final_run(tail)
@@ -117,7 +134,7 @@ def _iterated_max_limit(outer: LimitFunctional, inner: LimitFunctional,
     rows = []
     for s in outer_pts:
         m = bisect_right(inner_pts, s)
-        head = f.evaluate(s)
+        head = nums[s - 1]
         if m == n:
             run, value = n, head
         elif n - m <= tail_run and head == last:
@@ -127,7 +144,7 @@ def _iterated_max_limit(outer: LimitFunctional, inner: LimitFunctional,
         if run < need:
             return None
         rows.append(value)
-    return _stabilized(rows)
+    return _over(_stabilized(rows), den)
 
 
 def arens_box(omega: LimitFunctional, upsilon: LimitFunctional,
@@ -264,8 +281,8 @@ def telescoping_check(a: L1Vector, x: BoundedFunction, s_max: int) -> Verdict:
         if head != rhs:
             return failed(witness={"s": s, "lhs": Fraction(head, base_den),
                                    "rhs": Fraction(rhs, base_den)},
-                          detail="telescoped identity failed although the "
-                                 "hypothesis held; internal inconsistency")
+                          detail="convolve and pairing disagree with the "
+                                 f"running integer sums at s = {s}")
     if s_max <= max([*a._num, *mod, 0]):
         return passed(witness={"s_max": s_max},
                       detail="hypothesis and identity verified; s_max does not "

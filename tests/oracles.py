@@ -172,6 +172,25 @@ def open_set_identity(f, fprime, universe, g=None):
                      universe[i].pairs) for i in diff]})
 
 
+def stabilized(vals):
+    """The last value of vals when its final constant run covers at least
+    a quarter of vals and at least two terms; None otherwise."""
+    run = 0
+    while run < len(vals) and vals[-1 - run] == vals[-1]:
+        run += 1
+    if vals and run >= max(2, len(vals) // 4):
+        return vals[-1]
+    return None
+
+
+def eval_limit_oracle(phi, f):
+    """``eval_limit`` from the Fraction values of f, read through
+    ``evaluate`` at every index of phi within the sample."""
+    if f.tag == "c0_plus_const":
+        return f.const
+    return stabilized([f.evaluate(p) for p in phi.along if p <= f.horizon])
+
+
 def counterexample_x_rescanning(a):
     """The sharpness witness of ``counterexample_x`` built from Fractions,
     re-summing the terms of a at or below every candidate s: the oracle

@@ -1,5 +1,7 @@
 import json
+import random
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -55,6 +57,26 @@ def test_int_encodings_past_the_digit_limit():
     assert jsonio.int_from(text) == w16
     assert jsonio.int_from(jsonio.int_to_str(-w16)) == -w16
     assert jsonio.to_jsonable(w16) == text
+
+
+@pytest.mark.parametrize("length", [4300, 4301, 8601, 19729,
+                                    jsonio.MAX_DECIMAL_DIGITS])
+@pytest.mark.parametrize("sign", ["", "+", "-"])
+def test_split_codec_round_trips_exactly(length, sign):
+    # Decimal converts past the digit limit exactly: the reference for
+    # every split, including halves whose low part has leading zeros
+    rng = random.Random(length)
+    digits = "".join(rng.choice("0123456789") for _ in range(length))
+    zeros = "0" * (length // 3)
+    texts = [digits, "1" + digits[1:], zeros + digits[len(zeros):],
+             "1" + "0" * (length - 1), "9" * length, "0" * length]
+    for text in (sign + t for t in texts):
+        n = jsonio.int_from(text)
+        assert n == int(Decimal(text))
+        assert jsonio.int_to_str(n) == str(Decimal(n))
+        assert jsonio.int_from(jsonio.int_to_str(n)) == n
+    with pytest.raises(ValueError):
+        jsonio.int_from(sign + "1" * (jsonio.MAX_DECIMAL_DIGITS + 1))
 
 
 def test_decimal_digit_limit_covers_the_largest_weight():

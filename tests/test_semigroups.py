@@ -19,6 +19,7 @@ from semitop.topologies import (TopologyInstance, WeightSequence,
                                 check_convergence, distinguish_topologies,
                                 mask_family)
 from semitop.verdicts import FAIL, PASS, UNDETERMINED, passed
+from semitop.wap import LimitFunctional
 
 
 def test_zplus_k_product_and_identity():
@@ -360,6 +361,12 @@ NOT_INTS = [
     ("ZPlusK", ZPlusK),
     ("ReesMatrix-rows", lambda x: ReesMatrix(IntegerGroup(), x, 1, [[0] * 3])),
     ("ReesMatrix-cols", lambda x: ReesMatrix(IntegerGroup(), 1, x, [[0]] * 3)),
+    ("LimitFunctional.arithmetic-start",
+     lambda x: LimitFunctional.arithmetic(x, 1, 5)),
+    ("LimitFunctional.arithmetic-step",
+     lambda x: LimitFunctional.arithmetic(1, x, 5)),
+    ("LimitFunctional.arithmetic-horizon",
+     lambda x: LimitFunctional.arithmetic(1, 1, x)),
 ]
 
 

@@ -9,16 +9,17 @@ from hypothesis import strategies as st
 from semitop import wap
 from semitop.l1 import (BoundedFunction, L1Vector, convolve,
                         pairing, pairing_vectors)
-from semitop.semigroups import NatMax
+from semitop.semigroups import NatMax, positive_int
 from semitop.verdicts import (FAIL, NOT_APPLICABLE, PASS, UNDETERMINED,
                               Verdict, passed)
 from semitop.wap import (LimitFunctional, SharpnessWitness, arens_box,
                          arens_diamond, counterexample_x, eval_limit,
                          indicator_of_evens, random_c0_plus_const,
                          subsequence_pair_family, telescoping_check, wap_test)
-from semitop.wap import _iterated_max_limit, _stabilized
+from semitop.wap import _iterated_max_limit
 
-from oracles import coeff_sum, counterexample_x_rescanning
+from oracles import (coeff_sum, counterexample_x_rescanning, eval_limit_oracle,
+                     stabilized)
 
 F = Fraction
 S = NatMax()
@@ -45,6 +46,35 @@ def test_limit_functional_validation():
 def test_limit_functional_takes_only_exact_ints(along, horizon):
     with pytest.raises(ValueError):
         LimitFunctional(along, horizon)
+
+
+@given(st.integers(1, 300), st.integers(1, 300), st.integers(1, 300))
+def test_arithmetic_functional_equals_the_checked_constructor(start, step,
+                                                              horizon):
+    if start > horizon:
+        with pytest.raises(ValueError, match="must be nonempty"):
+            LimitFunctional.arithmetic(start, step, horizon)
+        return
+    phi = LimitFunctional.arithmetic(start, step, horizon)
+    checked = LimitFunctional(tuple(range(start, horizon + 1, step)), horizon)
+    assert phi == checked and hash(phi) == hash(checked)
+
+
+def test_arithmetic_functionals_check_their_parameters_only(monkeypatch):
+    # per-index validation of a 200-index family would call positive_int
+    # once per index, i.e. dozens of times per functional
+    calls = 0
+
+    def counted(x, what="a domain point or value"):
+        nonlocal calls
+        calls += 1
+        return positive_int(x, what)
+
+    monkeypatch.setattr(wap, "positive_int", counted)
+    for seed in range(5):
+        calls = 0
+        pairs = subsequence_pair_family(20, 200, seed)
+        assert 0 < calls <= 3 * 2 * len(pairs)
 
 
 def test_eval_limit_constant_plus_c0_is_exact():
@@ -161,25 +191,27 @@ def _iterated_max_limit_oracle(outer, inner, f):
         return None
     rows = []
     for s in outer_pts:
-        v = _stabilized([f.evaluate(max(s, t)) for t in inner_pts])
+        v = stabilized([f.evaluate(max(s, t)) for t in inner_pts])
         if v is None:
             return None
         rows.append(v)
-    return _stabilized(rows)
+    return stabilized(rows)
 
 
 def _arens_box_oracle(omega, upsilon, f):
     value = _iterated_max_limit_oracle(omega, upsilon, f)
-    collapse = eval_limit(upsilon, f)
+    collapse = eval_limit_oracle(upsilon, f)
     if value is not None and collapse is not None and value != collapse:
         return None
     return value
 
 
-_step_functions = st.lists(st.tuples(st.integers(-1, 1), st.integers(1, 40)),
-                           min_size=1, max_size=6).map(
-    lambda runs: BoundedFunction.sampled(
-        [F(v) for v, n in runs for _ in range(n)]))
+# values with unlike denominators, so that the samples' common
+# denominator is neither 1 nor any one value's own
+_step_functions = st.lists(
+    st.tuples(st.sampled_from([F(-1, 3), F(5, 6), F(2)]), st.integers(1, 40)),
+    min_size=1, max_size=6).map(
+    lambda runs: BoundedFunction.sampled([v for v, n in runs for _ in range(n)]))
 
 
 @st.composite
@@ -202,6 +234,7 @@ def test_arens_limits_match_double_loop(f, omega, upsilon):
     assert arens_box(omega, upsilon, f) == _arens_box_oracle(omega, upsilon, f)
     assert (arens_diamond(omega, upsilon, f)
             == _arens_box_oracle(upsilon, omega, f))
+    assert eval_limit(omega, f) == eval_limit_oracle(omega, f)
 
 
 @settings(max_examples=100, deadline=None)
@@ -238,27 +271,35 @@ def test_iterated_limit_matches_double_loop_exhaustively():
                         == _iterated_max_limit_oracle(outer, inner, f))
 
 
-def test_arens_limits_evaluate_linearly_often(monkeypatch):
-    # one explicit 4000-point pair: the double loop evaluates f about
+class _CountingSamples:
+    """A read-only sequence that counts the items read from it."""
+
+    def __init__(self, items):
+        self.items, self.reads = tuple(items), 0
+
+    def __len__(self):
+        return len(self.items)
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return self.items[i]
+
+
+def test_arens_limits_evaluate_linearly_often():
+    # one explicit 4000-point pair: the double loop reads f about
     # 8 million times here, the row rule once per point and per tail entry
     omega = LimitFunctional(tuple(range(2, 8001, 2)), 8000)
     upsilon = LimitFunctional(tuple(range(1, 8001, 2)), 8000)
     f = indicator_of_evens(8000)
-    calls = 0
-    evaluate = BoundedFunction.evaluate
-
-    def counted(self, elem):
-        nonlocal calls
-        calls += 1
-        return evaluate(self, elem)
-
-    monkeypatch.setattr(BoundedFunction, "evaluate", counted)
+    nums, den = f._ints
+    samples = _CountingSamples(nums)
+    f._ints = (samples, den)
     budget = 2 * (len(omega.along) + len(upsilon.along))
     assert arens_box(omega, upsilon, f) == 0
-    assert 0 < calls <= budget
-    calls = 0
+    assert 0 < samples.reads <= budget
+    samples.reads = 0
     assert arens_diamond(omega, upsilon, f) == 1
-    assert 0 < calls <= budget
+    assert 0 < samples.reads <= budget
 
 
 def test_subsequence_pair_family_deterministic():
@@ -456,6 +497,8 @@ def test_telescoping_self_check_is_a_fail_verdict(monkeypatch):
     v = telescoping_check(_d(1), x, 4)
     assert v.status == FAIL
     assert v.witness == {"s": 2, "lhs": 1, "rhs": 0}
+    assert v.detail == ("convolve and pairing disagree with the running "
+                        "integer sums at s = 2")
 
 
 def test_counterexample_unsorted_support():
