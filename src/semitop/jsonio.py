@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import re
+from decimal import Decimal
 from fractions import Fraction
 from typing import Any, Optional
 
@@ -30,8 +31,8 @@ from .topologies import MAX_DECIMAL_DIGITS, MAX_INDEX_BOUND
 
 SCHEMA_VERSION = "1"
 
-# Converting n digits takes time superlinear in n, so the patterns bound
-# n, and a string they refuse is not repeated in the message.
+# Converting n digits takes time quadratic in n, so the patterns bound n,
+# and a string they refuse is not repeated in the message.
 _DIGITS = f"[0-9]{{1,{MAX_DECIMAL_DIGITS}}}"
 _DECIMAL = re.compile(f"[+-]?{_DIGITS}")
 _RATIONAL = re.compile(f"[+-]?{_DIGITS}(/{_DIGITS})?")
@@ -50,11 +51,7 @@ class SuiteError(ValueError):
 
 
 # Python refuses int <-> decimal str conversions past a process-wide digit
-# limit (4300 by default).  Past it the codec works in blocks of _BLOCK
-# digits, which it converts one at a time and joins (or splits) at powers
-# of ten, pairwise, doubling the block width at each level.
-_BLOCK = 2048
-
+# limit (4300 by default); Decimal converts exactly and is not subject to it.
 
 def frac_to_str(q: Any) -> str:
     q = Fraction(q)
@@ -85,39 +82,16 @@ def int_from(j: Any) -> int:
                              f"{MAX_DECIMAL_DIGITS} digits")
         try:
             return int(j)
-        except ValueError:      # past the digit limit
-            pass
-        digits = j.lstrip("+-")
-        # blocks, least significant first; all but the last are full width
-        parts = [int(digits[max(i - _BLOCK, 0):i])
-                 for i in range(len(digits), 0, -_BLOCK)]
-        width = _BLOCK
-        while len(parts) > 1:
-            shift = 10 ** width
-            joined = [lo + hi * shift for lo, hi in zip(parts[::2], parts[1::2])]
-            parts = joined + parts[len(joined) * 2:]
-            width *= 2
-        return -parts[0] if j[0] == "-" else parts[0]
+        except ValueError:
+            return int(Decimal(j))
     raise TypeError(f"{j!r} is not an integer encoding")
 
 
 def int_to_str(n: int) -> str:
-    n = int(n)
     try:
-        return str(n)
-    except ValueError:          # past the digit limit
-        pass
-    m = abs(n)
-    widths = [_BLOCK]
-    while 3 * widths[-1] < m.bit_length():      # until 10^width > 2^bits > m
-        widths.append(2 * widths[-1])
-    # most significant first; each split pads its low half to full width
-    parts = [m]
-    for width in reversed(widths[:-1]):
-        shift = 10 ** width
-        parts = [half for p in parts for half in divmod(p, shift)]
-    text = "".join(str(p).zfill(_BLOCK) for p in parts).lstrip("0")
-    return "-" + text if n < 0 else text
+        return str(int(n))
+    except ValueError:
+        return str(Decimal(n))
 
 
 # ---------------------------------------------------------------------------

@@ -147,7 +147,8 @@ class BoundedFunction:
     every element; `_ints` holds (mod numerators, const numerator, den) over
     one denominator.  tag "sampled": values at the integers 1..horizon only;
     evaluation beyond the horizon raises HorizonExceeded; `_ints` holds
-    (value numerators, den) over one denominator.
+    each value's (numerator, denominator), which a Fraction keeps in lowest
+    terms, so two samples are equal exactly when their pairs are.
     """
 
     __slots__ = ("tag", "mod", "const", "values", "_ints")
@@ -174,8 +175,7 @@ class BoundedFunction:
                 raise ValueError("sampled function needs at least one value")
             self.mod = {}
             self.const = Fraction(0)
-            nums, den = _over_common_den(self.values)
-            self._ints = (tuple(nums), den)
+            self._ints = tuple(map(Fraction.as_integer_ratio, self.values))
 
     @classmethod
     def c0_plus_const(cls, mod: Optional[dict] = None, const: Any = 0) -> "BoundedFunction":

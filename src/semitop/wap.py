@@ -68,16 +68,13 @@ class LimitFunctional:
         return cls.arithmetic(1, 2, horizon)
 
 
-def _stabilized(vals: Sequence) -> Optional[int]:
-    """Value of a final constant run covering at least a quarter of the
-    sequence (and at least two terms); None otherwise."""
-    if vals and _final_run(vals) >= max(2, len(vals) // 4):
-        return vals[-1]
+def _stabilized(pairs: Sequence) -> Optional[Fraction]:
+    """Value of a final constant run of (numerator, denominator) pairs
+    covering at least a quarter of the sequence (and at least two terms);
+    None otherwise."""
+    if pairs and _final_run(pairs) >= max(2, len(pairs) // 4):
+        return Fraction(*pairs[-1])
     return None
-
-
-def _over(num: Optional[int], den: int) -> Optional[Fraction]:
-    return None if num is None else Fraction(num, den)
 
 
 def eval_limit(phi: LimitFunctional, f: BoundedFunction) -> Optional[Fraction]:
@@ -85,15 +82,14 @@ def eval_limit(phi: LimitFunctional, f: BoundedFunction) -> Optional[Fraction]:
 
     A finitely modified constant has the constant as its limit along any
     subsequence surrogate.  A sampled function must stabilize exactly; its
-    samples are compared as integer numerators over their common
-    denominator.
+    samples are compared as (numerator, denominator) pairs of ints.
     """
     if f.tag == "c0_plus_const":
         return f.const
-    nums, den = f._ints
+    pairs = f._ints
     along = phi.along
-    return _over(_stabilized(
-        [nums[p - 1] for p in along[:bisect_right(along, len(nums))]]), den)
+    return _stabilized(
+        [pairs[p - 1] for p in along[:bisect_right(along, len(pairs))]])
 
 
 def _final_run(vals: Sequence) -> int:
@@ -120,13 +116,13 @@ def _iterated_max_limit(outer: LimitFunctional, inner: LimitFunctional,
         # f(max(s, .)) is f modified on the finite prefix [1, s], so the
         # inner limit is f's constant for every s, and so is the outer.
         return f.const
-    nums, den = f._ints
-    horizon = min(outer.horizon, inner.horizon, len(nums))
+    pairs = f._ints
+    horizon = min(outer.horizon, inner.horizon, len(pairs))
     outer_pts = outer.along[:bisect_right(outer.along, horizon // 2)]
     inner_pts = inner.along[:bisect_right(inner.along, horizon)]
     if not outer_pts or not inner_pts:
         return None
-    tail = [nums[t - 1] for t in inner_pts]
+    tail = [pairs[t - 1] for t in inner_pts]
     n = len(tail)
     last = tail[-1]
     tail_run = _final_run(tail)
@@ -134,7 +130,7 @@ def _iterated_max_limit(outer: LimitFunctional, inner: LimitFunctional,
     rows = []
     for s in outer_pts:
         m = bisect_right(inner_pts, s)
-        head = nums[s - 1]
+        head = pairs[s - 1]
         if m == n:
             run, value = n, head
         elif n - m <= tail_run and head == last:
@@ -144,7 +140,7 @@ def _iterated_max_limit(outer: LimitFunctional, inner: LimitFunctional,
         if run < need:
             return None
         rows.append(value)
-    return _over(_stabilized(rows), den)
+    return _stabilized(rows)
 
 
 def arens_box(omega: LimitFunctional, upsilon: LimitFunctional,

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -206,8 +207,8 @@ def _arens_box_oracle(omega, upsilon, f):
     return value
 
 
-# values with unlike denominators, so that the samples' common
-# denominator is neither 1 nor any one value's own
+# values with unlike denominators, so that a limit must come back over
+# its own denominator, not 1 or another sample's
 _step_functions = st.lists(
     st.tuples(st.sampled_from([F(-1, 3), F(5, 6), F(2)]), st.integers(1, 40)),
     min_size=1, max_size=6).map(
@@ -291,15 +292,32 @@ def test_arens_limits_evaluate_linearly_often():
     omega = LimitFunctional(tuple(range(2, 8001, 2)), 8000)
     upsilon = LimitFunctional(tuple(range(1, 8001, 2)), 8000)
     f = indicator_of_evens(8000)
-    nums, den = f._ints
-    samples = _CountingSamples(nums)
-    f._ints = (samples, den)
+    samples = _CountingSamples(f._ints)
+    f._ints = samples
     budget = 2 * (len(omega.along) + len(upsilon.along))
     assert arens_box(omega, upsilon, f) == 0
     assert 0 < samples.reads <= budget
     samples.reads = 0
     assert arens_diamond(omega, upsilon, f) == 1
     assert 0 < samples.reads <= budget
+
+
+def test_samples_with_coprime_denominators_stay_small():
+    # 2000 values 1/q over distinct odd q near 10^9 have an lcm of about
+    # 18,000 digits: brought over one common denominator they would take
+    # about 12 MB, held as their own (numerator, denominator) pairs 0.15 MB
+    tail = F(5, 10 ** 9 + 4001)
+    vals = [F(1, 10 ** 9 + 2 * k + 1) for k in range(2000)] + [tail] * 1000
+    tracemalloc.start()
+    try:
+        f = BoundedFunction.sampled(vals)
+        limit = eval_limit(LimitFunctional.evens(len(vals)), f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert limit == tail
+    assert eval_limit(LimitFunctional.evens(2000), f) is None
+    assert peak < 2 * 10 ** 6
 
 
 def test_subsequence_pair_family_deterministic():
