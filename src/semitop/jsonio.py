@@ -272,6 +272,14 @@ def limit_functional_from_json(d: Any) -> wap.LimitFunctional:
     return wap.LimitFunctional(**read_params(d, _LIMIT_FUNCTIONAL))
 
 
+def limit_functional_to_json(phi: wap.LimitFunctional) -> dict:
+    """{"along": [...], "horizon": h}; every index is at most the horizon,
+    so when h is a plain JSON number, so is every index."""
+    if phi.horizon < _BIG:
+        return {"along": list(phi.along), "horizon": phi.horizon}
+    return {"along": to_jsonable(phi.along), "horizon": to_jsonable(phi.horizon)}
+
+
 def certificate_to_json(cert: topologies.ConvergenceCertificate) -> dict:
     return {"limit": s1_point_to_json(cert.limit),
             "alpha_max": cert.alpha_max,
@@ -306,6 +314,8 @@ def to_jsonable(obj: Any) -> Any:
         return "INF"
     if isinstance(obj, topologies.ConvergenceCertificate):
         return certificate_to_json(obj)
+    if isinstance(obj, wap.LimitFunctional):
+        return limit_functional_to_json(obj)
     if isinstance(obj, PartialMap):
         return {"pairs": [[n, v] for n, v in obj.pairs]}
     if isinstance(obj, ReesElement):

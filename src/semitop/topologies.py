@@ -16,9 +16,13 @@ bound, which is never collapsed into a FAIL.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import nsmallest
 from itertools import combinations, product as iproduct, takewhile
+from math import prod
+from operator import neg
 from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from .semigroups import INF, _quoted, positive_int
@@ -364,9 +368,14 @@ class TopologyInstance:
         out = self._subset_sums.get((alpha, a))
         if out is None:
             idxs = [i for i in self.mask if i >= alpha]
+            values = [self.weights.value(i) for i in idxs]
+            combine = prod if self.multiplicative else sum
+            # combinations of the indices and of their weights come in the
+            # same order, so each weight is read once
             out = self._subset_sums[(alpha, a)] = tuple(
-                (combo, self.weight_total(combo))
-                for k in range(a + 1) for combo in combinations(idxs, k))
+                (combo, combine(ws)) for k in range(a + 1)
+                for combo, ws in zip(combinations(idxs, k),
+                                     combinations(values, k)))
         return out
 
     # -- two-sided representations (for separation witnesses) -----------
@@ -621,16 +630,21 @@ def check_convergence(T: TopologyInstance, sequence: Sequence, limit: tuple,
 def _limit_candidates(T: TopologyInstance, sequence: Sequence) -> list:
     """The ten points most often reached by unshifting a term by up to
     three masked weights, most frequent first, ties in point order."""
-    counts: dict = {}
+    table = [(len(combo), total) for combo, total in T._subset_sum_table(1, 3)]
+    counts: Counter = Counter()
     for term in sequence:
         x, u = T.require_point(term)
-        for combo, total in T._subset_sum_table(1, 3):
-            v = T.unshift(u, total)
-            if v is not None:
-                cand = (x + len(combo), v)
-                counts[cand] = counts.get(cand, 0) + 1
-    ranked = sorted(counts, key=lambda cand: (-counts[cand], cand))
-    return ranked[:10]
+        # T.unshift, one comprehension per base: every v is in S on z, and
+        # on the odd naturals a quotient of odd positives is odd positive
+        if T.base == "z":
+            counts.update([(x + k, u - t) for k, t in table])
+        elif T.base == "zplus":
+            counts.update([(x + k, u - t) for k, t in table if u >= t])
+        else:
+            counts.update([(x + k, u // t) for k, t in table if not u % t])
+    # the ten least (-count, point) pairs
+    return [cand for _, cand in
+            nsmallest(10, zip(map(neg, counts.values()), counts))]
 
 
 def find_limit(T: TopologyInstance, sequence: Sequence,

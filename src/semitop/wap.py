@@ -17,7 +17,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .l1 import (BoundedFunction, L1Vector, convolve, pairing, pairing_vectors,
                  _pairing_ints)
@@ -167,19 +167,23 @@ def arens_diamond(omega: LimitFunctional, upsilon: LimitFunctional,
     return arens_box(upsilon, omega, f)
 
 
-def wap_test(f: BoundedFunction, pairs: Sequence) -> Verdict[dict]:
+def wap_test(f: BoundedFunction, pairs: Iterable) -> Verdict[dict]:
     """Double-limit test over a family of subsequence pairs.
 
-    A determined, unequal (box, diamond) pair is a genuine counterexample
+    The pairs are read lazily, in order, and the test stops at the first
+    determined disagreement, so a generator such as
+    `iter_subsequence_pairs` never builds the pairs after it.  A
+    determined, unequal (box, diamond) pair is a genuine counterexample
     and a FAIL: f is not weakly almost periodic.  PASS, agreement on every
     determined pair, is only consistency for sampled functions; finitely
     modified constants pass outright (they sit inside the vanishing-plus-
     constant class, exactly the weakly-almost-periodic part over (N, max)).
-    UNDETERMINED means no pair stabilized.
+    UNDETERMINED means no pair stabilized.  The PASS witness counts the
+    pairs read and the determined ones among them.
     """
-    pairs = list(pairs)
-    determined = 0
+    count = determined = 0
     for omega, upsilon in pairs:
+        count += 1
         box = arens_box(omega, upsilon, f)
         diamond = arens_diamond(omega, upsilon, f)
         if box is None or diamond is None:
@@ -190,11 +194,11 @@ def wap_test(f: BoundedFunction, pairs: Sequence) -> Verdict[dict]:
                                    "box": box, "diamond": diamond},
                           detail="iterated limits disagree exactly")
     if f.tag == "c0_plus_const":
-        return passed(witness={"pairs": len(pairs), "determined": determined},
+        return passed(witness={"pairs": count, "determined": determined},
                       detail="membership certified: vanishing part plus a constant")
     if determined == 0:
         return undetermined("no pair stabilized")
-    return passed(witness={"pairs": len(pairs), "determined": determined},
+    return passed(witness={"pairs": count, "determined": determined},
                   detail="all determined pairs agree (consistency only)")
 
 
@@ -203,15 +207,23 @@ def indicator_of_evens(horizon: int) -> BoundedFunction:
         [Fraction(1) if n % 2 == 0 else Fraction(0) for n in range(1, horizon + 1)])
 
 
-def subsequence_pair_family(count: int, horizon: int, seed: int) -> list:
-    """Deterministic family of subsequence pairs, led by evens/odds."""
+def iter_subsequence_pairs(count: int, horizon: int,
+                           seed: int) -> Iterator[tuple]:
+    """Deterministic family of `count` subsequence pairs, led by
+    evens/odds, each pair drawn only when it is read."""
     rng = random.Random(seed)
-    pairs = [(LimitFunctional.evens(horizon), LimitFunctional.odds(horizon))]
-    while len(pairs) < count:
-        a = LimitFunctional.arithmetic(rng.randint(1, 6), rng.randint(1, 6), horizon)
-        b = LimitFunctional.arithmetic(rng.randint(1, 6), rng.randint(1, 6), horizon)
-        pairs.append((a, b))
-    return pairs[:count]
+    if count > 0:
+        yield LimitFunctional.evens(horizon), LimitFunctional.odds(horizon)
+    for _ in range(count - 1):
+        yield (LimitFunctional.arithmetic(rng.randint(1, 6), rng.randint(1, 6),
+                                          horizon),
+               LimitFunctional.arithmetic(rng.randint(1, 6), rng.randint(1, 6),
+                                          horizon))
+
+
+def subsequence_pair_family(count: int, horizon: int, seed: int) -> list:
+    """The pairs of `iter_subsequence_pairs`, as a list."""
+    return list(iter_subsequence_pairs(count, horizon, seed))
 
 
 def random_c0_plus_const(rng: random.Random,

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from reports import strip_timing
 
-from semitop import cli, jsonio, suites, topologies, verdicts
+from semitop import cli, jsonio, suites, topologies, verdicts, wap
 from semitop.cli import main
 from semitop.jsonio import MAX_INDEX_BOUND, SuiteError, read_params
 from semitop.suites import SUITE_PARAMS, SUITES, run_suite
@@ -118,6 +118,30 @@ def test_waptest_not_wap(capsys):
     assert doc["status"] == "NOT-WAP"
     assert doc["witness"]["box"] == "0"
     assert doc["witness"]["diamond"] == "1"
+
+
+def test_waptest_draws_only_the_pairs_it_reads(monkeypatch, capsys):
+    # the evens indicator fails on the leading evens/odds pair, so the
+    # default family builds that pair alone; a finitely modified constant
+    # agrees on every pair and reads all 20
+    arithmetic = wap.LimitFunctional.arithmetic
+    calls = 0
+
+    def counted(cls, *args):
+        nonlocal calls
+        calls += 1
+        return arithmetic(*args)
+
+    monkeypatch.setattr(wap.LimitFunctional, "arithmetic", classmethod(counted))
+    values = [1 - n % 2 for n in range(1, 201)]
+    params = {"function": {"tag": "sampled", "values": values}}
+    code, doc = run(capsys, "waptest", "--params", json.dumps(params))
+    assert (code, doc["status"]) == (1, "NOT-WAP")
+    assert calls <= 2
+    params = {"function": {"tag": "c0_plus_const", "const": "1/3"}}
+    code, doc = run(capsys, "waptest", "--params", json.dumps(params))
+    assert (code, doc["status"]) == (0, "WAP-consistent")
+    assert doc["witness"] == {"pairs": 20, "determined": 20}
 
 
 def test_waptest_short_sample_default_horizon(capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 import re
@@ -342,6 +343,21 @@ def test_limit_functional_round_trip():
     doc = jsonio.to_jsonable(phi)
     assert doc == {"along": [2, 4, 6, 8, 10], "horizon": 10}
     assert jsonio.limit_functional_from_json(doc) == phi
+
+
+@pytest.mark.parametrize("phi", [
+    LimitFunctional.evens(10), LimitFunctional.odds(200),
+    LimitFunctional((3, 7, 2 ** 40), 2 ** 53 - 1),
+    LimitFunctional((1, 3), 2 ** 60),
+    LimitFunctional((5, 2 ** 53), 2 ** 53)])
+def test_a_limit_functional_is_written_as_a_dataclass(phi):
+    # the direct writer against the generic dataclass conversion; a
+    # horizon or index of 2**53 or more is a decimal string
+    generic = {f.name: jsonio.to_jsonable(getattr(phi, f.name))
+               for f in dataclasses.fields(phi)}
+    assert jsonio.to_jsonable(phi) == generic
+    assert jsonio.limit_functional_to_json(phi) == generic
+    assert jsonio.limit_functional_from_json(json.loads(json.dumps(generic))) == phi
 
 
 def test_to_jsonable():

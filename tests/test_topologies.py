@@ -855,6 +855,33 @@ def test_find_limit_not_found_at_horizon():
     assert v.witness is None and v.detail
 
 
+def test_subset_sum_table_matches_weight_total(monkeypatch):
+    # every (alpha, a) the suites ask for at their defaults, and limit
+    # recovery's (1, 3), tabled on each base and on explicit weights
+    used = {(1, 3)}
+    table = TopologyInstance._subset_sum_table
+
+    def recorded(self, alpha, a):
+        used.add((alpha, a))
+        return table(self, alpha, a)
+
+    monkeypatch.setattr(TopologyInstance, "_subset_sum_table", recorded)
+    for name in SUITES:
+        if name != "section4-no-predual":      # partial maps, no topology
+            suites.run_suite(name, {}, seed=0)
+    monkeypatch.undo()
+    assert {(1, 0), (4, 5), (7, 2)} <= used
+    top = max(alpha for alpha, _ in used)
+    for T in (Tz(top), TopologyInstance("zplus", WeightSequence.double_exp(top)),
+              Todd(top), TopologyInstance("z", WeightSequence.explicit(
+                  [3 * i + i * i for i in range(1, top + 1)]), (1, 2, 4, 5))):
+        for alpha, a in sorted(used):
+            idxs = [i for i in T.mask if i >= alpha]
+            assert T._subset_sum_table(alpha, a) == tuple(
+                (combo, T.weight_total(combo))
+                for k in range(a + 1) for combo in combinations(idxs, k))
+
+
 def _limit_candidates_loop(T, sequence):
     # oracle: each term unshifted by every set of at most three masked
     # weights, the weight total recomputed for each
@@ -875,8 +902,10 @@ def _limit_candidates_loop(T, sequence):
 
 @settings(max_examples=60)
 @given(st.sampled_from(["zplus", "z", "odd_nat", "explicit"]),
-       st.integers(1, 7), st.data())
+       st.integers(1, 9), st.data())
 def test_limit_candidates_match_unshift_loop(kind, bound, data):
+    # up to 16 terms drawn from a pool of at most six, so terms repeat and
+    # the counts of their candidates tie
     if kind == "odd_nat":
         T = Todd(bound)
     elif kind == "explicit":
@@ -887,14 +916,26 @@ def test_limit_candidates_match_unshift_loop(kind, bound, data):
         T = TopologyInstance(kind, WeightSequence.double_exp(bound))
     T = TopologyInstance(T.base, T.weights, data.draw(
         st.sets(st.integers(1, bound), min_size=1)))
-    seq = []
+    pool = []
     for _ in range(data.draw(st.integers(0, 6))):
         s = T.s_op(T.s_identity, T.weight_total(
             data.draw(st.sets(st.sampled_from(T.mask), max_size=3))))
         u = s + data.draw(st.sampled_from([0, 0, 1, -2]))
         if T.in_S(u):
-            seq.append((data.draw(st.integers(0, 3)), u))
+            pool.append((data.draw(st.integers(0, 3)), u))
+    seq = data.draw(st.lists(st.sampled_from(pool), max_size=16)) if pool else []
     assert _limit_candidates(T, seq) == _limit_candidates_loop(T, seq)
+
+
+def test_limit_candidates_lead_with_the_constructed_limit():
+    # the shape of a limit-recovery query: terms (c - 1, v + w_j) for
+    # j = 1..8 all unshift by one weight to (c, v), and nothing else is
+    # reached by every term
+    T = Tz(8)
+    seq = [(1, -123 + T.weights.value(j)) for j in range(1, 9)]
+    got = _limit_candidates(T, seq)
+    assert got[0] == (2, -123)
+    assert got == _limit_candidates_loop(T, seq)
 
 
 @pytest.mark.parametrize("term", [(-4, 7), (0, 4), (1, Fraction(1, 3)),

@@ -15,8 +15,8 @@ from semitop.verdicts import (FAIL, NOT_APPLICABLE, PASS, UNDETERMINED,
                               Verdict, passed)
 from semitop.wap import (LimitFunctional, SharpnessWitness, arens_box,
                          arens_diamond, counterexample_x, eval_limit,
-                         indicator_of_evens, random_c0_plus_const,
-                         subsequence_pair_family, telescoping_check, wap_test)
+                         indicator_of_evens, iter_subsequence_pairs,
+                         random_c0_plus_const, subsequence_pair_family, telescoping_check, wap_test)
 from semitop.wap import _iterated_max_limit
 
 from oracles import (coeff_sum, counterexample_x_rescanning, eval_limit_oracle,
@@ -318,6 +318,18 @@ def test_samples_with_coprime_denominators_stay_small():
     assert limit == tail
     assert eval_limit(LimitFunctional.evens(2000), f) is None
     assert peak < 2 * 10 ** 6
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_wap_test_reads_the_lazy_family_as_the_list(seed):
+    # nmax-wap's functions at this seed, and a sampled one that agrees on
+    # every pair, so the generator is read to its end
+    rng = random.Random(f"{seed}:wapfam")
+    functions = [indicator_of_evens(200), BoundedFunction.sampled([F(1)] * 200),
+                 *(random_c0_plus_const(rng) for _ in range(50))]
+    for f in functions:
+        assert (wap_test(f, iter_subsequence_pairs(50, 200, seed))
+                == wap_test(f, subsequence_pair_family(50, 200, seed)))
 
 
 def test_subsequence_pair_family_deterministic():
