@@ -28,7 +28,7 @@ from .jsonio import (MAX_INDEX_BOUND, REQUIRED, SuiteError, array_of,
                      pair_of)
 from .suites import SUITE_PARAMS, SUITES, run_suite
 from .verdicts import FAIL, NOT_APPLICABLE, PASS, UNDETERMINED
-from .wap import iter_subsequence_pairs, wap_test
+from .wap import subsequence_pair_family, wap_test
 
 _EXIT_OK = 0
 _EXIT_FAIL = 1
@@ -101,7 +101,7 @@ def _waptest(params: dict, seed: int) -> tuple:
             raise SuiteError("'pairs' takes no 'count' or 'horizon'")
     else:   # by default 20 seeded pairs over the first 200 indices, each
         # drawn only if the test reads it
-        pairs = iter_subsequence_pairs(count or 20, horizon or 200, seed=seed)
+        pairs = subsequence_pair_family(count or 20, horizon or 200, seed=seed)
     return _answer(wap_test(params["function"], pairs), _WAPTEST_STATUS)
 
 

@@ -172,7 +172,7 @@ def wap_test(f: BoundedFunction, pairs: Iterable) -> Verdict[dict]:
 
     The pairs are read lazily, in order, and the test stops at the first
     determined disagreement, so a generator such as
-    `iter_subsequence_pairs` never builds the pairs after it.  A
+    `subsequence_pair_family` never builds the pairs after it.  A
     determined, unequal (box, diamond) pair is a genuine counterexample
     and a FAIL: f is not weakly almost periodic.  PASS, agreement on every
     determined pair, is only consistency for sampled functions; finitely
@@ -207,8 +207,8 @@ def indicator_of_evens(horizon: int) -> BoundedFunction:
         [Fraction(1) if n % 2 == 0 else Fraction(0) for n in range(1, horizon + 1)])
 
 
-def iter_subsequence_pairs(count: int, horizon: int,
-                           seed: int) -> Iterator[tuple]:
+def subsequence_pair_family(count: int, horizon: int,
+                            seed: int) -> Iterator[tuple]:
     """Deterministic family of `count` subsequence pairs, led by
     evens/odds, each pair drawn only when it is read."""
     rng = random.Random(seed)
@@ -219,11 +219,6 @@ def iter_subsequence_pairs(count: int, horizon: int,
                                           horizon),
                LimitFunctional.arithmetic(rng.randint(1, 6), rng.randint(1, 6),
                                           horizon))
-
-
-def subsequence_pair_family(count: int, horizon: int, seed: int) -> list:
-    """The pairs of `iter_subsequence_pairs`, as a list."""
-    return list(iter_subsequence_pairs(count, horizon, seed))
 
 
 def random_c0_plus_const(rng: random.Random,

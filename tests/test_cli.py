@@ -8,7 +8,6 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from reports import strip_timing
 
 from semitop import cli, jsonio, suites, topologies, verdicts, wap
 from semitop.cli import main
@@ -251,6 +250,26 @@ def test_associativity_failure_keeps_its_witness(monkeypatch):
     assert (check["id"], check["status"], check["detail"]) == (
         "associativity-windows", "FAIL", "broke")
     assert check["witness"] == {"instance": "zplus_2", "inner": [1, 2, 3]}
+
+
+@pytest.mark.parametrize("fake", [
+    verdicts.failed(witness={"box": 1, "diamond": 0}, detail="faked"),
+    verdicts.undetermined("faked")])
+def test_a_wrong_inner_verdict_is_nested_whole(fake, monkeypatch):
+    # each of these checks nests the verdict it rejects under "inner"
+    monkeypatch.setattr(suites, "wap_test", lambda f, pairs: fake)
+    monkeypatch.setattr(topologies, "good_corr_check",
+                        lambda topology, s, seq: fake)
+    inner = {"status": fake.status, "witness": fake.witness,
+             "detail": "faked"}
+    for suite, cids in (("nmax-wap", ("wap-random-family",
+                                      "wap-indicator-evens")),
+                        ("good-corr", ("one-point-found",
+                                       "one-point-constant"))):
+        checks = {c["id"]: c for c in run_suite(suite)["checks"]}
+        for cid in cids:
+            assert checks[cid]["status"] == "FAIL", cid
+            assert checks[cid]["witness"]["inner"] == inner, cid
 
 
 @pytest.mark.parametrize("status,code,overall", [
@@ -755,6 +774,12 @@ def test_every_status_has_an_exit_code():
     assert set(cli._STATUS_EXIT) == statuses
 
 
+def _untimed(report):
+    """A suite report as sorted JSON text, its "timing" block dropped."""
+    report.pop("timing")
+    return json.dumps(report, sort_keys=True)
+
+
 def test_reports_are_deterministic(capsys):
     # gen-con-one draws its separate-continuity triples from the seed, so
     # equal reports are not equal merely because the suite ignores the seed
@@ -766,19 +791,19 @@ def test_reports_are_deterministic(capsys):
                           capture_output=True, text=True, env=env,
                           timeout=120)
     assert code1 == code2 == proc.returncode == 0
-    report = strip_timing(first)
-    assert report == strip_timing(second)
-    assert report == strip_timing(json.loads(proc.stdout))
+    report = _untimed(first)
+    assert report == _untimed(second)
+    assert report == _untimed(json.loads(proc.stdout))
     _, other_seed = run(capsys, "--suite", "gen-con-one", "--seed", "6")
-    assert strip_timing(other_seed)["checks"] != report["checks"]
+    assert other_seed["checks"] != first["checks"]
 
 
 def test_remark4_report_does_not_read_the_seed():
     # its mask family is a fixed scan, not a draw
-    first, second = (strip_timing(run_suite("remark4-continuum", seed=seed))
+    first, second = (run_suite("remark4-continuum", seed=seed)
                      for seed in (0, 7))
     assert (first.pop("seed"), second.pop("seed")) == (0, 7)
-    assert first == second
+    assert _untimed(first) == _untimed(second)
 
 
 def test_unknown_flag_exits_3():
@@ -820,7 +845,7 @@ def test_one_parser_serves_every_call(monkeypatch, capsys):
     code, out, err = _call(capsys, suite)
     code_before, out_before, err_before = before[tuple(suite)]
     assert (code, err) == (code_before, err_before) == (0, "")
-    assert strip_timing(json.loads(out)) == strip_timing(json.loads(out_before))
+    assert _untimed(json.loads(out)) == _untimed(json.loads(out_before))
 
 
 def test_help_names_every_command_and_suite(monkeypatch, capsys):

@@ -7,6 +7,7 @@ report overall PASS.
 """
 
 import gc
+import json
 import random
 
 import pytest
@@ -36,6 +37,11 @@ def test_every_suite_passes_at_its_lower_bounds(suite):
     assert report["overall"] == "PASS", [
         (c["id"], c["status"], c["detail"]) for c in report["checks"]
         if c["status"] != "PASS"]
+    # every check is written as its verdict; all timing sits in one block
+    timing = report["timing"]
+    assert list(timing["checks_ms"]) == [c["id"] for c in report["checks"]]
+    assert timing["total_ms"] >= sum(timing["checks_ms"].values())
+    assert '"elapsed_ms":' not in json.dumps(report)   # at any depth
 
 
 @pytest.mark.parametrize("params", [
