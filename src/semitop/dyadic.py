@@ -171,7 +171,11 @@ def verify_interval_identity(x0: DyadicPoint, space: XSpace, beta: int) -> Verdi
 
 def interval_identity_sweep(a_max: int, alpha_max: int, beta_max: int,
                             max_exp: int) -> Verdict:
-    """Exhaustive interval-identity check over a grid of truncations."""
+    """Exhaustive interval-identity check over a grid of truncations; a
+    size that is not a positive int, which would check nothing, raises."""
+    for n, what in ((a_max, "a_max"), (alpha_max, "alpha_max"),
+                    (beta_max, "beta_max"), (max_exp, "max_exp")):
+        positive_int(n, what)
     checked = 0
     for a in range(1, a_max + 1):
         for alpha in range(1, alpha_max + 1):

@@ -12,8 +12,8 @@ depth: it refuses an undeclared or missing key, and reads every integer
 that sizes the work into its declared range before anything is computed
 from it; an error in a nested object names the keys it was read under.
 Each `*_from_json` reader is a table of keys and a one-line build, with
-a table per kind of weights and per tag of function, so a key that the
-kind or tag does not use is undeclared too.
+a table and a constructor per kind of weights and per tag of function, so
+a key that the kind or tag does not use is undeclared too.
 """
 
 from __future__ import annotations
@@ -151,17 +151,19 @@ def read_params(params: Any, keys: dict) -> dict:
     return out
 
 
-def read_tagged(params: Any, tag: str, tables: dict) -> dict:
-    """``params`` read by read_params against the table in ``tables`` that
-    its ``tag`` key names, so a key its tag does not use is undeclared."""
+def read_tagged(params: Any, tag: str, rows: dict) -> Any:
+    """``params`` read by read_params against the key table of the row in
+    ``rows`` that its ``tag`` key names, so a key its tag does not use is
+    undeclared, and built from its other keys by that row's constructor."""
     if not isinstance(params, dict):
         raise SuiteError("expected a JSON object")
     if tag not in params:
         raise SuiteError(f"missing parameter {tag!r}")
     word = params[tag]
-    if not isinstance(word, str) or word not in tables:
-        raise SuiteError(f"parameter {tag!r} must be one of {sorted(tables)}")
-    return read_params(params, tables[word])
+    if not isinstance(word, str) or word not in rows:
+        raise SuiteError(f"parameter {tag!r} must be one of {sorted(rows)}")
+    keys, build = rows[word]
+    return build(**{k: v for k, v in read_params(params, keys).items() if k != tag})
 
 
 def array_of(reader, lo: int = 0, hi: Optional[int] = None):
@@ -186,15 +188,15 @@ def pair_of(reader):
 
 
 def _verbatim(j: Any) -> Any:
-    # a tag, base or kind word, whose constructor checks the vocabulary
+    # a base word, which TopologyInstance checks, or a tag or kind word
     return j
 
 
 read_mask = array_of(lambda j: read_int(j, "mask entry", 1, MAX_INDEX_BOUND))
 
 # Each object of a query is a key table, named as the arguments of the
-# class it builds, and a one-line build.  Weights and functions have a
-# table per kind or tag.
+# class it builds, and a one-line build.  Weights and functions have a row
+# per kind or tag: its key table and its kind's constructor.
 
 _MOD_ENTRY = {"elem": (REQUIRED, lambda j: positive_int(int_from(j), "elem")),
               "value": (REQUIRED, frac_from)}
@@ -205,19 +207,21 @@ def mod_entry_from_json(d: Any) -> tuple:
 
 
 _FUNCTION = {
-    "c0_plus_const": {"tag": (REQUIRED, _verbatim), "const": (0, frac_from),
-                      "mod": (None, array_of(mod_entry_from_json))},
-    "sampled": {"tag": (REQUIRED, _verbatim),
-                "values": (REQUIRED, array_of(frac_from))}}
+    "c0_plus_const": ({"tag": (REQUIRED, _verbatim), "const": (0, frac_from),
+                       "mod": (None, array_of(mod_entry_from_json))},
+                      BoundedFunction.c0_plus_const),
+    "sampled": ({"tag": (REQUIRED, _verbatim),
+                 "values": (REQUIRED, array_of(frac_from))},
+                BoundedFunction.sampled)}
 
 
 def bounded_function_from_json(d: Any) -> BoundedFunction:
-    return BoundedFunction(**read_tagged(d, "tag", _FUNCTION))
+    return read_tagged(d, "tag", _FUNCTION)
 
 
 def bounded_function_to_json(f: BoundedFunction) -> dict:
     if f.tag == "sampled":
-        return {"tag": "sampled", "values": [frac_to_str(v) for v in f.values]}
+        return {"tag": "sampled", "values": [frac_to_str(Fraction(*p)) for p in f._ints]}
     return {"tag": "c0_plus_const", "const": frac_to_str(f.const),
             "mod": [{"elem": e, "value": frac_to_str(v)}
                     for e, v in sorted(f.mod.items(), key=lambda kv: repr(kv[0]))]}
@@ -225,15 +229,16 @@ def bounded_function_to_json(f: BoundedFunction) -> dict:
 
 _BOUNDED = {"kind": (REQUIRED, _verbatim),
             "index_bound": (REQUIRED, 1, MAX_INDEX_BOUND)}
-_WEIGHTS = {"double_exp": _BOUNDED, "odd_primes": _BOUNDED,
-            "explicit": {"kind": (REQUIRED, _verbatim),
-                         "values": (REQUIRED, array_of(int_from))}}
+_WEIGHTS = {
+    "double_exp": (_BOUNDED, topologies.WeightSequence.double_exp),
+    "odd_primes": (_BOUNDED, topologies.WeightSequence.odd_primes),
+    "explicit": ({"kind": (REQUIRED, _verbatim),
+                  "values": (REQUIRED, array_of(int_from, 1, MAX_INDEX_BOUND))},
+                 topologies.WeightSequence.explicit)}
 
 
 def weights_from_json(d: Any) -> topologies.WeightSequence:
-    w = read_tagged(d, "kind", _WEIGHTS)    # explicit weights: no index_bound
-    return topologies.WeightSequence(w["kind"], w.get("index_bound"),
-                                     w.get("values"))
+    return read_tagged(d, "kind", _WEIGHTS)
 
 
 _TOPOLOGY = {"base": (REQUIRED, _verbatim),

@@ -141,55 +141,45 @@ def convolve(a: L1Vector, b: L1Vector) -> L1Vector:
 
 
 class BoundedFunction:
-    """An exactly representable bounded function on an instance.
+    """An exactly representable bounded function on an instance, built
+    only by the constructor of its kind, which is also its `tag`.
 
-    tag "c0_plus_const": const + finitely many modifications, defined on
-    every element; `_ints` holds (mod numerators, const numerator, den) over
-    one denominator.  tag "sampled": values at the integers 1..horizon only;
-    evaluation beyond the horizon raises HorizonExceeded; `_ints` holds
-    each value's (numerator, denominator), which a Fraction keeps in lowest
-    terms, so two samples are equal exactly when their pairs are.
+    c0_plus_const: const + finitely many modifications, defined on every
+    element; `_ints` holds (mod numerators, const numerator, den) over one
+    denominator.  sampled: values at the integers 1..horizon only, beyond
+    which evaluation raises HorizonExceeded; `_ints` holds each sample once,
+    as its (numerator, denominator) pair in lowest terms.  So `_ints`
+    determines the function, and `==` compares it.
     """
 
-    __slots__ = ("tag", "mod", "const", "values", "_ints")
+    __slots__ = ("tag", "mod", "const", "_ints")
 
-    def __init__(self, tag: str, mod: Optional[dict] = None,
-                 const: Any = 0, values: Any = ()):
-        if tag not in ("c0_plus_const", "sampled"):
-            raise ValueError(f"unknown tag {tag!r}")
-        self.tag = tag
-        if tag == "c0_plus_const":
-            self.const = _frac(const)
-            cleaned = {}
-            for e, v in dict(mod or ()).items():
-                v = _frac(v)
-                if v:
-                    cleaned[e] = v
-            self.mod = cleaned
-            self.values = ()
-            nums, den = _over_common_den([self.const, *cleaned.values()])
-            self._ints = (dict(zip(cleaned, nums[1:])), nums[0], den)
-        else:
-            self.values = tuple(_frac(v) for v in values)
-            if not self.values:
-                raise ValueError("sampled function needs at least one value")
-            self.mod = {}
-            self.const = Fraction(0)
-            self._ints = tuple(map(Fraction.as_integer_ratio, self.values))
+    def __init__(self, *args, **kwargs):
+        raise TypeError("use BoundedFunction.c0_plus_const or .sampled")
 
     @classmethod
     def c0_plus_const(cls, mod: Optional[dict] = None, const: Any = 0) -> "BoundedFunction":
-        return cls("c0_plus_const", mod=mod, const=const)
+        self = object.__new__(cls)
+        self.tag, self.const = "c0_plus_const", _frac(const)
+        self.mod = {e: q for e, v in dict(mod or ()).items() if (q := _frac(v))}
+        nums, den = _over_common_den([self.const, *self.mod.values()])
+        self._ints = (dict(zip(self.mod, nums[1:])), nums[0], den)
+        return self
 
     @classmethod
     def sampled(cls, values: Any) -> "BoundedFunction":
-        return cls("sampled", values=values)
+        self = object.__new__(cls)
+        self.tag, self._ints = "sampled", tuple(
+            _frac(v).as_integer_ratio() for v in values)
+        if not self._ints:
+            raise ValueError("sampled function needs at least one value")
+        return self
 
     @property
     def horizon(self) -> int:
         if self.tag != "sampled":
             raise ValueError("only sampled functions have a horizon")
-        return len(self.values)
+        return len(self._ints)
 
     def evaluate(self, elem: Any) -> Fraction:
         if self.tag == "c0_plus_const":
@@ -197,23 +187,22 @@ class BoundedFunction:
             return self.const if m is None else self.const + m
         if type(elem) is not int or elem < 1:
             raise TypeError("sampled functions are defined on positive integers")
-        if elem > len(self.values):
+        if elem > len(self._ints):
             raise HorizonExceeded(
-                f"undetermined at horizon: {elem} > {len(self.values)}")
-        return self.values[elem - 1]
+                f"undetermined at horizon: {elem} > {len(self._ints)}")
+        return Fraction(*self._ints[elem - 1])
 
     def __eq__(self, other: Any) -> bool:
         return (isinstance(other, BoundedFunction) and self.tag == other.tag
-                and self.mod == other.mod and self.const == other.const
-                and self.values == other.values)
+                and self._ints == other._ints)
 
     def __hash__(self):
-        return hash((self.tag, tuple(sorted((repr(k), v) for k, v in self.mod.items())),
-                     self.const, self.values))
+        return hash(self._ints if self.tag == "sampled"
+                    else (self.const, frozenset(self.mod.items())))
 
     def __repr__(self) -> str:
         if self.tag == "sampled":
-            return f"BoundedFunction(sampled, horizon={len(self.values)})"
+            return f"BoundedFunction(sampled, horizon={len(self._ints)})"
         return f"BoundedFunction(c0+const, const={self.const}, mod={self.mod!r})"
 
 

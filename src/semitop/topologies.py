@@ -68,43 +68,42 @@ def _prime_factors(n: int) -> dict:
 
 
 class WeightSequence:
-    """A truncated strictly increasing weight sequence, 1-indexed."""
+    """A truncated strictly increasing weight sequence, 1-indexed, built
+    only by the constructor of its kind, which is also its `kind`."""
 
     __slots__ = ("kind", "index_bound", "values")
 
-    def __init__(self, kind: str, index_bound: Optional[int],
-                 values: Optional[Sequence] = None):
-        if kind == "explicit":      # as many indices as values
-            values = tuple(values or ())
-            index_bound = len(values)
-        elif kind not in ("double_exp", "odd_primes"):
-            raise ValueError(f"unknown weight kind {kind!r}")
-        if type(index_bound) is not int or not 1 <= index_bound <= MAX_INDEX_BOUND:
+    def __init__(self, *args, **kwargs):
+        raise TypeError("use WeightSequence.double_exp, .odd_primes or .explicit")
+
+    @classmethod
+    def _make(cls, kind: str, count: Any, compute) -> "WeightSequence":
+        """The `count` weights that compute(count) yields; a count outside
+        1..MAX_INDEX_BOUND is refused before any is computed or read."""
+        if type(count) is not int or not 1 <= count <= MAX_INDEX_BOUND:
             raise ValueError(f"weights take 1 to {MAX_INDEX_BOUND} indices, "
-                             f"not {index_bound!r}")
-        if kind == "double_exp":
-            values = tuple(2 ** (2 ** n) for n in range(1, index_bound + 1))
-        elif kind == "odd_primes":
-            values = tuple(_odd_primes(index_bound))
-        else:
-            values = tuple(positive_int(v, "a weight") for v in values)
-        if any(a >= b for a, b in zip(values, values[1:])):
-            raise ValueError("weights must be strictly increasing")
-        self.kind = kind
-        self.index_bound = index_bound
-        self.values = values
+                             f"not {_quoted(count)}")
+        self = object.__new__(cls)
+        self.kind, self.index_bound, self.values = kind, count, tuple(compute(count))
+        return self
 
     @classmethod
     def double_exp(cls, index_bound: int) -> "WeightSequence":
-        return cls("double_exp", index_bound)
+        return cls._make("double_exp", index_bound,
+                         lambda n: (2 ** (2 ** i) for i in range(1, n + 1)))
 
     @classmethod
     def odd_primes(cls, index_bound: int) -> "WeightSequence":
-        return cls("odd_primes", index_bound)
+        return cls._make("odd_primes", index_bound, _odd_primes)
 
     @classmethod
     def explicit(cls, values: Sequence) -> "WeightSequence":
-        return cls("explicit", None, values)
+        values = tuple(values)          # as many indices as values
+        w = cls._make("explicit", len(values),
+                      lambda _: (positive_int(v, "a weight") for v in values))
+        if any(a >= b for a, b in zip(w.values, w.values[1:])):
+            raise ValueError("weights must be strictly increasing")
+        return w
 
     def value(self, i: int) -> int:
         if not 1 <= i <= self.index_bound:
@@ -756,8 +755,10 @@ def verify_star_star(T: TopologyInstance, t: Any, s_window: int = 10_000) -> Ver
     For the full-group base the threshold is trivially 1.  For the odd
     naturals the least index whose weight exceeds every prime factor of t
     works, and the implication is verified over a finite window of s.  For
-    the zplus base no such data is claimed.
+    the zplus base no such data is claimed.  An s_window that is not a
+    positive int, which would check nothing, raises ValueError.
     """
+    s_window = positive_int(s_window, "s_window")
     if T.base == "zplus":
         return not_applicable("no division data is claimed for the zplus base")
     if not T.in_S(t):
@@ -837,8 +838,8 @@ def distinguish_topologies(weights: WeightSequence, mask1: Iterable, mask2: Iter
     """
     horizon = min(positive_int(horizon, "horizon"), weights.index_bound)
     base = "odd_nat" if weights.kind == "odd_primes" else "z"
-    m1 = set(mask1) & set(range(1, horizon + 1))
-    m2 = set(mask2) & set(range(1, horizon + 1))
+    m1, m2 = ({positive_int(i, "a mask index") for i in mask}
+              & set(range(1, horizon + 1)) for mask in (mask1, mask2))
     sym = sorted(m1 ^ m2)
     if not sym:
         return undetermined("masks agree within the horizon")

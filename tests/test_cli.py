@@ -392,6 +392,9 @@ def test_suite_with_params(capsys):
         "pairs": _PAIR, **family})]
       for family in ({"count": 200}, {"horizon": 2000},
                      {"count": 200, "horizon": 2000})),
+    ["distinguish", "--params", json.dumps({  # counted before any is read
+        "weights": {"kind": "explicit", "values": ["not a weight"] * 17},
+        "mask1": [1, 2], "mask2": [1, 3]})],
 ])
 def test_usage_errors(argv, capsys):
     code, _ = run(capsys, *argv)
@@ -559,8 +562,13 @@ def test_a_key_the_kind_or_tag_does_not_use_is_a_usage_error(
     ("member", dict(VALID_QUERIES["member"], topology={
         "base": "z", "weights": {"kind": "explicit", "values": [3, 2]}}),
      "topology.weights: weights must be strictly increasing"),
+    # explicit weights are counted before any is read
+    ("member", dict(VALID_QUERIES["member"], topology={
+        "base": "z", "weights": {"kind": "explicit",
+                                 "values": ["not a weight"] * 17}}),
+     "topology.weights.values: expected 1 to 16 entries, got 17"),
 ], ids=["depth-1", "depth-2", "depth-3", "rational-const",
-        "decreasing-weights"])
+        "decreasing-weights", "explicit-count"])
 def test_a_nested_error_names_where_it_failed(command, params, message,
                                               capsys):
     assert main([command, "--params", json.dumps(params)]) == 3

@@ -286,9 +286,12 @@ def test_explicit_weights_rejected_past_bounds():
     values = [2 ** i for i in range(17)]
     w = jsonio.weights_from_json({"kind": "explicit", "values": values[:16]})
     assert w.index_bound == 16
-    for bad in ([], values):        # refused by WeightSequence itself
-        with pytest.raises(ValueError, match="take 1 to 16 indices"):
+    # counted before any entry is read, so the message names the count
+    for bad in ([], values, ["not a weight"] * 17):
+        with pytest.raises(SuiteError) as info:
             jsonio.weights_from_json({"kind": "explicit", "values": bad})
+        assert str(info.value) == ("values: expected 1 to 16 entries, "
+                                   f"got {len(bad)}")
 
 
 def test_topology_round_trip():
@@ -323,7 +326,7 @@ def test_point_and_nbhd_round_trip():
 
 
 def test_certificate_round_trip():
-    T = TopologyInstance("z", WeightSequence("double_exp", 6))
+    T = TopologyInstance("z", WeightSequence.double_exp(6))
     w = T.weights
     seq = [(1, w.value(j)) for j in range(2, 7)]
     cert = check_convergence(T, seq, (2, 0), 3).witness

@@ -84,6 +84,26 @@ def test_bounded_function_modes():
         g.evaluate(4)
 
 
+def test_bounded_functions_are_built_only_by_their_kind():
+    # the tagged constructor kept what its tag did not use and dropped it
+    with pytest.raises(TypeError):
+        BoundedFunction("sampled", mod={1: 5}, const=7, values=[1, 0])
+    with pytest.raises(TypeError):
+        BoundedFunction()
+
+
+def test_equal_samples_are_equal_and_hash_alike():
+    # each sample is kept once, as its pair in lowest terms
+    f = BoundedFunction.sampled([F(2, 4), 1])
+    g = BoundedFunction.sampled([F(1, 2), 1])
+    assert f == g and hash(f) == hash(g)
+    assert f != BoundedFunction.sampled([F(1, 2), 1, 1])
+    assert f != BoundedFunction.c0_plus_const({1: F(1, 2)}, 1)
+    c = BoundedFunction.c0_plus_const({3: F(2, 4), 4: 0}, 1)
+    assert c == BoundedFunction.c0_plus_const({3: F(1, 2)}, 1)
+    assert hash(c) == hash(BoundedFunction.c0_plus_const({3: F(1, 2)}, 1))
+
+
 def test_pairing_is_the_coefficient_sum():
     S = NatMax()
     a = _d(S, 1, 2) + _d(S, 4, -1)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semitop import jsonio, topologies
-from semitop.dyadic import DyadicPoint, XSpace
+from semitop.dyadic import DyadicPoint, XSpace, interval_identity_sweep
 from semitop.l1 import BoundedFunction, L1Vector
 from semitop.semigroups import (INF, CyclicGroup, FreeWords, IntegerGroup,
                                 NatInfinity, NatMax, NatMul, PartialMap,
@@ -17,7 +17,7 @@ from semitop.semigroups import (INF, CyclicGroup, FreeWords, IntegerGroup,
                                 is_weakly_cancellative_window, length)
 from semitop.topologies import (TopologyInstance, WeightSequence,
                                 check_convergence, distinguish_topologies,
-                                mask_family)
+                                mask_family, verify_star_star)
 from semitop.verdicts import FAIL, PASS, UNDETERMINED, passed
 from semitop.wap import LimitFunctional
 
@@ -339,8 +339,22 @@ def test_partial_maps_enumeration_order_is_pinned():
 # integer: each must raise rather than truncate a float, read a bool as 0
 # or 1, or parse a string
 _Z4 = TopologyInstance("z", WeightSequence.double_exp(4))
+_ODD8 = TopologyInstance("odd_nat", WeightSequence.odd_primes(8))
+# the sizes of a library check, each of which at 0 or below checks nothing
+CHECK_SIZES = [
+    ("verify_star_star-s_window",
+     lambda x: verify_star_star(_ODD8, 9, s_window=x)),
+    ("interval_identity_sweep-a_max",
+     lambda x: interval_identity_sweep(x, 3, 8, 12)),
+    ("interval_identity_sweep-alpha_max",
+     lambda x: interval_identity_sweep(1, x, 8, 12)),
+    ("interval_identity_sweep-beta_max",
+     lambda x: interval_identity_sweep(1, 3, x, 12)),
+    ("interval_identity_sweep-max_exp",
+     lambda x: interval_identity_sweep(1, 3, 8, x)),
+]
 NOT_INTS = [
-    ("WeightSequence-index_bound", lambda x: WeightSequence("double_exp", x)),
+    ("WeightSequence-index_bound", lambda x: WeightSequence.double_exp(x)),
     ("WeightSequence-values", lambda x: WeightSequence.explicit([1, x])),
     ("BasicNbhd-alpha", lambda x: topologies.BasicNbhd(1, 0, x)),
     ("TopologyInstance-mask", lambda x: TopologyInstance(
@@ -351,6 +365,8 @@ NOT_INTS = [
     ("mask_family-horizon", lambda x: mask_family(3, x)),
     ("distinguish_topologies-horizon", lambda x: distinguish_topologies(
         WeightSequence.double_exp(4), [1], [2], x)),
+    ("distinguish_topologies-mask", lambda x: distinguish_topologies(
+        WeightSequence.double_exp(6), [x, 1, 2], [1, 2], 6)),
     ("_prime_factors", lambda x: topologies._prime_factors(x)),
     ("DyadicPoint", lambda x: DyadicPoint([x, 5])),
     ("XSpace-a", lambda x: XSpace(x, 1, 3)),
@@ -367,6 +383,7 @@ NOT_INTS = [
      lambda x: LimitFunctional.arithmetic(1, x, 5)),
     ("LimitFunctional.arithmetic-horizon",
      lambda x: LimitFunctional.arithmetic(1, 1, x)),
+    *CHECK_SIZES,
 ]
 
 
@@ -381,6 +398,15 @@ def test_cyclic_group_elements_are_exact_ints(value):
                          ids=[name for name, _ in NOT_INTS])
 def test_entry_points_take_exact_integers_only(entry, value):
     with pytest.raises(ValueError):
+        entry(value)
+
+
+@pytest.mark.parametrize("value", [0, -4])
+@pytest.mark.parametrize("entry", [thunk for _, thunk in CHECK_SIZES],
+                         ids=[name for name, _ in CHECK_SIZES])
+def test_a_check_size_below_one_is_refused(entry, value):
+    # not a PASS over an empty window or grid
+    with pytest.raises(ValueError, match="must be a positive integer"):
         entry(value)
 
 

@@ -17,7 +17,6 @@ from semitop import verdicts
 # Exported functions, classes (their constructors) and the public methods
 # of exported classes that take a default, with the defaulted names.
 PINNED = {
-    "BoundedFunction": ("mod", "const", "values"),
     "BoundedFunction.c0_plus_const": ("mod", "const"),
     "DyadicPoint": ("exponents",),
     "L1Vector": ("coeffs",),
@@ -25,7 +24,6 @@ PINNED = {
     "PartialMap": ("mapping",),
     "TopologyInstance": ("mask",),
     "Verdict": ("witness", "detail"),
-    "WeightSequence": ("values",),
     "failed": ("witness", "detail"),
     "passed": ("witness", "detail"),
     "random_c0_plus_const": ("support_max",),

@@ -63,9 +63,17 @@ def test_weights_past_the_bound_are_refused_before_any_weight(kind,
                                                               monkeypatch):
     # no prime is searched for and no explicit value is read
     monkeypatch.setattr(topologies, "_odd_primes", None)
-    values = ["not a weight"] * 17 if kind == "explicit" else None
+    size = ["not a weight"] * 17 if kind == "explicit" else 17
     with pytest.raises(ValueError, match="take 1 to 16 indices, not 17"):
-        WeightSequence(kind, 17, values)
+        getattr(WeightSequence, kind)(size)
+
+
+def test_weights_are_built_only_by_their_kind():
+    # the tagged constructor took an index bound that explicit values ignore
+    with pytest.raises(TypeError):
+        WeightSequence("explicit", 9, [1, 2, 4])
+    with pytest.raises(TypeError):
+        WeightSequence()
 
 
 # -- representations ---------------------------------------------------
@@ -779,6 +787,28 @@ def test_separate_continuity_odd_base():
     assert v.status == PASS
 
 
+def test_separate_continuity_fails_where_member_flips_an_outer_point(
+        monkeypatch):
+    # negative control: (0, w_3) lies in U(1, 0, 2), and its translate by
+    # (1, 4) is reported outside U(2, 4, 2)
+    T = Tz(6)
+    outer, p = BasicNbhd(2, 4, 2), (0, T.weights.value(3))
+    moved = (1, 4 + T.weights.value(3))
+    assert T.member(outer, moved).status == PASS
+    member = TopologyInstance.member
+
+    def flipped(self, nbhd, point):
+        if (nbhd, point) == (outer, moved):
+            return Verdict(FAIL)
+        return member(self, nbhd, point)
+
+    monkeypatch.setattr(TopologyInstance, "member", flipped)
+    v = separate_continuity_identity(T, (1, 4), (1, 0), 2)
+    assert v.status == FAIL
+    assert v.witness == {"point": p, "translated": moved,
+                         "in_preimage": False, "in_inner": True}
+
+
 # -- convergence certificates and transfer ------------------------------
 
 
@@ -1047,6 +1077,23 @@ def test_distinguish_two_masks():
     assert sorted(sym) == [3, 4, 7, 8]
     for rec in v.witness["witnesses"]:
         assert rec["point"] == (0, w.value(rec["index"]))
+
+
+def test_distinguish_fails_where_member_refuses_an_owner_entry(monkeypatch):
+    # negative control: (0, w_7) is refused from the level-1 set around
+    # (1, 0) of its owning mask2, so index 7 no longer separates the masks
+    w = WeightSequence.double_exp(8)
+    member = TopologyInstance.member
+
+    def refusing(self, nbhd, point):
+        if (self.mask, nbhd.alpha, point) == ((1, 2, 7, 8), 1, (0, w.value(7))):
+            return Verdict(FAIL)
+        return member(self, nbhd, point)
+
+    monkeypatch.setattr(TopologyInstance, "member", refusing)
+    v = distinguish_topologies(w, [1, 2, 3, 4], [1, 2, 7, 8], 8)
+    assert v.status == FAIL
+    assert v.witness == {"index": 7, "point": (0, w.value(7))}
 
 
 def test_mask_family_pairwise_symmetric_difference():
