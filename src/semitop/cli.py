@@ -2,10 +2,12 @@
 
 Two modes share one executable:
 
-* ``semitop --suite NAME [--params JSON] [--seed N] [--out PATH]``
-  runs a registered suite and writes its report as JSON.
-* ``semitop member|converge|distinguish|waptest --params JSON`` answers a
-  single query described entirely by the params payload.
+* ``semitop --suite NAME [--params JSON] [--out PATH]`` runs a
+  registered suite and writes its report as JSON; the report depends on
+  the params alone, so a suite takes no ``--seed``.
+* ``semitop member|converge|distinguish|waptest --params JSON [--seed N]``
+  answers a single query described by the params payload and, for
+  waptest's default pairs only, the seed.
 
 Exit codes follow the status of the one `Verdict` type: 0 for PASS or
 NOT_APPLICABLE, 1 for FAIL, 2 for UNDETERMINED at the given horizon, 3 for
@@ -14,7 +16,8 @@ depth of the params (a key the weights' kind or the function's tag does
 not use is undeclared), malformed JSON, a parameter
 that is not an integer in its declared range, a decimal string of too many
 digits, a point or sequence term that is not a point of Z+ x S for the
-topology's base, or an ``--out`` path that cannot be written.
+topology's base, ``--seed`` given with ``--suite``, or an ``--out`` path
+that cannot be written.
 """
 
 from __future__ import annotations
@@ -157,8 +160,9 @@ _PARSER.add_argument("--suite", metavar="NAME",
                      help="suite to run; one of " + ", ".join(sorted(SUITES)))
 _PARSER.add_argument("--params", metavar="JSON", default="{}",
                      help="JSON object with suite or query parameters")
-_PARSER.add_argument("--seed", type=int, default=0,
-                     help="seed for every randomized construction")
+_PARSER.add_argument("--seed", type=int,
+                     help="seed of waptest's default pairs (default 0); "
+                          "queries only, a suite takes none")
 _PARSER.add_argument("--out", metavar="PATH",
                      help="write the JSON report here instead of stdout")
 
@@ -185,6 +189,10 @@ def main(argv=None) -> int:
 
     if (args.command is None) == (args.suite is None):
         _PARSER.error("exactly one of a command or --suite is required")
+    if args.suite is not None and args.seed is not None:
+        _PARSER.error("a suite takes no --seed; its report depends on "
+                      "--params alone")
+    seed = 0 if args.seed is None else args.seed
     try:
         params = json.loads(args.params)
     except ValueError as exc:
@@ -194,18 +202,18 @@ def main(argv=None) -> int:
     if args.command is not None:
         handler, keys = _COMMANDS[args.command]
         try:
-            result, code = handler(jsonio.read_params(params, keys), args.seed)
+            result, code = handler(jsonio.read_params(params, keys), seed)
         except (TypeError, ValueError) as exc:
             print(f"semitop: error: bad query parameters: {exc}",
                   file=sys.stderr)
             return _EXIT_USAGE
         payload = {"schema_version": jsonio.SCHEMA_VERSION,
-                   "command": args.command, "seed": args.seed}
+                   "command": args.command, "seed": seed}
         payload.update(result)
         return _emit(payload, args.out, code)
 
     try:
-        report = run_suite(args.suite, params, seed=args.seed)
+        report = run_suite(args.suite, params)
     except SuiteError as exc:
         print(f"semitop: error: {exc}", file=sys.stderr)
         return _EXIT_USAGE

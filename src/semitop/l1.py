@@ -6,9 +6,10 @@ there is no floating point anywhere.  A vector carries the instance it
 lives over, and operations between vectors over different instances raise.
 
 Bounded functions (the dual side) come in two deliberately limited forms:
-a finitely modified constant ("c0_plus_const", exact everywhere) and a
-finite table of samples ("sampled", exact up to its horizon).  Neither can
-represent a general bounded sequence; that restriction is the point.
+a finitely modified constant ("c0_plus_const", exact everywhere, which
+`pairing` reads) and a finite table of samples ("sampled", which only the
+limits along subsequences in `wap` read).  Neither can represent a general
+bounded sequence; that restriction is the point.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from math import gcd, lcm
 from typing import Any, Optional
 
 from .semigroups import NatMax, SemigroupInstance
-from .verdicts import HorizonExceeded
 
 
 def _frac(x: Any) -> Fraction:
@@ -146,10 +146,9 @@ class BoundedFunction:
 
     c0_plus_const: const + finitely many modifications, defined on every
     element; `_ints` holds (mod numerators, const numerator, den) over one
-    denominator.  sampled: values at the integers 1..horizon only, beyond
-    which evaluation raises HorizonExceeded; `_ints` holds each sample once,
-    as its (numerator, denominator) pair in lowest terms.  So `_ints`
-    determines the function, and `==` compares it.
+    denominator.  sampled: values at the integers 1..n only; `_ints` holds
+    each sample once, as its (numerator, denominator) pair in lowest terms.
+    So `_ints` determines the function, and `==` compares it.
     """
 
     __slots__ = ("tag", "mod", "const", "_ints")
@@ -175,23 +174,6 @@ class BoundedFunction:
             raise ValueError("sampled function needs at least one value")
         return self
 
-    @property
-    def horizon(self) -> int:
-        if self.tag != "sampled":
-            raise ValueError("only sampled functions have a horizon")
-        return len(self._ints)
-
-    def evaluate(self, elem: Any) -> Fraction:
-        if self.tag == "c0_plus_const":
-            m = self.mod.get(elem)
-            return self.const if m is None else self.const + m
-        if type(elem) is not int or elem < 1:
-            raise TypeError("sampled functions are defined on positive integers")
-        if elem > len(self._ints):
-            raise HorizonExceeded(
-                f"undetermined at horizon: {elem} > {len(self._ints)}")
-        return Fraction(*self._ints[elem - 1])
-
     def __eq__(self, other: Any) -> bool:
         return (isinstance(other, BoundedFunction) and self.tag == other.tag
                 and self._ints == other._ints)
@@ -207,10 +189,10 @@ class BoundedFunction:
 
 
 def pairing(a: L1Vector, f: BoundedFunction) -> Fraction:
-    """<f, a> = sum of a_s f(s), exact."""
-    if f.tag == "sampled":
-        return sum((n * f.evaluate(e) for e, n in a._num.items()),
-                   Fraction(0)) / a._den
+    """<f, a> = sum of a_s f(s), exact, for a finitely modified constant
+    f; a sampled f raises TypeError."""
+    if f.tag != "c0_plus_const":
+        raise TypeError("f must be a finitely modified constant")
     return Fraction(*_pairing_ints(a, f))
 
 

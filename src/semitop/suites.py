@@ -2,19 +2,19 @@
 
 Every check normalizes its outcome to a PASS/FAIL/UNDETERMINED verdict (a
 check expecting an inner failure, such as a negative control, passes when
-the failure arrives as designed).  Reports are deterministic given the
-suite parameters and the seed, once the report's one "timing" block is
-dropped.
+the failure arrives as designed).  A check that tries many cases runs a
+declared family of them (see `_family`), so a report is a function of the
+suite parameters alone, once its one "timing" block is dropped.
 """
 
 from __future__ import annotations
 
 import gc
-import random
 import time
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations, product
+from math import gcd, isqrt, prod
 
 from . import dyadic, obstructions, topologies
 from .jsonio import (MAX_INDEX_BOUND, SCHEMA_VERSION, SuiteError, read_params,
@@ -29,8 +29,8 @@ from .semigroups import (INF, CyclicGroup, FreeWords, IntegerGroup, NatInfinity,
 from .verdicts import (FAIL, NOT_APPLICABLE, PASS, UNDETERMINED, Verdict,
                        failed, passed)
 from .wap import (LimitFunctional, arens_box, arens_diamond, counterexample_x,
-                  indicator_of_evens, random_c0_plus_const,
-                  subsequence_pair_family, telescoping_check, wap_test)
+                  indicator_of_evens, subsequence_pair_family,
+                  telescoping_check, wap_test)
 
 
 SUITES: dict = {}
@@ -39,10 +39,12 @@ SUITE_PARAMS: dict = {}
 
 def _suite(name: str, **keys):
     """Register a suite builder under ``name`` with its integer parameters,
-    each declared as (default, lo, hi).  The builder receives them read
-    and range-checked, and returns a list of (check_id, thunk)."""
+    each declared as (default, lo, hi).  The builder takes them read and
+    range-checked, as keywords, and returns a list of (check_id, thunk).
+    Its registry entry drops a second argument, which run_suite passes as
+    None: perfbench's tracer wraps each entry as entry(params, x)."""
     def register(builder):
-        SUITES[name] = builder
+        SUITES[name] = lambda p, _: builder(**p)
         SUITE_PARAMS[name] = keys
         return builder
     return register
@@ -69,18 +71,32 @@ def _relay(inner: Verdict, **context) -> Verdict:
         f": {inner.detail}" if inner.detail else ""))
 
 
+def _family(count: int, *axes):
+    """`count` cases of the product of the sequences ``axes``, each a
+    list of one element per axis.  Case i is read off the mixed-radix
+    digits, first axis most significant, of i * step mod the product's
+    size, where step is the first number prime to the size from the
+    size's golden section up: the last axis cycles every len(axes[-1])
+    cases, and every `size` consecutive cases cover the product."""
+    size = prod(map(len, axes))
+    step = (isqrt(5 * size * size) - size) // 2
+    while gcd(step, size) > 1:
+        step += 1
+    for i in range(count):
+        k, case = i * step % size, []
+        for axis in reversed(axes):
+            k, d = divmod(k, len(axis))
+            case.append(axis[d])
+        yield case[::-1]
+
+
 # ---------------------------------------------------------------------------
 # suite builders
 
 
 @_suite("lemma-technical", a_max=(4, 1, 5), alpha_max=(3, 1, 4),
        beta_max=(8, 1, 10), max_exp=(12, 4, 14))
-def _suite_lemma_technical(p: dict, seed: int) -> list:
-    a_max = p["a_max"]
-    alpha_max = p["alpha_max"]
-    beta_max = p["beta_max"]
-    max_exp = p["max_exp"]
-
+def _suite_lemma_technical(a_max, alpha_max, beta_max, max_exp) -> list:
     def sweep():
         return dyadic.interval_identity_sweep(a_max, alpha_max, beta_max, max_exp)
 
@@ -121,24 +137,11 @@ def _todd(bound: int) -> topologies.TopologyInstance:
         "odd_nat", topologies.WeightSequence.odd_primes(bound))
 
 
-def _random_center(T: topologies.TopologyInstance, rng: random.Random,
-                   max_terms: int = 2):
-    idxs = rng.sample(T.mask, rng.randint(0, min(max_terms, len(T.mask))))
-    total = T.weight_total(idxs)
-    if T.in_S(-total) and rng.random() < 0.5:
-        return -total
-    return total
-
-
 @_suite("gen-con-one", index_bound=(6, 2, 8), a_max=(3, 0, 3),
        hausdorff_a_max=(2, 0, 2), triples=(100, 10, 300))
-def _suite_gen_con_one(p: dict, seed: int) -> list:
-    bound = p["index_bound"]
-    a_max = p["a_max"]
-    h_a_max = p["hausdorff_a_max"]
-    triples = p["triples"]
-    Tz = _tz(bound)
-    Todd = _todd(bound)
+def _suite_gen_con_one(index_bound, a_max, hausdorff_a_max, triples) -> list:
+    Tz = _tz(index_bound)
+    Todd = _todd(index_bound)
 
     def base_property():
         w = Tz.weights
@@ -148,7 +151,7 @@ def _suite_gen_con_one(p: dict, seed: int) -> list:
         family = [topologies.BasicNbhd(a, s, alpha)
                   for a in range(0, a_max + 1)
                   for s in centers
-                  for alpha in range(1, bound + 1)]
+                  for alpha in range(1, index_bound + 1)]
         tables = [(u, Tz.basic_points(u).keys()) for u in family]
         intersecting = points_checked = 0
         for (u1, k1), (u2, k2) in combinations(tables, 2):
@@ -174,53 +177,57 @@ def _suite_gen_con_one(p: dict, seed: int) -> list:
             for si in (1, -1):
                 for sj in (1, -1):
                     uvals.add(si * w.value(i) + sj * w.value(j))
-        points = [(x, u) for x in range(0, h_a_max + 1) for u in sorted(uvals)]
+        points = [(x, u) for x in range(hausdorff_a_max + 1)
+                  for u in sorted(uvals)]
         return topologies.hausdorff_exhaustive(Tz, points)
 
-    def separate_continuity(T, tag):
-        rng = random.Random(f"{seed}:sep:{tag}")
+    def separate_continuity(T):
+        # levels up to 4; a center (a, v) and a shift (b, t), b <= 2, with
+        # v, t sums of up to two masked weights, v negated too if in S
+        sums = [T.weight_total(c) for k in range(3)
+                for c in combinations(T.mask, k)]
+        centers = sums + [-u for u in sums if u and T.in_S(-u)]
+        alpha_max = min(4, index_bound)
         total_points = 0
-        for i in range(triples):
-            alpha = rng.randint(1, min(4, bound))
-            center = (rng.randint(0, a_max), _random_center(T, rng))
-            shift = (rng.randint(0, 2), abs(_random_center(T, rng)))
+        for i, (alpha, a, v, b, t) in enumerate(_family(
+                triples, range(1, alpha_max + 1), range(a_max + 1), centers,
+                range(3), sums)):
+            shift, center = (b, t), (a, v)
             res = topologies.separate_continuity_identity(T, shift, center, alpha)
             if res.status != PASS:
                 return _relay(res, case=i, shift=shift, center=center,
                               alpha=alpha)
             total_points += res.witness["points_checked"]
-        return passed(witness={"triples": triples,
+        return passed(witness={"triples": triples, "alpha": [1, alpha_max],
+                               "center_a": [0, a_max], "shift_a": [0, 2],
                                "points_checked": total_points})
 
     return [("base-property-family", base_property),
             ("hausdorff-exhaustive", hausdorff),
-            ("separate-continuity-z",
-             lambda: separate_continuity(Tz, "z")),
-            ("separate-continuity-odd",
-             lambda: separate_continuity(Todd, "odd"))]
+            ("separate-continuity-z", lambda: separate_continuity(Tz)),
+            ("separate-continuity-odd", lambda: separate_continuity(Todd))]
 
 
 # index_bound reaches alpha_max's top: each prefix ends at w_index_bound,
 # so it certifies no level past index_bound
 @_suite("gen-con-two", index_bound=(12, 6, 14), cases=(25, 5, 100),
        alpha_max=(4, 1, 6))
-def _suite_gen_con_two(p: dict, seed: int) -> list:
-    bound = p["index_bound"]
-    cases = p["cases"]
-    alpha_max = p["alpha_max"]
-    Tz = _tz(bound)
-    Todd = _todd(bound)
+def _suite_gen_con_two(index_bound, cases, alpha_max) -> list:
+    Tz = _tz(index_bound)
+    Todd = _todd(index_bound)
 
-    def transfer(T, tag):
-        rng = random.Random(f"{seed}:transfer:{tag}")
+    def transfer(T):
+        # a limit (c, v), c <= 2, of the terms (c - 1, v w_j) (the law of
+        # S) for j from start <= 3, and a shift (b, t), b <= 2: v and t the
+        # identity or one masked weight, v negated too if in S
+        sums = [T.s_identity] + [T.weights.value(j) for j in T.mask]
+        limits = sums + [-u for u in sums if u and T.in_S(-u)]
         revalidated = 0
-        for i in range(cases):
-            c = rng.randint(1, 2)
-            v = _random_center(T, rng, max_terms=1)
-            start = rng.randint(1, 3)
+        for i, (c, v, start, b, t) in enumerate(_family(
+                cases, range(1, 3), limits, range(1, 4), range(3), sums)):
             terms = [(c - 1, T.s_op(v, T.weights.value(j)))
-                     for j in range(start, bound + 1)]
-            shift = (rng.randint(0, 2), abs(_random_center(T, rng, 1)))
+                     for j in range(start, index_bound + 1)]
+            shift = (b, t)
             res = topologies.convergence_transfer(
                 T, terms, shift, alpha_max, (c + shift[0], T.s_op(v, shift[1])))
             if not res:
@@ -239,46 +246,41 @@ def _suite_gen_con_two(p: dict, seed: int) -> list:
             if w["division"].status == FAIL:
                 return failed(witness={"case": i, "division": w["division"]})
             revalidated += 1
-        return passed(witness={"cases": cases, "revalidated": revalidated})
+        return passed(witness={"cases": cases, "c": [1, 2], "start": [1, 3],
+                               "shift_a": [0, 2], "revalidated": revalidated})
 
     def transport():
         S = NatMul()
-        rng = random.Random(f"{seed}:transport")
-        for _ in range(200):
-            p1 = (rng.randint(0, 5), 2 * rng.randint(0, 40) + 1)
-            p2 = (rng.randint(0, 5), 2 * rng.randint(0, 40) + 1)
-            prod = (p1[0] + p2[0], p1[1] * p2[1])
-            lhs = topologies.odd_pair_to_natural(prod)
+        odd = range(1, 82, 2)
+        for a1, u1, a2, u2 in _family(200, range(6), odd, range(6), odd):
+            p1, p2, pair = (a1, u1), (a2, u2), (a1 + a2, u1 * u2)
+            lhs = topologies.odd_pair_to_natural(pair)
             rhs = S.product(topologies.odd_pair_to_natural(p1),
                             topologies.odd_pair_to_natural(p2))
             if lhs != rhs:
                 return failed(witness={"p1": p1, "p2": p2})
-            if topologies.natural_to_odd_pair(lhs) != prod:
+            if topologies.natural_to_odd_pair(lhs) != pair:
                 return failed(witness={"roundtrip": lhs})
-        return passed(witness={"samples": 200},
+        return passed(witness={"samples": 200, "a": [0, 5], "odd": [1, 81]},
                       detail="pair encoding is an isomorphism onto "
                              "multiplication of naturals")
 
-    return [("transfer-z", lambda: transfer(Tz, "z")),
-            ("transfer-odd", lambda: transfer(Todd, "odd")),
+    return [("transfer-z", lambda: transfer(Tz)),
+            ("transfer-odd", lambda: transfer(Todd)),
             ("nat-mul-transport", transport)]
 
 
 @_suite("star-condition", double_exp_bound=(6, 2, 12),
        odd_primes_bound=(8, 2, MAX_INDEX_BOUND),
        s_window=(10_000, 100, 100_000))
-def _suite_star_condition(p: dict, seed: int) -> list:
-    de_bound = p["double_exp_bound"]
-    op_bound = p["odd_primes_bound"]
-    s_window = p["s_window"]
-
+def _suite_star_condition(double_exp_bound, odd_primes_bound, s_window) -> list:
     def star_double():
         return topologies.verify_star(
-            topologies.WeightSequence.double_exp(de_bound))
+            topologies.WeightSequence.double_exp(double_exp_bound))
 
     def star_odd():
         return topologies.verify_star(
-            topologies.WeightSequence.odd_primes(op_bound))
+            topologies.WeightSequence.odd_primes(odd_primes_bound))
 
     def star_negative():
         inner = topologies.verify_star(
@@ -290,14 +292,16 @@ def _suite_star_condition(p: dict, seed: int) -> list:
         return res
 
     def division_z():
-        return topologies.verify_star_star(_tz(de_bound), 5, s_window=s_window)
+        return topologies.verify_star_star(_tz(double_exp_bound), 5,
+                                           s_window=s_window)
 
     def division_odd():
-        return topologies.verify_star_star(_todd(op_bound), 9, s_window=s_window)
+        return topologies.verify_star_star(_todd(odd_primes_bound), 9,
+                                           s_window=s_window)
 
     def division_zplus():
         T = topologies.TopologyInstance(
-            "zplus", topologies.WeightSequence.double_exp(de_bound))
+            "zplus", topologies.WeightSequence.double_exp(double_exp_bound))
         return _wrap(NOT_APPLICABLE, topologies.verify_star_star(T, 5))
 
     return [("star-double-exp", star_double),
@@ -310,20 +314,17 @@ def _suite_star_condition(p: dict, seed: int) -> list:
 
 @_suite("remark4-continuum", masks=(20, 2, 30),
        horizon=(12, 10, MAX_INDEX_BOUND))
-def _suite_remark4_continuum(p: dict, seed: int) -> list:
-    n_masks = p["masks"]
-    horizon = p["horizon"]
-
+def _suite_remark4_continuum(masks, horizon) -> list:
     def pairwise_distinct():
-        family = topologies.mask_family(n_masks, horizon)
+        family = topologies.mask_family(masks, horizon)
         if not family:
             return _relay(family)
-        masks = family.witness
+        kept = family.witness
         w = topologies.WeightSequence.double_exp(horizon)
         strong = 0
         checked = 0
         sample = None
-        for m1, m2 in combinations(masks, 2):
+        for m1, m2 in combinations(kept, 2):
             res = topologies.distinguish_topologies(w, m1, m2, horizon)
             if not res:
                 return _relay(res, mask1=list(m1), mask2=list(m2))
@@ -332,17 +333,16 @@ def _suite_remark4_continuum(p: dict, seed: int) -> list:
             if sample is None:
                 sample = res.witness["witnesses"][0]
         return passed(witness={"pairs_distinct": checked, "strong": strong,
-                               "expected": n_masks * (n_masks - 1) // 2,
+                               "expected": masks * (masks - 1) // 2,
                                "sample_witness": sample,
-                               "masks": [list(m) for m in masks]})
+                               "masks": [list(m) for m in kept]})
 
     return [("mask-family-pairwise-distinct", pairwise_distinct)]
 
 
 @_suite("good-corr", index_bound=(12, 4, 14))
-def _suite_good_corr(p: dict, seed: int) -> list:
-    bound = p["index_bound"]
-    Todd = _todd(bound)
+def _suite_good_corr(index_bound) -> list:
+    Todd = _todd(index_bound)
 
     def discrete_found():
         S = NatMul()
@@ -364,7 +364,7 @@ def _suite_good_corr(p: dict, seed: int) -> list:
         return passed(witness={"inner": res.witness})
 
     def sigma_found():
-        seq = [(0, Todd.weights.value(j)) for j in range(1, bound + 1)]
+        seq = [(0, Todd.weights.value(j)) for j in range(1, index_bound + 1)]
         res = topologies.good_corr_check(Todd, (0, 3), seq)
         if not res:
             return _relay(res)
@@ -394,24 +394,28 @@ def _suite_good_corr(p: dict, seed: int) -> list:
 
 @_suite("nmax-wap", functions=(50, 1, 200), pairs=(50, 1, 200),
        horizon=(200, 20, 2000))
-def _suite_nmax_wap(p: dict, seed: int) -> list:
-    n_funcs = p["functions"]
-    n_pairs = p["pairs"]
-    horizon = p["horizon"]
-    pairs = list(subsequence_pair_family(n_pairs, horizon, seed=seed))
+def _suite_nmax_wap(functions, pairs, horizon) -> list:
+    pair_family = list(subsequence_pair_family(pairs, horizon, 0))
 
-    def random_family():
-        rng = random.Random(f"{seed}:wapfam")
-        for i in range(n_funcs):
-            f = random_c0_plus_const(rng)
-            v = wap_test(f, pairs)
+    def wap_family():
+        # c / d modified to m / n at `terms` <= 6 indices from start <= 30,
+        # with c, m in -9..9 and d, n in 1..9
+        digits = range(-9, 10), range(1, 10)
+        for terms, start, c, d, m, n in _family(
+                functions, range(7), range(1, 31), *digits, *digits):
+            f = BoundedFunction.c0_plus_const(
+                dict.fromkeys(range(start, start + terms), Fraction(m, n)),
+                Fraction(c, d))
+            v = wap_test(f, pair_family)
             if not v:
                 return failed(witness={"function": f, "inner": v})
-        return passed(witness={"functions": n_funcs, "pairs": n_pairs})
+        return passed(witness={"functions": functions, "pairs": pairs,
+                               "terms": [0, 6], "start": [1, 30],
+                               "numerator": [-9, 9], "denominator": [1, 9]})
 
     def indicator_not_wap():
         f = indicator_of_evens(horizon)
-        v = wap_test(f, pairs)
+        v = wap_test(f, pair_family)
         if v.status != FAIL:
             return failed(witness={"inner": v},
                           detail="expected a pair of disagreeing limits")
@@ -440,69 +444,73 @@ def _suite_nmax_wap(p: dict, seed: int) -> list:
                 return failed(witness={"got": got, "want": want})
         return passed(witness={"values_checked": len(checks)})
 
-    return [("wap-random-family", random_family),
+    return [("wap-random-family", wap_family),
             ("wap-indicator-evens", indicator_not_wap),
             ("arens-collapse-values", collapse_values)]
 
 
-def _random_vector(S: NatMax, rng: random.Random, span: int = 40,
-                   terms: int = 5) -> L1Vector:
-    items = []
-    for _ in range(rng.randint(1, terms)):
-        items.append((rng.randint(1, span),
-                      Fraction(rng.randint(-6, 6), rng.randint(1, 4))))
-    return L1Vector(S, items)
-
-
 @_suite("unique-l1s", s_max=(50, 5, 200), trials=(1000, 10, 5000))
-def _suite_unique_l1s(p: dict, seed: int) -> list:
-    s_max = p["s_max"]
-    trials = p["trials"]
+def _suite_unique_l1s(s_max, trials) -> list:
     S = NatMax()
 
+    def vector_axes(span, most):
+        # 1..most terms, each a point of 1..span times -6..6 over 1..4
+        term = list(product(range(1, span + 1), range(-6, 7), range(1, 5)))
+        return (range(1, most + 1), *[term] * most)
+
+    def vector(n, *terms):
+        return L1Vector(S, [(s, Fraction(c, d)) for s, c, d in terms[:n]])
+
+    def styled(*styles):
+        # trial i has style i % 3 and is case i // 3 of its style's family
+        for style, axes in enumerate(styles):
+            for j, case in enumerate(_family((trials + 2 - style) // 3, *axes)):
+                yield 3 * j + style, style, case
+
     def closed_form():
-        rng = random.Random(f"{seed}:maxact")
-        checked = 0
-        for s in range(1, s_max + 1):
-            for _ in range(3):
-                a = _random_vector(S, rng)
-                formula = max_action_formula(s, a)
-                direct = convolve(L1Vector.delta(S, s), a)
-                if formula != direct:
-                    return failed(witness={"s": s, "a": a, "formula": formula,
-                                           "convolution": direct},
-                                  detail="closed form differs from convolve")
-                checked += 1
-        return passed(witness={"identities": checked},
+        for i, case in enumerate(_family(3 * s_max, *vector_axes(40, 5))):
+            s = 1 + i // 3
+            a = vector(*case)
+            formula = max_action_formula(s, a)
+            direct = convolve(L1Vector.delta(S, s), a)
+            if formula != direct:
+                return failed(witness={"s": s, "a": a, "formula": formula,
+                                       "convolution": direct},
+                              detail="closed form differs from convolve")
+        return passed(witness={"identities": 3 * s_max, "terms": [1, 5],
+                               "span": [1, 40]},
                       detail="closed form equals convolution on every trial")
 
     def telescoping():
-        rng = random.Random(f"{seed}:tele")
-        held = 0
-        hypothesis_failed = 0
-        for i in range(trials):
-            style = i % 3
+        held = hypothesis_failed = 0
+        # a against c / d modified at up to 6 points of 1..20, against a
+        # constant, and two equal masses of opposite sign at or below k_cut
+        # plus a mass above, against a function constant on 1..k_cut
+        mods = list(product(range(1, 21), range(-9, 10), range(1, 10)))
+        for i, style, case in styled(
+                (range(-9, 10), range(1, 10), range(7), *[mods] * 6,
+                 *vector_axes(20, 5)),
+                (range(-5, 6), range(1, 4), *vector_axes(20, 5)),
+                (range(2, 11), range(90), range(1, 6), range(1, 4),
+                 range(1, 6), range(-4, 5), range(1, 5), range(-3, 4))):
             if style == 0:
-                a = _random_vector(S, rng, span=20)
-                x = random_c0_plus_const(rng, support_max=20)
+                c, d, m, *rest = case
+                x = BoundedFunction.c0_plus_const(
+                    {s: Fraction(u, v) for s, u, v in rest[:m]}, Fraction(c, d))
+                a = vector(*rest[6:])
             elif style == 1:
-                a = _random_vector(S, rng, span=20)
-                x = BoundedFunction.c0_plus_const(
-                    {}, Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
+                c, d, *rest = case
+                x = BoundedFunction.c0_plus_const({}, Fraction(c, d))
+                a = vector(*rest)
             else:
-                k_cut = rng.randint(2, 10)
-                i1 = rng.randint(1, k_cut)
-                i2 = rng.randint(1, k_cut)
-                while i2 == i1:
-                    i2 = rng.randint(1, k_cut)
-                t = Fraction(rng.randint(1, 5), rng.randint(1, 3))
+                k_cut, pick, t_num, t_den, above, extra, c, const = case
+                i1, i2 = list(permutations(range(1, k_cut + 1), 2))[
+                    pick % (k_cut * (k_cut - 1))]
+                t = Fraction(t_num, t_den)
                 a = (L1Vector.delta(S, i1, t) - L1Vector.delta(S, i2, t)
-                     + L1Vector.delta(S, k_cut + rng.randint(1, 5),
-                                      Fraction(rng.randint(-4, 4))))
-                c = Fraction(rng.randint(1, 4))
+                     + L1Vector.delta(S, k_cut + above, extra))
                 x = BoundedFunction.c0_plus_const(
-                    {n: c for n in range(1, k_cut + 1)},
-                    Fraction(rng.randint(-3, 3)))
+                    dict.fromkeys(range(1, k_cut + 1), c), const)
             top = max(a.support() + list(x.mod) + [1])
             res = telescoping_check(a, x, top + 3)
             if res.status == PASS:
@@ -515,29 +523,31 @@ def _suite_unique_l1s(p: dict, seed: int) -> list:
             return failed(witness={"held": held},
                           detail="too few trials satisfied the hypothesis; "
                                  "the check would be vacuous")
-        return passed(witness={"trials": trials, "hypothesis_held": held,
+        return passed(witness={"trials": trials, "terms": [1, 5],
+                               "span": [1, 20], "k_cut": [2, 10],
+                               "hypothesis_held": held,
                                "hypothesis_failed": hypothesis_failed})
 
     def sharpness():
-        rng = random.Random(f"{seed}:sharp")
         multi = single = na = 0
         example = counterexample_x(L1Vector(S, [(1, 1), (2, 1)]))
         want = L1Vector.delta(S, 2) - L1Vector.delta(S, 1) + L1Vector.delta(S, 3)
         if not example or example.witness.s != 3 or example.witness.x != want:
             return failed(witness={"example": example},
                           detail="pinned two-term example disagrees")
-        for i in range(trials):
-            style = i % 3
+        # a general vector, given one more point mass where its total
+        # mass is zero; a point mass; and a difference of two equal masses
+        for i, style, case in styled((*vector_axes(25, 6), range(1, 26)),
+                                     (range(1, 31), range(1, 10)),
+                                     (range(1, 21), range(1, 10))):
             if style == 0:
-                a = _random_vector(S, rng, span=25, terms=6)
+                a = vector(*case[:-1])
                 if sum(c for _, c in a.terms()) == 0 or a.is_zero:
-                    a = a + L1Vector.delta(S, rng.randint(1, 25))
+                    a = a + L1Vector.delta(S, case[-1])
             elif style == 1:
-                a = L1Vector.delta(S, rng.randint(1, 30),
-                                   Fraction(rng.randint(1, 9)))
+                a = L1Vector.delta(S, *case)
             else:
-                k = rng.randint(1, 20)
-                c = Fraction(rng.randint(1, 9))
+                k, c = case
                 a = L1Vector.delta(S, k, c) - L1Vector.delta(S, k + 3, c)
             out = counterexample_x(a)
             if out:
@@ -555,7 +565,8 @@ def _suite_unique_l1s(p: dict, seed: int) -> list:
         if min(multi, single, na) == 0:
             return failed(witness={"multi": multi, "single": single, "na": na},
                           detail="a branch went unexercised")
-        return passed(witness={"trials": trials, "multi_term": multi,
+        return passed(witness={"trials": trials, "terms": [1, 6],
+                               "span": [1, 30], "multi_term": multi,
                                "single_term": single, "not_applicable": na})
 
     return [("max-action-closed-form", closed_form),
@@ -582,38 +593,34 @@ def _collector_paused():
             gc.enable()
 
 
-def _random_partial_map(rng: random.Random, max_domain: int,
-                        max_value: int) -> PartialMap:
-    k = rng.randint(0, min(max_domain - 1, max_value))
-    dom = rng.sample(range(1, max_domain + 1), k)
-    img = rng.sample(range(1, max_value + 1), k)
-    return PartialMap(zip(sorted(dom), img))
-
-
 @_suite("section4-no-predual", max_domain=(5, 2, 5), max_value=(6, 2, 7),
        fnp_trials=(1000, 10, 5000), n_max=(50, 5, 200))
-def _suite_section4(p: dict, seed: int) -> list:
-    max_domain = p["max_domain"]
-    max_value = p["max_value"]
-    fnp_trials = p["fnp_trials"]
-    n_max = p["n_max"]
+def _suite_section4(max_domain, max_value, fnp_trials, n_max) -> list:
+    # the map of the first k points of an order of the domain onto the
+    # first k of an order of the values, k < max_domain
+    k_max = min(max_domain - 1, max_value)
+    map_axes = (range(k_max + 1),
+                list(permutations(range(1, max_domain + 1))),
+                list(permutations(range(1, max_value + 1))))
+    bounds = {"points": [0, k_max], "domain": [1, max_domain],
+              "values": [1, max_value]}
 
     def sweep():
         return obstructions.open_set_identity_sweep(max_domain, max_value)
 
-    def fnp_random():
-        rng = random.Random(f"{seed}:fnp")
+    def fnp_family():
         total_ns = 0
-        for i in range(fnp_trials):
-            f = _random_partial_map(rng, max_domain, max_value)
-            n0 = rng.choice([n for n in range(1, max_domain + 2)
-                             if n not in f.domain])
+        for i, (k, dom, img, j) in enumerate(_family(
+                fnp_trials, *map_axes, range(max_domain + 1))):
+            f = PartialMap(zip(sorted(dom[:k]), img[:k]))
+            outside = [n for n in range(1, max_domain + 2) if n not in f.domain]
+            n0 = outside[j % len(outside)]
             res = obstructions.verify_fnp(f, n0, range(1, n_max + 1))
             if res.status != PASS:
                 return failed(witness={"trial": i, "f": f, "n0": n0,
                                        "inner": res})
             total_ns += res.witness["ns_checked"]
-        return passed(witness={"trials": fnp_trials,
+        return passed(witness={"trials": fnp_trials, **bounds,
                                "compositions_verified": total_ns})
 
     def fnp_negative():
@@ -639,16 +646,15 @@ def _suite_section4(p: dict, seed: int) -> list:
             return failed(witness={"inner": second},
                           detail="coincident case should survive exactly at "
                                  "the predicted n")
-        rng = random.Random(f"{seed}:annih")
-        for i in range(200):
-            f = _random_partial_map(rng, max_domain, max_value)
-            outside = [n for n in range(1, max_domain + 3)
-                       if n not in f.domain]
-            n0 = rng.choice(outside)
-            k0 = rng.choice(outside) if rng.random() < 0.5 else n0
-            free_vals = [v for v in range(1, max_value + 4)
-                         if v not in f.image]
-            g = f.extend(k0, rng.choice(free_vals))
+        for i, (k, dom, img, j0, same, j1, j2) in enumerate(_family(
+                200, *map_axes, range(max_domain + 2), (False, True),
+                range(max_domain + 2), range(max_value + 3))):
+            f = PartialMap(zip(sorted(dom[:k]), img[:k]))
+            outside = [n for n in range(1, max_domain + 3) if n not in f.domain]
+            free = [v for v in range(1, max_value + 4) if v not in f.image]
+            n0 = outside[j0 % len(outside)]
+            k0 = n0 if same else outside[j1 % len(outside)]
+            g = f.extend(k0, free[j2 % len(free)])
             res = obstructions.verify_annihilation(f, n0, g, k0,
                                                    range(1, n_max + 1))
             if res.status != PASS:
@@ -658,7 +664,7 @@ def _suite_section4(p: dict, seed: int) -> list:
             if res.witness["nonzero_at"] != want:
                 return failed(witness={"trial": i, "inner": res,
                                        "expected_nonzero": want})
-        return passed(witness={"random_cases": 200})
+        return passed(witness={"random_cases": 200, **bounds})
 
     def annihilation_negative():
         f = PartialMap([(1, 2)])
@@ -672,7 +678,7 @@ def _suite_section4(p: dict, seed: int) -> list:
         return passed(detail="mutated construction fails as designed")
 
     return [("open-set-identity-sweep", sweep),
-            ("fnp-random", fnp_random),
+            ("fnp-random", fnp_family),
             ("fnp-negative-control", fnp_negative),
             ("annihilation-cases", annihilation_cases),
             ("annihilation-negative-control", annihilation_negative),
@@ -681,13 +687,9 @@ def _suite_section4(p: dict, seed: int) -> list:
 
 @_suite("rees-cancellativity", rees_rank=(201, 10, 500),
        infty_rank=(200, 10, 500), nat_max_rank=(200, 10, 500))
-def _suite_rees(p: dict, seed: int) -> list:
-    rees_rank = p["rees_rank"]
-    infty_rank = p["infty_rank"]
-    nat_rank = p["nat_max_rank"]
-
+def _suite_rees(rees_rank, infty_rank, nat_max_rank) -> list:
     def nat_max_passes():
-        return is_weakly_cancellative_window(NatMax(), nat_rank)
+        return is_weakly_cancellative_window(NatMax(), nat_max_rank)
 
     def _expect_growth(S, rank, skip_absorbing=False):
         inner = is_weakly_cancellative_window(S, rank)
@@ -721,9 +723,7 @@ def _suite_rees(p: dict, seed: int) -> list:
 
 
 @_suite("structural", rank=(12, 4, 24), assoc_rank=(8, 3, 16))
-def _suite_structural(p: dict, seed: int) -> list:
-    rank = p["rank"]
-    assoc_rank = p["assoc_rank"]
+def _suite_structural(rank, assoc_rank) -> list:
     zp2, zp3 = ZPlusK(2), ZPlusK(3)
     free = FreeWords("ab")
 
@@ -775,13 +775,13 @@ def _suite_structural(p: dict, seed: int) -> list:
             ("associativity-windows", associative)]
 
 
-def run_suite(name: str, params: dict = None, seed: int = 0) -> dict:
+def run_suite(name: str, params: dict = None) -> dict:
     """Execute a named suite and assemble its report dictionary."""
     if name not in SUITES:
         raise SuiteError(f"unknown suite {name!r}; choose from "
                          f"{sorted(SUITES)}")
     params = {} if params is None else params
-    checks = SUITES[name](read_params(params, SUITE_PARAMS[name]), seed)
+    checks = SUITES[name](read_params(params, SUITE_PARAMS[name]), None)
     t0 = time.perf_counter_ns()
     out_checks = []
     checks_ms = {}
@@ -802,7 +802,7 @@ def run_suite(name: str, params: dict = None, seed: int = 0) -> dict:
     else:
         overall = PASS
     return {"schema_version": SCHEMA_VERSION, "suite": name,
-            "params": to_jsonable(params), "seed": seed,
+            "params": to_jsonable(params),
             "checks": out_checks, "overall": overall,
             "timing": {"total_ms": total_ns // 1_000_000,
                        "checks_ms": checks_ms}}

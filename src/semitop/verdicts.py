@@ -51,7 +51,3 @@ def undetermined(detail: str) -> Verdict:
 
 def not_applicable(detail: str) -> Verdict:
     return Verdict(NOT_APPLICABLE, None, detail)
-
-
-class HorizonExceeded(Exception):
-    """An exact answer would need data beyond the declared horizon."""

@@ -221,16 +221,6 @@ def subsequence_pair_family(count: int, horizon: int,
                                           horizon))
 
 
-def random_c0_plus_const(rng: random.Random,
-                         support_max: int = 30) -> BoundedFunction:
-    mod = {}
-    for _ in range(rng.randint(0, 6)):
-        mod[rng.randint(1, support_max)] = Fraction(
-            rng.randint(-9, 9), rng.randint(1, 9))
-    const = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-    return BoundedFunction.c0_plus_const(mod, const)
-
-
 # ---------------------------------------------------------------------------
 # exact computations over l1(N, max): the telescoping identity and its
 # sharpness witness

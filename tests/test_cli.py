@@ -216,13 +216,12 @@ def test_named_answers_are_pinned(command, params, code, answer, capsys):
 
 def test_suite_run_and_out_file(tmp_path, capsys):
     out = tmp_path / "report.json"
-    code = main(["--suite", "star-condition", "--seed", "7",
-                 "--out", str(out)])
+    code = main(["--suite", "star-condition", "--out", str(out)])
     assert code == 0
     assert capsys.readouterr().out == ""
     doc = json.loads(out.read_text())
     assert doc["suite"] == "star-condition"
-    assert doc["seed"] == 7
+    assert "seed" not in doc
     assert doc["overall"] == "PASS"
     assert {c["id"] for c in doc["checks"]} >= {"star-double-exp",
                                                 "star-negative-control"}
@@ -302,7 +301,7 @@ def test_a_status_outside_the_suite_contract_reads_as_fail(statuses,
     # the report is a broken check, never a pass
     checks = [(f"check-{i}", lambda s=s: verdicts.Verdict(s, detail="faked"))
               for i, s in enumerate(statuses)]
-    monkeypatch.setitem(suites.SUITES, "star-condition", lambda p, seed: checks)
+    monkeypatch.setitem(suites.SUITES, "star-condition", lambda p, _: checks)
     got, doc = run(capsys, "--suite", "star-condition")
     assert (got, doc["overall"]) == (1, "FAIL")
     assert [c["status"] for c in doc["checks"]] == list(statuses)
@@ -789,9 +788,9 @@ def _untimed(report):
 
 
 def test_reports_are_deterministic(capsys):
-    # gen-con-one draws its separate-continuity triples from the seed, so
-    # equal reports are not equal merely because the suite ignores the seed
-    argv = ["--suite", "gen-con-one", "--seed", "5"]
+    # gen-con-one runs declared families of separate-continuity triples,
+    # the same in this process and in a fresh one
+    argv = ["--suite", "gen-con-one"]
     code1, first = run(capsys, *argv)
     code2, second = run(capsys, *argv)
     env = dict(os.environ, PYTHONPATH=str(SRC))
@@ -802,16 +801,33 @@ def test_reports_are_deterministic(capsys):
     report = _untimed(first)
     assert report == _untimed(second)
     assert report == _untimed(json.loads(proc.stdout))
-    _, other_seed = run(capsys, "--suite", "gen-con-one", "--seed", "6")
-    assert other_seed["checks"] != first["checks"]
 
 
-def test_remark4_report_does_not_read_the_seed():
-    # its mask family is a fixed scan, not a draw
-    first, second = (run_suite("remark4-continuum", seed=seed)
-                     for seed in (0, 7))
-    assert (first.pop("seed"), second.pop("seed")) == (0, 7)
-    assert _untimed(first) == _untimed(second)
+@pytest.mark.parametrize("seed", ["0", "1"])
+def test_a_suite_takes_no_seed(seed, capsys):
+    # a suite report depends on --params alone; --seed with --suite is a
+    # usage error, and no report is written
+    with pytest.raises(SystemExit) as exc:
+        main(["--suite", "gen-con-one", "--seed", seed])
+    assert exc.value.code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "a suite takes no --seed" in captured.err
+
+
+def test_distinguish_refuses_a_mask_entry_past_the_index_bound(capsys):
+    # as a member query refuses such a mask in its topology; an entry
+    # past the horizon but within the index bound is still ignored
+    weights = {"kind": "double_exp", "index_bound": 4}
+    past = {"weights": weights, "mask1": [1, 9], "mask2": [1]}
+    assert main(["distinguish", "--params", json.dumps(past)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "mask indices must lie within the index bound" in captured.err
+    within = {"weights": weights, "mask1": [1, 4], "mask2": [1],
+              "horizon": 3}
+    code, doc = run(capsys, "distinguish", "--params", json.dumps(within))
+    assert (code, doc["status"]) == (2, "UNDETERMINED")
 
 
 def test_unknown_flag_exits_3():

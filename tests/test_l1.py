@@ -10,7 +10,6 @@ from semitop.l1 import (BoundedFunction, L1Vector, _frac, convolve,
 from semitop import suites
 from semitop.jsonio import read_params
 from semitop.semigroups import FreeWords, NatMax, NatMul
-from semitop.verdicts import HorizonExceeded
 
 from oracles import coeff_sum
 
@@ -74,14 +73,16 @@ def test_convolution_is_bilinear():
 
 
 def test_bounded_function_modes():
+    # a finitely modified constant pairs with every vector; a sampled
+    # function is read only by the limits along subsequences
+    S = NatMax()
     f = BoundedFunction.c0_plus_const({2: F(1, 3)}, F(5))
-    assert f.evaluate(2) == F(5) + F(1, 3)
-    assert f.evaluate(99) == 5
+    assert pairing(_d(S, 2), f) == F(5) + F(1, 3)
+    assert pairing(_d(S, 99), f) == 5
     g = BoundedFunction.sampled([F(1), F(0), F(1)])
-    assert g.horizon == 3
-    assert g.evaluate(2) == 0
-    with pytest.raises(HorizonExceeded):
-        g.evaluate(4)
+    assert g._ints == ((1, 1), (0, 1), (1, 1))
+    with pytest.raises(TypeError):
+        pairing(_d(S, 2), g)
 
 
 def test_bounded_functions_are_built_only_by_their_kind():
@@ -303,13 +304,10 @@ def test_pairing_matches_fraction_reference(kind, data):
     assert got == want and isinstance(got, F)
     if kind != "nat_max":
         return
-    values = data.draw(st.lists(_fracs, min_size=1, max_size=8))
-    g = BoundedFunction.sampled(values)
-    if all(e <= len(values) for e in ra):
-        assert pairing(a, g) == sum((c * values[e - 1] for e, c in ra.items()), F(0))
-    else:
-        with pytest.raises(HorizonExceeded):
-            pairing(a, g)
+    g = BoundedFunction.sampled(data.draw(st.lists(_fracs, min_size=1,
+                                                  max_size=8)))
+    with pytest.raises(TypeError):      # only a finitely modified constant
+        pairing(a, g)
 
 
 def test_integer_form_is_canonical():

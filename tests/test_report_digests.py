@@ -14,35 +14,36 @@ from semitop.suites import run_suite
 
 # sha256 of json.dumps(report, sort_keys=True) once its "timing" block is
 # dropped: the digest covers everything else, the schema version, suite,
-# params, seed, every check's id, status, witness and detail, and overall.
-# Each suite at its default params and seed 0.
+# params, every check's id, status, witness and detail, and overall.  A
+# report depends on its params alone; each suite is pinned at its
+# default params.
 DIGESTS = {
     "lemma-technical":
-        "b4234b859ce59febb3759aeffa59c47a8f1de83abd79d492fe70bd18d031eb2a",
+        "275c54cf027fa6b08d2e8085fc29ae5f88c9ce38aa809b5f63a4e61081a56db3",
     "gen-con-one":
-        "48b0c80db4533148d754ccc4eb178e6b442a02a9d2e410b8f49e2657627980e5",
+        "692cf86f0c4fac37099409e9be679b53fc4d377f7ff90d8d2e255eeeee2aa95d",
     "gen-con-two":
-        "5d9a83e92ca59afdcd868357f2bad0c8d0672e8dc43218ab4d6522ab4ef93661",
+        "a506f30bcdb8c8137884e91a7cb39651cb4753b4ae6461faed36f85a894cc9b6",
     "star-condition":
-        "8d207f273c95e16a0cdcb5be0827deea9b61df8865d35633d7eb96df0d5b2e02",
+        "2cffd92eb35dd2e40d53af9ff4e1113ec1d12d7aa87cadd629ee1258a9c4b5fd",
     "remark4-continuum":
-        "281bf01e5ba6e5081d03c65c81fd12f4ae8e290aa1f899d139de4b23f02d9820",
+        "f735f3dacec27f4be908b93498db3e47bd1723be1b3b3128eaf078808d28dd0b",
     "good-corr":
-        "c5a9a823cba328e6e0d4211b75baff59e2728d67c97f51e75576d444d9aadbc4",
+        "9dbcdc20c2e0b23769bfb70cb4c5fd02a2ef2f972ba628cf8eb77b15e98fdc7e",
     "nmax-wap":
-        "96aca06cd0c6d67a59eabe1647844fa0c8c51b324122725b5dd5065d6a174726",
+        "6b0fa393f3961097c324fa87006235dda937def9248ecf4b488cdf5d212b1b92",
     "unique-l1s":
-        "0baf98942851af0825567410c0eebfce7c11d5275704b8896a5eb817964f5fb4",
+        "32625ea8725232981dcbb1d39406a4f90566c35201e1118f686f05706660fda8",
     "rees-cancellativity":
-        "c886ffdc5c9705516312a91ba73b4d9273cdef3bedbca833700f6979382189f9",
+        "6762d2be74e77ab9d2c499d75453d3176c5e71580e74181f9cb2a34350dbe5d8",
     "structural":
-        "a0de9a5f15fb274e9b884e3b0880c3681b3d7581885e6500a005b6707cdb1064",
+        "3c0aa0049545d8c467b6c2ae12572de8e379a1f76f7bdcaad3b6e15e14c39d35",
 }
 
 # suites pinned at non-default params, keyed (suite, params JSON)
 PARAM_DIGESTS = {
     ("section4-no-predual", '{"max_domain": 4, "max_value": 6}'):
-        "cf4ad1938a33f27273683d1ca81271fdc493c3a245a9389c00aab28e75b3f196",
+        "262929c61b55df53afa298059ea0f427307247c39abe54d151a3a8747f13cf0b",
 }
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from semitop import jsonio, topologies
 from semitop.dyadic import DyadicPoint, XSpace, interval_identity_sweep
-from semitop.l1 import BoundedFunction, L1Vector
+from semitop.l1 import L1Vector
 from semitop.semigroups import (INF, CyclicGroup, FreeWords, IntegerGroup,
                                 NatInfinity, NatMax, NatMul, PartialMap,
                                 PartialMaps, ReesElement, ReesMatrix, ZPlusK,
@@ -424,8 +424,6 @@ INT_SUBCLASS_USES = [
     ("ZPlusK", lambda x: ZPlusK(2).validate((x, 0))),
     ("ZPlusTimesZ", lambda x: ZPlusTimesZ().validate((0, x))),
     ("L1Vector-coeff", lambda x: L1Vector(NatMax(), [(1, x)])),
-    ("BoundedFunction-evaluate",
-     lambda x: BoundedFunction.sampled([0, 1]).evaluate(x)),
     ("int_from", jsonio.int_from),
     ("BasicNbhd-alpha", lambda x: topologies.BasicNbhd(1, 0, x)),
     ("require_point", lambda x: _Z4.require_point((x, 0))),

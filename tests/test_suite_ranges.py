@@ -1,9 +1,9 @@
 """Every in-range suite parameter gives a true verdict.
 
 `read_params` accepts each key anywhere in its declared (lo, hi) range,
-so a range's lower corner, seeded points drawn inside the ranges, and
-each point where a suite once gave a false FAIL or a traceback, must
-report overall PASS.
+so a range's lower corner, params drawn inside the ranges from a seeded
+generator, and each point where a suite once gave a false FAIL or a
+traceback, must report overall PASS.
 """
 
 import gc
@@ -79,7 +79,7 @@ def test_section4_checks_run_with_the_collector_paused(monkeypatch):
 
 
 # Keys whose top corner alone takes about half a second or more; the
-# seeded draws hold them at their lower bound so that the draws stay
+# drawn params hold them at their lower bound so that the draws stay
 # cheap.  Their top corners are run by hand.
 COSTLY = {
     "gen-con-one": ("index_bound",),
@@ -92,21 +92,20 @@ COSTLY = {
 }
 
 
-def _drawn(suite: str, draw: int) -> tuple:
-    """Params and seed of one seeded draw: each key uniform in its declared
-    range, the costly keys at their lower bound."""
+def _drawn(suite: str, draw: int) -> dict:
+    """Params of one seeded draw: each key uniform in its declared range,
+    the costly keys at their lower bound."""
     rng = random.Random(f"{suite}:{draw}")
-    params = {key: lo if key in COSTLY.get(suite, ()) else rng.randint(lo, hi)
-              for key, (_, lo, hi) in SUITE_PARAMS[suite].items()}
-    return params, rng.randrange(1000)
+    return {key: lo if key in COSTLY.get(suite, ()) else rng.randint(lo, hi)
+            for key, (_, lo, hi) in SUITE_PARAMS[suite].items()}
 
 
 @pytest.mark.parametrize("suite", sorted(SUITE_PARAMS))
 @pytest.mark.parametrize("draw", range(3))
 def test_seeded_in_range_points_pass(suite, draw):
-    params, seed = _drawn(suite, draw)
-    report = run_suite(suite, params, seed)
-    assert report["overall"] == "PASS", (params, seed, [
+    params = _drawn(suite, draw)
+    report = run_suite(suite, params)
+    assert report["overall"] == "PASS", (params, [
         (c["id"], c["status"], c["detail"]) for c in report["checks"]
         if c["status"] != "PASS"])
 
