@@ -169,30 +169,25 @@ def _suite_gen_con_one(index_bound, a_max, hausdorff_a_max, triples) -> list:
 
     def hausdorff():
         w = Tz.weights
-        uvals = {0}
-        for i in Tz.mask:
-            uvals.add(w.value(i))
-            uvals.add(-w.value(i))
-        for i, j in combinations(Tz.mask, 2):
-            for si in (1, -1):
-                for sj in (1, -1):
-                    uvals.add(si * w.value(i) + sj * w.value(j))
+        uvals = {sum(s * w.value(i) for s, i in zip(signs, idxs))
+                 for k in range(3) for idxs in combinations(Tz.mask, k)
+                 for signs in product((1, -1), repeat=k)}
         points = [(x, u) for x in range(hausdorff_a_max + 1)
                   for u in sorted(uvals)]
         return topologies.hausdorff_exhaustive(Tz, points)
 
     def separate_continuity(T):
         # levels up to 4; a center (a, v) and a shift (b, t), b <= 2, with
-        # v, t sums of up to two masked weights, v negated too if in S
-        sums = [T.weight_total(c) for k in range(3)
-                for c in combinations(T.mask, k)]
-        centers = sums + [-u for u in sums if u and T.in_S(-u)]
+        # v, t the sums of the first k, m <= 2 of two masked weights in
+        # order, v negated if in S and sign -1
         alpha_max = min(4, index_bound)
+        pairs = list(permutations(T.mask, 2))
         total_points = 0
-        for i, (alpha, a, v, b, t) in enumerate(_family(
-                triples, range(1, alpha_max + 1), range(a_max + 1), centers,
-                range(3), sums)):
-            shift, center = (b, t), (a, v)
+        for i, (alpha, a, k, idxs, sign, b, m, jdxs) in enumerate(_family(
+                triples, range(1, alpha_max + 1), range(a_max + 1), range(3),
+                pairs, (1, -1), range(3), range(3), pairs)):
+            v, t = T.weight_total(idxs[:k]), T.weight_total(jdxs[:m])
+            shift, center = (b, t), (a, -v if sign < 0 and T.in_S(-v) else v)
             res = topologies.separate_continuity_identity(T, shift, center, alpha)
             if res.status != PASS:
                 return _relay(res, case=i, shift=shift, center=center,
@@ -200,7 +195,7 @@ def _suite_gen_con_one(index_bound, a_max, hausdorff_a_max, triples) -> list:
             total_points += res.witness["points_checked"]
         return passed(witness={"triples": triples, "alpha": [1, alpha_max],
                                "center_a": [0, a_max], "shift_a": [0, 2],
-                               "points_checked": total_points})
+                               "terms": [0, 2], "points_checked": total_points})
 
     return [("base-property-family", base_property),
             ("hausdorff-exhaustive", hausdorff),
@@ -218,16 +213,20 @@ def _suite_gen_con_two(index_bound, cases, alpha_max) -> list:
 
     def transfer(T):
         # a limit (c, v), c <= 2, of the terms (c - 1, v w_j) (the law of
-        # S) for j from start <= 3, and a shift (b, t), b <= 2: v and t the
-        # identity or one masked weight, v negated too if in S
-        sums = [T.s_identity] + [T.weights.value(j) for j in T.mask]
-        limits = sums + [-u for u in sums if u and T.in_S(-u)]
+        # S) for j from start <= 3, and a shift (b, t), b <= 2: v the
+        # identity or one masked weight, negated if in S and sign -1, t the
+        # identity or a masked weight from w_alpha_max on (smaller ones
+        # cost the longest division scans)
+        late = [j for j in T.mask if j >= alpha_max]
         revalidated = 0
-        for i, (c, v, start, b, t) in enumerate(_family(
-                cases, range(1, 3), limits, range(1, 4), range(3), sums)):
+        for i, (c, k, jv, sign, start, b, m, jt) in enumerate(_family(
+                cases, range(1, 3), range(2), T.mask, (1, -1), range(1, 4),
+                range(3), range(2), late)):
+            v, t = T.weight_total([jv] * k), T.weight_total([jt] * m)
+            v = -v if sign < 0 and T.in_S(-v) else v
+            shift = (b, t)
             terms = [(c - 1, T.s_op(v, T.weights.value(j)))
                      for j in range(start, index_bound + 1)]
-            shift = (b, t)
             res = topologies.convergence_transfer(
                 T, terms, shift, alpha_max, (c + shift[0], T.s_op(v, shift[1])))
             if not res:
@@ -247,7 +246,9 @@ def _suite_gen_con_two(index_bound, cases, alpha_max) -> list:
                 return failed(witness={"case": i, "division": w["division"]})
             revalidated += 1
         return passed(witness={"cases": cases, "c": [1, 2], "start": [1, 3],
-                               "shift_a": [0, 2], "revalidated": revalidated})
+                               "shift_a": [0, 2], "terms": [0, 1],
+                               "shift_index": [alpha_max, index_bound],
+                               "revalidated": revalidated})
 
     def transport():
         S = NatMul()
@@ -395,22 +396,21 @@ def _suite_good_corr(index_bound) -> list:
 @_suite("nmax-wap", functions=(50, 1, 200), pairs=(50, 1, 200),
        horizon=(200, 20, 2000))
 def _suite_nmax_wap(functions, pairs, horizon) -> list:
-    pair_family = list(subsequence_pair_family(pairs, horizon, 0))
+    pair_family = list(subsequence_pair_family(pairs, horizon, seed=0))
 
     def wap_family():
-        # c / d modified to m / n at `terms` <= 6 indices from start <= 30,
-        # with c, m in -9..9 and d, n in 1..9
-        digits = range(-9, 10), range(1, 10)
-        for terms, start, c, d, m, n in _family(
-                functions, range(7), range(1, 31), *digits, *digits):
+        # c / d modified at up to 6 points of 1..30 to m / n each (the last
+        # wins at a repeated point), with c, m in -9..9 and d, n in 1..9
+        mods = list(product(range(1, 31), range(-9, 10), range(1, 10)))
+        for c, d, k, *rest in _family(functions, range(-9, 10), range(1, 10),
+                                      range(7), *[mods] * 6):
             f = BoundedFunction.c0_plus_const(
-                dict.fromkeys(range(start, start + terms), Fraction(m, n)),
-                Fraction(c, d))
+                {s: Fraction(m, n) for s, m, n in rest[:k]}, Fraction(c, d))
             v = wap_test(f, pair_family)
             if not v:
                 return failed(witness={"function": f, "inner": v})
         return passed(witness={"functions": functions, "pairs": pairs,
-                               "terms": [0, 6], "start": [1, 30],
+                               "terms": [0, 6], "points": [1, 30],
                                "numerator": [-9, 9], "denominator": [1, 9]})
 
     def indicator_not_wap():

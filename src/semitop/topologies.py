@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import nsmallest
 from itertools import combinations, product as iproduct, takewhile
-from math import gcd, prod
+from math import prod
 from operator import neg
 from typing import Any, Iterable, Iterator, Optional, Sequence
 
@@ -776,22 +776,14 @@ def verify_star_star(T: TopologyInstance, t: Any, s_window: int = 10_000) -> Ver
     if alpha_t is None:
         return undetermined("every bounded weight divides into the prime "
                             "factors of t; raise the index bound")
-    # for odd s up to s_window and each weight w from alpha_t on, where
-    # s w / t is an odd integer s / t must be one too.  t is odd, so t
-    # divides s w exactly when s is an odd multiple of t / gcd(t, w): only
-    # those s are visited, and the least (s, n) that breaks the condition
-    # is the one a scan of every s meets first
-    breaks = []
-    for n, w in list(enumerate(T.weights.values, start=1))[alpha_t - 1:]:
-        step = t // gcd(t, w)
-        for s in range(step, s_window + 1, 2 * step):
-            if (s * w // t) % 2 and not (s % t == 0 and (s // t) % 2):
-                breaks.append((s, n))
-                break
-    if breaks:
-        s, n = min(breaks)
-        return failed(witness={"s": s, "n": n, "t": t},
-                      detail="division condition violated inside the window")
+    weights = list(enumerate(T.weights.values, start=1))[alpha_t - 1:]
+    for s in range(1, s_window + 1, 2):
+        for n, w in weights:
+            moved = s * w
+            if moved % t == 0 and (moved // t) % 2 == 1:
+                if not (s % t == 0 and (s // t) % 2 == 1):
+                    return failed(witness={"s": s, "n": n, "t": t},
+                                  detail="division condition violated inside the window")
     return passed(witness={"alpha_t": alpha_t, "largest_prime_factor": p_max,
                            "s_window": s_window})
 

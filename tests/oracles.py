@@ -228,21 +228,3 @@ def counterexample_x_rescanning(a):
                                "expected": expected},
                       detail="witness verification failed")
     return passed(SharpnessWitness(x=x, s=s, pairing_a=p0, pairing_translated=p1))
-
-
-def star_star_scan(T, t, s_window):
-    """The least (s, n) that breaks the division condition at t, or None:
-    every odd s up to s_window, and within it every weight from the first
-    above t's largest prime factor on, as ``verify_star_star`` scanned
-    before it visited only the s where t divides s w."""
-    p_max = max((p for p in range(2, t + 1)
-                 if t % p == 0 and all(p % q for q in range(2, p))), default=1)
-    weights = list(enumerate(T.weights.values, start=1))
-    first = next(n for n, w in weights if w > p_max)
-    for s in range(1, s_window + 1, 2):
-        for n, w in weights[first - 1:]:
-            moved = s * w
-            if moved % t == 0 and (moved // t) % 2 == 1:
-                if not (s % t == 0 and (s // t) % 2 == 1):
-                    return s, n
-    return None

@@ -21,9 +21,9 @@ DIGESTS = {
     "lemma-technical":
         "275c54cf027fa6b08d2e8085fc29ae5f88c9ce38aa809b5f63a4e61081a56db3",
     "gen-con-one":
-        "692cf86f0c4fac37099409e9be679b53fc4d377f7ff90d8d2e255eeeee2aa95d",
+        "35f521d8b48c2e14dff9619233fc5e5003ce69da3a7d2b963ff3b57332f72881",
     "gen-con-two":
-        "a506f30bcdb8c8137884e91a7cb39651cb4753b4ae6461faed36f85a894cc9b6",
+        "ade8c2c150fbc7c39bd9cf3d2e79e5af616921a4688e3abd8ac50cf2992c6d77",
     "star-condition":
         "2cffd92eb35dd2e40d53af9ff4e1113ec1d12d7aa87cadd629ee1258a9c4b5fd",
     "remark4-continuum":
@@ -31,7 +31,7 @@ DIGESTS = {
     "good-corr":
         "9dbcdc20c2e0b23769bfb70cb4c5fd02a2ef2f972ba628cf8eb77b15e98fdc7e",
     "nmax-wap":
-        "6b0fa393f3961097c324fa87006235dda937def9248ecf4b488cdf5d212b1b92",
+        "37e09f92b0f77e4c926d76919e9d5a7f78cd6ad6c9ce7a1e4acbc9acfcbdb992",
     "unique-l1s":
         "32625ea8725232981dcbb1d39406a4f90566c35201e1118f686f05706660fda8",
     "rees-cancellativity":

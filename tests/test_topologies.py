@@ -28,8 +28,7 @@ from semitop.topologies import _limit_candidates
 from semitop.verdicts import (FAIL, NOT_APPLICABLE, PASS, UNDETERMINED,
                               Verdict)
 
-from oracles import (hausdorff_pairwise, hausdorff_witness, member_bruteforce,
-                     star_star_scan)
+from oracles import hausdorff_pairwise, hausdorff_witness, member_bruteforce
 
 
 def Tz(bound=6, mask=None):
@@ -1060,26 +1059,6 @@ def test_verify_star_star_bases():
     assert odd.witness["alpha_t"] == 2  # first weight above 3 is 5
     zp = TopologyInstance("zplus", WeightSequence.double_exp(4))
     assert verify_star_star(zp, 5).status == NOT_APPLICABLE
-
-
-@pytest.mark.parametrize("values", [None, [3, 5, 9, 15, 21, 25, 27, 45]])
-def test_verify_star_star_matches_a_scan_of_every_s(values):
-    # odd prime weights never break the condition; odd composite ones,
-    # set on the instance directly, break it at a first (s, n)
-    T = Todd(8)
-    if values:
-        T.weights = WeightSequence.explicit(values)
-    statuses = Counter()
-    for t in range(1, 100, 2):
-        res = verify_star_star(T, t, s_window=400)
-        statuses[res.status] += 1
-        if res.status == UNDETERMINED:
-            continue
-        want = star_star_scan(T, t, 400)
-        assert res.status == (PASS if want is None else FAIL), t
-        if want is not None:
-            assert (res.witness["s"], res.witness["n"]) == want
-    assert statuses[PASS] and (statuses[FAIL] or not values)
 
 
 def test_verify_star_star_undetermined_when_bound_too_low():
