@@ -5,9 +5,9 @@ Two modes share one executable:
 * ``semitop --suite NAME [--params JSON] [--out PATH]`` runs a
   registered suite and writes its report as JSON; the report depends on
   the params alone, so a suite takes no ``--seed``.
-* ``semitop member|converge|distinguish|waptest --params JSON [--seed N]``
-  answers a single query described by the params payload and, for
-  waptest's default pairs only, the seed.
+* ``semitop member|converge|distinguish|waptest --params JSON`` answers a
+  single query described by the params payload; ``waptest`` alone takes
+  ``--seed N``, the seed of its default pairs.
 
 Exit codes follow the status of the one `Verdict` type: 0 for PASS or
 NOT_APPLICABLE, 1 for FAIL, 2 for UNDETERMINED at the given horizon, 3 for
@@ -16,8 +16,8 @@ depth of the params (a key the weights' kind or the function's tag does
 not use is undeclared), malformed JSON, a parameter
 that is not an integer in its declared range, a decimal string of too many
 digits, a point or sequence term that is not a point of Z+ x S for the
-topology's base, ``--seed`` given with ``--suite``, or an ``--out`` path
-that cannot be written.
+topology's base, ``--seed`` given with ``--suite`` or with a command other
+than waptest, or an ``--out`` path that cannot be written.
 """
 
 from __future__ import annotations
@@ -70,14 +70,14 @@ def _answer(res, names: dict) -> tuple:
     return payload, _STATUS_EXIT[res.status]
 
 
-def _member(params: dict, seed: int) -> tuple:
+def _member(params: dict) -> tuple:
     res = params["topology"].member(params["nbhd"], params["point"])
     payload = {"status": _MEMBER_STATUS[res.status],
                "indices": list(res.witness or ()), "reason": res.detail}
     return payload, _STATUS_EXIT[res.status]
 
 
-def _converge(params: dict, seed: int) -> tuple:
+def _converge(params: dict) -> tuple:
     T, seq, limit = params["topology"], params["sequence"], params["limit"]
     alpha_max = params["alpha_max"]
     res = (topologies.find_limit(T, seq, alpha_max) if limit is None
@@ -89,7 +89,7 @@ def _converge(params: dict, seed: int) -> tuple:
     return {"status": PASS, **found, "certificate": cert}, _EXIT_OK
 
 
-def _distinguish(params: dict, seed: int) -> tuple:
+def _distinguish(params: dict) -> tuple:
     weights = params["weights"]
     horizon = params["horizon"] or weights.index_bound
     res = topologies.distinguish_topologies(weights, params["mask1"],
@@ -162,7 +162,7 @@ _PARSER.add_argument("--params", metavar="JSON", default="{}",
                      help="JSON object with suite or query parameters")
 _PARSER.add_argument("--seed", type=int,
                      help="seed of waptest's default pairs (default 0); "
-                          "queries only, a suite takes none")
+                          "waptest only")
 _PARSER.add_argument("--out", metavar="PATH",
                      help="write the JSON report here instead of stdout")
 
@@ -189,10 +189,9 @@ def main(argv=None) -> int:
 
     if (args.command is None) == (args.suite is None):
         _PARSER.error("exactly one of a command or --suite is required")
-    if args.suite is not None and args.seed is not None:
-        _PARSER.error("a suite takes no --seed; its report depends on "
-                      "--params alone")
-    seed = 0 if args.seed is None else args.seed
+    if args.seed is not None and args.command != "waptest":
+        _PARSER.error(f"{args.command or 'a suite'} takes no --seed; only "
+                      "waptest reads one, for its default pairs")
     try:
         params = json.loads(args.params)
     except ValueError as exc:
@@ -201,14 +200,15 @@ def main(argv=None) -> int:
 
     if args.command is not None:
         handler, keys = _COMMANDS[args.command]
+        seeded = {"seed": args.seed or 0} if args.command == "waptest" else {}
         try:
-            result, code = handler(jsonio.read_params(params, keys), seed)
+            result, code = handler(jsonio.read_params(params, keys), **seeded)
         except (TypeError, ValueError) as exc:
             print(f"semitop: error: bad query parameters: {exc}",
                   file=sys.stderr)
             return _EXIT_USAGE
         payload = {"schema_version": jsonio.SCHEMA_VERSION,
-                   "command": args.command, "seed": seed}
+                   "command": args.command, **seeded}
         payload.update(result)
         return _emit(payload, args.out, code)
 

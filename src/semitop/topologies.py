@@ -157,7 +157,6 @@ class TopologyInstance:
         self._member_cache: dict = {}     # (nbhd, point) -> member verdict
         self._subset_sums: dict = {}
         self._basic_points: dict = {}
-        self._division: dict = {}     # s -> verify_star_star(self, s)
 
     def __repr__(self) -> str:
         return f"TopologyInstance({self.base}, {self.weights!r}, mask={list(self.mask)})"
@@ -676,9 +675,9 @@ def convergence_transfer(T: TopologyInstance, sequence: Sequence, shift: tuple,
     certified to the predicted limit directly.
 
     The witness dict carries whichever of "predicted_limit", "certificate",
-    "shifted_limit", "shifted_certificate" and "division" (the star-star
-    verdict at the shift) the function reached; when the shifted sequence
-    fails to certify, the witness is that failure's own.
+    "shifted_limit" and "shifted_certificate" the function reached; when
+    the shifted sequence fails to certify, the witness is that failure's
+    own.
     """
     if T.base == "zplus":
         return not_applicable("no division data is claimed for the zplus base")
@@ -691,11 +690,8 @@ def convergence_transfer(T: TopologyInstance, sequence: Sequence, shift: tuple,
     shifted_cert = res.witness
     b, t = shifted_cert.limit
     back = T.unshift(t, s)
-    if s not in T._division:
-        T._division[s] = verify_star_star(T, s)
     reached = {"shifted_limit": shifted_cert.limit,
-               "shifted_certificate": shifted_cert,
-               "division": T._division[s]}
+               "shifted_certificate": shifted_cert}
     if b - a < 0 or back is None:
         return failed(witness={"shift": shift, **reached},
                       detail="predicted limit leaves Z+ x S")
@@ -754,9 +750,12 @@ def verify_star_star(T: TopologyInstance, t: Any, s_window: int = 10_000) -> Ver
 
     For the full-group base the threshold is trivially 1.  For the odd
     naturals the least index whose weight exceeds every prime factor of t
-    works, and the implication is verified over a finite window of s.  For
-    the zplus base no such data is claimed.  An s_window that is not a
-    positive int, which would check nothing, raises ValueError.
+    works, and the implication is verified over a finite window of s.  On
+    odd_primes weights, the only kind that base accepts, the scan cannot
+    FAIL: each weight from alpha_t on is a prime coprime to t, so t divides
+    s w exactly when it divides s.  For the zplus base no such data is
+    claimed.  An s_window that is not a positive int, which would check
+    nothing, raises ValueError.
     """
     s_window = positive_int(s_window, "s_window")
     if T.base == "zplus":

@@ -79,7 +79,7 @@ def test_converge_not_found_has_the_verdict_shape(capsys):
     params = {"topology": Z_TOP, "sequence": seq}
     code, doc = run(capsys, "converge", "--params", json.dumps(params))
     assert code == 2
-    assert doc == {"schema_version": "1", "command": "converge", "seed": 0,
+    assert doc == {"schema_version": "1", "command": "converge",
                    "status": "UNDETERMINED", "witness": None,
                    "detail": "no limit found among the unshift candidates"}
 
@@ -209,7 +209,9 @@ PINNED_ANSWERS = [
                          ids=lambda v: v if isinstance(v, str) else "")
 def test_named_answers_are_pinned(command, params, code, answer, capsys):
     assert main([command, "--params", json.dumps(params)]) == code
-    head = {"schema_version": "1", "command": command, "seed": 0}
+    # only waptest reads a seed, so only its payload echoes one
+    head = {"schema_version": "1", "command": command,
+            **({"seed": 0} if command == "waptest" else {})}
     assert capsys.readouterr().out == json.dumps({**head, **answer},
                                                  indent=2) + "\n"
 
@@ -813,6 +815,20 @@ def test_a_suite_takes_no_seed(seed, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "a suite takes no --seed" in captured.err
+
+
+@pytest.mark.parametrize("command", ["member", "converge", "distinguish"])
+def test_only_waptest_takes_a_seed(command, capsys):
+    # the other queries never read a seed, so one given is a usage error
+    # and no answer is written
+    argv = [command, "--params", json.dumps(VALID_QUERIES[command])]
+    assert run(capsys, *argv)[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", "1"])
+    assert exc.value.code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{command} takes no --seed" in captured.err
 
 
 def test_distinguish_refuses_a_mask_entry_past_the_index_bound(capsys):

@@ -23,7 +23,7 @@ DIGESTS = {
     "gen-con-one":
         "35f521d8b48c2e14dff9619233fc5e5003ce69da3a7d2b963ff3b57332f72881",
     "gen-con-two":
-        "ade8c2c150fbc7c39bd9cf3d2e79e5af616921a4688e3abd8ac50cf2992c6d77",
+        "fea30987780ee64bd1d83a7b8cae387418427f165cc1005194d3e1cdf4e62ef6",
     "star-condition":
         "2cffd92eb35dd2e40d53af9ff4e1113ec1d12d7aa87cadd629ee1258a9c4b5fd",
     "remark4-continuum":

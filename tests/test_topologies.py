@@ -992,7 +992,7 @@ def test_convergence_transfer_z():
     assert res.witness["certificate"].revalidate(T, seq)
     shifted = [(p[0] + 1, p[1] + 16) for p in seq]
     assert res.witness["shifted_certificate"].revalidate(T, shifted)
-    assert res.witness["division"].status == PASS
+    assert "division" not in res.witness
 
 
 @pytest.mark.parametrize("shifted_limit", [(3, 21), (2, 20), (4, 20)])
@@ -1004,23 +1004,6 @@ def test_convergence_transfer_fails_on_a_wrong_shifted_limit(shifted_limit):
     assert res.status == FAIL
     assert res.detail.startswith("shifted sequence failed to certify")
     assert "predicted_limit" not in res.witness
-
-
-def test_convergence_transfer_memoises_division_per_shift(monkeypatch):
-    # an undetermined verdict is falsy, and must be reused all the same
-    calls = []
-
-    def stub(T, t):
-        calls.append(t)
-        return Verdict(UNDETERMINED, detail="stub")
-
-    monkeypatch.setattr(topologies, "verify_star_star", stub)
-    T = Tz(8)
-    seq = seq_to_limit(T, 2, 4, start=2)
-    for _ in range(3):
-        res = convergence_transfer(T, seq, (1, 16), 3, (3, 20))
-        assert res.witness["division"].status == UNDETERMINED
-    assert calls == [16]
 
 
 def test_convergence_transfer_odd_instance():
@@ -1035,6 +1018,55 @@ def test_convergence_transfer_zplus_not_applicable():
     T = TopologyInstance("zplus", WeightSequence.double_exp(4))
     res = convergence_transfer(T, [(0, 4)], (0, 0), 2, (0, 4))
     assert res.status == NOT_APPLICABLE
+
+
+def _gen_con_two_checks(**params):
+    """gen-con-two's checks at params, not yet run."""
+    return dict(SUITES["gen-con-two"](
+        read_params(params, SUITE_PARAMS["gen-con-two"]), 0))
+
+
+def test_gen_con_two_shifts_by_the_identity_and_every_weight(monkeypatch):
+    # at the default index bound of 12, each base's transfer check shifts
+    # by the identity of S and by each of the 12 masked weights
+    shifts = {}
+    transfer = topologies.convergence_transfer
+
+    def recording(T, sequence, shift, *rest):
+        shifts.setdefault(T, set()).add(shift[1])
+        return transfer(T, sequence, shift, *rest)
+
+    monkeypatch.setattr(topologies, "convergence_transfer", recording)
+    checks = _gen_con_two_checks()
+    for cid in ("transfer-z", "transfer-odd"):
+        assert checks[cid]().status == PASS
+    assert sorted(T.base for T in shifts) == ["odd_nat", "z"]
+    for T, seen in shifts.items():
+        assert T.weights.index_bound == 12
+        assert seen == {T.s_identity, *T.weights.values}
+
+
+def test_transfer_checks_refuse_certificates_that_claim_every_term(
+        monkeypatch):
+    # a PASS certificate that puts threshold 1 at every level claims each
+    # term of the prefix inside every U(limit, alpha); the terms with a
+    # weight below alpha are not, and revalidation must say so
+    check = topologies.check_convergence
+
+    def overclaiming(T, sequence, limit, alpha_max):
+        res = check(T, sequence, limit, alpha_max)
+        if not res:
+            return res
+        thresholds = dict.fromkeys(range(1, alpha_max + 1), 1)
+        return Verdict(PASS, dataclasses.replace(res.witness,
+                                                 thresholds=thresholds))
+
+    monkeypatch.setattr(topologies, "check_convergence", overclaiming)
+    checks = _gen_con_two_checks()
+    for cid in ("transfer-z", "transfer-odd"):
+        res = checks[cid]()
+        assert res.status == FAIL
+        assert res.detail == "term outside U(limit, alpha)"
 
 
 # -- the two conditions on the weights ----------------------------------
