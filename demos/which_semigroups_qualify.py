@@ -19,7 +19,10 @@ for S, rank, label in [
     if v.status == "PASS":
         print(f"{label}: {v.detail}")
         continue
-    r = v.witness[0]
+    # every infinite semigroup with a zero fails at the zero, so name
+    # another translator when there is one; N with infinity has none
+    r = next((w for w in v.witness if w["translate_by"] != S.has_zero),
+             v.witness[0])
     print(f"{label}: FAILS; {r['side']} translation by {r['translate_by']} "
           f"sends {len(r['preimages'])} window elements to {r['target']} "
           f"(fibre growth {r['counts'][0]} -> {r['counts'][1]})")

@@ -501,17 +501,6 @@ def is_cancellative_window(S: SemigroupInstance, window_rank: int) -> Verdict:
     return passed(detail=f"cancellative on window of rank {len(win)}")
 
 
-def _preimage_map(S: SemigroupInstance, win: list, side: str) -> dict:
-    """(rank of s, v) -> the ranks of the t in the window with s*t = v
-    (left) or t*s = v (right), in increasing order."""
-    pre: dict = {}
-    for i, s in enumerate(win):
-        for j, t in enumerate(win):
-            v = S.op(s, t) if side == "left" else S.op(t, s)
-            pre.setdefault((i, v), []).append(j)
-    return pre
-
-
 def is_weakly_cancellative_window(S: SemigroupInstance, window_rank: int) -> Verdict:
     """Finite-to-one behaviour of translations, detected by window growth.
 
@@ -521,31 +510,35 @@ def is_weakly_cancellative_window(S: SemigroupInstance, window_rank: int) -> Ver
     10).  Preimage sets that are merely large but stable (for example the
     lower set of s under the max operation) do not fail.
 
-    The half window is a prefix of the full one, so one map over the full
+    The half window is a prefix of the full one, so one row over the full
     window gives both counts: the half-window count is the number of
-    preimages of rank below r1, and the half window's own map holds the
-    keys whose translator has rank below r1 and whose count is positive,
-    in the same order.
+    preimages of rank below r1.  Only a translator inside the half window,
+    of rank below r1 = rank // 2, can witness, so only those rows are
+    built, one at a time, left side first; each row keeps its targets in
+    order of first appearance, and the scan stops at the tenth witness.
     """
     r2 = window_rank
     r1 = max(1, window_rank // 2)
     growth_threshold = max(4, r2 // 4)
     win = S.window(r2)
-    witnesses = []
-    for side in ("left", "right"):
-        for (i, target), ranks in _preimage_map(S, win, side).items():
-            small = bisect_left(ranks, r1)
-            if (i < r1 and 0 < small < len(ranks)
-                    and len(ranks) >= growth_threshold):
-                witnesses.append({"side": side, "translate_by": win[i],
-                                  "target": target,
-                                  "preimages": [win[j] for j in ranks],
-                                  "counts": (small, len(ranks)),
-                                  "window_ranks": (r1, r2)})
-                if len(witnesses) >= 10:
-                    break
-        if len(witnesses) >= 10:
-            break
+    op = S.op
+
+    def growth():
+        for side in ("left", "right"):
+            for s in win[:r1]:
+                row: dict = {}
+                for j, t in enumerate(win):
+                    row.setdefault(op(s, t) if side == "left" else op(t, s),
+                                   []).append(j)
+                for target, ranks in row.items():
+                    small = bisect_left(ranks, r1)
+                    if 0 < small < len(ranks) and len(ranks) >= growth_threshold:
+                        yield {"side": side, "translate_by": s, "target": target,
+                               "preimages": [win[j] for j in ranks],
+                               "counts": (small, len(ranks)),
+                               "window_ranks": (r1, r2)}
+
+    witnesses = list(islice(growth(), 10))
     if witnesses:
         return failed(witness=witnesses,
                       detail="preimage sets grow with the window")

@@ -2,7 +2,7 @@ from enum import IntEnum
 from itertools import combinations, count, islice, permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semitop import jsonio, topologies
@@ -287,6 +287,12 @@ def _weakly_cancellative_two_maps(S, window_rank):
     return (FAIL, witnesses) if witnesses else (PASS, None)
 
 
+# the suite's default sizes, past the drawn ranks, and a window shorter
+# than half its rank (13 elements at rank 28)
+@example(NatMax(), 200)
+@example(NatInfinity(), 200)
+@example(ReesMatrix(IntegerGroup(), 201, 1, [[0] * 201]), 201)
+@example(ReesMatrix(CyclicGroup(3), 2, 2, [[1, 2], [0, 1]]), 28)
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from([NatMax(), NatInfinity(), ZPlusTimesZ(), PartialMaps(),
                         ReesMatrix(CyclicGroup(3), 2, 2, [[1, 2], [0, 1]])]),
@@ -296,8 +302,7 @@ def test_weak_cancellativity_matches_two_map_oracle(S, rank):
     assert (v.status, v.witness) == _weakly_cancellative_two_maps(S, rank)
 
 
-def test_weak_cancellativity_calls_op_only():
-    S = NatMax()
+def _counted_calls(S, rank):
     calls = {"op": 0, "validate": 0}
     op, validate = S.op, S.validate
 
@@ -310,8 +315,19 @@ def test_weak_cancellativity_calls_op_only():
         return validate(x)
 
     S.op, S.validate = counted_op, counted_validate
-    assert is_weakly_cancellative_window(S, 200).status == PASS
-    assert calls == {"op": 2 * 200 ** 2, "validate": 0}
+    return is_weakly_cancellative_window(S, rank).status, calls
+
+
+def test_weak_cancellativity_calls_op_only():
+    # only the 100 translators below half the rank get a row of 200 calls,
+    # once per side
+    assert _counted_calls(NatMax(), 200) == (
+        PASS, {"op": 2 * 100 * 200, "validate": 0})
+    assert _counted_calls(NatInfinity(), 200) == (
+        FAIL, {"op": 40_000, "validate": 0})
+    # the scan stops at the tenth witness, here by the left side's tenth row
+    assert _counted_calls(ReesMatrix(IntegerGroup(), 201, 1, [[0] * 201]),
+                          201) == (FAIL, {"op": 2_010, "validate": 0})
 
 
 def _graded_partial_maps():

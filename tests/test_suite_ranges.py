@@ -85,7 +85,6 @@ COSTLY = {
     "gen-con-one": ("index_bound",),
     "gen-con-two": ("index_bound",),
     "nmax-wap": ("horizon",),
-    "rees-cancellativity": ("rees_rank", "infty_rank", "nat_max_rank"),
     "section4-no-predual": ("max_domain", "max_value"),
     "star-condition": ("double_exp_bound",),
     "unique-l1s": ("trials",),
@@ -132,6 +131,9 @@ def test_seeded_in_range_points_pass(suite, draw):
     # reaches such a level; the lowest index_bound now meets the highest
     # alpha_max
     ("gen-con-two", {"index_bound": 6, "alpha_max": 6}),
+    # the top corner of all three ranks
+    ("rees-cancellativity", {"rees_rank": 500, "infty_rank": 500,
+                             "nat_max_rank": 500}),
 ])
 def test_regression_points_pass(suite, params):
     report = run_suite(suite, params)
